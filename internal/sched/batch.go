@@ -2,627 +2,94 @@ package sched
 
 import (
 	"errors"
-	"fmt"
 
 	"pwf/internal/rng"
 )
 
-// Replica-batched drawers: the struct-of-arrays counterpart of the
-// scalar schedulers. A batch drawer steps K independent replicas of
-// the same scheduler configuration in lockstep — one NextBatch call
-// draws the next scheduled pid for every replica — sharing the
+// Replica batching. Every scheduler type holds K ≥ 1 independent
+// replicas of one configuration and steps them in lockstep: one
+// NextBatch call draws the next scheduled pid for every replica. The
 // structures that depend only on the configuration (the active set,
-// alias tables, the Fenwick tree) across replicas while giving each
-// replica its own rng stream, laid out contiguously so a draw touches
-// one cache-resident table and one 32-byte source.
+// alias tables, the Fenwick tree, the phase clock) are shared across
+// replicas, while each replica has its own rng stream. The streams are
+// laid out contiguously, so a draw touches one cache-resident table
+// and one 32-byte source.
 //
-// Determinism contract: replica r of a batch drawer built from
-// seeds[r] produces exactly the pid sequence the corresponding scalar
-// scheduler produces when built with rng.New(seeds[r]) — the batch
-// draw code paths reuse the scalar sampling structures verbatim, one
-// replica source at a time (TestBatchDrawerMatchesScalar pins this).
+// Determinism contract: replica r of a K-replica scheduler built from
+// seeds[r] produces exactly the pid sequence of the same scheduler
+// built with K = 1 from rng.New(seeds[r]). NextBatch reuses the
+// sampling structures of Next, one replica source at a time
+// (TestBatchDrawerMatchesScalar pins this).
 //
-// Crashes are configuration, not per-replica state: Crash removes the
-// pid from every replica at once, matching the sweep engine's
-// pre-run crash plans, where every replica of a batch shares one
-// crash count.
+// Crashes and ticket transfers are configuration, not per-replica
+// state: Crash removes the pid from every replica at once, matching
+// the sweep engine's pre-run crash plans, where every replica of a
+// batch shares one crash count.
 
-// Batch drawer errors.
+// Replica errors.
 var (
-	ErrNoReplicas  = errors.New("sched: batch needs at least one replica seed")
-	ErrBatchLen    = errors.New("sched: pid buffer length differs from replica count")
-	errNilStrategy = errors.New("sched: nil strategy")
+	ErrNoReplicas = errors.New("sched: no rng source (nil source or no replica seeds)")
+	ErrBatchLen   = errors.New("sched: pid buffer length differs from replica count")
 )
 
-// BatchDrawer draws the next scheduled process for each of K
-// independent replicas in one call.
+// BatchDrawer is a Scheduler that draws the next scheduled process for
+// each of K independent replicas in one call. Its Next draws the only
+// replica and fails with ErrBatchLen unless K() == 1.
 type BatchDrawer interface {
+	Scheduler
 	// NextBatch fills pids[r] with the process scheduled next in
 	// replica r. len(pids) must equal K(). It fails only when every
-	// process has crashed.
+	// process has crashed. Threshold is identical across replicas: it
+	// is a property of the configuration, not of any replica's
+	// randomness.
 	NextBatch(pids []int32) error
-	// N returns the number of processes per replica.
-	N() int
 	// K returns the number of replicas.
 	K() int
-	// Threshold returns θ, identical across replicas (it is a property
-	// of the configuration, not of any replica's randomness).
-	Threshold() float64
 }
 
-// BatchCrasher is implemented by batch drawers that support fail-stop
-// crashes. A crash applies to every replica at once.
-type BatchCrasher interface {
-	// Crash removes pid from the shared active set.
-	Crash(pid int) error
-	// NumCorrect returns |A_τ| (the same in every replica).
-	NumCorrect() int
+// Every policy type is a BatchDrawer; all but Adversarial also
+// support crashes.
+var (
+	_ BatchDrawer = (*Uniform)(nil)
+	_ BatchDrawer = (*Weighted)(nil)
+	_ BatchDrawer = (*Lottery)(nil)
+	_ BatchDrawer = (*Sticky)(nil)
+	_ BatchDrawer = (*Phased)(nil)
+	_ BatchDrawer = (*RoundRobin)(nil)
+	_ BatchDrawer = (*Adversarial)(nil)
+	_ Crasher     = (*Uniform)(nil)
+	_ Crasher     = (*Weighted)(nil)
+	_ Crasher     = (*Lottery)(nil)
+	_ Crasher     = (*Sticky)(nil)
+	_ Crasher     = (*Phased)(nil)
+	_ Crasher     = (*RoundRobin)(nil)
+)
+
+// sourceOf returns the single-replica source slice of a NewX
+// constructor: a copy of *src, or none for a nil src.
+func sourceOf(src *rng.Source) []rng.Source {
+	if src == nil {
+		return nil
+	}
+	return []rng.Source{*src}
 }
 
-// newSources seeds one rng stream per replica, stored by value in one
-// contiguous slice so consecutive draws in a batch walk memory
+// seededSources seeds one rng stream per replica, stored by value in
+// one contiguous slice so consecutive draws in a batch walk memory
 // linearly. Each source is seeded exactly as rng.New(seeds[r]) would
 // be, which is what the determinism contract rests on.
-func newSources(seeds []uint64) ([]rng.Source, error) {
-	if len(seeds) == 0 {
-		return nil, ErrNoReplicas
-	}
+func seededSources(seeds []uint64) []rng.Source {
 	srcs := make([]rng.Source, len(seeds))
 	for r, seed := range seeds {
 		srcs[r].Seed(seed)
 	}
-	return srcs, nil
+	return srcs
 }
 
-// UniformBatch is the replica-batched Uniform scheduler: K replicas
-// drawing from one shared dense active set with per-replica sources.
-type UniformBatch struct {
-	srcs   []rng.Source
-	active activeSet
-	draws  []int64 // IntnBatch scratch, one slot per replica
-}
-
-var (
-	_ BatchDrawer  = (*UniformBatch)(nil)
-	_ BatchCrasher = (*UniformBatch)(nil)
-)
-
-// NewUniformBatch builds a uniform batch drawer over n processes with
-// one replica per seed.
-func NewUniformBatch(n int, seeds []uint64) (*UniformBatch, error) {
-	if n < 1 {
-		return nil, ErrNoProcesses
-	}
-	srcs, err := newSources(seeds)
-	if err != nil {
-		return nil, err
-	}
-	return &UniformBatch{
-		srcs:   srcs,
-		active: newActiveSet(n),
-		draws:  make([]int64, len(srcs)),
-	}, nil
-}
-
-// NextBatch implements BatchDrawer: one O(1) dense-set pick per
-// replica, all against the same id list.
-func (u *UniformBatch) NextBatch(pids []int32) error {
-	if len(pids) != len(u.srcs) {
-		return ErrBatchLen
-	}
-	ids := u.active.ids
-	if len(ids) == 0 {
-		return ErrAllCrashed
-	}
-	rng.IntnBatch(u.srcs, len(ids), u.draws)
-	for r, d := range u.draws {
-		pids[r] = ids[d]
-	}
-	return nil
-}
-
-// N implements BatchDrawer.
-func (u *UniformBatch) N() int { return len(u.active.alive) }
-
-// K implements BatchDrawer.
-func (u *UniformBatch) K() int { return len(u.srcs) }
-
-// Threshold implements BatchDrawer (θ = 1/n, as for Uniform).
-func (u *UniformBatch) Threshold() float64 { return 1 / float64(len(u.active.alive)) }
-
-// Crash implements BatchCrasher.
-func (u *UniformBatch) Crash(pid int) error { return u.active.crash(pid) }
-
-// NumCorrect implements BatchCrasher.
-func (u *UniformBatch) NumCorrect() int { return u.active.correct() }
-
-// StickyBatch is the replica-batched Sticky scheduler. The stickiness
-// decision and the previously scheduled process are per-replica state;
-// the active set is shared.
-type StickyBatch struct {
-	srcs   []rng.Source
-	rho    float64
-	active activeSet
-	last   []int32
-	primed []bool
-}
-
-var (
-	_ BatchDrawer  = (*StickyBatch)(nil)
-	_ BatchCrasher = (*StickyBatch)(nil)
-)
-
-// NewStickyBatch builds a sticky batch drawer with stickiness rho in
-// [0, 1).
-func NewStickyBatch(n int, rho float64, seeds []uint64) (*StickyBatch, error) {
-	if n < 1 {
-		return nil, ErrNoProcesses
-	}
-	if rho < 0 || rho >= 1 {
-		return nil, ErrBadStickiness
-	}
-	srcs, err := newSources(seeds)
-	if err != nil {
-		return nil, err
-	}
-	return &StickyBatch{
-		srcs:   srcs,
-		rho:    rho,
-		active: newActiveSet(n),
-		last:   make([]int32, len(seeds)),
-		primed: make([]bool, len(seeds)),
-	}, nil
-}
-
-// NextBatch implements BatchDrawer, mirroring Sticky.Next per replica:
-// a Bernoulli trial on the previous pick, falling back to a dense-set
-// draw.
-func (s *StickyBatch) NextBatch(pids []int32) error {
-	if len(pids) != len(s.srcs) {
-		return ErrBatchLen
-	}
-	ids := s.active.ids
-	if len(ids) == 0 {
-		return ErrAllCrashed
-	}
-	for r := range s.srcs {
-		src := &s.srcs[r]
-		if s.primed[r] && s.active.alive[s.last[r]] && src.Bernoulli(s.rho) {
-			pids[r] = s.last[r]
-			continue
-		}
-		pid := ids[src.Intn(len(ids))]
-		s.last[r] = pid
-		s.primed[r] = true
-		pids[r] = pid
-	}
-	return nil
-}
-
-// N implements BatchDrawer.
-func (s *StickyBatch) N() int { return len(s.active.alive) }
-
-// K implements BatchDrawer.
-func (s *StickyBatch) K() int { return len(s.srcs) }
-
-// Threshold implements BatchDrawer ((1-ρ)/n, as for Sticky).
-func (s *StickyBatch) Threshold() float64 {
-	return (1 - s.rho) / float64(len(s.active.alive))
-}
-
-// Crash implements BatchCrasher.
-func (s *StickyBatch) Crash(pid int) error { return s.active.crash(pid) }
-
-// NumCorrect implements BatchCrasher.
-func (s *StickyBatch) NumCorrect() int { return s.active.correct() }
-
-// WeightedBatch is the replica-batched Weighted scheduler: one alias
-// table shared by every replica (it depends only on the weight
-// restriction to the active set), per-replica sources.
-type WeightedBatch struct {
-	srcs    []rng.Source
-	weights []float64
-	active  activeSet
-	theta   float64
-	table   aliasTable
-	wBuf    []float64
-}
-
-var (
-	_ BatchDrawer  = (*WeightedBatch)(nil)
-	_ BatchCrasher = (*WeightedBatch)(nil)
-)
-
-// NewWeightedBatch builds a weighted batch drawer; weights must be
-// strictly positive.
-func NewWeightedBatch(weights []float64, seeds []uint64) (*WeightedBatch, error) {
-	if len(weights) == 0 {
-		return nil, ErrNoProcesses
-	}
-	srcs, err := newSources(seeds)
-	if err != nil {
-		return nil, err
-	}
-	var total float64
-	minW := weights[0]
-	for _, w := range weights {
-		if w <= 0 {
-			return nil, fmt.Errorf("sched: weight %v is not strictly positive", w)
-		}
-		total += w
-		if w < minW {
-			minW = w
-		}
-	}
-	ws := make([]float64, len(weights))
-	copy(ws, weights)
-	w := &WeightedBatch{
-		srcs:    srcs,
-		weights: ws,
-		active:  newActiveSet(len(weights)),
-		theta:   minW / total,
-	}
-	if err := w.rebuild(); err != nil {
-		return nil, err
-	}
-	return w, nil
-}
-
-func (w *WeightedBatch) rebuild() error {
-	w.wBuf = grow(w.wBuf, len(w.active.ids))
-	for i, pid := range w.active.ids {
-		w.wBuf[i] = w.weights[pid]
-	}
-	return w.table.build(w.active.ids, w.wBuf)
-}
-
-// NextBatch implements BatchDrawer: one O(1) alias draw per replica
-// against the shared table.
-func (w *WeightedBatch) NextBatch(pids []int32) error {
-	if len(pids) != len(w.srcs) {
-		return ErrBatchLen
-	}
-	if w.active.correct() == 0 {
-		return ErrAllCrashed
-	}
-	for r := range w.srcs {
-		pids[r] = int32(w.table.draw(&w.srcs[r]))
-	}
-	return nil
-}
-
-// N implements BatchDrawer.
-func (w *WeightedBatch) N() int { return len(w.weights) }
-
-// K implements BatchDrawer.
-func (w *WeightedBatch) K() int { return len(w.srcs) }
-
-// Threshold implements BatchDrawer.
-func (w *WeightedBatch) Threshold() float64 { return w.theta }
-
-// Crash implements BatchCrasher, rebuilding the shared table once for
-// all replicas.
-func (w *WeightedBatch) Crash(pid int) error {
-	if err := w.active.crash(pid); err != nil {
-		return err
-	}
-	return w.rebuild()
-}
-
-// NumCorrect implements BatchCrasher.
-func (w *WeightedBatch) NumCorrect() int { return w.active.correct() }
-
-// LotteryBatch is the replica-batched Lottery scheduler: one Fenwick
-// tree over the active ticket counts shared by every replica. The
-// tree for paper-scale n fits in L1, so the O(log n) inverse-CDF
-// searches of a whole batch hit cache and overlap across replicas.
-type LotteryBatch struct {
-	srcs        []rng.Source
-	tickets     []int
-	active      activeSet
-	total       int
-	fen         *fenwick
-	activeTotal int64
-	wins        []int64 // findBatch scratch, one slot per replica
-}
-
-var (
-	_ BatchDrawer  = (*LotteryBatch)(nil)
-	_ BatchCrasher = (*LotteryBatch)(nil)
-)
-
-// NewLotteryBatch builds a lottery batch drawer; every process must
-// hold at least one ticket.
-func NewLotteryBatch(tickets []int, seeds []uint64) (*LotteryBatch, error) {
-	if len(tickets) == 0 {
-		return nil, ErrNoProcesses
-	}
-	srcs, err := newSources(seeds)
-	if err != nil {
-		return nil, err
-	}
-	ts := make([]int, len(tickets))
-	vals := make([]int64, len(tickets))
-	total := 0
-	for i, t := range tickets {
-		if t < 1 {
-			return nil, fmt.Errorf("sched: process %d holds %d tickets, need >= 1", i, t)
-		}
-		ts[i] = t
-		vals[i] = int64(t)
-		total += t
-	}
-	fen := newFenwick(len(tickets))
-	fen.init(vals)
-	return &LotteryBatch{
-		srcs:        srcs,
-		tickets:     ts,
-		active:      newActiveSet(len(tickets)),
-		total:       total,
-		fen:         fen,
-		activeTotal: int64(total),
-		wins:        make([]int64, len(srcs)),
-	}, nil
-}
-
-// NextBatch implements BatchDrawer: one winning-ticket draw and one
-// O(log n) tree search per replica, all against the shared tree. The
-// searches run through findBatch so the descents of the whole batch
-// overlap instead of serialising one dependent chain at a time.
-func (l *LotteryBatch) NextBatch(pids []int32) error {
-	if len(pids) != len(l.srcs) {
-		return ErrBatchLen
-	}
-	if l.active.correct() == 0 {
-		return ErrAllCrashed
-	}
-	rng.IntnBatch(l.srcs, int(l.activeTotal), l.wins)
-	l.fen.findBatch(l.wins, pids)
-	return nil
-}
-
-// N implements BatchDrawer.
-func (l *LotteryBatch) N() int { return len(l.tickets) }
-
-// K implements BatchDrawer.
-func (l *LotteryBatch) K() int { return len(l.srcs) }
-
-// Threshold implements BatchDrawer (the minimum ticket share, as for
-// Lottery).
-func (l *LotteryBatch) Threshold() float64 {
-	minT := l.tickets[0]
-	for _, t := range l.tickets {
-		if t < minT {
-			minT = t
-		}
-	}
-	return float64(minT) / float64(l.total)
-}
-
-// Crash implements BatchCrasher, zeroing pid's tickets in the shared
-// tree.
-func (l *LotteryBatch) Crash(pid int) error {
-	if err := l.active.crash(pid); err != nil {
-		return err
-	}
-	l.fen.add(pid, -int64(l.tickets[pid]))
-	l.activeTotal -= int64(l.tickets[pid])
-	return nil
-}
-
-// NumCorrect implements BatchCrasher.
-func (l *LotteryBatch) NumCorrect() int { return l.active.correct() }
-
-// PhasedBatch is the replica-batched Phased scheduler. Replicas run in
-// lockstep, so the phase clock — which phase governs the next step —
-// is shared alongside the per-phase alias tables; only the draw
-// randomness is per replica.
-type PhasedBatch struct {
-	srcs   []rng.Source
-	phases []Phase
-	active activeSet
-	idx    int
-	left   uint64
-	theta  float64
-	tables []aliasTable
-	wBuf   []float64
-}
-
-var (
-	_ BatchDrawer  = (*PhasedBatch)(nil)
-	_ BatchCrasher = (*PhasedBatch)(nil)
-)
-
-// NewPhasedBatch builds a phased batch drawer cycling through the
-// given phases.
-func NewPhasedBatch(n int, phases []Phase, seeds []uint64) (*PhasedBatch, error) {
-	srcs, err := newSources(seeds)
-	if err != nil {
-		return nil, err
-	}
-	// Validate and copy through the scalar constructor, then discard
-	// its source: the phase bookkeeping rules must match exactly.
-	scalar, err := NewPhased(n, phases, rng.New(0))
-	if err != nil {
-		return nil, err
-	}
-	p := &PhasedBatch{
-		srcs:   srcs,
-		phases: scalar.phases,
-		active: newActiveSet(n),
-		left:   scalar.phases[0].Steps,
-		theta:  scalar.theta,
-		tables: make([]aliasTable, len(scalar.phases)),
-	}
-	if err := p.rebuild(); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-func (p *PhasedBatch) rebuild() error {
-	for i := range p.phases {
-		p.wBuf = grow(p.wBuf, len(p.active.ids))
-		for j, pid := range p.active.ids {
-			p.wBuf[j] = p.phases[i].Weights[pid]
-		}
-		if err := p.tables[i].build(p.active.ids, p.wBuf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// NextBatch implements BatchDrawer: the shared phase clock advances
-// once, then every replica draws from the current phase's table.
-func (p *PhasedBatch) NextBatch(pids []int32) error {
-	if len(pids) != len(p.srcs) {
-		return ErrBatchLen
-	}
-	if p.active.correct() == 0 {
-		return ErrAllCrashed
-	}
-	if p.left == 0 {
-		p.idx = (p.idx + 1) % len(p.phases)
-		p.left = p.phases[p.idx].Steps
-	}
-	p.left--
-	table := &p.tables[p.idx]
-	for r := range p.srcs {
-		pids[r] = int32(table.draw(&p.srcs[r]))
-	}
-	return nil
-}
-
-// N implements BatchDrawer.
-func (p *PhasedBatch) N() int { return len(p.active.alive) }
-
-// K implements BatchDrawer.
-func (p *PhasedBatch) K() int { return len(p.srcs) }
-
-// Threshold implements BatchDrawer.
-func (p *PhasedBatch) Threshold() float64 { return p.theta }
-
-// Crash implements BatchCrasher, rebuilding every phase's shared
-// table once.
-func (p *PhasedBatch) Crash(pid int) error {
-	if err := p.active.crash(pid); err != nil {
-		return err
-	}
-	return p.rebuild()
-}
-
-// NumCorrect implements BatchCrasher.
-func (p *PhasedBatch) NumCorrect() int { return p.active.correct() }
-
-// RoundRobinBatch is the replica-batched RoundRobin scheduler. The
-// schedule is deterministic, so every replica is at the same position:
-// one shared cursor, the same pid for all replicas each step.
-type RoundRobinBatch struct {
-	k      int
-	active activeSet
-	next   int
-}
-
-var (
-	_ BatchDrawer  = (*RoundRobinBatch)(nil)
-	_ BatchCrasher = (*RoundRobinBatch)(nil)
-)
-
-// NewRoundRobinBatch builds a round-robin batch drawer over n
-// processes and k replicas.
-func NewRoundRobinBatch(n, k int) (*RoundRobinBatch, error) {
-	if n < 1 {
-		return nil, ErrNoProcesses
-	}
-	if k < 1 {
-		return nil, ErrNoReplicas
-	}
-	return &RoundRobinBatch{k: k, active: newActiveSet(n)}, nil
-}
-
-// NextBatch implements BatchDrawer.
-func (r *RoundRobinBatch) NextBatch(pids []int32) error {
-	if len(pids) != r.k {
-		return ErrBatchLen
-	}
-	if r.active.correct() == 0 {
-		return ErrAllCrashed
-	}
-	for {
-		pid := r.next
-		r.next = (r.next + 1) % len(r.active.alive)
-		if r.active.alive[pid] {
-			for i := range pids {
-				pids[i] = int32(pid)
-			}
-			return nil
-		}
+// fill sets every replica's pid to the same process, for the
+// deterministic schedulers.
+func fill(pids []int32, pid int) {
+	for r := range pids {
+		pids[r] = int32(pid)
 	}
 }
-
-// N implements BatchDrawer.
-func (r *RoundRobinBatch) N() int { return len(r.active.alive) }
-
-// K implements BatchDrawer.
-func (r *RoundRobinBatch) K() int { return r.k }
-
-// Threshold implements BatchDrawer (0: deterministic).
-func (r *RoundRobinBatch) Threshold() float64 { return 0 }
-
-// Crash implements BatchCrasher.
-func (r *RoundRobinBatch) Crash(pid int) error { return r.active.crash(pid) }
-
-// NumCorrect implements BatchCrasher.
-func (r *RoundRobinBatch) NumCorrect() int { return r.active.correct() }
-
-// AdversarialBatch is the replica-batched Adversarial scheduler: the
-// strategy is a deterministic function of the step count, so all
-// replicas see the same point-mass schedule.
-type AdversarialBatch struct {
-	n, k     int
-	tau      uint64
-	strategy Strategy
-}
-
-var _ BatchDrawer = (*AdversarialBatch)(nil)
-
-// NewAdversarialBatch builds an adversarial batch drawer.
-func NewAdversarialBatch(n, k int, strategy Strategy) (*AdversarialBatch, error) {
-	if n < 1 {
-		return nil, ErrNoProcesses
-	}
-	if k < 1 {
-		return nil, ErrNoReplicas
-	}
-	if strategy == nil {
-		return nil, errNilStrategy
-	}
-	return &AdversarialBatch{n: n, k: k, strategy: strategy}, nil
-}
-
-// NextBatch implements BatchDrawer.
-func (a *AdversarialBatch) NextBatch(pids []int32) error {
-	if len(pids) != a.k {
-		return ErrBatchLen
-	}
-	pid := a.strategy(a.tau, a.n)
-	a.tau++
-	if pid < 0 || pid >= a.n {
-		return fmt.Errorf("%w: strategy chose %d of %d", ErrBadProcess, pid, a.n)
-	}
-	for i := range pids {
-		pids[i] = int32(pid)
-	}
-	return nil
-}
-
-// N implements BatchDrawer.
-func (a *AdversarialBatch) N() int { return a.n }
-
-// K implements BatchDrawer.
-func (a *AdversarialBatch) K() int { return a.k }
-
-// Threshold implements BatchDrawer (0: adversaries carry no
-// probabilistic guarantee).
-func (a *AdversarialBatch) Threshold() float64 { return 0 }

@@ -7,15 +7,16 @@ import (
 	"pwf/internal/rng"
 )
 
-// batchCase wires one scheduler kind's scalar and batched forms for
-// the replica-equivalence tests.
-type batchCase struct {
-	name    string
-	scalar  func(n int, seed uint64) (Scheduler, error)
-	batched func(n int, seeds []uint64) (BatchDrawer, error)
+// policyCase builds one scheduler policy both ways: a single replica
+// from an rng source (the NewX constructor) and one replica per seed
+// (NewXBatch).
+type policyCase struct {
+	name  string
+	one   func(n int, src *rng.Source) (BatchDrawer, error)
+	batch func(n int, seeds []uint64) (BatchDrawer, error)
 }
 
-func batchCases() []batchCase {
+func policyCases() []policyCase {
 	weights := func(n int) []float64 {
 		ws := make([]float64, n)
 		for i := range ws {
@@ -39,40 +40,40 @@ func batchCases() []batchCase {
 		}
 		return []Phase{{Weights: a, Steps: 13}, {Weights: b, Steps: 7}}
 	}
-	return []batchCase{
+	return []policyCase{
 		{
 			"uniform",
-			func(n int, seed uint64) (Scheduler, error) { return NewUniform(n, rng.New(seed)) },
+			func(n int, src *rng.Source) (BatchDrawer, error) { return NewUniform(n, src) },
 			func(n int, seeds []uint64) (BatchDrawer, error) { return NewUniformBatch(n, seeds) },
 		},
 		{
 			"sticky",
-			func(n int, seed uint64) (Scheduler, error) { return NewSticky(n, 0.7, rng.New(seed)) },
+			func(n int, src *rng.Source) (BatchDrawer, error) { return NewSticky(n, 0.7, src) },
 			func(n int, seeds []uint64) (BatchDrawer, error) { return NewStickyBatch(n, 0.7, seeds) },
 		},
 		{
 			"weighted",
-			func(n int, seed uint64) (Scheduler, error) { return NewWeighted(weights(n), rng.New(seed)) },
+			func(n int, src *rng.Source) (BatchDrawer, error) { return NewWeighted(weights(n), src) },
 			func(n int, seeds []uint64) (BatchDrawer, error) { return NewWeightedBatch(weights(n), seeds) },
 		},
 		{
 			"lottery",
-			func(n int, seed uint64) (Scheduler, error) { return NewLottery(tickets(n), rng.New(seed)) },
+			func(n int, src *rng.Source) (BatchDrawer, error) { return NewLottery(tickets(n), src) },
 			func(n int, seeds []uint64) (BatchDrawer, error) { return NewLotteryBatch(tickets(n), seeds) },
 		},
 		{
 			"phased",
-			func(n int, seed uint64) (Scheduler, error) { return NewPhased(n, phases(n), rng.New(seed)) },
+			func(n int, src *rng.Source) (BatchDrawer, error) { return NewPhased(n, phases(n), src) },
 			func(n int, seeds []uint64) (BatchDrawer, error) { return NewPhasedBatch(n, phases(n), seeds) },
 		},
 		{
 			"roundrobin",
-			func(n int, seed uint64) (Scheduler, error) { return NewRoundRobin(n) },
+			func(n int, src *rng.Source) (BatchDrawer, error) { return NewRoundRobin(n) },
 			func(n int, seeds []uint64) (BatchDrawer, error) { return NewRoundRobinBatch(n, len(seeds)) },
 		},
 		{
 			"adversary",
-			func(n int, seed uint64) (Scheduler, error) { return NewAdversarial(n, SingleOut(1)) },
+			func(n int, src *rng.Source) (BatchDrawer, error) { return NewAdversarial(n, SingleOut(1)) },
 			func(n int, seeds []uint64) (BatchDrawer, error) {
 				return NewAdversarialBatch(n, len(seeds), SingleOut(1))
 			},
@@ -80,10 +81,14 @@ func batchCases() []batchCase {
 	}
 }
 
-// TestBatchDrawerMatchesScalar is the batch layer's determinism
-// contract: replica r of a batch drawer built from seeds[r] yields
-// exactly the pid sequence of the scalar scheduler built with
-// rng.New(seeds[r]) — with and without pre-run crashes.
+// TestBatchDrawerMatchesScalar runs every policy through the one
+// BatchDrawer interface. Its determinism contract: replica r of a
+// K-replica scheduler built from seeds[r] yields exactly the pid
+// sequence of the single-replica scheduler built with
+// rng.New(seeds[r]) — with and without pre-run crashes — so NextBatch
+// (rng.IntnBatch, fenwick.findBatch) agrees with Next (Intn, find).
+// Next on the K-replica scheduler fails with ErrBatchLen, and neither
+// draw allocates.
 func TestBatchDrawerMatchesScalar(t *testing.T) {
 	const (
 		n     = 23
@@ -94,40 +99,39 @@ func TestBatchDrawerMatchesScalar(t *testing.T) {
 	for r := range seeds {
 		seeds[r] = uint64(1000 + 77*r)
 	}
-	for _, tc := range batchCases() {
+	for _, tc := range policyCases() {
 		for _, crashes := range []int{0, 3} {
 			t.Run(fmt.Sprintf("%s/crash=%d", tc.name, crashes), func(t *testing.T) {
-				batched, err := tc.batched(n, seeds)
+				batched, err := tc.batch(n, seeds)
 				if err != nil {
 					t.Fatal(err)
 				}
-				scalars := make([]Scheduler, k)
+				if _, err := batched.Next(); err != ErrBatchLen {
+					t.Fatalf("Next with K=%d: %v, want ErrBatchLen", k, err)
+				}
+				scalars := make([]BatchDrawer, k)
 				for r := range scalars {
-					if scalars[r], err = tc.scalar(n, seeds[r]); err != nil {
+					if scalars[r], err = tc.one(n, rng.New(seeds[r])); err != nil {
 						t.Fatal(err)
 					}
 				}
 				for pid := n - crashes; pid < n; pid++ {
-					if bc, ok := batched.(BatchCrasher); ok {
-						if err := bc.Crash(pid); err != nil {
-							t.Fatal(err)
+					for _, d := range append([]BatchDrawer{batched}, scalars...) {
+						c, ok := d.(Crasher)
+						if !ok {
+							t.Skipf("%s does not support crashes", tc.name)
 						}
-					} else if crashes > 0 {
-						t.Skipf("%s does not support crashes", tc.name)
-					}
-					for r := range scalars {
-						if c, ok := scalars[r].(Crasher); ok {
-							if err := c.Crash(pid); err != nil {
-								t.Fatal(err)
-							}
+						if err := c.Crash(pid); err != nil {
+							t.Fatal(err)
 						}
 					}
 				}
 				if got, want := batched.Threshold(), scalars[0].Threshold(); got != want {
 					t.Fatalf("Threshold = %v, scalar %v", got, want)
 				}
-				if batched.K() != k || batched.N() != n {
-					t.Fatalf("K/N = %d/%d, want %d/%d", batched.K(), batched.N(), k, n)
+				if batched.K() != k || batched.N() != n || scalars[0].K() != 1 {
+					t.Fatalf("K/N = %d/%d (scalar K %d), want %d/%d (1)",
+						batched.K(), batched.N(), scalars[0].K(), k, n)
 				}
 				pids := make([]int32, k)
 				for step := 0; step < steps; step++ {
@@ -144,6 +148,12 @@ func TestBatchDrawerMatchesScalar(t *testing.T) {
 								step, r, pids[r], want)
 						}
 					}
+				}
+				if allocs := testing.AllocsPerRun(100, func() { _ = batched.NextBatch(pids) }); allocs != 0 {
+					t.Errorf("NextBatch allocated %v/op, want 0", allocs)
+				}
+				if allocs := testing.AllocsPerRun(100, func() { _, _ = scalars[0].Next() }); allocs != 0 {
+					t.Errorf("Next allocated %v/op, want 0", allocs)
 				}
 			})
 		}

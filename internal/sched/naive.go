@@ -11,43 +11,44 @@ import (
 // that the constant-time paths (alias tables, Fenwick tree, dense
 // active set) draw from the same distributions under arbitrary crash
 // and ticket-transfer sequences, and cmd/pwfbench times them as the
-// "before" side of BENCH_sched.json. They share the scheduler's rng
-// source and crash state, so a single instance must not interleave
-// Next and NextNaive if sequence-level reproducibility matters.
+// "before" side of BENCH_sched.json. They draw from replica 0's rng
+// source and share the crash state, so a single instance must not
+// interleave Next and NextNaive if sequence-level reproducibility
+// matters.
 
 // NextNaive is the superseded Uniform draw: rebuild the list of
 // correct ids and index into it, O(n) after any crash.
 func (u *Uniform) NextNaive() (int, error) {
-	switch u.active.correct() {
+	switch u.NumCorrect() {
 	case 0:
 		return 0, ErrAllCrashed
-	case len(u.active.alive):
-		return u.src.Intn(len(u.active.alive)), nil
+	case len(u.alive):
+		return u.srcs[0].Intn(len(u.alive)), nil
 	}
 	u.naiveIDs = u.naiveIDs[:0]
-	for pid, ok := range u.active.alive {
+	for pid, ok := range u.alive {
 		if ok {
 			u.naiveIDs = append(u.naiveIDs, pid)
 		}
 	}
-	return u.naiveIDs[u.src.Intn(len(u.naiveIDs))], nil
+	return u.naiveIDs[u.srcs[0].Intn(len(u.naiveIDs))], nil
 }
 
 // NextNaive is the superseded Weighted draw: zero the crashed
 // entries into a scratch vector and linear-scan rng.Categorical,
 // O(n) every step.
 func (w *Weighted) NextNaive() (int, error) {
-	if w.active.correct() == 0 {
+	if w.NumCorrect() == 0 {
 		return 0, ErrAllCrashed
 	}
 	for pid := range w.weights {
-		if w.active.alive[pid] {
+		if w.alive[pid] {
 			w.scratch[pid] = w.weights[pid]
 		} else {
 			w.scratch[pid] = 0
 		}
 	}
-	pid, err := w.src.Categorical(w.scratch)
+	pid, err := w.srcs[0].Categorical(w.scratch)
 	if err != nil {
 		return 0, fmt.Errorf("sched: weighted draw: %w", err)
 	}
@@ -60,18 +61,18 @@ func (w *Weighted) NextNaive() (int, error) {
 // identical rng states it returns the identical sequence as the
 // Fenwick-backed Next.
 func (l *Lottery) NextNaive() (int, error) {
-	if l.active.correct() == 0 {
+	if l.NumCorrect() == 0 {
 		return 0, ErrAllCrashed
 	}
 	activeTotal := 0
 	for pid, t := range l.tickets {
-		if l.active.alive[pid] {
+		if l.alive[pid] {
 			activeTotal += t
 		}
 	}
-	win := l.src.Intn(activeTotal)
+	win := l.srcs[0].Intn(activeTotal)
 	for pid, t := range l.tickets {
-		if !l.active.alive[pid] {
+		if !l.alive[pid] {
 			continue
 		}
 		if win < t {
@@ -87,26 +88,26 @@ func (l *Lottery) NextNaive() (int, error) {
 // unchanged, but the exploration branch rebuilds the correct-id list,
 // O(n) after any crash.
 func (s *Sticky) NextNaive() (int, error) {
-	if s.active.correct() == 0 {
+	if s.NumCorrect() == 0 {
 		return 0, ErrAllCrashed
 	}
-	if s.primed && s.active.alive[s.last] && s.src.Bernoulli(s.rho) {
-		return s.last, nil
+	src := &s.srcs[0]
+	if last := s.last[0]; last >= 0 && s.alive[last] && src.Bernoulli(s.rho) {
+		return int(last), nil
 	}
 	var pid int
-	if s.active.correct() == len(s.active.alive) {
-		pid = s.src.Intn(len(s.active.alive))
+	if s.NumCorrect() == len(s.alive) {
+		pid = src.Intn(len(s.alive))
 	} else {
 		s.naiveIDs = s.naiveIDs[:0]
-		for id, ok := range s.active.alive {
+		for id, ok := range s.alive {
 			if ok {
 				s.naiveIDs = append(s.naiveIDs, id)
 			}
 		}
-		pid = s.naiveIDs[s.src.Intn(len(s.naiveIDs))]
+		pid = s.naiveIDs[src.Intn(len(s.naiveIDs))]
 	}
-	s.last = pid
-	s.primed = true
+	s.last[0] = int32(pid)
 	return pid, nil
 }
 
@@ -114,23 +115,19 @@ func (s *Sticky) NextNaive() (int, error) {
 // weights by liveness into a scratch vector and linear-scan
 // rng.Categorical, O(n) every step.
 func (p *Phased) NextNaive() (int, error) {
-	if p.active.correct() == 0 {
+	if p.NumCorrect() == 0 {
 		return 0, ErrAllCrashed
 	}
-	if p.left == 0 {
-		p.idx = (p.idx + 1) % len(p.phases)
-		p.left = p.phases[p.idx].Steps
-	}
-	p.left--
+	p.tick()
 	weights := p.phases[p.idx].Weights
 	for pid := range weights {
-		if p.active.alive[pid] {
+		if p.alive[pid] {
 			p.scratch[pid] = weights[pid]
 		} else {
 			p.scratch[pid] = 0
 		}
 	}
-	pid, err := p.src.Categorical(p.scratch)
+	pid, err := p.srcs[0].Categorical(p.scratch)
 	if err != nil {
 		return 0, fmt.Errorf("sched: phased draw: %w", err)
 	}

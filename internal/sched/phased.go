@@ -20,12 +20,13 @@ import (
 // alias table over the active processes, so the per-step draw is O(1)
 // regardless of n and of the number of phases. The tables depend only
 // on the phase weights restricted to A_τ and are rebuilt exactly when
-// a process crashes.
+// a process crashes. Replicas share the phase clock and the tables;
+// only the draw randomness is per replica.
 type Phased struct {
-	src    *rng.Source
+	activeSet
+	srcs   []rng.Source
 	phases []Phase
-	active activeSet
-	idx    int    // current phase
+	idx    int    // current phase, shared by every replica
 	left   uint64 // steps remaining in the current phase
 	theta  float64
 
@@ -44,59 +45,66 @@ type Phase struct {
 	Steps uint64
 }
 
-var (
-	_ Scheduler = (*Phased)(nil)
-	_ Crasher   = (*Phased)(nil)
-)
-
-// NewPhased builds a time-varying scheduler cycling through the given
-// phases over n processes.
-func NewPhased(n int, phases []Phase, src *rng.Source) (*Phased, error) {
+// CheckPhases validates a phased schedule over n processes: at least
+// one phase, each of positive length with n weights that pass
+// CheckWeights. It returns θ, the least share over all phases.
+func CheckPhases(n int, phases []Phase) (float64, error) {
 	if n < 1 {
-		return nil, ErrNoProcesses
-	}
-	if src == nil {
-		return nil, errors.New("sched: nil rng source")
+		return 0, ErrNoProcesses
 	}
 	if len(phases) == 0 {
-		return nil, errors.New("sched: need at least one phase")
+		return 0, errors.New("sched: need at least one phase")
 	}
 	theta := 1.0
-	cp := make([]Phase, len(phases))
 	for i, ph := range phases {
 		if len(ph.Weights) != n {
-			return nil, fmt.Errorf("sched: phase %d has %d weights for %d processes",
+			return 0, fmt.Errorf("sched: phase %d has %d weights for %d processes",
 				i, len(ph.Weights), n)
 		}
 		if ph.Steps < 1 {
-			return nil, fmt.Errorf("sched: phase %d has zero length", i)
+			return 0, fmt.Errorf("sched: phase %d has zero length", i)
 		}
-		var total float64
-		minW := ph.Weights[0]
-		ws := make([]float64, n)
-		for j, w := range ph.Weights {
-			if w <= 0 {
-				return nil, fmt.Errorf("sched: phase %d weight %d is not strictly positive", i, j)
-			}
-			ws[j] = w
-			total += w
-			if w < minW {
-				minW = w
-			}
+		t, err := CheckWeights(ph.Weights)
+		if err != nil {
+			return 0, fmt.Errorf("%w (phase %d)", err, i)
 		}
-		if t := minW / total; t < theta {
-			theta = t
-		}
-		cp[i] = Phase{Weights: ws, Steps: ph.Steps}
+		theta = min(theta, t)
+	}
+	return theta, nil
+}
+
+// NewPhased builds a time-varying scheduler cycling through the given
+// phases over n processes, with one replica, which draws from a copy
+// of *src. The phases must pass CheckPhases.
+func NewPhased(n int, phases []Phase, src *rng.Source) (*Phased, error) {
+	return newPhased(n, phases, sourceOf(src))
+}
+
+// NewPhasedBatch builds a phased scheduler with one replica per seed.
+func NewPhasedBatch(n int, phases []Phase, seeds []uint64) (*Phased, error) {
+	return newPhased(n, phases, seededSources(seeds))
+}
+
+func newPhased(n int, phases []Phase, srcs []rng.Source) (*Phased, error) {
+	theta, err := CheckPhases(n, phases)
+	if err != nil {
+		return nil, err
+	}
+	if len(srcs) == 0 {
+		return nil, ErrNoReplicas
+	}
+	cp := make([]Phase, len(phases))
+	for i, ph := range phases {
+		cp[i] = Phase{Weights: append([]float64(nil), ph.Weights...), Steps: ph.Steps}
 	}
 	p := &Phased{
-		src:     src,
-		phases:  cp,
-		active:  newActiveSet(n),
-		left:    cp[0].Steps,
-		theta:   theta,
-		tables:  make([]aliasTable, len(cp)),
-		scratch: make([]float64, n),
+		srcs:      srcs,
+		phases:    cp,
+		activeSet: newActiveSet(n),
+		left:      cp[0].Steps,
+		theta:     theta,
+		tables:    make([]aliasTable, len(cp)),
+		scratch:   make([]float64, n),
 	}
 	if err := p.rebuild(); err != nil {
 		return nil, err
@@ -108,11 +116,11 @@ func NewPhased(n int, phases []Phase, src *rng.Source) (*Phased, error) {
 // active processes; called at construction and after every crash.
 func (p *Phased) rebuild() error {
 	for i := range p.phases {
-		p.wBuf = grow(p.wBuf, len(p.active.ids))
-		for j, pid := range p.active.ids {
+		p.wBuf = grow(p.wBuf, len(p.ids))
+		for j, pid := range p.ids {
 			p.wBuf[j] = p.phases[i].Weights[pid]
 		}
-		if err := p.tables[i].build(p.active.ids, p.wBuf); err != nil {
+		if err := p.tables[i].build(p.ids, p.wBuf); err != nil {
 			return err
 		}
 	}
@@ -122,38 +130,59 @@ func (p *Phased) rebuild() error {
 // Next implements Scheduler in O(1) via the current phase's alias
 // table.
 func (p *Phased) Next() (int, error) {
-	if p.active.correct() == 0 {
+	if len(p.srcs) != 1 {
+		return 0, ErrBatchLen
+	}
+	if p.NumCorrect() == 0 {
 		return 0, ErrAllCrashed
 	}
+	return p.tick().draw(&p.srcs[0]), nil
+}
+
+// NextBatch implements BatchDrawer: the shared phase clock advances
+// once, then every replica draws from the current phase's table.
+func (p *Phased) NextBatch(pids []int32) error {
+	if len(pids) != len(p.srcs) {
+		return ErrBatchLen
+	}
+	if p.NumCorrect() == 0 {
+		return ErrAllCrashed
+	}
+	table := p.tick()
+	for r := range p.srcs {
+		pids[r] = int32(table.draw(&p.srcs[r]))
+	}
+	return nil
+}
+
+// tick advances the phase clock by one step and returns the table of
+// the phase governing that step.
+func (p *Phased) tick() *aliasTable {
 	if p.left == 0 {
 		p.idx = (p.idx + 1) % len(p.phases)
 		p.left = p.phases[p.idx].Steps
 	}
 	p.left--
-	return p.tables[p.idx].draw(p.src), nil
+	return &p.tables[p.idx]
 }
 
-// N implements Scheduler.
-func (p *Phased) N() int { return len(p.active.alive) }
+// K implements BatchDrawer.
+func (p *Phased) K() int { return len(p.srcs) }
 
 // Threshold implements Scheduler: the worst-case minimum probability
 // over all phases (crash-free).
 func (p *Phased) Threshold() float64 { return p.theta }
 
 // CurrentPhase returns the index of the phase governing the next step.
+// Replicas run in lockstep, so the phase clock is shared: the index is
+// the same for every replica.
 func (p *Phased) CurrentPhase() int { return p.idx }
 
 // Crash implements Crasher, rebuilding every phase table over the
 // shrunken active set.
 func (p *Phased) Crash(pid int) error {
-	if err := p.active.crash(pid); err != nil {
+	if err := p.activeSet.Crash(pid); err != nil {
 		return err
 	}
 	return p.rebuild()
 }
-
-// Correct implements Crasher.
-func (p *Phased) Correct(pid int) bool { return p.active.isCorrect(pid) }
-
-// NumCorrect implements Crasher.
-func (p *Phased) NumCorrect() int { return p.active.correct() }

@@ -18,9 +18,21 @@
 //   - Sticky: a Markov-modulated scheduler with local correlation —
 //     with probability ρ it reschedules the previous process; still
 //     stochastic for ρ < 1.
+//   - Phased: a time-varying scheduler cycling through weighted phases.
 //   - RoundRobin: the deterministic fair baseline (θ = 0 but uniformly
 //     isolating).
 //   - Adversarial: a strategy-driven worst case (θ = 0).
+//
+// There is one type per policy. Each holds K ≥ 1 replicas of the same
+// configuration: one rng stream per replica, and one copy of the
+// structures that depend only on the configuration (the active set,
+// alias tables, the Fenwick tree), which every replica shares. Every
+// type implements BatchDrawer, whose NextBatch draws the next pid of
+// all K replicas at once for the replica-batched simulator core, and
+// through it Scheduler, whose Next draws the single replica of a K = 1
+// instance for the scalar machine. The NewX constructors build K = 1
+// from an rng source; the NewXBatch constructors build one replica per
+// seed. Both validate through one shared path per policy.
 //
 // Every stochastic draw is constant-time or logarithmic in n, so a
 // simulation of S steps spends O(S) — not O(S·n) — in scheduling:
@@ -36,6 +48,8 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 
 	"pwf/internal/rng"
 )
@@ -69,7 +83,8 @@ type Scheduler interface {
 
 // Crasher is implemented by schedulers that support fail-stop crashes
 // (the set A_τ of Definition 1). Crash containment — A_{τ+1} ⊆ A_τ —
-// holds by construction: a crashed process never rejoins.
+// holds by construction: a crashed process never rejoins. A crash
+// applies to every replica of a batch at once.
 type Crasher interface {
 	// Crash removes pid from the active set. At most n-1 processes may
 	// crash, matching the model's assumption.
@@ -80,12 +95,65 @@ type Crasher interface {
 	NumCorrect() int
 }
 
-// activeSet tracks the possibly-active processes shared by the
-// stochastic schedulers. It keeps three views in sync: a boolean
-// membership array (O(1) Correct), a dense id list maintained by
-// swap-remove (O(1) uniform draws with no per-step allocation, at the
-// cost of the list being unordered after a crash), and the inverse
-// permutation pos mapping each live pid to its slot in ids.
+// CheckStickiness validates a Sticky rescheduling probability: rho
+// must lie in [0, 1), which excludes NaN.
+func CheckStickiness(rho float64) error {
+	if !(rho >= 0 && rho < 1) {
+		return fmt.Errorf("%w: rho %v", ErrBadStickiness, rho)
+	}
+	return nil
+}
+
+// CheckWeights validates a per-process weight vector: every weight
+// strictly positive and finite, and the sum finite. It returns the
+// threshold θ = min w / Σ w the weights guarantee.
+func CheckWeights(weights []float64) (float64, error) {
+	if len(weights) == 0 {
+		return 0, ErrNoProcesses
+	}
+	var total float64
+	minW := weights[0]
+	for pid, w := range weights {
+		if !(w > 0) || math.IsInf(w, 1) {
+			return 0, fmt.Errorf("sched: weight %v of process %d is not strictly positive and finite", w, pid)
+		}
+		total += w
+		minW = min(minW, w)
+	}
+	if math.IsInf(total, 1) {
+		return 0, errors.New("sched: weights sum beyond the float64 range")
+	}
+	return minW / total, nil
+}
+
+// CheckTickets validates a lottery ticket vector: every process holds
+// at least one ticket and the total fits in an int. It returns the
+// total.
+func CheckTickets(tickets []int) (int, error) {
+	if len(tickets) == 0 {
+		return 0, ErrNoProcesses
+	}
+	total := 0
+	for pid, t := range tickets {
+		if t < 1 {
+			return 0, fmt.Errorf("sched: process %d holds %d tickets, need >= 1", pid, t)
+		}
+		if t > math.MaxInt-total {
+			return 0, fmt.Errorf("sched: ticket total overflows int at process %d", pid)
+		}
+		total += t
+	}
+	return total, nil
+}
+
+// activeSet is the possibly-active set A_τ, shared by every replica.
+// It keeps three views in sync: a boolean membership array (O(1)
+// Correct), a dense id list maintained by swap-remove (O(1) uniform
+// draws with no per-step allocation, at the cost of the list being
+// unordered after a crash), and the inverse permutation pos mapping
+// each live pid to its slot in ids. It implements Crasher and
+// Scheduler.N, and every policy but Adversarial embeds it; those whose
+// sampling structure depends on A_τ wrap Crash to rebuild it.
 type activeSet struct {
 	alive []bool
 	ids   []int32 // dense list of correct pids; unordered after crashes
@@ -104,7 +172,8 @@ func newActiveSet(n int) activeSet {
 	return activeSet{alive: alive, ids: ids, pos: pos}
 }
 
-func (a *activeSet) crash(pid int) error {
+// Crash implements Crasher.
+func (a *activeSet) Crash(pid int) error {
 	if pid < 0 || pid >= len(a.alive) {
 		return fmt.Errorf("%w: %d", ErrBadProcess, pid)
 	}
@@ -125,12 +194,16 @@ func (a *activeSet) crash(pid int) error {
 	return nil
 }
 
-func (a *activeSet) isCorrect(pid int) bool {
+// Correct implements Crasher.
+func (a *activeSet) Correct(pid int) bool {
 	return pid >= 0 && pid < len(a.alive) && a.alive[pid]
 }
 
-// correct returns |A_τ|.
-func (a *activeSet) correct() int { return len(a.ids) }
+// NumCorrect implements Crasher: |A_τ|.
+func (a *activeSet) NumCorrect() int { return len(a.ids) }
+
+// N implements Scheduler: the number of processes, crashed or not.
+func (a *activeSet) N() int { return len(a.alive) }
 
 // pick returns a uniformly random correct pid in O(1).
 func (a *activeSet) pick(src *rng.Source) int {
@@ -140,52 +213,71 @@ func (a *activeSet) pick(src *rng.Source) int {
 // Uniform is the uniform stochastic scheduler of Section 2.3: every
 // active process is scheduled with probability 1/|A_τ| at every step.
 type Uniform struct {
-	src      *rng.Source
-	active   activeSet
-	naiveIDs []int // scratch for NextNaive only
+	activeSet
+	srcs     []rng.Source
+	draws    []int64 // NextBatch scratch, one slot per replica
+	naiveIDs []int   // NextNaive scratch
 }
 
-var (
-	_ Scheduler = (*Uniform)(nil)
-	_ Crasher   = (*Uniform)(nil)
-)
-
 // NewUniform returns a uniform stochastic scheduler over n processes
-// drawing randomness from src.
+// with one replica, which draws from a copy of *src (src itself does
+// not advance).
 func NewUniform(n int, src *rng.Source) (*Uniform, error) {
+	return newUniform(n, sourceOf(src))
+}
+
+// NewUniformBatch returns a uniform scheduler over n processes with one
+// replica per seed.
+func NewUniformBatch(n int, seeds []uint64) (*Uniform, error) {
+	return newUniform(n, seededSources(seeds))
+}
+
+func newUniform(n int, srcs []rng.Source) (*Uniform, error) {
 	if n < 1 {
 		return nil, ErrNoProcesses
 	}
-	if src == nil {
-		return nil, errors.New("sched: nil rng source")
+	if len(srcs) == 0 {
+		return nil, ErrNoReplicas
 	}
-	return &Uniform{src: src, active: newActiveSet(n)}, nil
+	return &Uniform{srcs: srcs, activeSet: newActiveSet(n), draws: make([]int64, len(srcs))}, nil
 }
 
 // Next implements Scheduler in O(1): one bounded draw from the dense
 // active-id list, crashes or not.
 func (u *Uniform) Next() (int, error) {
-	if u.active.correct() == 0 {
+	if len(u.srcs) != 1 {
+		return 0, ErrBatchLen
+	}
+	if u.NumCorrect() == 0 {
 		return 0, ErrAllCrashed
 	}
-	return u.active.pick(u.src), nil
+	return u.pick(&u.srcs[0]), nil
 }
 
-// N implements Scheduler.
-func (u *Uniform) N() int { return len(u.active.alive) }
+// NextBatch implements BatchDrawer: one O(1) dense-set pick per
+// replica, all against the same id list, with the bounded draws of the
+// whole batch pipelined through rng.IntnBatch.
+func (u *Uniform) NextBatch(pids []int32) error {
+	if len(pids) != len(u.srcs) {
+		return ErrBatchLen
+	}
+	ids := u.ids
+	if len(ids) == 0 {
+		return ErrAllCrashed
+	}
+	rng.IntnBatch(u.srcs, len(ids), u.draws)
+	for r, d := range u.draws {
+		pids[r] = ids[d]
+	}
+	return nil
+}
+
+// K implements BatchDrawer.
+func (u *Uniform) K() int { return len(u.srcs) }
 
 // Threshold implements Scheduler: θ = 1/n (with crashes the actual
 // per-step probability only grows, so 1/n remains a valid threshold).
-func (u *Uniform) Threshold() float64 { return 1 / float64(len(u.active.alive)) }
-
-// Crash implements Crasher.
-func (u *Uniform) Crash(pid int) error { return u.active.crash(pid) }
-
-// Correct implements Crasher.
-func (u *Uniform) Correct(pid int) bool { return u.active.isCorrect(pid) }
-
-// NumCorrect implements Crasher.
-func (u *Uniform) NumCorrect() int { return u.active.correct() }
+func (u *Uniform) Threshold() float64 { return 1 / float64(len(u.alive)) }
 
 // Weighted schedules process i with fixed probability proportional to
 // weights[i], renormalized over the active set after crashes. The
@@ -193,13 +285,13 @@ func (u *Uniform) NumCorrect() int { return u.active.correct() }
 // processes in the crash-free case; it is validated at construction.
 //
 // Draws are O(1) through a Walker alias table over the active
-// processes. The table depends only on the weight restriction to A_τ,
-// so it is rebuilt (in O(|A_τ|)) exactly when a process crashes and
-// never on the per-step path.
+// processes, shared by every replica. The table depends only on the
+// weight restriction to A_τ, so it is rebuilt (in O(|A_τ|)) exactly
+// when a process crashes and never on the per-step path.
 type Weighted struct {
-	src     *rng.Source
+	activeSet
+	srcs    []rng.Source
 	weights []float64
-	active  activeSet
 	theta   float64
 
 	table aliasTable
@@ -208,39 +300,33 @@ type Weighted struct {
 	scratch []float64 // NextNaive scratch
 }
 
-var (
-	_ Scheduler = (*Weighted)(nil)
-	_ Crasher   = (*Weighted)(nil)
-)
-
-// NewWeighted builds a weighted stochastic scheduler. Weights must be
-// strictly positive so that the weak-fairness condition (θ > 0) holds.
+// NewWeighted builds a weighted stochastic scheduler with one replica,
+// which draws from a copy of *src. Weights must pass CheckWeights, so
+// that the weak-fairness condition (θ > 0) holds.
 func NewWeighted(weights []float64, src *rng.Source) (*Weighted, error) {
-	if len(weights) == 0 {
-		return nil, ErrNoProcesses
+	return newWeighted(weights, sourceOf(src))
+}
+
+// NewWeightedBatch builds a weighted scheduler with one replica per
+// seed.
+func NewWeightedBatch(weights []float64, seeds []uint64) (*Weighted, error) {
+	return newWeighted(weights, seededSources(seeds))
+}
+
+func newWeighted(weights []float64, srcs []rng.Source) (*Weighted, error) {
+	theta, err := CheckWeights(weights)
+	if err != nil {
+		return nil, err
 	}
-	if src == nil {
-		return nil, errors.New("sched: nil rng source")
+	if len(srcs) == 0 {
+		return nil, ErrNoReplicas
 	}
-	var total float64
-	minW := weights[0]
-	for _, w := range weights {
-		if w <= 0 {
-			return nil, fmt.Errorf("sched: weight %v is not strictly positive", w)
-		}
-		total += w
-		if w < minW {
-			minW = w
-		}
-	}
-	ws := make([]float64, len(weights))
-	copy(ws, weights)
 	w := &Weighted{
-		src:     src,
-		weights: ws,
-		active:  newActiveSet(len(weights)),
-		theta:   minW / total,
-		scratch: make([]float64, len(weights)),
+		srcs:      srcs,
+		weights:   append([]float64(nil), weights...),
+		activeSet: newActiveSet(len(weights)),
+		theta:     theta,
+		scratch:   make([]float64, len(weights)),
 	}
 	if err := w.rebuild(); err != nil {
 		return nil, err
@@ -251,41 +337,53 @@ func NewWeighted(weights []float64, src *rng.Source) (*Weighted, error) {
 // rebuild reconstructs the alias table over the currently active
 // processes. Called at construction and after every crash.
 func (w *Weighted) rebuild() error {
-	w.wBuf = grow(w.wBuf, len(w.active.ids))
-	for i, pid := range w.active.ids {
+	w.wBuf = grow(w.wBuf, len(w.ids))
+	for i, pid := range w.ids {
 		w.wBuf[i] = w.weights[pid]
 	}
-	return w.table.build(w.active.ids, w.wBuf)
+	return w.table.build(w.ids, w.wBuf)
 }
 
 // Next implements Scheduler in O(1) via the alias table.
 func (w *Weighted) Next() (int, error) {
-	if w.active.correct() == 0 {
+	if len(w.srcs) != 1 {
+		return 0, ErrBatchLen
+	}
+	if w.NumCorrect() == 0 {
 		return 0, ErrAllCrashed
 	}
-	return w.table.draw(w.src), nil
+	return w.table.draw(&w.srcs[0]), nil
 }
 
-// N implements Scheduler.
-func (w *Weighted) N() int { return len(w.weights) }
+// NextBatch implements BatchDrawer: one O(1) alias draw per replica
+// against the shared table.
+func (w *Weighted) NextBatch(pids []int32) error {
+	if len(pids) != len(w.srcs) {
+		return ErrBatchLen
+	}
+	if w.NumCorrect() == 0 {
+		return ErrAllCrashed
+	}
+	for r := range w.srcs {
+		pids[r] = int32(w.table.draw(&w.srcs[r]))
+	}
+	return nil
+}
+
+// K implements BatchDrawer.
+func (w *Weighted) K() int { return len(w.srcs) }
 
 // Threshold implements Scheduler.
 func (w *Weighted) Threshold() float64 { return w.theta }
 
-// Crash implements Crasher, rebuilding the alias table over the
+// Crash implements Crasher, rebuilding the shared alias table over the
 // shrunken active set (O(|A_τ|), amortized over at most n-1 crashes).
 func (w *Weighted) Crash(pid int) error {
-	if err := w.active.crash(pid); err != nil {
+	if err := w.activeSet.Crash(pid); err != nil {
 		return err
 	}
 	return w.rebuild()
 }
-
-// Correct implements Crasher.
-func (w *Weighted) Correct(pid int) bool { return w.active.isCorrect(pid) }
-
-// NumCorrect implements Crasher.
-func (w *Weighted) NumCorrect() int { return w.active.correct() }
 
 // Lottery implements lottery scheduling [Petrou et al. 1999]: each
 // process holds an integer number of tickets and is scheduled with
@@ -293,71 +391,91 @@ func (w *Weighted) NumCorrect() int { return w.active.correct() }
 // with integer weights and runtime ticket transfers.
 //
 // Draws resolve the winning ticket through a Fenwick tree over the
-// active ticket counts: O(log n) per draw, per transfer, and per
-// crash, with the active ticket total maintained incrementally rather
-// than recomputed per step. The tree's inverse-CDF search visits
-// processes in id order exactly as the superseded linear scan did, so
-// for identical rng states Next returns the identical pid sequence
-// (see TestLotterySequenceMatchesNaive).
+// active ticket counts, shared by every replica: O(log n) per draw,
+// per transfer, and per crash, with the active ticket total maintained
+// incrementally rather than recomputed per step. The tree's
+// inverse-CDF search visits processes in id order exactly as the
+// superseded linear scan did, so for identical rng states Next returns
+// the identical pid sequence (see TestLotterySequenceMatchesNaive).
 type Lottery struct {
-	src     *rng.Source
+	activeSet
+	srcs    []rng.Source
 	tickets []int
-	active  activeSet
 	total   int // all tickets, crashed holders included (Threshold)
 
 	fen         *fenwick
-	activeTotal int64 // tickets held by correct processes
+	activeTotal int64   // tickets held by correct processes
+	wins        []int64 // NextBatch scratch, one slot per replica
 }
 
-var (
-	_ Scheduler = (*Lottery)(nil)
-	_ Crasher   = (*Lottery)(nil)
-)
-
-// NewLottery builds a lottery scheduler; every process must hold at
-// least one ticket.
+// NewLottery builds a lottery scheduler with one replica, which draws
+// from a copy of *src. Tickets must pass CheckTickets.
 func NewLottery(tickets []int, src *rng.Source) (*Lottery, error) {
-	if len(tickets) == 0 {
-		return nil, ErrNoProcesses
+	return newLottery(tickets, sourceOf(src))
+}
+
+// NewLotteryBatch builds a lottery scheduler with one replica per seed.
+func NewLotteryBatch(tickets []int, seeds []uint64) (*Lottery, error) {
+	return newLottery(tickets, seededSources(seeds))
+}
+
+func newLottery(tickets []int, srcs []rng.Source) (*Lottery, error) {
+	total, err := CheckTickets(tickets)
+	if err != nil {
+		return nil, err
 	}
-	if src == nil {
-		return nil, errors.New("sched: nil rng source")
+	if len(srcs) == 0 {
+		return nil, ErrNoReplicas
 	}
-	ts := make([]int, len(tickets))
 	vals := make([]int64, len(tickets))
-	total := 0
 	for i, t := range tickets {
-		if t < 1 {
-			return nil, fmt.Errorf("sched: process %d holds %d tickets, need >= 1", i, t)
-		}
-		ts[i] = t
 		vals[i] = int64(t)
-		total += t
 	}
 	fen := newFenwick(len(tickets))
 	fen.init(vals)
 	return &Lottery{
-		src:         src,
-		tickets:     ts,
-		active:      newActiveSet(len(tickets)),
+		srcs:        srcs,
+		tickets:     append([]int(nil), tickets...),
+		activeSet:   newActiveSet(len(tickets)),
 		total:       total,
 		fen:         fen,
 		activeTotal: int64(total),
+		wins:        make([]int64, len(srcs)),
 	}, nil
 }
 
 // Next implements Scheduler by drawing a winning ticket among active
 // processes and resolving its holder in O(log n).
 func (l *Lottery) Next() (int, error) {
-	if l.active.correct() == 0 {
+	if len(l.srcs) != 1 {
+		return 0, ErrBatchLen
+	}
+	if l.NumCorrect() == 0 {
 		return 0, ErrAllCrashed
 	}
-	win := l.src.Intn(int(l.activeTotal))
+	win := l.srcs[0].Intn(int(l.activeTotal))
 	return l.fen.find(int64(win)), nil
 }
 
+// NextBatch implements BatchDrawer: one winning-ticket draw and one
+// O(log n) tree search per replica, all against the shared tree. The
+// searches run through findBatch so the descents of the whole batch
+// overlap instead of serialising one dependent chain at a time.
+func (l *Lottery) NextBatch(pids []int32) error {
+	if len(pids) != len(l.srcs) {
+		return ErrBatchLen
+	}
+	if l.NumCorrect() == 0 {
+		return ErrAllCrashed
+	}
+	rng.IntnBatch(l.srcs, int(l.activeTotal), l.wins)
+	l.fen.findBatch(l.wins, pids)
+	return nil
+}
+
 // SetTickets changes pid's holding at runtime (ticket transfers),
-// O(log n).
+// O(log n). The holding is shared, so the change applies to every
+// replica. A change that would overflow the ticket total is rejected.
 func (l *Lottery) SetTickets(pid, tickets int) error {
 	if pid < 0 || pid >= len(l.tickets) {
 		return fmt.Errorf("%w: %d", ErrBadProcess, pid)
@@ -365,46 +483,38 @@ func (l *Lottery) SetTickets(pid, tickets int) error {
 	if tickets < 1 {
 		return fmt.Errorf("sched: process %d needs >= 1 ticket", pid)
 	}
+	others := l.total - l.tickets[pid]
+	if tickets > math.MaxInt-others {
+		return fmt.Errorf("sched: %d tickets for process %d overflow the ticket total", tickets, pid)
+	}
 	delta := tickets - l.tickets[pid]
-	l.total += delta
+	l.total = others + tickets
 	l.tickets[pid] = tickets
-	if l.active.alive[pid] {
+	if l.alive[pid] {
 		l.fen.add(pid, int64(delta))
 		l.activeTotal += int64(delta)
 	}
 	return nil
 }
 
-// N implements Scheduler.
-func (l *Lottery) N() int { return len(l.tickets) }
+// K implements BatchDrawer.
+func (l *Lottery) K() int { return len(l.srcs) }
 
 // Threshold implements Scheduler: the minimum ticket share.
 func (l *Lottery) Threshold() float64 {
-	minT := l.tickets[0]
-	for _, t := range l.tickets {
-		if t < minT {
-			minT = t
-		}
-	}
-	return float64(minT) / float64(l.total)
+	return float64(slices.Min(l.tickets)) / float64(l.total)
 }
 
 // Crash implements Crasher, zeroing pid's tickets in the tree so the
 // inverse-CDF search skips it (O(log n)).
 func (l *Lottery) Crash(pid int) error {
-	if err := l.active.crash(pid); err != nil {
+	if err := l.activeSet.Crash(pid); err != nil {
 		return err
 	}
 	l.fen.add(pid, -int64(l.tickets[pid]))
 	l.activeTotal -= int64(l.tickets[pid])
 	return nil
 }
-
-// Correct implements Crasher.
-func (l *Lottery) Correct(pid int) bool { return l.active.isCorrect(pid) }
-
-// NumCorrect implements Crasher.
-func (l *Lottery) NumCorrect() int { return l.active.correct() }
 
 // Sticky is a Markov-modulated scheduler: with probability rho it
 // schedules the same process as the previous step; otherwise it picks
@@ -413,147 +523,220 @@ func (l *Lottery) NumCorrect() int { return l.active.correct() }
 // while) and is still stochastic: every active process has per-step
 // probability at least (1-ρ)/n. Both rows of its two-state modulation
 // are sampled in O(1): the sticky branch is a Bernoulli trial and the
-// exploration branch draws from the dense active set.
+// exploration branch draws from the dense active set. The previously
+// scheduled process is per-replica state; the active set is shared.
 type Sticky struct {
-	src      *rng.Source
+	activeSet
+	srcs     []rng.Source
 	rho      float64
-	active   activeSet
-	last     int
-	primed   bool
-	naiveIDs []int // scratch for NextNaive only
+	last     []int32 // per replica: the previous pick, -1 before the first
+	naiveIDs []int   // NextNaive scratch
 }
 
-var (
-	_ Scheduler = (*Sticky)(nil)
-	_ Crasher   = (*Sticky)(nil)
-)
-
-// NewSticky builds a sticky scheduler with stickiness rho in [0, 1).
+// NewSticky builds a sticky scheduler with one replica, which draws
+// from a copy of *src. Stickiness rho must pass CheckStickiness.
 func NewSticky(n int, rho float64, src *rng.Source) (*Sticky, error) {
+	return newSticky(n, rho, sourceOf(src))
+}
+
+// NewStickyBatch builds a sticky scheduler with one replica per seed.
+func NewStickyBatch(n int, rho float64, seeds []uint64) (*Sticky, error) {
+	return newSticky(n, rho, seededSources(seeds))
+}
+
+func newSticky(n int, rho float64, srcs []rng.Source) (*Sticky, error) {
 	if n < 1 {
 		return nil, ErrNoProcesses
 	}
-	if src == nil {
-		return nil, errors.New("sched: nil rng source")
+	if err := CheckStickiness(rho); err != nil {
+		return nil, err
 	}
-	if rho < 0 || rho >= 1 {
-		return nil, ErrBadStickiness
+	if len(srcs) == 0 {
+		return nil, ErrNoReplicas
 	}
-	return &Sticky{src: src, rho: rho, active: newActiveSet(n)}, nil
+	last := make([]int32, len(srcs))
+	for r := range last {
+		last[r] = -1
+	}
+	return &Sticky{srcs: srcs, rho: rho, activeSet: newActiveSet(n), last: last}, nil
 }
 
 // Next implements Scheduler in O(1).
 func (s *Sticky) Next() (int, error) {
-	if s.active.correct() == 0 {
+	if len(s.srcs) != 1 {
+		return 0, ErrBatchLen
+	}
+	if s.NumCorrect() == 0 {
 		return 0, ErrAllCrashed
 	}
-	if s.primed && s.active.alive[s.last] && s.src.Bernoulli(s.rho) {
-		return s.last, nil
+	src, last := &s.srcs[0], &s.last[0]
+	if *last >= 0 && s.alive[*last] && src.Bernoulli(s.rho) {
+		return int(*last), nil
 	}
-	pid := s.active.pick(s.src)
-	s.last = pid
-	s.primed = true
-	return pid, nil
+	*last = int32(s.pick(src))
+	return int(*last), nil
 }
 
-// N implements Scheduler.
-func (s *Sticky) N() int { return len(s.active.alive) }
+// NextBatch implements BatchDrawer, mirroring Next per replica: a
+// Bernoulli trial on the replica's previous pick, falling back to a
+// dense-set draw.
+func (s *Sticky) NextBatch(pids []int32) error {
+	if len(pids) != len(s.srcs) {
+		return ErrBatchLen
+	}
+	if s.NumCorrect() == 0 {
+		return ErrAllCrashed
+	}
+	for r := range pids {
+		src, last := &s.srcs[r], &s.last[r]
+		if *last >= 0 && s.alive[*last] && src.Bernoulli(s.rho) {
+			pids[r] = *last
+			continue
+		}
+		*last = int32(s.pick(src))
+		pids[r] = *last
+	}
+	return nil
+}
+
+// K implements BatchDrawer.
+func (s *Sticky) K() int { return len(s.srcs) }
 
 // Threshold implements Scheduler: (1-ρ)/n.
 func (s *Sticky) Threshold() float64 {
-	return (1 - s.rho) / float64(len(s.active.alive))
+	return (1 - s.rho) / float64(len(s.alive))
 }
-
-// Crash implements Crasher.
-func (s *Sticky) Crash(pid int) error { return s.active.crash(pid) }
-
-// Correct implements Crasher.
-func (s *Sticky) Correct(pid int) bool { return s.active.isCorrect(pid) }
-
-// NumCorrect implements Crasher.
-func (s *Sticky) NumCorrect() int { return s.active.correct() }
 
 // RoundRobin is the deterministic fair baseline: processes take steps
 // in cyclic id order, skipping crashed ones. Its threshold is 0 (it is
 // not stochastic), but every schedule it produces is uniformly
 // isolating in the trivial k=1 sense and perfectly fair in the long
-// run.
+// run. The schedule has no randomness, so every replica is at the same
+// position: one shared cursor, the same pid for all replicas each step.
 type RoundRobin struct {
-	active activeSet
-	next   int
+	activeSet
+	k    int
+	next int
 }
 
-var (
-	_ Scheduler = (*RoundRobin)(nil)
-	_ Crasher   = (*RoundRobin)(nil)
-)
+// NewRoundRobin builds a round-robin scheduler over n processes with
+// one replica.
+func NewRoundRobin(n int) (*RoundRobin, error) { return NewRoundRobinBatch(n, 1) }
 
-// NewRoundRobin builds a round-robin scheduler over n processes.
-func NewRoundRobin(n int) (*RoundRobin, error) {
+// NewRoundRobinBatch builds a round-robin scheduler over n processes
+// with k replicas.
+func NewRoundRobinBatch(n, k int) (*RoundRobin, error) {
 	if n < 1 {
 		return nil, ErrNoProcesses
 	}
-	return &RoundRobin{active: newActiveSet(n)}, nil
+	if k < 1 {
+		return nil, ErrNoReplicas
+	}
+	return &RoundRobin{k: k, activeSet: newActiveSet(n)}, nil
 }
 
 // Next implements Scheduler.
 func (r *RoundRobin) Next() (int, error) {
-	if r.active.correct() == 0 {
+	if r.k != 1 {
+		return 0, ErrBatchLen
+	}
+	if r.NumCorrect() == 0 {
 		return 0, ErrAllCrashed
 	}
+	return r.advance(), nil
+}
+
+// NextBatch implements BatchDrawer.
+func (r *RoundRobin) NextBatch(pids []int32) error {
+	if len(pids) != r.k {
+		return ErrBatchLen
+	}
+	if r.NumCorrect() == 0 {
+		return ErrAllCrashed
+	}
+	fill(pids, r.advance())
+	return nil
+}
+
+// advance moves the cursor past the next correct process and returns
+// it.
+func (r *RoundRobin) advance() int {
 	for {
 		pid := r.next
-		r.next = (r.next + 1) % len(r.active.alive)
-		if r.active.alive[pid] {
-			return pid, nil
+		r.next = (r.next + 1) % len(r.alive)
+		if r.alive[pid] {
+			return pid
 		}
 	}
 }
 
-// N implements Scheduler.
-func (r *RoundRobin) N() int { return len(r.active.alive) }
+// K implements BatchDrawer.
+func (r *RoundRobin) K() int { return r.k }
 
 // Threshold implements Scheduler. RoundRobin is deterministic, so it
 // provides no probabilistic threshold.
 func (r *RoundRobin) Threshold() float64 { return 0 }
-
-// Crash implements Crasher.
-func (r *RoundRobin) Crash(pid int) error { return r.active.crash(pid) }
-
-// Correct implements Crasher.
-func (r *RoundRobin) Correct(pid int) bool { return r.active.isCorrect(pid) }
-
-// NumCorrect implements Crasher.
-func (r *RoundRobin) NumCorrect() int { return r.active.correct() }
 
 // Strategy chooses the process to schedule at time step tau given the
 // number of processes. It encodes a classic asynchronous adversary as
 // a point-mass distribution per step (Section 2.3).
 type Strategy func(tau uint64, n int) int
 
-// Adversarial drives scheduling from a Strategy; θ = 0.
+// Adversarial drives scheduling from a Strategy; θ = 0. The strategy
+// is a deterministic function of the step count, so every replica sees
+// the same point-mass schedule.
 type Adversarial struct {
-	n        int
+	n, k     int
 	tau      uint64
 	strategy Strategy
 }
 
-var _ Scheduler = (*Adversarial)(nil)
-
-// NewAdversarial builds an adversarial scheduler over n processes.
+// NewAdversarial builds an adversarial scheduler over n processes with
+// one replica.
 func NewAdversarial(n int, strategy Strategy) (*Adversarial, error) {
+	return NewAdversarialBatch(n, 1, strategy)
+}
+
+// NewAdversarialBatch builds an adversarial scheduler over n processes
+// with k replicas.
+func NewAdversarialBatch(n, k int, strategy Strategy) (*Adversarial, error) {
 	if n < 1 {
 		return nil, ErrNoProcesses
+	}
+	if k < 1 {
+		return nil, ErrNoReplicas
 	}
 	if strategy == nil {
 		return nil, errors.New("sched: nil strategy")
 	}
-	return &Adversarial{n: n, strategy: strategy}, nil
+	return &Adversarial{n: n, k: k, strategy: strategy}, nil
 }
 
 // Next implements Scheduler. A strategy returning an out-of-range id
 // is an error (the adversary must be well-formed).
 func (a *Adversarial) Next() (int, error) {
+	if a.k != 1 {
+		return 0, ErrBatchLen
+	}
+	return a.advance()
+}
+
+// NextBatch implements BatchDrawer.
+func (a *Adversarial) NextBatch(pids []int32) error {
+	if len(pids) != a.k {
+		return ErrBatchLen
+	}
+	pid, err := a.advance()
+	if err != nil {
+		return err
+	}
+	fill(pids, pid)
+	return nil
+}
+
+// advance asks the strategy for step tau's pid and moves to the next
+// step.
+func (a *Adversarial) advance() (int, error) {
 	pid := a.strategy(a.tau, a.n)
 	a.tau++
 	if pid < 0 || pid >= a.n {
@@ -564,6 +747,9 @@ func (a *Adversarial) Next() (int, error) {
 
 // N implements Scheduler.
 func (a *Adversarial) N() int { return a.n }
+
+// K implements BatchDrawer.
+func (a *Adversarial) K() int { return a.k }
 
 // Threshold implements Scheduler. Adversaries carry no probabilistic
 // guarantee.

@@ -223,6 +223,17 @@ func TestLotterySetTickets(t *testing.T) {
 	if err := l.SetTickets(9, 1); err == nil {
 		t.Error("SetTickets out of range: nil error")
 	}
+	// The total is 3+1 now: raising process 1 to MaxInt-3 fits exactly,
+	// one more ticket would overflow it.
+	if err := l.SetTickets(1, math.MaxInt-2); err == nil {
+		t.Error("SetTickets overflowing the total: nil error")
+	}
+	if err := l.SetTickets(1, math.MaxInt-3); err != nil {
+		t.Errorf("SetTickets to exactly MaxInt total: %v", err)
+	}
+	if got, want := l.Threshold(), 3/float64(math.MaxInt); got != want {
+		t.Errorf("Threshold after transfer = %v, want %v", got, want)
+	}
 }
 
 func TestLotteryRejectsBadTickets(t *testing.T) {
@@ -291,6 +302,9 @@ func TestStickyRejectsBadRho(t *testing.T) {
 	}
 	if _, err := NewSticky(3, -0.1, rng.New(1)); !errors.Is(err, ErrBadStickiness) {
 		t.Errorf("rho<0: %v", err)
+	}
+	if _, err := NewSticky(3, math.NaN(), rng.New(1)); !errors.Is(err, ErrBadStickiness) {
+		t.Errorf("rho=NaN: %v", err)
 	}
 }
 

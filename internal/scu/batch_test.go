@@ -187,7 +187,7 @@ func TestBatchSimMatchesScalarSims(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				var bc sched.BatchCrasher = drawer
+				var bc sched.Crasher = drawer
 				for pid := n - crashes; pid < n; pid++ {
 					if err := bc.Crash(pid); err != nil {
 						t.Fatal(err)

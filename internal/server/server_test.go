@@ -442,6 +442,34 @@ func TestStructuredErrors(t *testing.T) {
 	}
 }
 
+// A scheduler spec whose ticket total overflows int is a client error:
+// the submit gets a 400 and the daemon keeps serving. Before Validate
+// checked the total, the grid was admitted and a sweep worker panicked
+// in its first draw, killing the whole process.
+func TestOverflowingLotterySpecRejected(t *testing.T) {
+	_, ts := startServer(t, Config{})
+	body := `{"v":1,"seed":1,"jobs":[{"workload":{"kind":"scu"},"n":2,` +
+		`"sched":"lottery:9223372036854775807,1","steps":100,"warmup_fraction":0}]}`
+	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("status %d, want 400", resp.StatusCode)
+	}
+	if e := decodeError(t, resp); e.Code != api.CodeInvalidGrid {
+		t.Errorf("code %q, want %q", e.Code, api.CodeInvalidGrid)
+	}
+	hz, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hz.Body.Close()
+	if hz.StatusCode != http.StatusOK {
+		t.Errorf("/healthz status %d after the rejected submit", hz.StatusCode)
+	}
+}
+
 // The observability surface: /healthz answers, /metrics exposes queue
 // depth, batching counters, per-job latency histogram, and the chain
 // cache's hit/miss gauges.

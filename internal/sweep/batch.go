@@ -42,47 +42,6 @@ func batchFallbackReason(cfg Config, job Job) string {
 	return ""
 }
 
-// buildBatchDrawer constructs the batched scheduler for n processes
-// and one rng stream per replica, mirroring SchedulerSpec.build.
-func buildBatchDrawer(s SchedulerSpec, n int, seeds []uint64) (sched.BatchDrawer, error) {
-	switch s.Kind {
-	case "", SchedUniform:
-		return sched.NewUniformBatch(n, seeds)
-	case SchedRoundRobin:
-		return sched.NewRoundRobinBatch(n, len(seeds))
-	case SchedSticky:
-		return sched.NewStickyBatch(n, s.Rho, seeds)
-	case SchedLottery:
-		tickets := s.Tickets
-		if tickets == nil {
-			tickets = make([]int, n)
-			for i := range tickets {
-				tickets[i] = 1
-			}
-		}
-		return sched.NewLotteryBatch(tickets, seeds)
-	case SchedWeighted:
-		weights := s.Weights
-		if weights == nil {
-			weights = make([]float64, n)
-			for i := range weights {
-				weights[i] = 1
-			}
-		}
-		return sched.NewWeightedBatch(weights, seeds)
-	case SchedPhased:
-		phases := make([]sched.Phase, len(s.Phases))
-		for i, ph := range s.Phases {
-			phases[i] = sched.Phase{Weights: ph.Weights, Steps: ph.Steps}
-		}
-		return sched.NewPhasedBatch(n, phases, seeds)
-	case SchedAdversary:
-		return sched.NewAdversarialBatch(n, len(seeds), sched.SingleOut(s.Victim))
-	default:
-		return nil, fmt.Errorf("sweep: unknown scheduler kind %q", s.Kind)
-	}
-}
-
 // buildBatchGroup constructs the struct-of-arrays process group for k
 // replicas of the workload, mirroring Workload.build for the kinds
 // that have batched forms.
@@ -138,12 +97,12 @@ func runJobBatch(jobs []Job, seeds []uint64, cache *ChainCache) ([]Result, []err
 	k := len(seeds)
 	began := time.Now()
 
-	drawer, err := buildBatchDrawer(job.Sched, job.N, seeds)
+	drawer, err := job.Sched.build(job.N, seeds)
 	if err != nil {
 		return nil, nil, err
 	}
 	if job.Crash > 0 {
-		crasher, ok := drawer.(sched.BatchCrasher)
+		crasher, ok := drawer.(sched.Crasher)
 		if !ok {
 			return nil, nil, fmt.Errorf("%w: scheduler %q does not support crashes", errNoBatchForm, job.Sched)
 		}

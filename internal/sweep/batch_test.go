@@ -244,7 +244,7 @@ func TestBatchDrawerReplaysScalarTrace(t *testing.T) {
 		}
 		traces[r] = cap.pids
 	}
-	drawer, err := buildBatchDrawer(job.Sched, n, seeds)
+	drawer, err := job.Sched.build(n, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}

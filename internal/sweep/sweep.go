@@ -652,7 +652,7 @@ func RunJob(job Job, seed uint64, cache *ChainCache) (Result, error) {
 	}
 	began := time.Now()
 
-	scheduler, err := job.Sched.build(job.N, seed)
+	scheduler, err := job.Sched.build(job.N, []uint64{seed})
 	if err != nil {
 		return Result{}, err
 	}

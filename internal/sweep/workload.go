@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"pwf/internal/machine"
-	"pwf/internal/rng"
 	"pwf/internal/sched"
 	"pwf/internal/scu"
 	"pwf/internal/shmem"
@@ -270,53 +269,35 @@ type SchedulerSpec struct {
 }
 
 // Validate reports whether the spec is well-formed for n processes.
+// The parameter checks are the ones the sched constructors run, so a
+// spec that validates always builds.
 func (s SchedulerSpec) Validate(n int) error {
 	switch s.Kind {
 	case "", SchedUniform, SchedRoundRobin:
 		return nil
 	case SchedSticky:
-		if s.Rho < 0 || s.Rho >= 1 || math.IsNaN(s.Rho) {
-			return fmt.Errorf("sweep: sticky rho %v out of [0, 1)", s.Rho)
-		}
-		return nil
+		return sched.CheckStickiness(s.Rho)
 	case SchedLottery:
-		if s.Tickets != nil && len(s.Tickets) != n {
+		if s.Tickets == nil {
+			return nil
+		}
+		if len(s.Tickets) != n {
 			return fmt.Errorf("sweep: %d tickets for %d processes", len(s.Tickets), n)
 		}
-		for i, t := range s.Tickets {
-			if t < 1 {
-				return fmt.Errorf("sweep: lottery ticket %d for process %d must be positive", t, i)
-			}
-		}
-		return nil
+		_, err := sched.CheckTickets(s.Tickets)
+		return err
 	case SchedWeighted:
-		if s.Weights != nil && len(s.Weights) != n {
+		if s.Weights == nil {
+			return nil
+		}
+		if len(s.Weights) != n {
 			return fmt.Errorf("sweep: %d weights for %d processes", len(s.Weights), n)
 		}
-		for i, w := range s.Weights {
-			if !(w > 0) || math.IsInf(w, 1) {
-				return fmt.Errorf("sweep: weight %v for process %d must be strictly positive and finite", w, i)
-			}
-		}
-		return nil
+		_, err := sched.CheckWeights(s.Weights)
+		return err
 	case SchedPhased:
-		if len(s.Phases) == 0 {
-			return errors.New("sweep: phased scheduler needs at least one phase")
-		}
-		for pi, ph := range s.Phases {
-			if len(ph.Weights) != n {
-				return fmt.Errorf("sweep: phase %d has %d weights for %d processes", pi, len(ph.Weights), n)
-			}
-			if ph.Steps < 1 {
-				return fmt.Errorf("sweep: phase %d has zero length", pi)
-			}
-			for i, w := range ph.Weights {
-				if !(w > 0) || math.IsInf(w, 1) {
-					return fmt.Errorf("sweep: phase %d weight %v for process %d must be strictly positive and finite", pi, w, i)
-				}
-			}
-		}
-		return nil
+		_, err := sched.CheckPhases(n, s.phases())
+		return err
 	case SchedAdversary:
 		if s.Victim < 0 || s.Victim >= n {
 			return fmt.Errorf("sweep: adversary victim %d out of range [0, %d)", s.Victim, n)
@@ -327,16 +308,18 @@ func (s SchedulerSpec) Validate(n int) error {
 	}
 }
 
-// build constructs the scheduler for n processes, drawing randomness
-// from seed.
-func (s SchedulerSpec) build(n int, seed uint64) (sched.Scheduler, error) {
+// build constructs the scheduler for n processes with one replica per
+// seed: replica r draws its randomness from seeds[r]. RunJob builds a
+// single replica for the scalar machine, runJobBatch one per point of
+// a batch.
+func (s SchedulerSpec) build(n int, seeds []uint64) (sched.BatchDrawer, error) {
 	switch s.Kind {
 	case "", SchedUniform:
-		return sched.NewUniform(n, rng.New(seed))
+		return sched.NewUniformBatch(n, seeds)
 	case SchedRoundRobin:
-		return sched.NewRoundRobin(n)
+		return sched.NewRoundRobinBatch(n, len(seeds))
 	case SchedSticky:
-		return sched.NewSticky(n, s.Rho, rng.New(seed))
+		return sched.NewStickyBatch(n, s.Rho, seeds)
 	case SchedLottery:
 		tickets := s.Tickets
 		if tickets == nil {
@@ -345,7 +328,7 @@ func (s SchedulerSpec) build(n int, seed uint64) (sched.Scheduler, error) {
 				tickets[i] = 1
 			}
 		}
-		return sched.NewLottery(tickets, rng.New(seed))
+		return sched.NewLotteryBatch(tickets, seeds)
 	case SchedWeighted:
 		weights := s.Weights
 		if weights == nil {
@@ -354,18 +337,23 @@ func (s SchedulerSpec) build(n int, seed uint64) (sched.Scheduler, error) {
 				weights[i] = 1
 			}
 		}
-		return sched.NewWeighted(weights, rng.New(seed))
+		return sched.NewWeightedBatch(weights, seeds)
 	case SchedPhased:
-		phases := make([]sched.Phase, len(s.Phases))
-		for i, ph := range s.Phases {
-			phases[i] = sched.Phase{Weights: ph.Weights, Steps: ph.Steps}
-		}
-		return sched.NewPhased(n, phases, rng.New(seed))
+		return sched.NewPhasedBatch(n, s.phases(), seeds)
 	case SchedAdversary:
-		return sched.NewAdversarial(n, sched.SingleOut(s.Victim))
+		return sched.NewAdversarialBatch(n, len(seeds), sched.SingleOut(s.Victim))
 	default:
 		return nil, fmt.Errorf("sweep: unknown scheduler kind %q", s.Kind)
 	}
+}
+
+// phases converts the spec's phases to the sched form.
+func (s SchedulerSpec) phases() []sched.Phase {
+	phases := make([]sched.Phase, len(s.Phases))
+	for i, ph := range s.Phases {
+		phases[i] = sched.Phase{Weights: ph.Weights, Steps: ph.Steps}
+	}
+	return phases
 }
 
 // String renders the spec in the shared scheduler grammar (e.g.
