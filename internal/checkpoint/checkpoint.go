@@ -208,62 +208,20 @@ func (l *Log) create() error {
 	return nil
 }
 
-// load reads an existing checkpoint: header validation, record
-// restore, torn-tail truncation, and reopening for append.
+// load reads an existing checkpoint: header validation against this
+// sweep, record restore, torn-tail truncation, and reopening for
+// append.
 func (l *Log) load() error {
 	data, err := os.ReadFile(l.path)
 	if err != nil {
 		return fmt.Errorf("checkpoint: read %s: %w", l.path, err)
 	}
-	nl := bytes.IndexByte(data, '\n')
-	if nl < 0 {
-		// Creation is atomic, so a headerless file is not ours.
-		return fmt.Errorf("%w: %s has no complete header line", ErrCorrupt, l.path)
+	_, recs, validLen, err := parse(l.path, data, &l.meta)
+	if err != nil {
+		return err
 	}
-	var meta Meta
-	if err := json.Unmarshal(data[:nl], &meta); err != nil {
-		return fmt.Errorf("%w: %s header: %v", ErrCorrupt, l.path, err)
-	}
-	if meta.V != Version || meta.Format != Format {
-		return fmt.Errorf("%w: %s is %q v%d (this build speaks %q v%d)",
-			ErrCorrupt, l.path, meta.Format, meta.V, Format, Version)
-	}
-	if meta.GridSHA != l.meta.GridSHA || meta.Seed != l.meta.Seed || meta.Points != l.meta.Points {
-		return fmt.Errorf("%w: %s was written for grid %s (seed %d, %d points); "+
-			"this sweep is grid %s (seed %d, %d points) — refusing to mix results across grids",
-			ErrGridMismatch, l.path, meta.GridSHA, meta.Seed, meta.Points,
-			l.meta.GridSHA, l.meta.Seed, l.meta.Points)
-	}
-	// Restore every complete record line; remember where the loadable
-	// prefix ends so a torn tail is truncated away before appending.
-	validLen := nl + 1
-	rest := data[nl+1:]
-	for len(rest) > 0 {
-		eol := bytes.IndexByte(rest, '\n')
-		if eol < 0 {
-			// Torn tail from a crash mid-append: discard.
-			break
-		}
-		line := rest[:eol]
-		var res api.Result
-		if err := json.Unmarshal(line, &res); err != nil {
-			return fmt.Errorf("%w: %s record at byte %d: %v", ErrCorrupt, l.path, validLen, err)
-		}
-		if res.V != api.Version {
-			return fmt.Errorf("%w: %s record has v=%d (this build speaks v%d)",
-				ErrCorrupt, l.path, res.V, api.Version)
-		}
-		if res.Index < 0 || res.Index >= l.meta.Points {
-			return fmt.Errorf("%w: %s record index %d out of [0, %d)",
-				ErrCorrupt, l.path, res.Index, l.meta.Points)
-		}
-		if _, dup := l.restored[res.Index]; dup {
-			return fmt.Errorf("%w: %s holds point %d twice (two writers?)",
-				ErrCorrupt, l.path, res.Index)
-		}
+	for _, res := range recs {
 		l.restored[res.Index] = res.Sweep()
-		validLen += eol + 1
-		rest = rest[eol+1:]
 	}
 	f, err := os.OpenFile(l.path, os.O_RDWR, 0)
 	if err != nil {
@@ -282,21 +240,71 @@ func (l *Log) load() error {
 	return nil
 }
 
+// parse decodes the bytes of the checkpoint file at path (named in
+// errors): the header, which must carry this package's format and
+// version and, when want is non-nil, bind want's grid, seed and point
+// count (ErrGridMismatch otherwise); then every complete record line,
+// in file order, each of which must be a current-version result for a
+// point in [0, Points) not seen before. A torn final line (no
+// trailing newline) is not a record: validLen is the length of the
+// loadable prefix before it. Every other defect is ErrCorrupt.
+func parse(path string, data []byte, want *Meta) (meta Meta, recs []api.Result, validLen int, err error) {
+	fail := func(format string, args ...any) (Meta, []api.Result, int, error) {
+		return Meta{}, nil, 0, fmt.Errorf("%w: %s "+format, append([]any{ErrCorrupt, path}, args...)...)
+	}
+	nl := bytes.IndexByte(data, '\n')
+	if nl < 0 {
+		// Creation is atomic, so a headerless file is not ours.
+		return fail("has no complete header line")
+	}
+	if err := json.Unmarshal(data[:nl], &meta); err != nil {
+		return fail("header: %v", err)
+	}
+	if meta.V != Version || meta.Format != Format {
+		return fail("is %q v%d (this build speaks %q v%d)", meta.Format, meta.V, Format, Version)
+	}
+	if want != nil && (meta.GridSHA != want.GridSHA || meta.Seed != want.Seed || meta.Points != want.Points) {
+		return Meta{}, nil, 0, fmt.Errorf("%w: %s was written for grid %s (seed %d, %d points); "+
+			"this sweep is grid %s (seed %d, %d points) — refusing to mix results across grids",
+			ErrGridMismatch, path, meta.GridSHA, meta.Seed, meta.Points,
+			want.GridSHA, want.Seed, want.Points)
+	}
+	seen := make(map[int]bool)
+	validLen = nl + 1
+	rest := data[nl+1:]
+	for len(rest) > 0 {
+		eol := bytes.IndexByte(rest, '\n')
+		if eol < 0 {
+			// Torn tail from a crash mid-append: discard.
+			break
+		}
+		var res api.Result
+		if err := json.Unmarshal(rest[:eol], &res); err != nil {
+			return fail("record at byte %d: %v", validLen, err)
+		}
+		if res.V != api.Version {
+			return fail("record has v=%d (this build speaks v%d)", res.V, api.Version)
+		}
+		if res.Index < 0 || res.Index >= meta.Points {
+			return fail("record index %d out of [0, %d)", res.Index, meta.Points)
+		}
+		if seen[res.Index] {
+			return fail("holds point %d twice (two writers?)", res.Index)
+		}
+		seen[res.Index] = true
+		recs = append(recs, res)
+		validLen += eol + 1
+		rest = rest[eol+1:]
+	}
+	return meta, recs, validLen, nil
+}
+
 // Restored returns the number of points loaded from the file.
 func (l *Log) Restored() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.restored)
 }
-
-// Points returns the total point count of the bound grid.
-func (l *Log) Points() int { return l.meta.Points }
-
-// GridSHA returns the hex grid hash the checkpoint is bound to.
-func (l *Log) GridSHA() string { return l.meta.GridSHA }
-
-// Path returns the checkpoint file path.
-func (l *Log) Path() string { return l.path }
 
 // Restore implements sweep.Checkpoint.
 func (l *Log) Restore(i int) (sweep.Result, bool) {
@@ -384,35 +392,14 @@ func syncDir(dir string) {
 }
 
 // Load reads a checkpoint without binding it to a grid — header plus
-// restored results — for inspection (pwfsweep progress reporting uses
-// the restored count before Run starts). The same torn-tail tolerance
-// as Open applies; the file is not opened for writing.
+// restored results in file order — for inspection. It checks
+// everything Open checks except the grid binding, with the same
+// torn-tail tolerance; the file is not opened for writing.
 func Load(path string) (Meta, []api.Result, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return Meta{}, nil, fmt.Errorf("checkpoint: read %s: %w", path, err)
 	}
-	nl := bytes.IndexByte(data, '\n')
-	if nl < 0 {
-		return Meta{}, nil, fmt.Errorf("%w: %s has no complete header line", ErrCorrupt, path)
-	}
-	var meta Meta
-	if err := json.Unmarshal(data[:nl], &meta); err != nil {
-		return Meta{}, nil, fmt.Errorf("%w: %s header: %v", ErrCorrupt, path, err)
-	}
-	var out []api.Result
-	rest := data[nl+1:]
-	for len(rest) > 0 {
-		eol := bytes.IndexByte(rest, '\n')
-		if eol < 0 {
-			break
-		}
-		var res api.Result
-		if err := json.Unmarshal(rest[:eol], &res); err != nil {
-			return Meta{}, nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, path, err)
-		}
-		out = append(out, res)
-		rest = rest[eol+1:]
-	}
-	return meta, out, nil
+	meta, recs, _, err := parse(path, data, nil)
+	return meta, recs, err
 }

@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -341,4 +342,80 @@ func TestLoadInspectsFile(t *testing.T) {
 	if len(results) != len(cfg.Jobs) {
 		t.Errorf("Load returned %d of %d records", len(results), len(cfg.Jobs))
 	}
+}
+
+// Two canonical result lines and a checkpoint header for a two-point
+// grid, as literals so the rejection table and the fuzz corpus share
+// them.
+const (
+	testHeader = `{"v":1,"format":"pwf-checkpoint","grid_sha256":"00","seed":7,"points":2}` + "\n"
+	testRecord = `{"v":1,"index":%d,"job":{"workload":{"kind":"scu","s":1},"n":2,"sched":{"kind":"uniform"},` +
+		`"steps":2000,"warmup_fraction":0.1},"seed":7,"latencies":{"system":2.5,"individual":5,` +
+		`"completion_rate":0.4,"fairness":1,"completions":800},"proc_completions":[400,400],"theta":0.5}` + "\n"
+)
+
+func record(index int) string { return fmt.Sprintf(testRecord, index) }
+
+// notCheckpoints are files Load must refuse: the first three are a
+// pwfsweep -out results file (no header: its first result line decodes
+// as a header without a format), a record of a future schema version,
+// and a record for a point outside the grid.
+var notCheckpoints = []struct{ name, data string }{
+	{"results file", record(0) + record(1)},
+	{"record version 7", testHeader + strings.Replace(record(0), `"v":1`, `"v":7`, 1)},
+	{"negative index", testHeader + record(-5)},
+	{"index past points", testHeader + record(2)},
+	{"duplicate index", testHeader + record(1) + record(1)},
+	{"header version 2", strings.Replace(testHeader, `"v":1`, `"v":2`, 1) + record(0)},
+}
+
+func TestLoadRejectsNonCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good.ckpt")
+	if err := os.WriteFile(good, []byte(testHeader+record(1)+record(0)+`{"v":1,"ind`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, recs, err := Load(good); err != nil || len(recs) != 2 || recs[0].Index != 1 {
+		t.Fatalf("valid checkpoint with a torn tail: %d records, %v", len(recs), err)
+	}
+	for _, tc := range notCheckpoints {
+		path := filepath.Join(dir, strings.ReplaceAll(tc.name, " ", "_"))
+		if err := os.WriteFile(path, []byte(tc.data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if meta, recs, err := Load(path); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Load = %+v, %d records, %v; want ErrCorrupt", tc.name, meta, len(recs), err)
+		}
+	}
+}
+
+// FuzzCheckpointLoad feeds Load arbitrary file contents: it must never
+// panic, and every file it accepts is a current-format checkpoint whose
+// record indices lie in [0, Points) and appear once each.
+func FuzzCheckpointLoad(f *testing.F) {
+	f.Add([]byte(testHeader + record(0) + record(1)))
+	f.Add([]byte(testHeader + record(1) + `{"v":1,"index":0,`))
+	for _, tc := range notCheckpoints {
+		f.Add([]byte(tc.data))
+	}
+	path := filepath.Join(f.TempDir(), "fuzz.ckpt")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		meta, recs, err := Load(path)
+		if err != nil {
+			return
+		}
+		if meta.V != Version || meta.Format != Format {
+			t.Fatalf("accepted header %+v", meta)
+		}
+		seen := make(map[int]bool, len(recs))
+		for _, r := range recs {
+			if r.Index < 0 || r.Index >= meta.Points || seen[r.Index] {
+				t.Fatalf("accepted record index %d (points %d, repeated %v)", r.Index, meta.Points, seen[r.Index])
+			}
+			seen[r.Index] = true
+		}
+	})
 }

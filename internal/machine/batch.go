@@ -3,27 +3,25 @@ package machine
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"pwf/internal/sched"
-	"pwf/internal/stats"
 )
 
 // Replica-batched simulation: BatchSim steps K independent replicas
 // of one job shape per loop iteration. Each replica has its own rng
 // stream (inside the sched.BatchDrawer), its own registers and
-// algorithm state (inside the BatchGroup), and its own latency
-// accumulators (here), all laid out contiguously in struct-of-arrays
-// form so the per-step dispatch overhead — interface calls, feature
-// checks, loop bookkeeping — amortizes across the batch and the hot
-// state stays cache-resident.
+// algorithm state (inside the BatchGroup), and its own metrics Window
+// (here, with the per-process cells of all replicas in one contiguous
+// block), all laid out in struct-of-arrays form so the per-step
+// dispatch overhead — interface calls, feature checks, loop
+// bookkeeping — amortizes across the batch and the hot state stays
+// cache-resident.
 //
 // Determinism contract: replica r of a BatchSim evolves exactly as a
 // scalar Sim over the same processes, scheduler seed, and pre-run
 // crashes — the same schedule, the same completions at the same
-// steps, and bit-identical latency statistics (the accumulator update
-// order within a replica is unchanged). Batched execution is a pure
-// layout optimization.
+// steps, and bit-identical latency statistics (both record into the
+// same Window code). Batched execution is a pure layout optimization.
 
 // BatchGroup is a workload's struct-of-arrays process group: the
 // state of K replicas × N processes, steppable with one call per
@@ -55,41 +53,16 @@ var (
 	ErrBadReplica    = errors.New("machine: replica index out of range")
 )
 
-// indCell is the per-(replica, process) metric state, packed into
-// exactly one cache line (40-byte Summary + three words) so recording
-// a completion touches a single line instead of one per field array.
-// lastComp doubles as the primed flag: steps are 1-based at
-// completion time, so lastComp == 0 means no completion has been
-// recorded in the current metrics window, exactly like the scalar
-// Sim's indPrimed=false with a stale lastIndComp.
-type indCell struct {
-	gaps        stats.Summary
-	lastComp    uint64
-	maxGap      uint64
-	completions uint64
-}
-
 // BatchSim couples a batched process group with a batched scheduler
-// and accumulates per-replica latency metrics while running. All
-// replicas advance in lockstep; Steps() is the per-replica step
-// count.
+// and accumulates one metrics Window per replica while running. All
+// replicas advance in lockstep, so one step count is the clock every
+// window reads.
 type BatchSim struct {
 	group  BatchGroup
 	drawer sched.BatchDrawer
-	k, n   int
 
-	steps uint64
-
-	// Per-replica metric state, indexed [r].
-	totalComp       []uint64
-	sysGaps         []stats.Summary
-	lastSysComp     []uint64
-	sysPrimed       []bool
-	windowStart     uint64
-	windowCompStart []uint64
-
-	// Per-(replica, process) metric state, indexed [r*n + pid].
-	ind []indCell
+	steps   uint64
+	windows []Window // replica r's metrics; their ind cells share one block
 
 	// Step scratch.
 	pids []int32
@@ -113,30 +86,19 @@ func NewBatchSim(group BatchGroup, drawer sched.BatchDrawer) (*BatchSim, error) 
 		return nil, fmt.Errorf("%w: drawer %dx%d vs group %dx%d",
 			ErrBatchMismatch, drawer.K(), drawer.N(), k, n)
 	}
-	return &BatchSim{
-		group:           group,
-		drawer:          drawer,
-		k:               k,
-		n:               n,
-		totalComp:       make([]uint64, k),
-		sysGaps:         make([]stats.Summary, k),
-		lastSysComp:     make([]uint64, k),
-		sysPrimed:       make([]bool, k),
-		windowCompStart: make([]uint64, k),
-		ind:             make([]indCell, k*n),
-		pids:            make([]int32, k),
-		done:            make([]bool, k),
-	}, nil
+	b := &BatchSim{
+		group:   group,
+		drawer:  drawer,
+		windows: make([]Window, k),
+		pids:    make([]int32, k),
+		done:    make([]bool, k),
+	}
+	ind := make([]indCell, k*n)
+	for r := range b.windows {
+		b.windows[r] = Window{clock: &b.steps, ind: ind[r*n : (r+1)*n : (r+1)*n]}
+	}
+	return b, nil
 }
-
-// K returns the replica count.
-func (b *BatchSim) K() int { return b.k }
-
-// N returns the number of processes per replica.
-func (b *BatchSim) N() int { return b.n }
-
-// Steps returns the per-replica number of time units simulated.
-func (b *BatchSim) Steps() uint64 { return b.steps }
 
 // Run advances every replica by steps time units.
 func (b *BatchSim) Run(steps uint64) error {
@@ -149,148 +111,26 @@ func (b *BatchSim) Run(steps uint64) error {
 		b.group.StepBatch(pids, done)
 		for r := 0; r < len(done); r++ {
 			if done[r] {
-				b.recordCompletion(r, int(pids[r]))
+				b.windows[r].record(int(pids[r]), b.steps)
 			}
 		}
 	}
 	return nil
 }
 
-// recordCompletion mirrors Sim.recordCompletion for replica r: the
-// accumulator updates happen in the same order with the same values,
-// so the resulting statistics are bit-identical to a scalar run.
-func (b *BatchSim) recordCompletion(r, pid int) {
-	c := &b.ind[r*b.n+pid]
-	c.completions++
-	b.totalComp[r]++
-
-	if b.sysPrimed[r] {
-		b.sysGaps[r].Add(float64(b.steps - b.lastSysComp[r]))
-	}
-	b.lastSysComp[r] = b.steps
-	b.sysPrimed[r] = true
-
-	if c.lastComp != 0 {
-		gap := b.steps - c.lastComp
-		c.gaps.Add(float64(gap))
-		if gap > c.maxGap {
-			c.maxGap = gap
-		}
-	}
-	c.lastComp = b.steps
-}
-
 // ResetMetrics discards the statistics gathered so far (warmup) in
-// every replica while keeping the simulation state, exactly as
-// Sim.ResetMetrics does per replica.
+// every replica's window while keeping the simulation state.
 func (b *BatchSim) ResetMetrics() {
-	for r := 0; r < b.k; r++ {
-		b.sysGaps[r] = stats.Summary{}
-		b.sysPrimed[r] = false
-		b.windowCompStart[r] = b.totalComp[r]
+	for r := range b.windows {
+		b.windows[r].ResetMetrics()
 	}
-	for i := range b.ind {
-		b.ind[i].gaps = stats.Summary{}
-		b.ind[i].lastComp = 0
-		b.ind[i].maxGap = 0
-	}
-	b.windowStart = b.steps
 }
 
-func (b *BatchSim) checkReplica(r int) error {
-	if r < 0 || r >= b.k {
-		return fmt.Errorf("%w: %d of %d", ErrBadReplica, r, b.k)
+// Replica returns replica r's metrics window, or ErrBadReplica when r
+// is not in [0, K) for the group's K replicas.
+func (b *BatchSim) Replica(r int) (*Window, error) {
+	if r < 0 || r >= len(b.windows) {
+		return nil, fmt.Errorf("%w: %d of %d", ErrBadReplica, r, len(b.windows))
 	}
-	return nil
-}
-
-// SystemLatency returns replica r's mean inter-completion gap (gap
-// estimator), mirroring Sim.SystemLatency.
-func (b *BatchSim) SystemLatency(r int) (float64, error) {
-	if err := b.checkReplica(r); err != nil {
-		return 0, err
-	}
-	if b.sysGaps[r].N() == 0 {
-		return 0, ErrNoCompletions
-	}
-	return b.sysGaps[r].Mean(), nil
-}
-
-// MeanIndividualLatency returns replica r's mean individual latency
-// across processes with at least two completions, mirroring
-// Sim.MeanIndividualLatency.
-func (b *BatchSim) MeanIndividualLatency(r int) (float64, error) {
-	if err := b.checkReplica(r); err != nil {
-		return 0, err
-	}
-	var sum float64
-	count := 0
-	base := r * b.n
-	for pid := 0; pid < b.n; pid++ {
-		if b.ind[base+pid].gaps.N() == 0 {
-			continue
-		}
-		sum += b.ind[base+pid].gaps.Mean()
-		count++
-	}
-	if count == 0 {
-		return 0, ErrNoCompletions
-	}
-	return sum / float64(count), nil
-}
-
-// CompletionRate returns replica r's completions per step over the
-// metrics window, mirroring Sim.CompletionRate.
-func (b *BatchSim) CompletionRate(r int) float64 {
-	steps := b.steps - b.windowStart
-	if steps == 0 {
-		return 0
-	}
-	return float64(b.totalComp[r]-b.windowCompStart[r]) / float64(steps)
-}
-
-// FairnessIndex returns Jain's fairness index of replica r's
-// per-process completion counts, mirroring Sim.FairnessIndex.
-func (b *BatchSim) FairnessIndex(r int) float64 {
-	var sum, sumSq float64
-	base := r * b.n
-	for pid := 0; pid < b.n; pid++ {
-		x := float64(b.ind[base+pid].completions)
-		sum += x
-		sumSq += x * x
-	}
-	if sumSq == 0 {
-		return math.NaN()
-	}
-	n := float64(b.n)
-	return sum * sum / (n * sumSq)
-}
-
-// TotalCompletions returns replica r's total completed invocations
-// since construction (warmup included), mirroring
-// Sim.TotalCompletions.
-func (b *BatchSim) TotalCompletions(r int) uint64 { return b.totalComp[r] }
-
-// Completions returns a copy of replica r's per-process completion
-// counts.
-func (b *BatchSim) Completions(r int) []uint64 {
-	out := make([]uint64, b.n)
-	base := r * b.n
-	for pid := 0; pid < b.n; pid++ {
-		out[pid] = b.ind[base+pid].completions
-	}
-	return out
-}
-
-// StarvedProcesses returns the ids of replica r's processes with zero
-// completions so far, mirroring Sim.StarvedProcesses.
-func (b *BatchSim) StarvedProcesses(r int) []int {
-	var out []int
-	base := r * b.n
-	for pid := 0; pid < b.n; pid++ {
-		if b.ind[base+pid].completions == 0 {
-			out = append(out, pid)
-		}
-	}
-	return out
+	return &b.windows[r], nil
 }

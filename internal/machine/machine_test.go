@@ -226,34 +226,6 @@ func TestLatencyEstimatorsAgree(t *testing.T) {
 	}
 }
 
-func TestRunUntilCompletions(t *testing.T) {
-	s := newSim(t, 2, 3, 3)
-	if err := s.RunUntilCompletions(50, 100000); err != nil {
-		t.Fatal(err)
-	}
-	if s.TotalCompletions() < 50 {
-		t.Fatalf("TotalCompletions = %d, want >= 50", s.TotalCompletions())
-	}
-}
-
-func TestRunUntilCompletionsBudget(t *testing.T) {
-	mem, err := shmem.New(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u, err := sched.NewUniform(1, rng.New(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(mem, []Process{never{}}, u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RunUntilCompletions(1, 100); !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("want ErrBudgetExceeded, got %v", err)
-	}
-}
-
 func TestResetMetricsDiscardsWarmup(t *testing.T) {
 	s := newSim(t, 2, 3, 5)
 	if err := s.Run(1000); err != nil {

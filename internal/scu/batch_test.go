@@ -140,7 +140,9 @@ func groupCases() []groupCase {
 				procs, err := u.Processes(counterOps)
 				return scalarRun{procs: procs, mem: mem, check: u.Check}, err
 			},
-			func(k, n int) (machine.BatchGroup, error) { return NewLFUniversalBatch(CounterObject{}, k, n, counterOps) },
+			func(k, n int) (machine.BatchGroup, error) {
+				return NewLFUniversalBatch(CounterObject{}, k, n, counterOps)
+			},
 		},
 	}
 }
@@ -148,7 +150,7 @@ func groupCases() []groupCase {
 // TestBatchSimMatchesScalarSims runs a BatchSim (uniform batch drawer
 // + batch group) against K scalar Sims built from the same seeds and
 // demands bit-identical metrics for every replica — including across
-// a mid-run ResetMetrics, mirroring the warmup flow of sweep.measure.
+// a mid-run ResetMetrics, mirroring the warmup flow of the sweep runner.
 func TestBatchSimMatchesScalarSims(t *testing.T) {
 	const (
 		n      = 17
@@ -251,37 +253,57 @@ func TestBatchSimMatchesScalarSims(t *testing.T) {
 	}
 }
 
-// compareReplica checks every metric accessor of replica r of bs
-// against the scalar sim, bit-exactly.
+// compareReplica checks every metric accessor of replica r's window
+// in bs — filled by the lockstep batch loop — against the scalar
+// sim's window, filled by the Process loop, bit-exactly.
 func compareReplica(t *testing.T, bs *machine.BatchSim, s *machine.Sim, r int) {
 	t.Helper()
-	bSys, bErr := bs.SystemLatency(r)
+	w, err := bs.Replica(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bSys, bErr := w.SystemLatency()
 	sSys, sErr := s.SystemLatency()
 	if bSys != sSys || (bErr == nil) != (sErr == nil) {
 		t.Errorf("replica %d: SystemLatency = %v/%v, scalar %v/%v", r, bSys, bErr, sSys, sErr)
 	}
-	bInd, bErr := bs.MeanIndividualLatency(r)
+	bInd, bErr := w.MeanIndividualLatency()
 	sInd, sErr := s.MeanIndividualLatency()
 	if bInd != sInd || (bErr == nil) != (sErr == nil) {
 		t.Errorf("replica %d: MeanIndividualLatency = %v/%v, scalar %v/%v", r, bInd, bErr, sInd, sErr)
 	}
-	if got, want := bs.CompletionRate(r), s.CompletionRate(); got != want {
+	if got, want := w.CompletionRate(), s.CompletionRate(); got != want {
 		t.Errorf("replica %d: CompletionRate = %v, scalar %v", r, got, want)
 	}
-	bFair, sFair := bs.FairnessIndex(r), s.FairnessIndex()
+	bRatio, bErr := w.SystemLatencyRatio()
+	sRatio, sErr := s.SystemLatencyRatio()
+	if bRatio != sRatio || (bErr == nil) != (sErr == nil) {
+		t.Errorf("replica %d: SystemLatencyRatio = %v/%v, scalar %v/%v", r, bRatio, bErr, sRatio, sErr)
+	}
+	for pid := 0; pid < s.N(); pid++ {
+		bGap, _ := w.MaxIndividualGap(pid)
+		sGap, _ := s.MaxIndividualGap(pid)
+		bLat, bErr := w.IndividualLatency(pid)
+		sLat, sErr := s.IndividualLatency(pid)
+		if bGap != sGap || bLat != sLat || (bErr == nil) != (sErr == nil) {
+			t.Errorf("replica %d pid %d: max gap %d, latency %v/%v; scalar %d, %v/%v",
+				r, pid, bGap, bLat, bErr, sGap, sLat, sErr)
+		}
+	}
+	bFair, sFair := w.FairnessIndex(), s.FairnessIndex()
 	if bFair != sFair && !(bFair != bFair && sFair != sFair) { // NaN-tolerant
 		t.Errorf("replica %d: FairnessIndex = %v, scalar %v", r, bFair, sFair)
 	}
-	if got, want := bs.TotalCompletions(r), s.TotalCompletions(); got != want {
+	if got, want := w.TotalCompletions(), s.TotalCompletions(); got != want {
 		t.Errorf("replica %d: TotalCompletions = %d, scalar %d", r, got, want)
 	}
-	bComp, sComp := bs.Completions(r), s.Completions()
+	bComp, sComp := w.Completions(), s.Completions()
 	for pid := range sComp {
 		if bComp[pid] != sComp[pid] {
 			t.Errorf("replica %d: Completions[%d] = %d, scalar %d", r, pid, bComp[pid], sComp[pid])
 		}
 	}
-	bStarved, sStarved := bs.StarvedProcesses(r), s.StarvedProcesses()
+	bStarved, sStarved := w.StarvedProcesses(), s.StarvedProcesses()
 	if len(bStarved) != len(sStarved) {
 		t.Errorf("replica %d: %d starved, scalar %d", r, len(bStarved), len(sStarved))
 	} else {
@@ -387,12 +409,100 @@ func TestBatchGroupErrors(t *testing.T) {
 		func() error { _, err := NewRCUBatch(2, 4, 4, 8); return err },
 		func() error { _, err := NewUnboundedBatch(0, 4, 0); return err },
 		func() error { _, err := NewUnboundedBatch(2, 4, -1); return err },
-		func() error { _, err := NewLFUniversalBatch(nil, 2, 4, func(int, int64) int64 { return 1 }); return err },
+		func() error {
+			_, err := NewLFUniversalBatch(nil, 2, 4, func(int, int64) int64 { return 1 })
+			return err
+		},
 		func() error { _, err := NewLFUniversalBatch(CounterObject{}, 2, 4, nil); return err },
-		func() error { _, err := NewLFUniversalBatch(CounterObject{}, 2, 0, func(int, int64) int64 { return 1 }); return err },
+		func() error {
+			_, err := NewLFUniversalBatch(CounterObject{}, 2, 0, func(int, int64) int64 { return 1 })
+			return err
+		},
 	} {
 		if err := fn(); !errors.Is(err, ErrBadParams) {
 			t.Errorf("constructor edge: err = %v, want ErrBadParams", err)
 		}
+	}
+}
+
+// procGroup adapts a scalar process group to machine.BatchGroup at
+// one replica, so the lockstep loop can step the Process forms.
+type procGroup struct {
+	mem   *shmem.Memory
+	procs []machine.Process
+}
+
+func (g *procGroup) K() int { return 1 }
+func (g *procGroup) N() int { return len(g.procs) }
+
+func (g *procGroup) StepBatch(pids []int32, done []bool) {
+	done[0] = g.procs[pids[0]].Step(g.mem)
+}
+
+// BenchmarkStepLoopsK1 times one SCU(0,1) replica through each step
+// loop: Sim.Run over the Process forms ("scalar"), BatchSim.Run over
+// the same processes behind procGroup ("batchsim-procs"), and
+// BatchSim.Run over SCUBatch at K = 1 ("batchsim-scubatch"). It is the
+// measurement behind keeping two step loops: a lone point would pay
+// the lockstep loop's per-step slice and interface traffic without
+// any replicas to amortize it over.
+func BenchmarkStepLoopsK1(b *testing.B) {
+	for _, n := range []int{4, 16, 64} {
+		scalar := func(b *testing.B) (*shmem.Memory, []machine.Process) {
+			procs, err := NewSCUGroup(n, 0, 1, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			mem, err := shmem.New(SCULayout(1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			return mem, procs
+		}
+		batch := func(b *testing.B, group machine.BatchGroup) *machine.BatchSim {
+			drawer, err := sched.NewUniformBatch(n, []uint64{1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			bs, err := machine.NewBatchSim(group, drawer)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return bs
+		}
+		b.Run(fmt.Sprintf("scalar/n=%d", n), func(b *testing.B) {
+			mem, procs := scalar(b)
+			sch, err := sched.NewUniform(n, rng.New(1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			sim, err := machine.New(mem, procs, sch)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			if err := sim.Run(uint64(b.N)); err != nil {
+				b.Fatal(err)
+			}
+		})
+		b.Run(fmt.Sprintf("batchsim-procs/n=%d", n), func(b *testing.B) {
+			mem, procs := scalar(b)
+			bs := batch(b, &procGroup{mem: mem, procs: procs})
+			b.ResetTimer()
+			if err := bs.Run(uint64(b.N)); err != nil {
+				b.Fatal(err)
+			}
+		})
+		b.Run(fmt.Sprintf("batchsim-scubatch/n=%d", n), func(b *testing.B) {
+			group, err := NewSCUBatch(1, n, 0, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			bs := batch(b, group)
+			b.ResetTimer()
+			if err := bs.Run(uint64(b.N)); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }

@@ -338,7 +338,7 @@ func TestFamilyKeyDistinguishesParameters(t *testing.T) {
 	// End to end: alternating weight vectors never share a group.
 	a, b := base, variants[0](base)
 	cfg := Config{Jobs: []Job{a, b, a, b, a, b}, ReplicaBatch: 8}
-	points := expandPoints(cfg)
+	points := Points(cfg)
 	for _, grp := range dispatchGroups(cfg, points, nil) {
 		for _, i := range grp[1:] {
 			if shapeKey(points[i]) != shapeKey(points[grp[0]]) {

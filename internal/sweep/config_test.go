@@ -80,7 +80,7 @@ func TestSweepBatchFamiliesPreservesResults(t *testing.T) {
 func TestDispatchOrderGroupsFamilies(t *testing.T) {
 	cfg := Config{Jobs: smallGrid(), BatchFamilies: true}
 	var order []int
-	for _, grp := range dispatchGroups(cfg, expandPoints(cfg), nil) {
+	for _, grp := range dispatchGroups(cfg, Points(cfg), nil) {
 		order = append(order, grp...)
 	}
 	if len(order) != len(cfg.Jobs) {

@@ -267,11 +267,13 @@ func (cfg *Config) job(i int) Job {
 	return job
 }
 
-// expandPoints flattens the grid into points: job i with overrides
-// applied, repeated max(1, Replicas) times. Point p draws its seed
-// from rng.Stream(Seed, p), so the expansion — not the execution
-// mode — defines the grid's seed layout.
-func expandPoints(cfg Config) []Job {
+// Points flattens a configuration into its points: job i with
+// sweep-level overrides applied, repeated max(1, Replicas) times. This
+// layout, not the execution mode, is the grid's identity: point p
+// draws its seed from rng.Stream(Seed, p) and checkpoint records are
+// keyed by point index, so the checkpoint layer binds resume state to
+// a hash of exactly this expansion.
+func Points(cfg Config) []Job {
 	points := make([]Job, 0, len(cfg.Jobs))
 	for i := range cfg.Jobs {
 		job := cfg.job(i)
@@ -286,14 +288,6 @@ func expandPoints(cfg Config) []Job {
 	return points
 }
 
-// Points returns the expanded point list of a configuration — job i
-// with sweep-level overrides applied, repeated max(1, Replicas) times.
-// This layout is the grid's identity: point p draws its seed from
-// rng.Stream(Seed, p) and checkpoint records are keyed by point
-// index, so the checkpoint layer binds resume state to a hash of
-// exactly this expansion.
-func Points(cfg Config) []Job { return expandPoints(cfg) }
-
 // familyKey renders everything that determines which code paths and
 // ChainCache entries a job exercises: the full workload and scheduler
 // parameterization (not just the kinds — two weighted schedulers with
@@ -303,6 +297,17 @@ func familyKey(j Job) string {
 	return fmt.Sprintf("%s|q%d|s%d|w%d|p%d|n%d|c%d|x%t|%s",
 		j.Workload.Kind, j.Workload.Q, j.Workload.S, j.Workload.WaitFactor,
 		j.Workload.PoolSize, j.N, j.Crash, j.Exact, j.Sched)
+}
+
+// Families counts the distinct families among jobs (see familyKey):
+// len(jobs) - Families(jobs) jobs share a family with an earlier job,
+// the coalescing opportunity the batching dispatcher exploits.
+func Families(jobs []Job) int {
+	seen := make(map[string]bool, len(jobs))
+	for _, j := range jobs {
+		seen[familyKey(j)] = true
+	}
+	return len(seen)
 }
 
 // shapeKey extends familyKey with the run length: points with equal
@@ -338,10 +343,10 @@ func dispatchGroups(cfg Config, points []Job, skip []bool) [][]int {
 	groups := make([][]int, 0, len(order))
 	for start := 0; start < len(order); {
 		end := start + 1
-		if width > 1 && batchable(cfg, points[order[start]]) {
+		if width > 1 && batchFallbackReason(cfg, points[order[start]]) == "" {
 			key := keys[order[start]]
 			for end < len(order) && end-start < width &&
-				batchable(cfg, points[order[end]]) &&
+				batchFallbackReason(cfg, points[order[end]]) == "" &&
 				keys[order[end]] == key {
 				end++
 			}
@@ -428,7 +433,7 @@ func Run(cfg Config) ([]Result, error) {
 			return nil, fmt.Errorf("job %d: %w", i, err)
 		}
 	}
-	points := expandPoints(cfg)
+	points := Points(cfg)
 	total := len(points)
 	cache := cfg.Cache
 	if cache == nil {
@@ -587,7 +592,7 @@ func Run(cfg Config) ([]Result, error) {
 					jobs[r] = points[i]
 					seeds[r] = rng.Stream(cfg.Seed, uint64(i))
 				}
-				batchRes, batchErrs, err := runJobBatch(jobs, seeds, cache)
+				batchRes, batchErrs, err := runPoints(jobs, seeds, cache)
 				if err != nil {
 					// No batched form (or batch construction failed):
 					// run the group's points on the scalar path, which
@@ -644,26 +649,58 @@ feed:
 // stream derivation, and returns its result with Index 0. It is the
 // single-run primitive behind pwf.Run.
 func RunJob(job Job, seed uint64, cache *ChainCache) (Result, error) {
-	if err := job.Validate(); err != nil {
+	res, errs, err := runPoints([]Job{job}, []uint64{seed}, cache)
+	if err != nil {
 		return Result{}, err
+	}
+	return res[0], errs[0]
+}
+
+// simulator is the part of machine.Sim and machine.BatchSim that
+// runPoints drives.
+type simulator interface {
+	Run(steps uint64) error
+	ResetMetrics()
+}
+
+// runPoints executes K = len(seeds) >= 1 same-shape points (jobs[r]
+// differs from jobs[0] at most in Label) and returns one Result and
+// one error slot per point; the third return value is a failure
+// before anything was measured. One point runs on the scalar Sim, with
+// the job's completion hook and recorder; K > 1 points run in lockstep
+// on one BatchSim, and a failure to build it (no batched form) tells
+// the caller to run the points one by one instead.
+//
+// Replica r evolves exactly as the lone point (jobs[r], seeds[r]): the
+// scheduler draws replica r's stream through the same sampling
+// structures, the workload transitions through the same states, and
+// the same Window code records the completions — so each Result is
+// byte-identical either way, except Elapsed (wall time, never
+// deterministic, from construction through the exact value): the whole
+// job for one point, the per-point share of the batch otherwise.
+func runPoints(jobs []Job, seeds []uint64, cache *ChainCache) ([]Result, []error, error) {
+	job := jobs[0]
+	if err := job.Validate(); err != nil {
+		return nil, nil, err
 	}
 	if cache == nil {
 		cache = DefaultCache
 	}
+	k := len(seeds)
 	began := time.Now()
 
-	scheduler, err := job.Sched.build(job.N, []uint64{seed})
+	drawer, err := job.Sched.build(job.N, seeds)
 	if err != nil {
-		return Result{}, err
+		return nil, nil, err
 	}
 	if job.Crash > 0 {
-		crasher, ok := scheduler.(sched.Crasher)
+		crasher, ok := drawer.(sched.Crasher)
 		if !ok {
-			return Result{}, fmt.Errorf("sweep: scheduler %q does not support crashes", job.Sched)
+			return nil, nil, fmt.Errorf("sweep: scheduler %q does not support crashes", job.Sched)
 		}
 		for pid := job.N - job.Crash; pid < job.N; pid++ {
 			if err := crasher.Crash(pid); err != nil {
-				return Result{}, fmt.Errorf("sweep: crash process %d: %w", pid, err)
+				return nil, nil, fmt.Errorf("sweep: crash process %d: %w", pid, err)
 			}
 			if job.Recorder != nil {
 				// Pre-run crashes take effect before step 1.
@@ -671,68 +708,99 @@ func RunJob(job Job, seed uint64, cache *ChainCache) (Result, error) {
 			}
 		}
 	}
-	b, err := job.Workload.build(job.N)
-	if err != nil {
-		return Result{}, err
-	}
-	sim, err := machine.New(b.mem, b.procs, scheduler)
-	if err != nil {
-		return Result{}, err
-	}
-	if job.CompletionHook != nil {
-		sim.SetCompletionHook(job.CompletionHook)
-	}
-	if job.Recorder != nil {
-		sim.SetRecorder(job.Recorder)
-	}
-
-	res := Result{
-		Label: job.Label,
-		Job:   job,
-		Seed:  seed,
-		Theta: scheduler.Threshold(),
-	}
-	if res.Latencies, err = measure(sim, job.Steps, job.WarmupFraction); err != nil {
-		return Result{}, err
-	}
-	res.ProcCompletions = sim.Completions()
-	res.Starved = sim.StarvedProcesses()
-	if b.check != nil {
-		if err := b.check(); err != nil {
-			return Result{}, err
+	var (
+		sim     simulator
+		windows = make([]*machine.Window, k)
+		check   func(r int) error // post-run invariant check, may be nil
+	)
+	if k == 1 {
+		b, err := job.Workload.build(job.N)
+		if err != nil {
+			return nil, nil, err
+		}
+		s, err := machine.New(b.mem, b.procs, drawer)
+		if err != nil {
+			return nil, nil, err
+		}
+		if job.CompletionHook != nil {
+			s.SetCompletionHook(job.CompletionHook)
+		}
+		if job.Recorder != nil {
+			s.SetRecorder(job.Recorder)
+		}
+		sim, windows[0] = s, &s.Window
+		if b.check != nil {
+			check = func(int) error { return b.check() }
+		}
+	} else {
+		group, err := buildBatchGroup(job.Workload, k, job.N)
+		if err != nil {
+			return nil, nil, err
+		}
+		bs, err := machine.NewBatchSim(group, drawer)
+		if err != nil {
+			return nil, nil, err
+		}
+		for r := range windows {
+			windows[r], _ = bs.Replica(r)
+		}
+		sim = bs
+		if chk, ok := group.(machine.BatchChecker); ok {
+			check = chk.CheckReplica
 		}
 	}
-	if job.Exact {
-		res.Exact, res.ExactOK = exactLatency(job, cache)
-	}
-	res.Elapsed = time.Since(began)
-	return res, nil
-}
 
-// measure runs the warmup, discards its metrics, runs the measurement
-// window and collects Latencies.
-func measure(sim *machine.Sim, steps uint64, warmupFraction float64) (Latencies, error) {
-	if warmup := uint64(warmupFraction * float64(steps)); warmup > 0 {
+	if warmup := uint64(job.WarmupFraction * float64(job.Steps)); warmup > 0 {
 		if err := sim.Run(warmup); err != nil {
-			return Latencies{}, err
+			return nil, nil, err
 		}
 	}
 	sim.ResetMetrics()
-	if err := sim.Run(steps); err != nil {
-		return Latencies{}, err
+	if err := sim.Run(job.Steps); err != nil {
+		return nil, nil, err
 	}
-	var out Latencies
-	var err error
-	if out.System, err = sim.SystemLatency(); err != nil {
-		return Latencies{}, err
+
+	var exact float64
+	exactOK := false
+	if job.Exact {
+		exact, exactOK = exactLatency(job, cache)
 	}
-	if out.Individual, err = sim.MeanIndividualLatency(); err != nil {
-		return Latencies{}, err
+	share := time.Since(began) / time.Duration(k)
+	results := make([]Result, k)
+	errs := make([]error, k)
+	for r, w := range windows {
+		// A replica whose metrics or invariant check fail yields a
+		// zero Result and the error, as a lone point would.
+		lat := Latencies{
+			CompletionRate: w.CompletionRate(),
+			Fairness:       w.FairnessIndex(),
+			Completions:    w.TotalCompletions(),
+		}
+		if lat.System, errs[r] = w.SystemLatency(); errs[r] != nil {
+			continue
+		}
+		if lat.Individual, errs[r] = w.MeanIndividualLatency(); errs[r] != nil {
+			continue
+		}
+		if check != nil {
+			if errs[r] = check(r); errs[r] != nil {
+				continue
+			}
+		}
+		results[r] = Result{
+			Label:           jobs[r].Label,
+			Job:             jobs[r],
+			Seed:            seeds[r],
+			Latencies:       lat,
+			ProcCompletions: w.Completions(),
+			Starved:         w.StarvedProcesses(),
+			Theta:           drawer.Threshold(),
+			Exact:           exact,
+			ExactOK:         exactOK,
+			Elapsed:         share,
+		}
 	}
-	out.CompletionRate = sim.CompletionRate()
-	out.Fairness = sim.FairnessIndex()
-	out.Completions = sim.TotalCompletions()
-	return out, nil
+	return results, errs, nil
 }
 
 // exactLatency computes the exact-chain system latency for the job's

@@ -309,9 +309,9 @@ func (s SchedulerSpec) Validate(n int) error {
 }
 
 // build constructs the scheduler for n processes with one replica per
-// seed: replica r draws its randomness from seeds[r]. RunJob builds a
-// single replica for the scalar machine, runJobBatch one per point of
-// a batch.
+// seed: replica r draws its randomness from seeds[r]. runPoints builds
+// a single replica for the scalar machine and one per point of a
+// batch.
 func (s SchedulerSpec) build(n int, seeds []uint64) (sched.BatchDrawer, error) {
 	switch s.Kind {
 	case "", SchedUniform:
