@@ -200,8 +200,3 @@ func PhaseLengthBound(a, b, n int, alpha float64) (float64, error) {
 	}
 	return math.Min(first, second), nil
 }
-
-// BirthdayThreshold returns √a, the birthday-paradox scale at which a
-// set of a one-ball bins is expected to produce a two-ball collision
-// (Claim 1).
-func BirthdayThreshold(a int) float64 { return math.Sqrt(float64(a)) }

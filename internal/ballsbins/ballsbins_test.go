@@ -262,12 +262,6 @@ func TestPhaseLengthBound(t *testing.T) {
 	}
 }
 
-func TestBirthdayThreshold(t *testing.T) {
-	if got := BirthdayThreshold(64); got != 8 {
-		t.Fatalf("BirthdayThreshold(64) = %v, want 8", got)
-	}
-}
-
 func TestWinnersRoughlyUniform(t *testing.T) {
 	// In stationarity no bin should dominate the wins.
 	const n = 10

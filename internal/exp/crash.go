@@ -1,14 +1,8 @@
 package exp
 
 import (
-	"fmt"
-
 	"pwf/internal/chains"
-	"pwf/internal/machine"
-	"pwf/internal/rng"
-	"pwf/internal/sched"
-	"pwf/internal/scu"
-	"pwf/internal/shmem"
+	"pwf/internal/sweep"
 )
 
 // CrashLatency reproduces Corollary 2: with k ≤ n correct processes,
@@ -31,28 +25,14 @@ func CrashLatency(cfg Config) (*Table, error) {
 		if k < 1 {
 			continue
 		}
-		mem, err := shmem.New(scu.SCULayout(1))
-		if err != nil {
-			return nil, err
-		}
-		procs, err := scu.NewSCUGroup(n, 0, 1, 0)
-		if err != nil {
-			return nil, err
-		}
-		u, err := sched.NewUniform(n, rng.New(cfg.Seed+uint64(k)))
-		if err != nil {
-			return nil, err
-		}
-		for pid := k; pid < n; pid++ {
-			if err := u.Crash(pid); err != nil {
-				return nil, fmt.Errorf("crash %d: %w", pid, err)
-			}
-		}
-		sim, err := machine.New(mem, procs, u)
-		if err != nil {
-			return nil, err
-		}
-		wSim, _, err := measureLatencies(sim, window/10, window)
+		// Crash fail-stops processes k..n-1 before the run.
+		res, err := sweep.RunJob(sweep.Job{
+			Workload:       sweep.Workload{Kind: sweep.SCU, S: 1},
+			N:              n,
+			Steps:          window,
+			WarmupFraction: sweep.DefaultWarmupFraction,
+			Crash:          n - k,
+		}, cfg.Seed+uint64(k), nil)
 		if err != nil {
 			return nil, err
 		}
@@ -65,7 +45,7 @@ func CrashLatency(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(n, k, wSim, exactK, exactN)
+		t.AddRow(n, k, res.Latencies.System, exactK, exactN)
 	}
 	t.Note = "the simulated latency with n-k crashed processes matches the exact " +
 		"k-process chain, not the n-process one: stationary behaviour sees only correct processes"

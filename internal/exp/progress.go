@@ -3,12 +3,8 @@ package exp
 import (
 	"fmt"
 
-	"pwf/internal/machine"
 	"pwf/internal/progress"
-	"pwf/internal/rng"
-	"pwf/internal/sched"
-	"pwf/internal/scu"
-	"pwf/internal/shmem"
+	"pwf/internal/sweep"
 )
 
 // MinToMaxProgress reproduces Theorem 3: under a stochastic scheduler
@@ -23,28 +19,20 @@ func MinToMaxProgress(cfg Config) (*Table, error) {
 	n := cfg.num(8, 4)
 	window := cfg.steps(1000000, 100000)
 
-	type schedCase struct {
-		name  string
-		build func() (sched.Scheduler, error)
+	weights := make([]float64, n)
+	for i := range weights {
+		weights[i] = 1
 	}
-	cases := []schedCase{
-		{name: "uniform", build: func() (sched.Scheduler, error) {
-			return sched.NewUniform(n, rng.New(cfg.Seed))
-		}},
-		{name: "weighted 10:1", build: func() (sched.Scheduler, error) {
-			weights := make([]float64, n)
-			for i := range weights {
-				weights[i] = 1
-			}
-			weights[0] = 10
-			return sched.NewWeighted(weights, rng.New(cfg.Seed+1))
-		}},
-		{name: "sticky rho=0.9", build: func() (sched.Scheduler, error) {
-			return sched.NewSticky(n, 0.9, rng.New(cfg.Seed+2))
-		}},
-		{name: "adversary (theta=0)", build: func() (sched.Scheduler, error) {
-			return sched.NewAdversarial(n, sched.SingleOut(0))
-		}},
+	weights[0] = 10
+	cases := []struct {
+		name  string
+		sched sweep.SchedulerSpec
+		seed  uint64
+	}{
+		{"uniform", sweep.SchedulerSpec{Kind: sweep.SchedUniform}, cfg.Seed},
+		{"weighted 10:1", sweep.SchedulerSpec{Kind: sweep.SchedWeighted, Weights: weights}, cfg.Seed + 1},
+		{"sticky rho=0.9", sweep.SchedulerSpec{Kind: sweep.SchedSticky, Rho: 0.9}, cfg.Seed + 2},
+		{"adversary (theta=0)", sweep.SchedulerSpec{Kind: sweep.SchedAdversary, Victim: 0}, 0},
 	}
 
 	t := &Table{
@@ -55,28 +43,18 @@ func MinToMaxProgress(cfg Config) (*Table, error) {
 		},
 	}
 	for _, tc := range cases {
-		s, err := tc.build()
-		if err != nil {
-			return nil, err
-		}
-		mem, err := shmem.New(scu.SCULayout(1))
-		if err != nil {
-			return nil, err
-		}
-		procs, err := scu.NewSCUGroup(n, 0, 1, 0)
-		if err != nil {
-			return nil, err
-		}
-		sim, err := machine.New(mem, procs, s)
-		if err != nil {
-			return nil, err
-		}
 		var collector progress.Collector
-		sim.SetCompletionHook(collector.Observe)
-		if err := sim.Run(window); err != nil {
+		res, err := sweep.RunJob(sweep.Job{
+			Workload:       sweep.Workload{Kind: sweep.SCU, S: 1},
+			N:              n,
+			Sched:          tc.sched,
+			Steps:          window,
+			CompletionHook: collector.Observe,
+		}, tc.seed, nil)
+		if err != nil {
 			return nil, err
 		}
-		trace, err := collector.Trace(n, sim.Steps())
+		trace, err := collector.Trace(n, window)
 		if err != nil {
 			return nil, err
 		}
@@ -86,7 +64,7 @@ func MinToMaxProgress(cfg Config) (*Table, error) {
 		}
 		starved := len(trace.Starved())
 
-		theta := s.Threshold()
+		theta := res.Theta
 		theoretical := "n/a (adversary)"
 		if theta > 0 {
 			// Minimal progress bound of SCU(0,1): within any window of
@@ -127,48 +105,34 @@ func UnboundedStarvation(cfg Config) (*Table, error) {
 		},
 	}
 	for _, n := range ns {
-		mem, err := shmem.New(scu.UnboundedLayout)
+		// Algorithm 1 with the default n² wait factor.
+		res, err := sweep.RunJob(sweep.Job{
+			Workload: sweep.Workload{Kind: sweep.Unbounded}, N: n, Steps: window,
+		}, cfg.Seed+uint64(n), nil)
 		if err != nil {
 			return nil, err
 		}
-		procs, err := scu.NewUnboundedGroup(n, 0, 0) // waitFactor = n²
-		if err != nil {
-			return nil, err
-		}
-		u, err := sched.NewUniform(n, rng.New(cfg.Seed+uint64(n)))
-		if err != nil {
-			return nil, err
-		}
-		sim, err := machine.New(mem, procs, u)
-		if err != nil {
-			return nil, err
-		}
-		if err := sim.Run(window); err != nil {
-			return nil, err
-		}
-		comps := sim.Completions()
-		var maxC, total uint64
-		for _, c := range comps {
-			total += c
+		var maxC uint64
+		for _, c := range res.ProcCompletions {
 			if c > maxC {
 				maxC = c
 			}
 		}
+		total := res.Latencies.Completions
 		share := 0.0
 		if total > 0 {
 			share = float64(maxC) / float64(total)
 		}
 
 		// Contrast: SCU(0,1), same budget, is fair.
-		fair, err := scuSim(n, 0, 1, cfg.Seed+uint64(n)+1000)
+		fair, err := sweep.RunJob(sweep.Job{
+			Workload: sweep.Workload{Kind: sweep.SCU, S: 1}, N: n, Steps: window,
+		}, cfg.Seed+uint64(n)+1000, nil)
 		if err != nil {
 			return nil, err
 		}
-		if err := fair.Run(window); err != nil {
-			return nil, err
-		}
-		t.AddRow(n, total, share, len(sim.StarvedProcesses()),
-			sim.FairnessIndex(), fair.FairnessIndex())
+		t.AddRow(n, total, share, len(res.Starved),
+			res.Latencies.Fairness, fair.Latencies.Fairness)
 	}
 	t.Note = "Algorithm 1 concentrates nearly all completions on one process " +
 		"(fairness index → 1/n), while bounded SCU under the same scheduler stays at ≈ 1"

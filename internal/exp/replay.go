@@ -54,7 +54,7 @@ func ReplaySchedule(cfg Config) (*Table, error) {
 	}{
 		{"replayed real schedule", func() (sched.Scheduler, error) { return replay, nil }},
 		{"uniform model", func() (sched.Scheduler, error) {
-			return uniformFor(n, cfg.Seed)
+			return newUniform(n, cfg.Seed)
 		}},
 	} {
 		s, err := tc.build()
@@ -95,8 +95,4 @@ func ReplaySchedule(cfg Config) (*Table, error) {
 		"and once under the uniform model: both are fair and starvation-free; the real " +
 		"schedule's local stickiness lowers W, so the model's O(√n) is a conservative bound"
 	return t, nil
-}
-
-func uniformFor(n int, seed uint64) (sched.Scheduler, error) {
-	return newUniform(n, seed)
 }

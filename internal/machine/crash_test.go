@@ -6,115 +6,50 @@ import (
 	"testing"
 
 	"pwf/internal/sched"
-	"pwf/internal/shmem"
 )
 
-func TestScheduleCrashValidation(t *testing.T) {
-	// Replay/adversarial schedulers don't support crashes.
-	mem, err := shmem.New(1)
-	if err != nil {
-		t.Fatal(err)
+// crashBeforeRun crashes pids through the simulator's scheduler before
+// the first step: the one crash mechanism of the model, in which a
+// crash only shrinks the set of correct processes the scheduler draws
+// from.
+func crashBeforeRun(t *testing.T, s *Sim, pids ...int) {
+	t.Helper()
+	c, ok := s.sch.(sched.Crasher)
+	if !ok {
+		t.Fatalf("scheduler %T does not support crashes", s.sch)
 	}
-	adv, err := sched.NewAdversarial(2, func(tau uint64, n int) int { return 0 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(mem, []Process{never{}, never{}}, adv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.ScheduleCrash(10, 0); !errors.Is(err, ErrNoCrashSupport) {
-		t.Errorf("adversary crash: %v", err)
-	}
-
-	u := newSim(t, 2, 3, 1)
-	if err := u.ScheduleCrash(10, 5); err == nil {
-		t.Error("bad pid: nil error")
-	}
-	if err := u.Run(20); err != nil {
-		t.Fatal(err)
-	}
-	if err := u.ScheduleCrash(5, 0); !errors.Is(err, ErrPastStep) {
-		t.Errorf("past step: %v", err)
+	for _, pid := range pids {
+		if err := c.Crash(pid); err != nil {
+			t.Fatalf("crash pid %d: %v", pid, err)
+		}
 	}
 }
 
 func TestScheduledCrashStopsProcess(t *testing.T) {
 	s := newSim(t, 3, 1, 2) // every step completes
-	if err := s.ScheduleCrash(1000, 2); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(s.PendingCrashes()); got != 1 {
-		t.Fatalf("PendingCrashes = %d, want 1", got)
-	}
-	if err := s.Run(999); err != nil {
-		t.Fatal(err)
-	}
-	before := s.Completions()[2]
-	if before == 0 {
-		t.Fatal("process 2 never ran before the crash")
-	}
+	crashBeforeRun(t, s, 2)
 	if err := s.Run(5000); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Completions()[2]; got != before {
-		t.Fatalf("crashed process completed %d more ops", got-before)
-	}
-	if got := len(s.PendingCrashes()); got != 0 {
-		t.Fatalf("PendingCrashes after firing = %d", got)
-	}
-	// Survivors keep completing.
-	if s.Completions()[0] <= before || s.Completions()[1] <= before {
-		t.Fatal("survivors did not progress after the crash")
-	}
-}
-
-func TestCrashesApplyInStepOrder(t *testing.T) {
-	s := newSim(t, 4, 1, 3)
-	// Schedule out of order; both must apply at their steps.
-	if err := s.ScheduleCrash(2000, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.ScheduleCrash(500, 3); err != nil {
-		t.Fatal(err)
-	}
-	plan := s.PendingCrashes()
-	if plan[0].Step != 500 || plan[1].Step != 2000 {
-		t.Fatalf("plan not sorted: %v", plan)
-	}
-	if err := s.Run(10000); err != nil {
-		t.Fatal(err)
-	}
 	comps := s.Completions()
-	// The earlier crash leaves fewer completions.
-	if comps[3] >= comps[1] {
-		t.Fatalf("earlier-crashed process 3 (%d) completed >= later-crashed 1 (%d)",
-			comps[3], comps[1])
+	if comps[2] != 0 {
+		t.Fatalf("crashed process completed %d ops", comps[2])
+	}
+	if comps[0] == 0 || comps[1] == 0 || comps[0]+comps[1] != 5000 {
+		t.Fatalf("survivors completed %v, want every step between 0 and 1", comps)
 	}
 }
 
 func TestCrashReducesLatencyToSurvivorLevel(t *testing.T) {
-	// Corollary 2 via failure injection: after crashing half the
-	// processes mid-run, the stationary latency matches a fresh run
-	// with only the survivors.
+	// Corollary 2: with half the processes crashed, the stationary
+	// latency matches a fresh run with only the survivors.
 	const (
 		n      = 8
 		period = 4
 	)
 	s := newSim(t, n, period, 4)
-	if err := s.ScheduleCrash(1000, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.ScheduleCrash(1000, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.ScheduleCrash(1000, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.ScheduleCrash(1000, 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Run(2000); err != nil { // crashes fire; settle
+	crashBeforeRun(t, s, 0, 1, 2, 3)
+	if err := s.Run(2000); err != nil { // settle
 		t.Fatal(err)
 	}
 	s.ResetMetrics()
@@ -133,12 +68,7 @@ func TestCrashReducesLatencyToSurvivorLevel(t *testing.T) {
 
 func TestCrashAllButOne(t *testing.T) {
 	s := newSim(t, 3, 2, 5)
-	if err := s.ScheduleCrash(10, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.ScheduleCrash(10, 1); err != nil {
-		t.Fatal(err)
-	}
+	crashBeforeRun(t, s, 0, 1)
 	if err := s.Run(1000); err != nil {
 		t.Fatal(err)
 	}
@@ -159,19 +89,18 @@ func TestCrashAllButOne(t *testing.T) {
 
 func TestCrashLastProcessRejected(t *testing.T) {
 	s := newSim(t, 2, 2, 6)
-	if err := s.ScheduleCrash(5, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.ScheduleCrash(6, 1); err != nil {
-		t.Fatal(err)
-	}
-	// The second crash would kill the last correct process; the model
-	// allows at most n-1 crashes, so the run must fail loudly.
-	err := s.Run(100)
-	if err == nil {
-		t.Fatal("crashing the last correct process did not error")
-	}
+	crashBeforeRun(t, s, 0)
+	// Crashing the last correct process would leave nothing to
+	// schedule; the model allows at most n-1 crashes, so the crash
+	// fails loudly and the survivor keeps running.
+	err := s.sch.(sched.Crasher).Crash(1)
 	if !errors.Is(err, sched.ErrLastProcess) {
-		t.Fatalf("unexpected error: %v", err)
+		t.Fatalf("crashing the last correct process: %v, want ErrLastProcess", err)
+	}
+	if err := s.Run(100); err != nil {
+		t.Fatal(err)
+	}
+	if comps := s.Completions(); comps[0] != 0 || comps[1] != 50 {
+		t.Fatalf("completions %v, want [0 50]", comps)
 	}
 }

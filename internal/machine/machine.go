@@ -74,9 +74,6 @@ type Sim struct {
 	retryIter    []uint64
 	inOp         []bool
 	retryPending []bool
-
-	// crashPlan holds scheduled fail-stop crashes, sorted by step.
-	crashPlan []CrashPlanEntry
 }
 
 // New builds a simulator. The scheduler must govern exactly
@@ -119,11 +116,6 @@ func (s *Sim) ProcessAt(pid int) (Process, bool) {
 // Step advances the simulation by one time unit: the scheduler picks a
 // process, which takes one shared-memory step.
 func (s *Sim) Step() error {
-	if len(s.crashPlan) > 0 {
-		if err := s.applyDueCrashes(); err != nil {
-			return err
-		}
-	}
 	pid, err := s.sch.Next()
 	if err != nil {
 		return fmt.Errorf("machine: schedule step %d: %w", s.steps, err)
@@ -193,8 +185,8 @@ func (s *Sim) complete(pid int) {
 func (s *Sim) SetCompletionHook(fn func(step uint64, pid int)) { s.hook = fn }
 
 // SetRecorder installs r as the step-level telemetry sink: every
-// subsequent Step emits scheduling, operation-begin, CAS, retry,
-// completion, and crash events to it (see package obs for the event
+// subsequent Step emits scheduling, operation-begin, CAS, retry and
+// completion events to it (see package obs for the event
 // schema). Passing nil or obs.Nop disables telemetry; the disabled
 // hooks cost a single branch per step.
 func (s *Sim) SetRecorder(r obs.Recorder) {
@@ -211,23 +203,22 @@ func (s *Sim) SetRecorder(r obs.Recorder) {
 	}
 }
 
-// Run advances the simulation by steps time units. When no crash is
-// pending and no recorder is installed — the configuration every
-// sweep job runs in — it drops into a tight loop that skips the
-// per-step feature checks, so one simulated step is one scheduler
-// draw, one process step, and nothing else: no allocation, no trace
-// plumbing (TestRunZeroAllocs pins this).
+// Run advances the simulation by steps time units. When no recorder
+// is installed — the configuration every unobserved sweep job runs
+// in — it drops into a tight loop that skips the per-step feature
+// checks, so one simulated step is one scheduler draw, one process
+// step, and nothing else: no allocation, no trace plumbing
+// (TestRunZeroAllocs pins this).
 func (s *Sim) Run(steps uint64) error {
-	i := uint64(0)
-	for i < steps && (len(s.crashPlan) > 0 || s.rec != nil) {
-		// Slow path: crashes still pending (the plan only shrinks) or
-		// telemetry enabled for the whole run.
-		if err := s.Step(); err != nil {
-			return err
+	if s.rec != nil {
+		for i := uint64(0); i < steps; i++ {
+			if err := s.Step(); err != nil {
+				return err
+			}
 		}
-		i++
+		return nil
 	}
-	for ; i < steps; i++ {
+	for i := uint64(0); i < steps; i++ {
 		pid, err := s.sch.Next()
 		if err != nil {
 			return fmt.Errorf("machine: schedule step %d: %w", s.steps, err)

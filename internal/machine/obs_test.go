@@ -138,26 +138,6 @@ func TestSetRecorderNopIsDisabled(t *testing.T) {
 	}
 }
 
-func TestRecorderCrashEvents(t *testing.T) {
-	var c collector
-	s := newCASSim(t, 4, &c)
-	if err := s.ScheduleCrash(50, 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Run(200); err != nil {
-		t.Fatal(err)
-	}
-	var crashes []obs.Event
-	for _, e := range c.events {
-		if e.Kind == obs.KindCrash {
-			crashes = append(crashes, e)
-		}
-	}
-	if len(crashes) != 1 || crashes[0].PID != 3 || crashes[0].Step != 50 {
-		t.Errorf("crash events = %+v, want one at step 50 for pid 3", crashes)
-	}
-}
-
 // benchSimStep measures the per-step cost with the given recorder; the
 // nil case is the pre-hook baseline the <5% overhead budget is judged
 // against.

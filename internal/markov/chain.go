@@ -2,10 +2,9 @@
 // Section 3: dense time-invariant chains with ergodicity checks
 // (irreducibility via strong connectivity, aperiodicity via the cycle
 // gcd), stationary distributions computed both by direct linear solve
-// and by power iteration, hitting and return times, ergodic flows,
-// and verification of Markov chain liftings in the sense of
-// Chen–Lovász–Pak / Hayes–Sinclair, which is the key tool of the
-// paper's analysis.
+// and by power iteration, hitting and return times, and verification
+// of Markov chain liftings in the sense of Chen–Lovász–Pak /
+// Hayes–Sinclair, which is the key tool of the paper's analysis.
 package markov
 
 import (
@@ -65,9 +64,6 @@ func (c *Chain) N() int { return len(c.p) }
 
 // P returns the transition probability from state i to state j.
 func (c *Chain) P(i, j int) float64 { return c.p[i][j] }
-
-// Matrix returns a deep copy of the transition matrix.
-func (c *Chain) Matrix() [][]float64 { return cloneMatrix(c.p) }
 
 // StepDistribution returns q·P, the state distribution after one step
 // from distribution q.
@@ -338,23 +334,6 @@ func (c *Chain) ReturnTime(j int) (float64, error) {
 		ret += pjk * h[k]
 	}
 	return ret, nil
-}
-
-// ErgodicFlow returns Q with Q[i][j] = π_i · p_ij for the given
-// stationary distribution.
-func (c *Chain) ErgodicFlow(pi []float64) ([][]float64, error) {
-	n := c.N()
-	if len(pi) != n {
-		return nil, fmt.Errorf("markov: distribution has %d entries, want %d", len(pi), n)
-	}
-	q := make([][]float64, n)
-	for i := range q {
-		q[i] = make([]float64, n)
-		for j := range q[i] {
-			q[i][j] = pi[i] * c.p[i][j]
-		}
-	}
-	return q, nil
 }
 
 func gcd(a, b int) int {

@@ -72,11 +72,6 @@ func TestNewCopiesMatrix(t *testing.T) {
 	if c.P(0, 0) != 0.5 {
 		t.Fatal("New did not copy the matrix")
 	}
-	m := c.Matrix()
-	m[0][0] = 99
-	if c.P(0, 0) != 0.5 {
-		t.Fatal("Matrix did not return a copy")
-	}
 }
 
 func TestIrreducible(t *testing.T) {
@@ -323,36 +318,6 @@ func TestHittingTimesValidation(t *testing.T) {
 	}
 	if _, err := c.HittingTimes(5); !errors.Is(err, ErrBadState) {
 		t.Errorf("target 5: %v", err)
-	}
-}
-
-func TestErgodicFlow(t *testing.T) {
-	c := twoState(t, 0.2, 0.3)
-	pi, err := c.StationarySolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := c.ErgodicFlow(pi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Flow balance: Σ_i Q_ij == π_j and total flow 1.
-	var total float64
-	for j := 0; j < 2; j++ {
-		var in float64
-		for i := 0; i < 2; i++ {
-			in += q[i][j]
-			total += q[i][j]
-		}
-		if math.Abs(in-pi[j]) > 1e-12 {
-			t.Errorf("inflow to %d = %v, want π = %v", j, in, pi[j])
-		}
-	}
-	if math.Abs(total-1) > 1e-12 {
-		t.Errorf("total flow = %v, want 1", total)
-	}
-	if _, err := c.ErgodicFlow([]float64{1}); err == nil {
-		t.Error("dimension mismatch: nil error")
 	}
 }
 

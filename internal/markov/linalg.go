@@ -68,13 +68,3 @@ func solveDense(a [][]float64, b []float64) ([]float64, error) {
 	}
 	return x, nil
 }
-
-// cloneMatrix deep-copies a dense matrix.
-func cloneMatrix(a [][]float64) [][]float64 {
-	out := make([][]float64, len(a))
-	for i, row := range a {
-		out[i] = make([]float64, len(row))
-		copy(out[i], row)
-	}
-	return out
-}

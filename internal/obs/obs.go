@@ -55,8 +55,8 @@ const (
 	// the number of CAS attempts the operation performed (0 for
 	// CAS-free workloads).
 	KindComplete
-	// KindCrash marks a fail-stop crash injection of PID effective at
-	// Step.
+	// KindCrash marks a job's pre-run fail-stop crash of PID; Step is
+	// 0, before the first scheduled step.
 	KindCrash
 	// KindJobStart marks a sweep job starting; Job is its index.
 	KindJobStart

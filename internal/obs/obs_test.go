@@ -91,7 +91,7 @@ func TestTraceRecorderAndReadEvents(t *testing.T) {
 }
 
 func TestReadEventsRejectsGarbage(t *testing.T) {
-	_, err := ReadEvents(strings.NewReader("{\"kind\":\"sched\"}\nnot json\n"))
+	_, err := ReadEvents(strings.NewReader("{\"kind\":\"sched\",\"step\":1,\"pid\":0}\nnot json\n"))
 	if err == nil {
 		t.Fatal("garbage line accepted")
 	}
@@ -123,55 +123,46 @@ func TestReadEventsRejectsOversizedLine(t *testing.T) {
 	}
 }
 
-func TestReadEventsWithSkipMalformed(t *testing.T) {
-	in := "{\"kind\":\"sched\",\"step\":1,\"pid\":0}\n" +
-		"not json\n" +
-		"{\"kind\":\"nonsense\"}\n" +
-		"{\"kind\":\"sched\",\"step\":2,\"pid\":1}\n"
-	reg := NewRegistry()
-	skipped := reg.Counter("my_skips")
-	got, err := ReadEventsWith(strings.NewReader(in), ReadOptions{
-		SkipMalformed: true, Skipped: skipped,
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestEventUnmarshalEnforcesKindFields is a regression test: the
+// decoder used to keep any field on any kind, so {"kind":"cas",
+// "elApsed_ns":1} decoded to a cas event with ElapsedNS set, a value
+// MarshalJSON cannot write back. A line is accepted exactly when it
+// carries the fields its kind defines.
+func TestEventUnmarshalEnforcesKindFields(t *testing.T) {
+	bad := []string{
+		`{"kind":"cas","elApsed_ns":1}`,
+		`{"kind":"cas","step":1,"pid":0,"elapsed_ns":1}`,
+		`{"kind":"sched","step":1,"pid":0,"ok":true}`,
+		`{"kind":"crash","step":0,"pid":1,"label":"x"}`,
+		`{"kind":"retry","step":1,"pid":0,"job":2}`,
+		`{"kind":"job_start","job":0,"step":1}`,
+		`{"kind":"job_end","job":0,"attempts":1}`,
+		`{"kind":"sched","step":1,"pid":0,"bogus":1}`,
+		`{"kind":"sched"}`,
+		`{"kind":"begin","step":1}`,
+		`{"kind":"complete","pid":1,"attempts":2}`,
+		`{"kind":"job_start","label":"x"}`,
+		`{"step":1,"pid":0}`,
 	}
-	if len(got) != 2 || got[0].Step != 1 || got[1].Step != 2 {
-		t.Fatalf("got %+v, want the two valid sched events", got)
+	for _, line := range bad {
+		var e Event
+		if err := json.Unmarshal([]byte(line), &e); err == nil {
+			t.Errorf("%s accepted as %+v", line, e)
+		}
 	}
-	if n := skipped.Load(); n != 2 {
-		t.Errorf("skip counter = %d, want 2", n)
+	good := map[string]Event{
+		`{"kind":"cas","step":3,"pid":1}`:                       {Kind: KindCAS, Step: 3, PID: 1},
+		`{"kind":"complete","step":4,"pid":0}`:                  {Kind: KindComplete, Step: 4},
+		`{"kind":"job_start","job":2}`:                          {Kind: KindJobStart, Job: 2},
+		`{"kind":"job_end","job":1,"label":"a","elapsed_ns":5}`: {Kind: KindJobEnd, Job: 1, Label: "a", ElapsedNS: 5},
 	}
-
-	// With a nil counter the skips land on the Default registry's
-	// trace_lines_skipped.
-	before := Default.Counter("trace_lines_skipped").Load()
-	if _, err := ReadEventsWith(strings.NewReader(in), ReadOptions{SkipMalformed: true}); err != nil {
-		t.Fatal(err)
-	}
-	if got := Default.Counter("trace_lines_skipped").Load() - before; got != 2 {
-		t.Errorf("trace_lines_skipped advanced by %d, want 2", got)
-	}
-}
-
-func TestReadEventsWithMaxLineBytes(t *testing.T) {
-	line := "{\"kind\":\"job_start\",\"job\":0,\"label\":\"" + strings.Repeat("x", 1<<10) + "\"}\n"
-	// Tight cap: rejected even in skip mode (the scanner cannot
-	// resynchronize past an overlong line).
-	if _, err := ReadEventsWith(strings.NewReader(line), ReadOptions{
-		MaxLineBytes: 64, SkipMalformed: true,
-	}); err == nil {
-		t.Fatal("line over the configured cap accepted")
-	} else if !errors.Is(err, bufio.ErrTooLong) {
-		t.Errorf("error does not wrap bufio.ErrTooLong: %v", err)
-	}
-	// Raised cap: the same line parses.
-	got, err := ReadEventsWith(strings.NewReader(line), ReadOptions{MaxLineBytes: 1 << 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || len(got[0].Label) != 1<<10 {
-		t.Fatalf("got %d events, want the one long-label event", len(got))
+	for line, want := range good {
+		var e Event
+		if err := json.Unmarshal([]byte(line), &e); err != nil {
+			t.Errorf("%s rejected: %v", line, err)
+		} else if e != want {
+			t.Errorf("%s decoded to %+v, want %+v", line, e, want)
+		}
 	}
 }
 

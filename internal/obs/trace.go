@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"sync"
 )
 
@@ -21,8 +22,59 @@ type wireEvent struct {
 	OK        *bool   `json:"ok,omitempty"`
 	Attempts  *uint64 `json:"attempts,omitempty"`
 	Job       *int    `json:"job,omitempty"`
-	Label     string  `json:"label,omitempty"`
+	Label     *string `json:"label,omitempty"`
 	ElapsedNS *int64  `json:"elapsed_ns,omitempty"`
+}
+
+// wireFields is a set of wireEvent fields, one bit per field in
+// wireFieldNames order.
+type wireFields uint8
+
+const (
+	fStep wireFields = 1 << iota
+	fPID
+	fOK
+	fAttempts
+	fJob
+	fLabel
+	fElapsed
+)
+
+var wireFieldNames = [...]string{"step", "pid", "ok", "attempts", "job", "label", "elapsed_ns"}
+
+// kindFields returns the fields kind k defines. Of these, an event
+// must carry step and pid, or job; the rest may be absent.
+func kindFields(k Kind) wireFields {
+	switch k {
+	case KindSched, KindBegin, KindCrash:
+		return fStep | fPID
+	case KindCAS:
+		return fStep | fPID | fOK
+	case KindRetry, KindComplete:
+		return fStep | fPID | fAttempts
+	case KindJobStart:
+		return fJob | fLabel
+	case KindJobEnd:
+		return fJob | fLabel | fElapsed
+	}
+	return 0
+}
+
+// present returns the set of fields w carries.
+func (w *wireEvent) present() wireFields {
+	var f wireFields
+	for i, set := range [...]bool{w.Step != nil, w.PID != nil, w.OK != nil,
+		w.Attempts != nil, w.Job != nil, w.Label != nil, w.ElapsedNS != nil} {
+		if set {
+			f |= 1 << i
+		}
+	}
+	return f
+}
+
+// first names the lowest field in f.
+func (f wireFields) first() string {
+	return wireFieldNames[bits.TrailingZeros8(uint8(f))]
 }
 
 // MarshalJSON renders the event in the NDJSON wire schema, emitting
@@ -37,26 +89,42 @@ func (e Event) MarshalJSON() ([]byte, error) {
 	case KindRetry, KindComplete:
 		w.Step, w.PID, w.Attempts = &e.Step, &e.PID, &e.Attempts
 	case KindJobStart:
-		w.Job, w.Label = &e.Job, e.Label
+		w.Job = &e.Job
 	case KindJobEnd:
-		w.Job, w.Label, w.ElapsedNS = &e.Job, e.Label, &e.ElapsedNS
+		w.Job, w.ElapsedNS = &e.Job, &e.ElapsedNS
 	default:
 		return nil, fmt.Errorf("obs: marshal unknown event kind %d", e.Kind)
+	}
+	if e.Label != "" && (e.Kind == KindJobStart || e.Kind == KindJobEnd) {
+		w.Label = &e.Label
 	}
 	return json.Marshal(w)
 }
 
-// UnmarshalJSON parses one wire-format event.
+// UnmarshalJSON parses one wire-format event. It accepts the field set
+// MarshalJSON writes for the event's kind and nothing else: an
+// unknown field, a field the kind does not define, or a missing
+// step/pid (job for the job kinds) is an error. A null value counts
+// as absent.
 func (e *Event) UnmarshalJSON(data []byte) error {
 	var w wireEvent
-	if err := json.Unmarshal(data, &w); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&w); err != nil {
 		return err
 	}
 	k, err := ParseKind(w.Kind)
 	if err != nil {
 		return err
 	}
-	*e = Event{Kind: k, Label: w.Label}
+	defined, has := kindFields(k), w.present()
+	if extra := has &^ defined; extra != 0 {
+		return fmt.Errorf("obs: %s event has field %q, which its kind does not define", k, extra.first())
+	}
+	if missing := defined & (fStep | fPID | fJob) &^ has; missing != 0 {
+		return fmt.Errorf("obs: %s event is missing field %q", k, missing.first())
+	}
+	*e = Event{Kind: k}
 	if w.Step != nil {
 		e.Step = *w.Step
 	}
@@ -71,6 +139,9 @@ func (e *Event) UnmarshalJSON(data []byte) error {
 	}
 	if w.Job != nil {
 		e.Job = *w.Job
+	}
+	if w.Label != nil {
+		e.Label = *w.Label
 	}
 	if w.ElapsedNS != nil {
 		e.ElapsedNS = *w.ElapsedNS
@@ -126,56 +197,19 @@ func (t *TraceRecorder) Flush() error {
 	return t.err
 }
 
-// DefaultMaxTraceLine is the largest NDJSON line ReadEvents accepts
-// by default. Events written by TraceRecorder are a few hundred
-// bytes, so the 4 MiB cap only triggers on corrupt or non-trace
-// input; raise it per read with ReadOptions.MaxLineBytes. The limit
-// is documented in DESIGN.md ("Trace formats").
+// DefaultMaxTraceLine is the largest NDJSON line ReadEvents accepts.
+// Events written by TraceRecorder are a few hundred bytes, so the
+// 4 MiB cap only triggers on corrupt or non-trace input. The limit is
+// documented in DESIGN.md ("Trace formats").
 const DefaultMaxTraceLine = 1 << 22
-
-// ReadOptions parameterizes ReadEventsWith. The zero value reproduces
-// ReadEvents: strict parsing under the default 4 MiB line cap.
-type ReadOptions struct {
-	// MaxLineBytes caps one NDJSON line; 0 selects DefaultMaxTraceLine.
-	MaxLineBytes int
-	// SkipMalformed recovers from malformed lines instead of failing:
-	// each one is counted on the skip counter and dropped, so a
-	// corrupt trace yields its parseable events — visibly shortened,
-	// never quietly. Lines past the byte cap still fail, because the
-	// scanner cannot resynchronize beyond them.
-	SkipMalformed bool
-	// Skipped counts skipped malformed lines; nil selects the Default
-	// registry's trace_lines_skipped counter.
-	Skipped *Counter
-}
 
 // ReadEvents parses an NDJSON event stream (as written by
 // TraceRecorder) back into events, preserving order. Blank lines are
-// skipped; any malformed line — including one longer than the 4 MiB
-// scanner limit — is an error naming its line number.
+// skipped; any malformed line — including one longer than
+// DefaultMaxTraceLine — is an error naming its line number.
 func ReadEvents(r io.Reader) ([]Event, error) {
-	return ReadEventsWith(r, ReadOptions{})
-}
-
-// ReadEventsWith is ReadEvents with an adjustable line cap and a
-// skip-and-count recovery mode for corrupt traces (see ReadOptions).
-func ReadEventsWith(r io.Reader, opts ReadOptions) ([]Event, error) {
-	maxLine := opts.MaxLineBytes
-	if maxLine <= 0 {
-		maxLine = DefaultMaxTraceLine
-	}
-	skipped := opts.Skipped
-	if skipped == nil {
-		skipped = Default.Counter("trace_lines_skipped")
-	}
 	sc := bufio.NewScanner(r)
-	// The scanner's effective cap is max(maxLine, cap(buf)), so the
-	// initial buffer must not exceed a below-default MaxLineBytes.
-	initial := 1 << 16
-	if maxLine < initial {
-		initial = maxLine
-	}
-	sc.Buffer(make([]byte, 0, initial), maxLine)
+	sc.Buffer(make([]byte, 0, 1<<16), DefaultMaxTraceLine)
 	var out []Event
 	line := 0
 	for sc.Scan() {
@@ -186,10 +220,6 @@ func ReadEventsWith(r io.Reader, opts ReadOptions) ([]Event, error) {
 		}
 		var e Event
 		if err := json.Unmarshal(raw, &e); err != nil {
-			if opts.SkipMalformed {
-				skipped.Inc()
-				continue
-			}
 			return nil, fmt.Errorf("obs: trace line %d: %w", line, err)
 		}
 		out = append(out, e)
@@ -199,7 +229,7 @@ func ReadEventsWith(r io.Reader, opts ReadOptions) ([]Event, error) {
 			// The scanner stops at the offending line without consuming
 			// it, so the failure is on the line after the last good one.
 			return nil, fmt.Errorf("obs: trace line %d exceeds %d-byte limit: %w",
-				line+1, maxLine, err)
+				line+1, DefaultMaxTraceLine, err)
 		}
 		return nil, fmt.Errorf("obs: read trace: %w", err)
 	}

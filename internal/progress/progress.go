@@ -1,6 +1,6 @@
-// Package progress implements the progress properties of Section 2.2
-// and their bounded variants, together with checkers that evaluate
-// them on completion histories produced by the simulator.
+// Package progress evaluates the progress properties of Section 2.2
+// and their bounded variants on completion histories produced by the
+// simulator.
 //
 // Terminology (following Herlihy–Shavit "On the Nature of Progress"
 // as adopted by the paper):
@@ -17,8 +17,9 @@
 // On a finite trace these are necessarily *witness* checks: a finite
 // execution can refute a bound (a gap larger than B) and can exhibit
 // the empirical bounds, but cannot prove an ∀-property of infinite
-// executions. The checkers therefore report empirical bounds and
-// violations, which is exactly what the experiments need (E8, E9).
+// executions. The checkers therefore report empirical bounds, which
+// is exactly what the experiments need (E8, E9): a bound B is refuted
+// when the reported bound exceeds it.
 package progress
 
 import (
@@ -27,62 +28,6 @@ import (
 	"math"
 	"sort"
 )
-
-// Property names a progress condition from Section 2.2.
-type Property int
-
-// The progress conditions, ordered blocking→non-blocking within each
-// row of the paper's taxonomy.
-const (
-	DeadlockFree Property = iota + 1
-	StarvationFree
-	ClashFree
-	ObstructionFree
-	LockFree
-	WaitFree
-)
-
-// String implements fmt.Stringer.
-func (p Property) String() string {
-	switch p {
-	case DeadlockFree:
-		return "deadlock-free"
-	case StarvationFree:
-		return "starvation-free"
-	case ClashFree:
-		return "clash-free"
-	case ObstructionFree:
-		return "obstruction-free"
-	case LockFree:
-		return "lock-free"
-	case WaitFree:
-		return "wait-free"
-	default:
-		return fmt.Sprintf("Property(%d)", int(p))
-	}
-}
-
-// Minimal reports whether the property promises minimal progress under
-// its scheduler assumption (all six do; the distinction is the
-// scheduler class and whether progress is minimal or maximal).
-func (p Property) Minimal() bool {
-	switch p {
-	case DeadlockFree, ClashFree, LockFree:
-		return true
-	default:
-		return false
-	}
-}
-
-// Maximal reports whether the property promises maximal progress.
-func (p Property) Maximal() bool {
-	switch p {
-	case StarvationFree, ObstructionFree, WaitFree:
-		return true
-	default:
-		return false
-	}
-}
 
 // Event is one completion in a history: process PID returned from an
 // invocation at system step Step.
@@ -197,27 +142,6 @@ func (t *Trace) MaximalProgressBound() (uint64, error) {
 		}
 	}
 	return bound, nil
-}
-
-// ViolatesMinimalBound reports whether the trace refutes B-bounded
-// minimal progress: some window of more than B steps passed without
-// any completion.
-func (t *Trace) ViolatesMinimalBound(b uint64) (bool, error) {
-	got, err := t.MinimalProgressBound()
-	if err != nil {
-		return false, err
-	}
-	return got > b, nil
-}
-
-// ViolatesMaximalBound reports whether the trace refutes B-bounded
-// maximal progress for some process.
-func (t *Trace) ViolatesMaximalBound(b uint64) (bool, error) {
-	got, err := t.MaximalProgressBound()
-	if err != nil {
-		return false, err
-	}
-	return got > b, nil
 }
 
 // CompletionsPerProcess returns the per-process completion counts.

@@ -16,42 +16,6 @@ func mustTrace(t *testing.T, n int, steps uint64, events []Event) *Trace {
 	return tr
 }
 
-func TestPropertyString(t *testing.T) {
-	tests := []struct {
-		p    Property
-		want string
-	}{
-		{DeadlockFree, "deadlock-free"},
-		{StarvationFree, "starvation-free"},
-		{ClashFree, "clash-free"},
-		{ObstructionFree, "obstruction-free"},
-		{LockFree, "lock-free"},
-		{WaitFree, "wait-free"},
-		{Property(0), "Property(0)"},
-	}
-	for _, tt := range tests {
-		if got := tt.p.String(); got != tt.want {
-			t.Errorf("String() = %q, want %q", got, tt.want)
-		}
-	}
-}
-
-func TestPropertyTaxonomy(t *testing.T) {
-	// Minimal and maximal partition the six properties (Sec 2.2).
-	minimal := []Property{DeadlockFree, ClashFree, LockFree}
-	maximal := []Property{StarvationFree, ObstructionFree, WaitFree}
-	for _, p := range minimal {
-		if !p.Minimal() || p.Maximal() {
-			t.Errorf("%v should be minimal-only", p)
-		}
-	}
-	for _, p := range maximal {
-		if p.Minimal() || !p.Maximal() {
-			t.Errorf("%v should be maximal-only", p)
-		}
-	}
-}
-
 func TestNewTraceValidation(t *testing.T) {
 	if _, err := NewTrace(0, 10, nil); err == nil {
 		t.Error("n=0: nil error")
@@ -146,33 +110,6 @@ func TestMaximalProgressBoundStarvation(t *testing.T) {
 	}
 	if got != 50 {
 		t.Fatalf("bound = %d, want 50 (starved process)", got)
-	}
-}
-
-func TestViolationChecks(t *testing.T) {
-	tr := mustTrace(t, 2, 12, []Event{
-		{Step: 3, PID: 0}, {Step: 5, PID: 1}, {Step: 10, PID: 0},
-	})
-	v, err := tr.ViolatesMinimalBound(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !v {
-		t.Error("gap of 5 should violate bound 4")
-	}
-	v, err = tr.ViolatesMinimalBound(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v {
-		t.Error("gap of 5 should satisfy bound 5")
-	}
-	v, err = tr.ViolatesMaximalBound(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !v {
-		t.Error("per-process window should violate bound 6")
 	}
 }
 

@@ -16,10 +16,6 @@ import (
 	"sync/atomic"
 )
 
-// ErrEmptyRange is returned by bounded draws when the requested range
-// is empty (n <= 0).
-var ErrEmptyRange = errors.New("rng: empty range")
-
 // Source is a deterministic xoshiro256** generator. It is NOT safe for
 // concurrent use; give each goroutine its own Source (see Split).
 type Source struct {
@@ -84,20 +80,12 @@ func (s *Source) Uint64() uint64 {
 }
 
 // Intn returns a uniformly distributed integer in [0, n). It panics if
-// n <= 0; use IntnErr when the bound is not statically known.
+// n <= 0.
 func (s *Source) Intn(n int) int {
 	if n <= 0 {
 		panic("rng: Intn called with non-positive n")
 	}
 	return int(s.boundedUint64(uint64(n)))
-}
-
-// IntnErr is Intn with an error return instead of a panic.
-func (s *Source) IntnErr(n int) (int, error) {
-	if n <= 0 {
-		return 0, ErrEmptyRange
-	}
-	return int(s.boundedUint64(uint64(n))), nil
 }
 
 // boundedUint64 returns a uniform value in [0, n) using Lemire's
@@ -155,29 +143,6 @@ func IntnBatch(srcs []Source, n int, out []int64) {
 // precision.
 func (s *Source) Float64() float64 {
 	return float64(s.Uint64()>>11) / (1 << 53)
-}
-
-// Perm returns a uniformly random permutation of [0, n) generated by a
-// Fisher-Yates shuffle.
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Shuffle permutes the first n elements using the provided swap
-// function, as math/rand does.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
 }
 
 // Bernoulli returns true with probability p (clamped to [0, 1]).

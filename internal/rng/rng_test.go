@@ -77,23 +77,6 @@ func TestIntnPanicsOnNonPositive(t *testing.T) {
 	New(1).Intn(0)
 }
 
-func TestIntnErr(t *testing.T) {
-	s := New(1)
-	if _, err := s.IntnErr(0); err == nil {
-		t.Error("IntnErr(0) returned nil error")
-	}
-	if _, err := s.IntnErr(-5); err == nil {
-		t.Error("IntnErr(-5) returned nil error")
-	}
-	v, err := s.IntnErr(10)
-	if err != nil {
-		t.Fatalf("IntnErr(10): %v", err)
-	}
-	if v < 0 || v >= 10 {
-		t.Fatalf("IntnErr(10) = %d out of range", v)
-	}
-}
-
 func TestIntnUniformity(t *testing.T) {
 	// Chi-square test over 10 buckets at significance well beyond 0.001.
 	const (
@@ -131,55 +114,6 @@ func TestFloat64Range(t *testing.T) {
 	mean := sum / draws
 	if math.Abs(mean-0.5) > 0.01 {
 		t.Fatalf("mean of %d uniform draws = %v, want ~0.5", draws, mean)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	s := New(11)
-	for _, n := range []int{0, 1, 2, 5, 100} {
-		p := s.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
-func TestPermUniformFirstElement(t *testing.T) {
-	// The first element of Perm(4) should be uniform over {0,1,2,3}.
-	s := New(13)
-	counts := make([]int, 4)
-	const draws = 40000
-	for i := 0; i < draws; i++ {
-		counts[s.Perm(4)[0]]++
-	}
-	for i, c := range counts {
-		frac := float64(c) / draws
-		if math.Abs(frac-0.25) > 0.02 {
-			t.Fatalf("Perm(4)[0] == %d with frequency %v, want ~0.25", i, frac)
-		}
-	}
-}
-
-func TestShuffleMatchesPermMechanism(t *testing.T) {
-	a := New(21)
-	b := New(21)
-	p := a.Perm(10)
-	q := make([]int, 10)
-	for i := range q {
-		q[i] = i
-	}
-	b.Shuffle(10, func(i, j int) { q[i], q[j] = q[j], q[i] })
-	for i := range p {
-		if p[i] != q[i] {
-			t.Fatalf("Perm and Shuffle diverge at %d: %v vs %v", i, p, q)
-		}
 	}
 }
 
@@ -299,25 +233,6 @@ func TestQuickSeedDeterminism(t *testing.T) {
 			}
 		}
 		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickPermValid(t *testing.T) {
-	s := New(43)
-	f := func(n uint8) bool {
-		size := int(n % 64)
-		p := s.Perm(size)
-		seen := make([]bool, size)
-		for _, v := range p {
-			if v < 0 || v >= size || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return len(p) == size
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

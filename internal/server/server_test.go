@@ -470,6 +470,26 @@ func TestOverflowingLotterySpecRejected(t *testing.T) {
 	}
 }
 
+// A crash job under the adversary scheduler, which cannot crash
+// processes, is a client error at submit. Before Job.Validate checked
+// crash support, the grid was admitted with a 202 and the sweep later
+// failed as a whole with code internal.
+func TestAdversaryCrashJobRejected(t *testing.T) {
+	_, ts := startServer(t, Config{})
+	body := `{"v":1,"seed":1,"jobs":[{"workload":{"kind":"scu"},"n":2,` +
+		`"sched":"adversary:0","crash":1,"steps":100,"warmup_fraction":0}]}`
+	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("status %d, want 400", resp.StatusCode)
+	}
+	if e := decodeError(t, resp); e.Code != api.CodeInvalidGrid {
+		t.Errorf("code %q, want %q", e.Code, api.CodeInvalidGrid)
+	}
+}
+
 // The observability surface: /healthz answers, /metrics exposes queue
 // depth, batching counters, per-job latency histogram, and the chain
 // cache's hit/miss gauges.

@@ -2,33 +2,15 @@ package shmem
 
 import "testing"
 
-// BenchmarkMemoryOps measures the trace-disabled fast path of one
-// read + write + CAS round. The acceptance bar is 0 allocs/op: with
-// tracing off no Op value may be constructed and nothing may escape
-// to the heap (TestMemoryOpsZeroAllocs enforces the same bound as a
+// BenchmarkMemoryOps measures one read + write + CAS round. The
+// acceptance bar is 0 allocs/op: nothing may escape to the heap
+// (TestMemoryOpsZeroAllocs enforces the same bound as a
 // plain test so CI fails loudly, not just slowly).
 func BenchmarkMemoryOps(b *testing.B) {
 	m, err := New(4)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		v := m.Read(0)
-		m.Write(1, v+1)
-		m.CAS(2, v, v+1)
-	}
-}
-
-// BenchmarkMemoryOpsTraced is the traced twin: the bounded trace is
-// pre-grown by EnableTrace, so even the recording path stays
-// allocation-free after warmup.
-func BenchmarkMemoryOpsTraced(b *testing.B) {
-	m, err := New(4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m.EnableTrace(1024)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		v := m.Read(0)
@@ -49,6 +31,6 @@ func TestMemoryOpsZeroAllocs(t *testing.T) {
 		m.CASGet(3, 0, 1)
 	})
 	if allocs != 0 {
-		t.Fatalf("trace-disabled memory ops allocated %v/op, want 0", allocs)
+		t.Fatalf("memory ops allocated %v/op, want 0", allocs)
 	}
 }

@@ -10,53 +10,10 @@
 // locking; the machine package serialises access.
 //
 // Every operation counts as one system step. Memory keeps per-kind
-// operation counters and, optionally, a bounded trace of operations
-// for debugging and history reconstruction.
+// operation counters.
 package shmem
 
-import (
-	"errors"
-	"fmt"
-)
-
-// OpKind identifies a shared-memory operation type.
-type OpKind int
-
-// Operation kinds.
-const (
-	OpRead OpKind = iota + 1
-	OpWrite
-	OpCAS
-)
-
-// String implements fmt.Stringer.
-func (k OpKind) String() string {
-	switch k {
-	case OpRead:
-		return "read"
-	case OpWrite:
-		return "write"
-	case OpCAS:
-		return "cas"
-	default:
-		return fmt.Sprintf("OpKind(%d)", int(k))
-	}
-}
-
-// Op records a single shared-memory operation in a trace.
-type Op struct {
-	Kind OpKind
-	Reg  int
-	// Arg is the written value for writes, the expected value for CAS.
-	Arg int64
-	// Arg2 is the new value for CAS.
-	Arg2 int64
-	// Result is the value read (reads) or the register's prior value
-	// (CAS).
-	Result int64
-	// OK reports CAS success.
-	OK bool
-}
+import "errors"
 
 // Counters aggregates the number of operations by kind.
 type Counters struct {
@@ -75,9 +32,6 @@ func (c Counters) Total() uint64 { return c.Reads + c.Writes + c.CASes }
 type Memory struct {
 	regs     []int64
 	counters Counters
-
-	trace      []Op
-	traceLimit int
 }
 
 // New allocates a memory with size registers, all initially zero.
@@ -91,14 +45,13 @@ func New(size int) (*Memory, error) {
 // Size returns the number of registers.
 func (m *Memory) Size() int { return len(m.regs) }
 
-// Reset zeroes every register and clears counters and trace. The
+// Reset zeroes every register and clears the counters. The
 // register count is unchanged.
 func (m *Memory) Reset() {
 	for i := range m.regs {
 		m.regs[i] = 0
 	}
 	m.counters = Counters{}
-	m.trace = m.trace[:0]
 }
 
 // Read returns the value of register r. Out-of-range register indices
@@ -108,9 +61,6 @@ func (m *Memory) Reset() {
 func (m *Memory) Read(r int) int64 {
 	v := m.regs[r]
 	m.counters.Reads++
-	if m.traceLimit > 0 {
-		m.record(Op{Kind: OpRead, Reg: r, Result: v})
-	}
 	return v
 }
 
@@ -118,9 +68,6 @@ func (m *Memory) Read(r int) int64 {
 func (m *Memory) Write(r int, v int64) {
 	m.regs[r] = v
 	m.counters.Writes++
-	if m.traceLimit > 0 {
-		m.record(Op{Kind: OpWrite, Reg: r, Arg: v})
-	}
 }
 
 // CAS atomically compares register r with expected and, on a match,
@@ -134,9 +81,6 @@ func (m *Memory) CAS(r int, expected, newVal int64) bool {
 	m.counters.CASes++
 	if !ok {
 		m.counters.CASFailures++
-	}
-	if m.traceLimit > 0 {
-		m.record(Op{Kind: OpCAS, Reg: r, Arg: expected, Arg2: newVal, Result: old, OK: ok})
 	}
 	return ok
 }
@@ -154,9 +98,6 @@ func (m *Memory) CASGet(r int, expected, newVal int64) (prior int64, swapped boo
 	if !ok {
 		m.counters.CASFailures++
 	}
-	if m.traceLimit > 0 {
-		m.record(Op{Kind: OpCAS, Reg: r, Arg: expected, Arg2: newVal, Result: old, OK: ok})
-	}
 	return old, ok
 }
 
@@ -172,40 +113,3 @@ func (m *Memory) Counters() Counters { return m.counters }
 
 // Steps returns the total number of shared-memory operations executed.
 func (m *Memory) Steps() uint64 { return m.counters.Total() }
-
-// EnableTrace starts recording up to limit operations (0 disables).
-// Operations beyond the limit are counted but not recorded. The
-// buffer is sized to the limit: re-enabling with a smaller limit
-// releases the old backing array rather than keeping the largest one
-// ever requested alive for the memory's lifetime (which matters once
-// replica batching pools thousands of Memory values), and disabling
-// drops it entirely.
-func (m *Memory) EnableTrace(limit int) {
-	m.traceLimit = limit
-	switch {
-	case limit <= 0:
-		m.traceLimit = 0
-		m.trace = nil
-	case cap(m.trace) != limit:
-		m.trace = make([]Op, 0, limit)
-	default:
-		m.trace = m.trace[:0]
-	}
-}
-
-// Trace returns the recorded operations (a copy).
-func (m *Memory) Trace() []Op {
-	out := make([]Op, len(m.trace))
-	copy(out, m.trace)
-	return out
-}
-
-// record appends op to the bounded trace. Call sites hoist the
-// traceLimit > 0 check so the hot path neither constructs the Op
-// value nor pays the call when tracing is disabled
-// (BenchmarkMemoryOps holds the happy path at 0 allocs/op).
-func (m *Memory) record(op Op) {
-	if len(m.trace) < m.traceLimit {
-		m.trace = append(m.trace, op)
-	}
-}

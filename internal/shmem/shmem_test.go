@@ -105,7 +105,6 @@ func TestReset(t *testing.T) {
 	m := mustNew(t, 2)
 	m.Write(0, 5)
 	m.Read(1)
-	m.EnableTrace(10)
 	m.Write(1, 6)
 	m.Reset()
 	if m.Peek(0) != 0 || m.Peek(1) != 0 {
@@ -114,122 +113,8 @@ func TestReset(t *testing.T) {
 	if m.Steps() != 0 {
 		t.Fatal("Reset did not clear counters")
 	}
-	if len(m.Trace()) != 0 {
-		t.Fatal("Reset did not clear trace")
-	}
 	if m.Size() != 2 {
 		t.Fatal("Reset changed size")
-	}
-}
-
-func TestTraceRecordsOps(t *testing.T) {
-	m := mustNew(t, 2)
-	m.EnableTrace(10)
-	m.Write(0, 1)
-	m.Read(0)
-	m.CAS(0, 1, 2)
-	trace := m.Trace()
-	if len(trace) != 3 {
-		t.Fatalf("trace length %d, want 3", len(trace))
-	}
-	if trace[0].Kind != OpWrite || trace[0].Reg != 0 || trace[0].Arg != 1 {
-		t.Errorf("write op = %+v", trace[0])
-	}
-	if trace[1].Kind != OpRead || trace[1].Result != 1 {
-		t.Errorf("read op = %+v", trace[1])
-	}
-	if trace[2].Kind != OpCAS || !trace[2].OK || trace[2].Result != 1 || trace[2].Arg2 != 2 {
-		t.Errorf("cas op = %+v", trace[2])
-	}
-}
-
-func TestTraceLimit(t *testing.T) {
-	m := mustNew(t, 1)
-	m.EnableTrace(2)
-	for i := 0; i < 5; i++ {
-		m.Read(0)
-	}
-	if got := len(m.Trace()); got != 2 {
-		t.Fatalf("trace length %d, want 2", got)
-	}
-	if m.Steps() != 5 {
-		t.Fatal("ops beyond trace limit were not counted")
-	}
-}
-
-func TestTraceDisabledByDefault(t *testing.T) {
-	m := mustNew(t, 1)
-	m.Read(0)
-	if len(m.Trace()) != 0 {
-		t.Fatal("trace recorded without EnableTrace")
-	}
-}
-
-func TestTraceCopied(t *testing.T) {
-	m := mustNew(t, 1)
-	m.EnableTrace(4)
-	m.Read(0)
-	tr := m.Trace()
-	tr[0].Reg = 99
-	if m.Trace()[0].Reg == 99 {
-		t.Fatal("Trace exposed internal slice")
-	}
-}
-
-func TestEnableTraceReleasesOversizedBuffer(t *testing.T) {
-	m := mustNew(t, 1)
-	m.EnableTrace(1 << 16)
-	for i := 0; i < 100; i++ {
-		m.Read(0)
-	}
-
-	// Re-enabling with a smaller limit must not keep the 64K-entry
-	// backing array alive.
-	m.EnableTrace(4)
-	if got := cap(m.trace); got != 4 {
-		t.Errorf("trace capacity after shrinking re-enable = %d, want 4", got)
-	}
-	for i := 0; i < 10; i++ {
-		m.Read(0)
-	}
-	if got := len(m.Trace()); got != 4 {
-		t.Errorf("trace length %d, want 4", got)
-	}
-
-	// Disabling drops the buffer entirely.
-	m.EnableTrace(0)
-	if m.trace != nil {
-		t.Errorf("trace buffer retained after disable (cap %d)", cap(m.trace))
-	}
-	m.Read(0)
-	if len(m.Trace()) != 0 {
-		t.Error("trace recorded while disabled")
-	}
-
-	// Same-limit re-enable reuses the buffer (the hot replay path).
-	m.EnableTrace(8)
-	m.Read(0)
-	buf := m.trace
-	m.EnableTrace(8)
-	if cap(m.trace) != cap(buf) || len(m.Trace()) != 0 {
-		t.Error("same-limit re-enable should reset, not reallocate")
-	}
-}
-
-func TestOpKindString(t *testing.T) {
-	tests := []struct {
-		kind OpKind
-		want string
-	}{
-		{OpRead, "read"},
-		{OpWrite, "write"},
-		{OpCAS, "cas"},
-		{OpKind(99), "OpKind(99)"},
-	}
-	for _, tt := range tests {
-		if got := tt.kind.String(); got != tt.want {
-			t.Errorf("%d.String() = %q, want %q", int(tt.kind), got, tt.want)
-		}
 	}
 }
 

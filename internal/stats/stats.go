@@ -1,8 +1,8 @@
 // Package stats provides the small statistics substrate used by the
-// experiment harness: streaming moments, quantiles, histograms,
-// chi-square uniformity tests, least-squares fits (including the
-// power-law fit used to test the √n latency exponent), and normal
-// confidence intervals.
+// experiment harness: streaming moments, quantiles, chi-square
+// uniformity tests, least-squares fits (including the power-law fit
+// used to test the √n latency exponent), and normal confidence
+// intervals.
 package stats
 
 import (
@@ -42,13 +42,6 @@ func (s *Summary) Add(x float64) {
 	s.m2 += delta * (x - s.mean)
 }
 
-// AddAll incorporates every observation in xs.
-func (s *Summary) AddAll(xs []float64) {
-	for _, x := range xs {
-		s.Add(x)
-	}
-}
-
 // N returns the number of observations seen so far.
 func (s *Summary) N() int { return s.n }
 
@@ -60,32 +53,6 @@ func (s *Summary) Min() float64 { return s.min }
 
 // Max returns the largest observation (0 if no data).
 func (s *Summary) Max() float64 { return s.max }
-
-// Merge incorporates the observations of o into s, as if every sample
-// added to o had been added to s directly (Chan et al.'s parallel
-// combination of Welford accumulators). It lets per-worker summaries
-// be reduced without reprocessing the raw samples.
-func (s *Summary) Merge(o Summary) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = o
-		return
-	}
-	n1, n2 := float64(s.n), float64(o.n)
-	tot := n1 + n2
-	delta := o.mean - s.mean
-	s.mean += delta * n2 / tot
-	s.m2 += o.m2 + delta*delta*n1*n2/tot
-	s.n += o.n
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-}
 
 // Variance returns the unbiased sample variance (0 for fewer than two
 // observations).
@@ -159,9 +126,6 @@ func Quantile(xs []float64, q float64) (float64, error) {
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
 }
-
-// Median returns the 0.5-quantile of xs.
-func Median(xs []float64) (float64, error) { return Quantile(xs, 0.5) }
 
 // ChiSquareUniform computes the chi-square statistic of counts against
 // the uniform distribution, along with the degrees of freedom
@@ -317,83 +281,4 @@ func PowerFit(xs, ys []float64) (c, p, r2 float64, err error) {
 		return 0, 0, 0, err
 	}
 	return math.Exp(a), b, r2, nil
-}
-
-// Histogram is a fixed-width histogram over [Lo, Hi) with overflow and
-// underflow buckets.
-type Histogram struct {
-	Lo, Hi    float64
-	Counts    []int
-	Underflow int
-	Overflow  int
-	width     float64
-}
-
-// NewHistogram allocates a histogram with the given bucket count over
-// [lo, hi). It returns an error for invalid bounds or bucket counts.
-func NewHistogram(lo, hi float64, buckets int) (*Histogram, error) {
-	if buckets <= 0 {
-		return nil, errors.New("stats: bucket count must be positive")
-	}
-	if !(lo < hi) {
-		return nil, errors.New("stats: histogram bounds must satisfy lo < hi")
-	}
-	return &Histogram{
-		Lo:     lo,
-		Hi:     hi,
-		Counts: make([]int, buckets),
-		width:  (hi - lo) / float64(buckets),
-	}, nil
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Underflow++
-	case x >= h.Hi:
-		h.Overflow++
-	default:
-		idx := int((x - h.Lo) / h.width)
-		if idx >= len(h.Counts) { // float edge case at the upper bound
-			idx = len(h.Counts) - 1
-		}
-		h.Counts[idx]++
-	}
-}
-
-// Total returns the total number of observations including overflow
-// and underflow.
-func (h *Histogram) Total() int {
-	t := h.Underflow + h.Overflow
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// MaxAbsDiff returns the maximum absolute elementwise difference of two
-// equal-length vectors.
-func MaxAbsDiff(a, b []float64) (float64, error) {
-	if len(a) != len(b) {
-		return 0, errors.New("stats: length mismatch")
-	}
-	var m float64
-	for i := range a {
-		if d := math.Abs(a[i] - b[i]); d > m {
-			m = d
-		}
-	}
-	return m, nil
-}
-
-// RelativeError returns |got-want| / max(|want|, eps); eps guards the
-// want≈0 case.
-func RelativeError(got, want float64) float64 {
-	const eps = 1e-12
-	den := math.Abs(want)
-	if den < eps {
-		den = eps
-	}
-	return math.Abs(got-want) / den
 }

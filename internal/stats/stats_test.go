@@ -12,7 +12,9 @@ func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func TestSummaryBasics(t *testing.T) {
 	var s Summary
-	s.AddAll([]float64{2, 4, 4, 4, 5, 5, 7, 9})
+	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
+		s.Add(x)
+	}
 	if s.N() != 8 {
 		t.Fatalf("N = %d, want 8", s.N())
 	}
@@ -63,7 +65,7 @@ func TestSummaryMatchesDirectComputation(t *testing.T) {
 		ss += d * d
 	}
 	direct := ss / float64(len(xs)-1)
-	if RelativeError(s.Variance(), direct) > 1e-9 {
+	if math.Abs(s.Variance()-direct) > 1e-9*direct {
 		t.Errorf("streaming variance %v != direct %v", s.Variance(), direct)
 	}
 }
@@ -109,7 +111,7 @@ func TestQuantileInterpolates(t *testing.T) {
 
 func TestQuantileDoesNotMutate(t *testing.T) {
 	xs := []float64{3, 1, 2}
-	if _, err := Median(xs); err != nil {
+	if _, err := Quantile(xs, 0.5); err != nil {
 		t.Fatal(err)
 	}
 	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
@@ -293,68 +295,6 @@ func TestPowerFitRejectsNonPositive(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.999, 10, 11} {
-		h.Add(x)
-	}
-	if h.Underflow != 1 {
-		t.Errorf("underflow = %d, want 1", h.Underflow)
-	}
-	if h.Overflow != 2 {
-		t.Errorf("overflow = %d, want 2", h.Overflow)
-	}
-	if h.Counts[0] != 2 { // 0 and 1.9
-		t.Errorf("bucket 0 = %d, want 2", h.Counts[0])
-	}
-	if h.Counts[1] != 1 { // 2
-		t.Errorf("bucket 1 = %d, want 1", h.Counts[1])
-	}
-	if h.Counts[4] != 1 { // 9.999
-		t.Errorf("bucket 4 = %d, want 1", h.Counts[4])
-	}
-	if h.Total() != 7 {
-		t.Errorf("total = %d, want 7", h.Total())
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Error("zero buckets: nil error")
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Error("lo == hi: nil error")
-	}
-	if _, err := NewHistogram(6, 5, 3); err == nil {
-		t.Error("lo > hi: nil error")
-	}
-}
-
-func TestMaxAbsDiff(t *testing.T) {
-	got, err := MaxAbsDiff([]float64{1, 2, 3}, []float64{1.5, 1.8, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(got, 0.5, 1e-12) {
-		t.Errorf("MaxAbsDiff = %v, want 0.5", got)
-	}
-	if _, err := MaxAbsDiff([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("length mismatch: nil error")
-	}
-}
-
-func TestRelativeError(t *testing.T) {
-	if got := RelativeError(11, 10); !almostEqual(got, 0.1, 1e-12) {
-		t.Errorf("RelativeError(11,10) = %v", got)
-	}
-	if got := RelativeError(0, 0); got != 0 {
-		t.Errorf("RelativeError(0,0) = %v, want 0", got)
-	}
-}
-
 func TestQuickSummaryMeanBounded(t *testing.T) {
 	// Property: the streaming mean always lies within [min, max].
 	f := func(raw []float64) bool {
@@ -470,49 +410,5 @@ func TestSummaryVarianceClampsNegativeM2(t *testing.T) {
 	}
 	if sd := s.StdDev(); math.IsNaN(sd) || sd != 0 {
 		t.Errorf("StdDev = %v, want 0", sd)
-	}
-}
-
-func TestSummaryMergeMatchesAddAll(t *testing.T) {
-	r := rng.New(99)
-	xs := make([]float64, 501)
-	for i := range xs {
-		xs[i] = r.Float64()*100 - 50
-	}
-	for _, split := range []int{0, 1, 250, 500, 501} {
-		var a, b, whole Summary
-		a.AddAll(xs[:split])
-		b.AddAll(xs[split:])
-		whole.AddAll(xs)
-		a.Merge(b)
-		if a.N() != whole.N() {
-			t.Fatalf("split %d: N = %d, want %d", split, a.N(), whole.N())
-		}
-		if !almostEqual(a.Mean(), whole.Mean(), 1e-9) {
-			t.Errorf("split %d: Mean = %v, want %v", split, a.Mean(), whole.Mean())
-		}
-		if !almostEqual(a.Variance(), whole.Variance(), 1e-7) {
-			t.Errorf("split %d: Variance = %v, want %v", split, a.Variance(), whole.Variance())
-		}
-		if a.Min() != whole.Min() || a.Max() != whole.Max() {
-			t.Errorf("split %d: min/max = %v/%v, want %v/%v",
-				split, a.Min(), a.Max(), whole.Min(), whole.Max())
-		}
-	}
-}
-
-func TestSummaryMergeEmptySides(t *testing.T) {
-	var empty Summary
-	var s Summary
-	s.AddAll([]float64{1, 2, 3})
-	want := s
-	s.Merge(empty)
-	if s != want {
-		t.Errorf("merging empty changed the summary: %+v != %+v", s, want)
-	}
-	var dst Summary
-	dst.Merge(want)
-	if dst != want {
-		t.Errorf("merge into empty: %+v != %+v", dst, want)
 	}
 }

@@ -60,6 +60,42 @@ func TestSweepEmitsJobLifecycleEvents(t *testing.T) {
 	}
 }
 
+// TestRecorderCrashEvents checks the only producer of crash events:
+// a job with Crash = c emits one step-0 crash event per crashed pid
+// (the highest c ids) before its first step, and no later scheduling
+// decision names a crashed pid.
+func TestRecorderCrashEvents(t *testing.T) {
+	var c lockedCollector
+	job := Job{Workload: Workload{Kind: SCU, S: 1}, N: 4, Steps: 2000,
+		WarmupFraction: DefaultWarmupFraction, Crash: 2, Recorder: &c}
+	if _, err := RunJob(job, 7, nil); err != nil {
+		t.Fatal(err)
+	}
+	var crashed []int
+	scheds := 0
+	for i, e := range c.events {
+		switch e.Kind {
+		case obs.KindCrash:
+			if e.Step != 0 || scheds > 0 {
+				t.Errorf("event %d: crash of pid %d at step %d after %d steps, want step 0 before the run",
+					i, e.PID, e.Step, scheds)
+			}
+			crashed = append(crashed, e.PID)
+		case obs.KindSched:
+			scheds++
+			if e.PID >= job.N-job.Crash {
+				t.Fatalf("event %d: crashed pid %d scheduled at step %d", i, e.PID, e.Step)
+			}
+		}
+	}
+	if len(crashed) != 2 || crashed[0] != 2 || crashed[1] != 3 {
+		t.Errorf("crash events for pids %v, want [2 3]", crashed)
+	}
+	if want := int(job.Steps + uint64(job.WarmupFraction*float64(job.Steps))); scheds != want {
+		t.Errorf("%d scheduling events, want %d", scheds, want)
+	}
+}
+
 // TestSweepSharedTraceRecorderIsRaceClean funnels every concurrent
 // job's events through one TraceRecorder; -race validates the
 // serialization.

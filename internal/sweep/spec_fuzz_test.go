@@ -14,22 +14,31 @@ import (
 func TestBadSchedulerSpecsRejected(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	for _, tc := range []struct {
-		name string
-		spec SchedulerSpec
-		n    int
+		name  string
+		spec  SchedulerSpec
+		n     int
+		crash int // processes the job crashes before the run
 	}{
-		{"sticky NaN", SchedulerSpec{Kind: SchedSticky, Rho: nan}, 3},
-		{"sticky +Inf", SchedulerSpec{Kind: SchedSticky, Rho: inf}, 3},
-		{"weighted NaN", SchedulerSpec{Kind: SchedWeighted, Weights: []float64{1, nan}}, 2},
-		{"weighted +Inf", SchedulerSpec{Kind: SchedWeighted, Weights: []float64{1, inf}}, 2},
-		{"weighted sum overflows", SchedulerSpec{Kind: SchedWeighted, Weights: []float64{1e308, 1e308, 1}}, 3},
-		{"phased NaN", SchedulerSpec{Kind: SchedPhased, Phases: []PhaseSpec{{Weights: []float64{1, nan}, Steps: 5}}}, 2},
+		{"sticky NaN", SchedulerSpec{Kind: SchedSticky, Rho: nan}, 3, 0},
+		{"sticky +Inf", SchedulerSpec{Kind: SchedSticky, Rho: inf}, 3, 0},
+		{"weighted NaN", SchedulerSpec{Kind: SchedWeighted, Weights: []float64{1, nan}}, 2, 0},
+		{"weighted +Inf", SchedulerSpec{Kind: SchedWeighted, Weights: []float64{1, inf}}, 2, 0},
+		{"weighted sum overflows", SchedulerSpec{Kind: SchedWeighted, Weights: []float64{1e308, 1e308, 1}}, 3, 0},
+		{"phased NaN", SchedulerSpec{Kind: SchedPhased, Phases: []PhaseSpec{{Weights: []float64{1, nan}, Steps: 5}}}, 2, 0},
 		{"phased +Inf", SchedulerSpec{Kind: SchedPhased, Phases: []PhaseSpec{
-			{Weights: []float64{1, 1}, Steps: 5}, {Weights: []float64{inf, 1}, Steps: 5}}}, 2},
-		{"phased sum overflows", SchedulerSpec{Kind: SchedPhased, Phases: []PhaseSpec{{Weights: []float64{1e308, 1e308}, Steps: 5}}}, 2},
-		{"lottery total overflows", SchedulerSpec{Kind: SchedLottery, Tickets: []int{math.MaxInt, 1}}, 2},
-		{"lottery halves overflow", SchedulerSpec{Kind: SchedLottery, Tickets: []int{math.MaxInt/2 + 1, math.MaxInt/2 + 1}}, 2},
+			{Weights: []float64{1, 1}, Steps: 5}, {Weights: []float64{inf, 1}, Steps: 5}}}, 2, 0},
+		{"phased sum overflows", SchedulerSpec{Kind: SchedPhased, Phases: []PhaseSpec{{Weights: []float64{1e308, 1e308}, Steps: 5}}}, 2, 0},
+		{"lottery total overflows", SchedulerSpec{Kind: SchedLottery, Tickets: []int{math.MaxInt, 1}}, 2, 0},
+		{"lottery halves overflow", SchedulerSpec{Kind: SchedLottery, Tickets: []int{math.MaxInt/2 + 1, math.MaxInt/2 + 1}}, 2, 0},
+		{"adversary with a crash", SchedulerSpec{Kind: SchedAdversary}, 2, 1},
 	} {
+		job := Job{Workload: Workload{Kind: SCU, S: 1}, N: tc.n, Sched: tc.spec, Steps: 1, Crash: tc.crash}
+		if err := job.Validate(); err == nil {
+			t.Errorf("%s: Job.Validate accepted %v with %d crashed", tc.name, tc.spec, tc.crash)
+		}
+		if tc.crash > 0 {
+			continue // the spec alone is fine; the job is not
+		}
 		if err := tc.spec.Validate(tc.n); err == nil {
 			t.Errorf("%s: Validate accepted %v", tc.name, tc.spec)
 		}

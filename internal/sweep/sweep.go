@@ -117,6 +117,10 @@ func (j Job) Validate() error {
 	if j.Crash < 0 || j.Crash >= j.N {
 		return fmt.Errorf("sweep: cannot crash %d of %d processes", j.Crash, j.N)
 	}
+	if j.Crash > 0 && j.Sched.Kind == SchedAdversary {
+		// Every other kind implements sched.Crasher.
+		return fmt.Errorf("sweep: scheduler %q does not support crashes", j.Sched)
+	}
 	if j.Replicas < 0 {
 		return fmt.Errorf("sweep: negative replica count %d", j.Replicas)
 	}

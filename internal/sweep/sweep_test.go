@@ -205,7 +205,7 @@ func TestSweepValidation(t *testing.T) {
 func TestSweepJobErrorNamesJob(t *testing.T) {
 	// Round-robin supports no randomness but does support crashes;
 	// adversary supports neither. A crash request against the
-	// adversary must fail at run time with the job identified.
+	// adversary must fail validation with the job identified.
 	jobs := []Job{
 		{Workload: Workload{Kind: SCU, S: 1}, N: 4, Steps: 1000},
 		{Workload: Workload{Kind: SCU, S: 1}, N: 4, Steps: 1000,
