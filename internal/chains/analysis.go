@@ -1,18 +1,22 @@
 // Package chains builds the paper's specific Markov chains exactly,
 // for small process counts:
 //
-//   - the SCU(0,1) scan-validate chains of Section 6.1.1: the
-//     individual chain over the 3^n − 1 extended-local-state vectors
-//     and the system chain over states (a, b);
+//   - the SCU(q, s) system chains of Section 6.1.1 and Theorem 4 over
+//     class-occupancy vectors, of which SCU(0, 1)'s states (a, b) are
+//     one labelling, and the SCU(0, 1) individual chain over the
+//     3^n − 1 extended-local-state vectors;
 //   - the parallel-code chains M_I and M_S of Section 6.2;
 //   - the fetch-and-increment chains of Section 7.1: the individual
 //     chain over the 2^n − 1 non-empty "who holds the current value"
 //     subsets and the global chain over v_1 .. v_n.
 //
-// Each constructor also returns the lifting map onto its system/global
+// One enumeration, scuEnumerate, builds every SCU system chain. Each
+// builder lists its chain as transitions, and one assembler turns
+// them into a markov.Chain plus success structure. Individual-chain
+// constructors also return the lifting map onto their system/global
 // chain, so markov.VerifyLifting can check the paper's Lemmas 5, 10
-// and 13 numerically, and a per-state success probability from which
-// exact system and individual latencies follow.
+// and 13 numerically; the per-state success probabilities give exact
+// system and individual latencies.
 //
 // A note on ergodicity: the SCU and parallel chains as defined in the
 // paper change the number of pending CAS/steps by exactly one per
@@ -52,6 +56,55 @@ type Analysis struct {
 	ProcSuccess [][]float64
 
 	stationary []float64
+}
+
+// Completion marks for transition.done.
+const (
+	noProc  = -1 // the move completes no operation
+	anyProc = -2 // it completes one, on a chain that does not name processes
+)
+
+// A transition is one move of a chain: from state from to state to
+// with probability p. done is the process whose operation the move
+// completes, or anyProc or noProc.
+type transition struct {
+	from, to int
+	p        float64
+	done     int
+}
+
+// assemble builds the Analysis of an m-state chain from its
+// transitions, adding each probability in the order given. With
+// procs > 0 it also fills ProcSuccess, and every completing transition
+// must then name its process.
+func assemble(name string, m, procs int, ts []transition) (*Analysis, error) {
+	p := make([][]float64, m)
+	for i := range p {
+		p[i] = make([]float64, m)
+	}
+	success := make([]float64, m)
+	var procSuccess [][]float64
+	if procs > 0 {
+		procSuccess = make([][]float64, m)
+		for i := range procSuccess {
+			procSuccess[i] = make([]float64, procs)
+		}
+	}
+	for _, t := range ts {
+		p[t.from][t.to] += t.p
+		if t.done == noProc {
+			continue
+		}
+		success[t.from] += t.p
+		if procSuccess != nil {
+			procSuccess[t.from][t.done] += t.p
+		}
+	}
+	chain, err := markov.New(p)
+	if err != nil {
+		return nil, fmt.Errorf("%s chain: %w", name, err)
+	}
+	return &Analysis{Chain: chain, Success: success, ProcSuccess: procSuccess}, nil
 }
 
 // Stationary returns (and caches) the chain's stationary distribution

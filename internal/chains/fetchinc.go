@@ -3,8 +3,6 @@ package chains
 import (
 	"fmt"
 	"math"
-
-	"pwf/internal/markov"
 )
 
 // maxFetchIncIndividualN caps the fetch-and-increment individual chain
@@ -22,24 +20,16 @@ func FetchIncGlobal(n int) (*Analysis, error) {
 	if n < 1 || n > maxSCUSystemN {
 		return nil, fmt.Errorf("%w: n=%d (1..%d)", ErrBadN, n, maxSCUSystemN)
 	}
-	p := make([][]float64, n)
-	success := make([]float64, n)
+	ts := make([]transition, 0, 2*n)
 	fn := float64(n)
 	for i := 1; i <= n; i++ {
-		row := make([]float64, n)
 		win := float64(i) / fn
-		row[0] += win
+		ts = append(ts, transition{from: i - 1, to: 0, p: win, done: anyProc})
 		if i < n {
-			row[i] += 1 - win
+			ts = append(ts, transition{from: i - 1, to: i, p: 1 - win, done: noProc})
 		}
-		p[i-1] = row
-		success[i-1] = win
 	}
-	chain, err := markov.New(p)
-	if err != nil {
-		return nil, fmt.Errorf("fetch-inc global chain: %w", err)
-	}
-	return &Analysis{Chain: chain, Success: success}, nil
+	return assemble("fetch-inc global", n, 0, ts)
 }
 
 // FetchIncIndividual builds the individual chain M_I of Section 7.1:
@@ -53,37 +43,27 @@ func FetchIncIndividual(n int) (*Analysis, []int, error) {
 		return nil, nil, fmt.Errorf("%w: n=%d (1..%d)", ErrBadN, n, maxFetchIncIndividualN)
 	}
 	m := (1 << n) - 1 // subsets 1 .. 2^n − 1; index = mask − 1
-	p := make([][]float64, m)
-	success := make([]float64, m)
-	procSuccess := make([][]float64, m)
 	lift := make([]int, m)
+	ts := make([]transition, 0, m*n)
 	fn := float64(n)
 	for mask := 1; mask <= m; mask++ {
-		idx := mask - 1
-		p[idx] = make([]float64, m)
-		procSuccess[idx] = make([]float64, n)
-		lift[idx] = popcount(mask) - 1
+		lift[mask-1] = popcount(mask) - 1
 		for pid := 0; pid < n; pid++ {
 			bit := 1 << pid
-			var next int
+			// A stale p fails its CAS and learns the value; a current
+			// p wins, and everyone else becomes stale.
+			next, done := mask|bit, noProc
 			if mask&bit != 0 {
-				// p holds the current value: it wins, everyone else
-				// becomes stale.
-				next = bit
-				success[idx] += 1 / fn
-				procSuccess[idx][pid] = 1 / fn
-			} else {
-				// p is stale: its CAS fails and it learns the value.
-				next = mask | bit
+				next, done = bit, pid
 			}
-			p[idx][next-1] += 1 / fn
+			ts = append(ts, transition{from: mask - 1, to: next - 1, p: 1 / fn, done: done})
 		}
 	}
-	chain, err := markov.New(p)
+	ind, err := assemble("fetch-inc individual", m, n, ts)
 	if err != nil {
-		return nil, nil, fmt.Errorf("fetch-inc individual chain: %w", err)
+		return nil, nil, err
 	}
-	return &Analysis{Chain: chain, Success: success, ProcSuccess: procSuccess}, lift, nil
+	return ind, lift, nil
 }
 
 // FetchIncHittingZ computes the hitting-time sequence of Lemma 12:

@@ -3,8 +3,6 @@ package chains
 import (
 	"fmt"
 	"strconv"
-
-	"pwf/internal/markov"
 )
 
 // maxParallelStates caps the chain sizes for the parallel-code chains
@@ -29,58 +27,45 @@ func ParallelIndividual(n, q int) (*Analysis, []int, error) {
 		}
 	}
 
-	_, sysStates, err := ParallelSystem(n, q)
-	if err != nil {
-		return nil, nil, err
-	}
-	sysIndex := make(map[string]int, len(sysStates))
-	for i, st := range sysStates {
+	sysIndex := make(map[string]int)
+	for i, st := range compositions(n, q) {
 		sysIndex[compKey(st)] = i
 	}
 
-	p := make([][]float64, m)
-	success := make([]float64, m)
-	procSuccess := make([][]float64, m)
 	lift := make([]int, m)
+	ts := make([]transition, 0, m*n)
 	fn := float64(n)
 	digits := make([]int, n)
+	counts := make([]int, q)
 	for code := 0; code < m; code++ {
-		p[code] = make([]float64, m)
-		procSuccess[code] = make([]float64, n)
-
 		c := code
-		counts := make([]int, q)
+		clear(counts)
 		for i := 0; i < n; i++ {
 			digits[i] = c % q
 			c /= q
 			counts[digits[i]]++
 		}
-		idx, ok := sysIndex[compKey(counts)]
-		if !ok {
-			return nil, nil, fmt.Errorf("chains: parallel state maps to missing composition %v", counts)
-		}
-		lift[code] = idx
+		lift[code] = sysIndex[compKey(counts)]
 
 		pow := 1
 		for pid := 0; pid < n; pid++ {
 			d := digits[pid]
 			nd := (d + 1) % q
-			next := code + (nd-d)*pow
-			p[code][next] += 1 / fn
+			done := noProc
 			if nd == 0 {
 				// Counter wrapped: the operation completed.
-				success[code] += 1 / fn
-				procSuccess[code][pid] = 1 / fn
+				done = pid
 			}
+			ts = append(ts, transition{from: code, to: code + (nd-d)*pow, p: 1 / fn, done: done})
 			pow *= q
 		}
 	}
 
-	chain, err := markov.New(p)
+	ind, err := assemble("parallel individual", m, n, ts)
 	if err != nil {
-		return nil, nil, fmt.Errorf("parallel individual chain: %w", err)
+		return nil, nil, err
 	}
-	return &Analysis{Chain: chain, Success: success, ProcSuccess: procSuccess}, lift, nil
+	return ind, lift, nil
 }
 
 // ParallelSystem builds the system chain M_S of Section 6.2: states
@@ -91,46 +76,39 @@ func ParallelSystem(n, q int) (*Analysis, [][]int, error) {
 	if n < 1 || q < 1 {
 		return nil, nil, fmt.Errorf("%w: n=%d q=%d", ErrBadParams, n, q)
 	}
-	states := compositions(n, q)
-	if len(states) > maxParallelStates {
-		return nil, nil, fmt.Errorf("%w: %d compositions exceed %d", ErrBadN, len(states), maxParallelStates)
+	if est := estimateCompositions(n, q); est > maxParallelStates {
+		return nil, nil, fmt.Errorf("%w: ~%d compositions exceed %d", ErrBadN, est, maxParallelStates)
 	}
+	states := compositions(n, q)
 	index := make(map[string]int, len(states))
 	for i, st := range states {
 		index[compKey(st)] = i
 	}
 
-	m := len(states)
-	p := make([][]float64, m)
-	success := make([]float64, m)
+	var ts []transition
 	fn := float64(n)
+	next := make([]int, q)
 	for i, st := range states {
-		p[i] = make([]float64, m)
 		for j := 0; j < q; j++ {
 			if st[j] == 0 {
 				continue
 			}
-			next := make([]int, q)
 			copy(next, st)
 			next[j]--
 			next[(j+1)%q]++
-			k, ok := index[compKey(next)]
-			if !ok {
-				return nil, nil, fmt.Errorf("chains: missing composition %v", next)
-			}
-			prob := float64(st[j]) / fn
-			p[i][k] += prob
+			done := noProc
 			if (j+1)%q == 0 {
-				success[i] += prob
+				done = anyProc
 			}
+			ts = append(ts, transition{from: i, to: index[compKey(next)], p: float64(st[j]) / fn, done: done})
 		}
 	}
 
-	chain, err := markov.New(p)
+	sys, err := assemble("parallel system", len(states), 0, ts)
 	if err != nil {
-		return nil, nil, fmt.Errorf("parallel system chain: %w", err)
+		return nil, nil, err
 	}
-	return &Analysis{Chain: chain, Success: success}, states, nil
+	return sys, states, nil
 }
 
 // compositions enumerates all length-q non-negative integer vectors
@@ -164,4 +142,19 @@ func compKey(v []int) string {
 		b = append(b, ',')
 	}
 	return string(b)
+}
+
+// estimateCompositions returns C(n+k-1, k-1), the number of length-k
+// compositions of n, saturating at a large bound; the size guards
+// check it before enumerating anything.
+func estimateCompositions(n, k int) int {
+	const maxEst = 1 << 30
+	result := 1
+	for i := 1; i < k; i++ {
+		result = result * (n + i) / i
+		if result > maxEst {
+			return maxEst
+		}
+	}
+	return result
 }

@@ -3,6 +3,7 @@ package chains
 import (
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"pwf/internal/markov"
@@ -179,5 +180,32 @@ func TestCompKeyDistinguishesMultiDigit(t *testing.T) {
 	b := compKey([]int{12, 3})
 	if a == b {
 		t.Fatalf("compKey collision: %q", a)
+	}
+}
+
+func TestParallelSystemGuardsBeforeEnumerating(t *testing.T) {
+	// C(31, 7) ≈ 2.6M compositions: the size guard must reject them
+	// without building any.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := ParallelSystem(24, 8)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadN) {
+		t.Fatalf("ParallelSystem(24, 8): %v, want ErrBadN", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("ParallelSystem(24, 8) allocated %d bytes before failing", alloc)
+	}
+}
+
+func TestEstimateCompositions(t *testing.T) {
+	if got := estimateCompositions(2, 2); got != 3 {
+		t.Fatalf("C(3,1) = %d, want 3", got)
+	}
+	if got := estimateCompositions(4, 3); got != 15 {
+		t.Fatalf("C(6,2) = %d, want 15", got)
+	}
+	if got := estimateCompositions(1000, 20); got != 1<<30 {
+		t.Fatalf("saturation = %d", got)
 	}
 }

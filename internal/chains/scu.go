@@ -2,8 +2,7 @@ package chains
 
 import (
 	"fmt"
-
-	"pwf/internal/markov"
+	"sort"
 )
 
 // Extended local states of a process in the scan-validate loop
@@ -38,65 +37,46 @@ func SCUSystem(n int) (*Analysis, []SCUSystemState, error) {
 	if n < 1 || n > maxSCUSystemN {
 		return nil, nil, fmt.Errorf("%w: n=%d (1..%d)", ErrBadN, n, maxSCUSystemN)
 	}
-	// Enumerate states (a, b) with a + b <= n, excluding (0, n): the
-	// state where every process CASes with a stale value cannot occur.
-	var states []SCUSystemState
-	index := make(map[SCUSystemState]int)
-	for a := 0; a <= n; a++ {
-		for b := 0; a+b <= n; b++ {
-			if a == 0 && b == n {
-				continue
-			}
-			st := SCUSystemState{A: a, B: b}
-			index[st] = len(states)
-			states = append(states, st)
-		}
-	}
-
-	m := len(states)
-	p := make([][]float64, m)
-	success := make([]float64, m)
-	fn := float64(n)
-	for i, st := range states {
-		p[i] = make([]float64, m)
-		a, b := st.A, st.B
-		c := n - a - b
-		// A Read process steps: it has read the current value and is
-		// now about to CAS with it.
-		if a > 0 {
-			j, ok := index[SCUSystemState{A: a - 1, B: b}]
-			if !ok {
-				return nil, nil, fmt.Errorf("chains: missing state (%d,%d)", a-1, b)
-			}
-			p[i][j] += float64(a) / fn
-		}
-		// A stale-CAS process steps: its CAS fails and it goes back to
-		// reading.
-		if b > 0 {
-			j, ok := index[SCUSystemState{A: a + 1, B: b - 1}]
-			if !ok {
-				return nil, nil, fmt.Errorf("chains: missing state (%d,%d)", a+1, b-1)
-			}
-			p[i][j] += float64(b) / fn
-		}
-		// A current-CAS process steps: its CAS succeeds (a completion),
-		// it returns to reading, and every other current-CAS process
-		// becomes stale.
-		if c > 0 {
-			j, ok := index[SCUSystemState{A: a + 1, B: n - a - 1}]
-			if !ok {
-				return nil, nil, fmt.Errorf("chains: missing state (%d,%d)", a+1, n-a-1)
-			}
-			p[i][j] += float64(c) / fn
-			success[i] = float64(c) / fn
-		}
-	}
-
-	chain, err := markov.New(p)
+	states, ts := scuSystem(n)
+	a, err := assemble("scu system", len(states), 0, ts)
 	if err != nil {
-		return nil, nil, fmt.Errorf("scu system chain: %w", err)
+		return nil, nil, err
 	}
-	return &Analysis{Chain: chain, Success: success}, states, nil
+	return a, states, nil
+}
+
+// scuSystem lists the SCU(0, 1) system chain as the states and
+// transitions of scuEnumerate(n, 0, 1), relabelled (a, b) and sorted
+// by a, then b. The states are every (a, b) with a + b <= n except
+// (0, n), where every process would CAS with a stale value. From
+// (a, b), with c = n − a − b processes holding the current value:
+//
+//   - a reader steps with probability a/n and goes to (a−1, b);
+//   - a stale CAS fails with probability b/n and goes to (a+1, b−1);
+//   - a current CAS succeeds with probability c/n, goes to
+//     (a+1, n−a−1), and completes an operation.
+func scuSystem(n int) ([]SCUSystemState, []transition) {
+	vecs, ts := scuEnumerate(n, 0, 1)
+	// The classes of SCU(0, 1) are Scan_1 (the readers, a), CASCur
+	// and CASOld (the stale CASes, b).
+	order := make([]int, len(vecs))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(i, j int) bool {
+		x, y := vecs[order[i]], vecs[order[j]]
+		return x[0] < y[0] || x[0] == y[0] && x[2] < y[2]
+	})
+	rank := make([]int, len(vecs))
+	states := make([]SCUSystemState, len(vecs))
+	for r, i := range order {
+		rank[i] = r
+		states[r] = SCUSystemState{A: vecs[i][0], B: vecs[i][2]}
+	}
+	for i := range ts {
+		ts[i].from, ts[i].to = rank[ts[i].from], rank[ts[i].to]
+	}
+	return states, ts
 }
 
 // maxSCUIndividualN caps the individual chain at 3^8 − 1 = 6560
@@ -115,15 +95,14 @@ func SCUIndividual(n int) (*Analysis, []int, error) {
 		return nil, nil, fmt.Errorf("%w: n=%d (1..%d)", ErrBadN, n, maxSCUIndividualN)
 	}
 	pow3 := 1
-	for i := 0; i < n; i++ {
-		pow3 *= 3
-	}
 	// The all-OldCAS vector has every base-3 digit equal to 1.
 	excluded := 0
 	for i := 0; i < n; i++ {
+		pow3 *= 3
 		excluded = excluded*3 + 1
 	}
-	// Compact indexing: skip the excluded code.
+	// Compact indexing: skip the excluded code. No move reaches it,
+	// because a step never leaves its own process at OldCAS.
 	codeToIdx := func(code int) int {
 		if code < excluded {
 			return code
@@ -131,21 +110,15 @@ func SCUIndividual(n int) (*Analysis, []int, error) {
 		return code - 1
 	}
 
-	m := pow3 - 1
-	p := make([][]float64, m)
-	success := make([]float64, m)
-	procSuccess := make([][]float64, m)
-
-	_, sysStates, err := SCUSystem(n)
-	if err != nil {
-		return nil, nil, err
-	}
+	sysStates, _ := scuSystem(n)
 	sysIndex := make(map[SCUSystemState]int, len(sysStates))
 	for i, st := range sysStates {
 		sysIndex[st] = i
 	}
-	lift := make([]int, m)
 
+	m := pow3 - 1
+	lift := make([]int, m)
+	ts := make([]transition, 0, m*n)
 	digits := make([]int, n)
 	fn := float64(n)
 	for code := 0; code < pow3; code++ {
@@ -153,8 +126,6 @@ func SCUIndividual(n int) (*Analysis, []int, error) {
 			continue
 		}
 		idx := codeToIdx(code)
-		p[idx] = make([]float64, m)
-		procSuccess[idx] = make([]float64, n)
 
 		// Decode digits (process 0 is the least significant digit).
 		c := code
@@ -169,18 +140,12 @@ func SCUIndividual(n int) (*Analysis, []int, error) {
 				b++
 			}
 		}
-		sysIdx, ok := sysIndex[SCUSystemState{A: a, B: b}]
-		if !ok {
-			return nil, nil, fmt.Errorf("chains: individual state maps to missing (%d,%d)", a, b)
-		}
-		lift[idx] = sysIdx
+		lift[idx] = sysIndex[SCUSystemState{A: a, B: b}]
 
+		pow := 1
 		for pid := 0; pid < n; pid++ {
 			next := code
-			pow := 1
-			for i := 0; i < pid; i++ {
-				pow *= 3
-			}
+			done := noProc
 			switch digits[pid] {
 			case stateRead:
 				// Read → CCAS.
@@ -203,19 +168,16 @@ func SCUIndividual(n int) (*Analysis, []int, error) {
 					next += d * mult
 					mult *= 3
 				}
-				success[idx] += 1 / fn
-				procSuccess[idx][pid] = 1 / fn
+				done = pid
 			}
-			if next == excluded {
-				return nil, nil, fmt.Errorf("chains: transition reached all-OldCAS from code %d", code)
-			}
-			p[idx][codeToIdx(next)] += 1 / fn
+			ts = append(ts, transition{from: idx, to: codeToIdx(next), p: 1 / fn, done: done})
+			pow *= 3
 		}
 	}
 
-	chain, err := markov.New(p)
+	ind, err := assemble("scu individual", m, n, ts)
 	if err != nil {
-		return nil, nil, fmt.Errorf("scu individual chain: %w", err)
+		return nil, nil, err
 	}
-	return &Analysis{Chain: chain, Success: success, ProcSuccess: procSuccess}, lift, nil
+	return ind, lift, nil
 }

@@ -2,17 +2,32 @@ package chains
 
 import (
 	"fmt"
-
-	"pwf/internal/markov"
 )
 
 // SCUSystemQS builds the system chain for the full class SCU(q, s):
 // a preamble of q independent steps followed by the s-step
-// scan-and-validate loop. It generalizes SCUSystemGeneral (which is
-// the q = 0 case) and closes the loop on Theorem 4's O(q + s√n)
-// bound: the exact latency of any member of the class, for small n.
-//
-// Extended local classes, in order:
+// scan-and-validate loop. It closes the loop on Theorem 4's
+// O(q + s√n) bound: the exact latency of any member of the class,
+// for small n. SCUSystem is its (0, 1) case with the states labelled
+// (a, b).
+func SCUSystemQS(n, q, s int) (*Analysis, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("%w: n=%d", ErrBadN, n)
+	}
+	if q < 0 || s < 1 {
+		return nil, fmt.Errorf("%w: q=%d s=%d", ErrBadParams, q, s)
+	}
+	if est := estimateCompositions(n, q+2*s+1); est > maxParallelStates {
+		return nil, fmt.Errorf("%w: ~%d states exceed %d", ErrBadN, est, maxParallelStates)
+	}
+	states, ts := scuEnumerate(n, q, s)
+	return assemble("scu(q,s) system", len(states), 0, ts)
+}
+
+// scuEnumerate lists the SCU(q, s) system chain: the class-occupancy
+// vectors reachable from every process at the start of an operation,
+// in breadth-first order, and the transitions between them. The
+// extended local classes, in index order, are:
 //
 //	Pre_1 .. Pre_q   preamble steps (unaffected by other processes)
 //	Scan_1           first scan read (reads the decision register R)
@@ -21,58 +36,29 @@ import (
 //	CASCur           about to CAS with the current value
 //	CASOld           about to CAS with a stale value
 //
-// A winner restarts at Pre_1 (the next operation's preamble); a
-// failed CAS restarts at Scan_1 only, matching Algorithm 2 (the
-// preamble is not re-run on validation failure).
-func SCUSystemQS(n, q, s int) (*Analysis, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("%w: n=%d", ErrBadN, n)
-	}
-	if q < 0 || s < 1 {
-		return nil, fmt.Errorf("%w: q=%d s=%d", ErrBadParams, q, s)
-	}
+// A scheduled process belongs to class c with probability v[c]/n. A
+// successful CAS flips every fresh scanner to stale and every other
+// CASCur to CASOld; a process still at Scan_1 has not read R yet and
+// is unaffected. The winner restarts at Pre_1 (the next operation's
+// preamble); a failed CAS restarts at Scan_1 only, matching
+// Algorithm 2 (the preamble is not re-run on validation failure).
+// Breadth-first enumeration keeps only reachable states, so the
+// chain is irreducible (the all-CASOld vector, for one, never occurs).
+func scuEnumerate(n, q, s int) ([][]int, []transition) {
 	classes := q + 2*s + 1
-	if est := estimateCompositions(n, classes); est > maxParallelStates {
-		return nil, fmt.Errorf("%w: ~%d states exceed %d", ErrBadN, est, maxParallelStates)
-	}
-
-	// Class indices.
-	pre := func(i int) int { return i - 1 }             // i in 1..q
-	scan1 := q                                          //
+	scan1 := q
 	scanF := func(i int) int { return q + 1 + (i - 2) } // i in 2..s
 	scanS := func(i int) int { return q + s + (i - 2) } // i in 2..s
-	casCur := q + 2*s - 1                               //
-	casOld := q + 2*s                                   //
-	restart := scan1                                    // target after a win
-	if q > 0 {
-		restart = pre(1)
-	}
+	casCur := q + 2*s - 1
+	casOld := q + 2*s
+	restart := 0 // Pre_1, or Scan_1 when q = 0
 
 	initial := make([]int, classes)
 	initial[restart] = n
-
 	index := map[string]int{compKey(initial): 0}
 	states := [][]int{initial}
-	type edge struct {
-		from, to int
-		prob     float64
-		success  bool
-	}
-	var edges []edge
+	var ts []transition
 	fn := float64(n)
-
-	intern := func(v []int) int {
-		key := compKey(v)
-		if idx, ok := index[key]; ok {
-			return idx
-		}
-		idx := len(states)
-		index[key] = idx
-		cp := make([]int, classes)
-		copy(cp, v)
-		states = append(states, cp)
-		return idx
-	}
 
 	for cur := 0; cur < len(states); cur++ {
 		st := states[cur]
@@ -83,37 +69,31 @@ func SCUSystemQS(n, q, s int) (*Analysis, error) {
 			next := make([]int, classes)
 			copy(next, st)
 			next[c]--
-			success := false
+			done := noProc
 			switch {
-			case q > 0 && c <= pre(q):
+			case c < scan1:
 				// Preamble step i -> i+1, or into the scan.
-				if c == pre(q) {
-					next[scan1]++
-				} else {
-					next[c+1]++
-				}
+				next[c+1]++
 			case c == scan1:
 				if s == 1 {
 					next[casCur]++
 				} else {
 					next[scanF(2)]++
 				}
-			case s > 1 && c >= scanF(2) && c <= scanF(s):
-				i := c - q - 1 + 2
-				if i == s {
+			case c < scanS(2):
+				if c == scanF(s) {
 					next[casCur]++
 				} else {
-					next[scanF(i+1)]++
+					next[c+1]++
 				}
-			case s > 1 && c >= scanS(2) && c <= scanS(s):
-				i := c - q - s + 2
-				if i == s {
+			case c < casCur:
+				if c == scanS(s) {
 					next[casOld]++
 				} else {
-					next[scanS(i+1)]++
+					next[c+1]++
 				}
 			case c == casCur:
-				success = true
+				done = anyProc
 				next[restart]++
 				for i := 2; i <= s; i++ {
 					next[scanS(i)] += next[scanF(i)]
@@ -121,35 +101,18 @@ func SCUSystemQS(n, q, s int) (*Analysis, error) {
 				}
 				next[casOld] += next[casCur]
 				next[casCur] = 0
-			case c == casOld:
+			default: // CASOld
 				next[scan1]++
-			default:
-				return nil, fmt.Errorf("chains: unmapped class %d (q=%d s=%d)", c, q, s)
 			}
-			edges = append(edges, edge{
-				from:    cur,
-				to:      intern(next),
-				prob:    float64(st[c]) / fn,
-				success: success,
-			})
+			key := compKey(next)
+			to, ok := index[key]
+			if !ok {
+				to = len(states)
+				index[key] = to
+				states = append(states, next)
+			}
+			ts = append(ts, transition{from: cur, to: to, p: float64(st[c]) / fn, done: done})
 		}
 	}
-
-	m := len(states)
-	p := make([][]float64, m)
-	for i := range p {
-		p[i] = make([]float64, m)
-	}
-	success := make([]float64, m)
-	for _, e := range edges {
-		p[e.from][e.to] += e.prob
-		if e.success {
-			success[e.from] += e.prob
-		}
-	}
-	chain, err := markov.New(p)
-	if err != nil {
-		return nil, fmt.Errorf("scu(q,s) system chain: %w", err)
-	}
-	return &Analysis{Chain: chain, Success: success}, nil
+	return states, ts
 }

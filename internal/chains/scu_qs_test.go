@@ -27,33 +27,26 @@ func TestSCUSystemQSValidation(t *testing.T) {
 	}
 }
 
-func TestSCUSystemQSReducesToGeneral(t *testing.T) {
-	for _, tc := range []struct{ n, s int }{{3, 1}, {4, 1}, {3, 2}, {2, 3}} {
-		qs, err := SCUSystemQS(tc.n, 0, tc.s)
+func TestSCUSystemQSReachableStatesOnly(t *testing.T) {
+	// The breadth-first enumeration keeps the chain irreducible.
+	for _, tc := range []struct{ n, q, s int }{
+		{2, 0, 2}, {3, 0, 2}, {2, 0, 3}, {4, 0, 2}, {4, 2, 1}, {3, 1, 2},
+	} {
+		a, err := SCUSystemQS(tc.n, tc.q, tc.s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gen, err := SCUSystemGeneral(tc.n, tc.s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wQS, err := qs.SystemLatency()
-		if err != nil {
-			t.Fatal(err)
-		}
-		wGen, err := gen.SystemLatency()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(wQS-wGen) > 1e-9 {
-			t.Fatalf("n=%d s=%d: QS %v != general %v", tc.n, tc.s, wQS, wGen)
+		if !a.Chain.Irreducible() {
+			t.Fatalf("n=%d q=%d s=%d: chain not irreducible", tc.n, tc.q, tc.s)
 		}
 	}
 }
 
 func TestSCUSystemQSSolo(t *testing.T) {
 	// Solo process: every operation takes exactly q + s + 1 steps.
-	for _, tc := range []struct{ q, s int }{{0, 1}, {2, 1}, {3, 2}, {1, 3}} {
+	for _, tc := range []struct{ q, s int }{
+		{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}, {2, 1}, {3, 2}, {1, 3},
+	} {
 		a, err := SCUSystemQS(1, tc.q, tc.s)
 		if err != nil {
 			t.Fatal(err)
@@ -70,7 +63,9 @@ func TestSCUSystemQSSolo(t *testing.T) {
 }
 
 func TestSCUSystemQSMatchesSimulation(t *testing.T) {
-	for _, tc := range []struct{ n, q, s int }{{4, 2, 1}, {6, 4, 1}, {4, 1, 2}} {
+	for _, tc := range []struct{ n, q, s int }{
+		{4, 0, 2}, {8, 0, 2}, {4, 0, 3}, {4, 2, 1}, {6, 4, 1}, {4, 1, 2},
+	} {
 		exact, err := SCUSystemQS(tc.n, tc.q, tc.s)
 		if err != nil {
 			t.Fatal(err)
@@ -159,6 +154,31 @@ func TestSCUSystemQSMonotoneInQ(t *testing.T) {
 		}
 		if w < prev {
 			t.Fatalf("q=%d: W %v decreased from %v", q, w, prev)
+		}
+		prev = w
+	}
+}
+
+func TestSCUSystemQSScalesWithS(t *testing.T) {
+	// Corollary 1: W = O(s·√n); at fixed n, W grows at most linearly
+	// in s and at least proportionally to s/2. n and s are kept small
+	// because the state space (compositions of n into 2s+1 classes)
+	// and the cubic solve grow quickly.
+	const n = 6
+	var prev float64
+	for s := 1; s <= 3; s++ {
+		a, err := SCUSystemQS(n, 0, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := a.SystemLatency()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s > 1 {
+			if growth := w / prev; growth < 1.05 || growth > 2.5 {
+				t.Fatalf("s=%d: W grew by factor %v from s-1", s, growth)
+			}
 		}
 		prev = w
 	}

@@ -37,6 +37,49 @@ func TestSCUSystemStateCount(t *testing.T) {
 	}
 }
 
+func TestSCUSystemClosedForm(t *testing.T) {
+	// Section 6.1.1 in closed form, independent of any builder: with
+	// c = n − a − b, state (a, b) moves to (a−1, b) with probability
+	// a/n, to (a+1, b−1) with b/n and to (a+1, n−a−1) with c/n, and
+	// only the last move completes an operation.
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 16, 64} {
+		a, states, err := SCUSystem(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		index := make(map[SCUSystemState]int, len(states))
+		for i, st := range states {
+			index[st] = i
+		}
+		fn := float64(n)
+		for i, st := range states {
+			c := n - st.A - st.B
+			want := make(map[int]float64)
+			add := func(k int, to SCUSystemState) {
+				if k == 0 {
+					return
+				}
+				j, ok := index[to]
+				if !ok {
+					t.Fatalf("n=%d: successor %v of %v missing", n, to, st)
+				}
+				want[j] = float64(k) / fn
+			}
+			add(st.A, SCUSystemState{A: st.A - 1, B: st.B})
+			add(st.B, SCUSystemState{A: st.A + 1, B: st.B - 1})
+			add(c, SCUSystemState{A: st.A + 1, B: n - st.A - 1})
+			for j := range states {
+				if got := a.Chain.P(i, j); got != want[j] {
+					t.Fatalf("n=%d: P(%v, %v) = %v, want %v", n, st, states[j], got, want[j])
+				}
+			}
+			if got := a.Success[i]; got != float64(c)/fn {
+				t.Fatalf("n=%d: success at %v = %v, want %v", n, st, got, float64(c)/fn)
+			}
+		}
+	}
+}
+
 func TestSCUSystemIrreducibleAndPeriodTwo(t *testing.T) {
 	// The scan-validate chain alternates read-like and CAS-like
 	// pending counts, so it is irreducible with period 2 (see the

@@ -21,77 +21,73 @@ import (
 // reach the tolerance within its iteration budget.
 var ErrNoSparseConvergence = errors.New("chains: sparse stationary iteration did not converge")
 
-// sparseEntry is one transition.
-type sparseEntry struct {
-	to int32
-	p  float64
-}
+// The sparse iteration's bounds: the largest n, the stationarity
+// tolerance (max-norm residual of πP − π) and the iteration budget.
+const (
+	maxSCULargeN  = 512
+	sparseTol     = 1e-10
+	sparseMaxIter = 5000000
+)
 
 // SCUSystemLatencyLarge computes the exact system latency W of
-// SCU(0, 1) with n processes using the sparse lazy iteration, with
-// stationarity tolerance tol (max-norm residual of πP − π) and an
-// iteration budget.
-func SCUSystemLatencyLarge(n int, tol float64, maxIter int) (float64, error) {
-	if n < 1 || n > 2048 {
-		return 0, fmt.Errorf("%w: n=%d (1..2048)", ErrBadN, n)
+// SCU(0, 1) with n processes using the sparse lazy iteration over the
+// states and transitions that SCUSystem(n) assembles densely.
+func SCUSystemLatencyLarge(n int) (float64, error) {
+	if n < 1 || n > maxSCULargeN {
+		return 0, fmt.Errorf("%w: n=%d (1..%d)", ErrBadN, n, maxSCULargeN)
 	}
-	if tol <= 0 {
-		return 0, errors.New("chains: tolerance must be positive")
+	states, ts := scuSystem(n)
+	// (n, 0), every process about to read, sorts last.
+	w, err := lazyLatency(len(states), len(states)-1, ts, sparseTol, sparseMaxIter)
+	if err != nil {
+		return 0, fmt.Errorf("n=%d: %w", n, err)
 	}
-	if maxIter < 1 {
-		return 0, errors.New("chains: maxIter must be positive")
-	}
+	return w, nil
+}
 
-	// Enumerate states (a, b), a+b <= n, excluding (0, n).
-	type state struct{ a, b int }
-	index := make(map[state]int32)
-	var states []state
-	for a := 0; a <= n; a++ {
-		for b := 0; a+b <= n; b++ {
-			if a == 0 && b == n {
-				continue
-			}
-			index[state{a, b}] = int32(len(states))
-			states = append(states, state{a, b})
-		}
-	}
-	m := len(states)
-	rows := make([][]sparseEntry, m)
+// lazyLatency runs the lazy power iteration v ← (vP + v)/2 of an
+// m-state chain from state start until the residual drops below tol,
+// and returns 1/μ for the stationary success rate μ.
+func lazyLatency(m, start int, ts []transition, tol float64, maxIter int) (float64, error) {
+	// Compressed rows: row i's successors are to[rowEnd[i-1]:rowEnd[i]]
+	// with probabilities p over the same range, in transition order.
+	rowEnd := make([]int, m)
 	success := make([]float64, m)
-	fn := float64(n)
-	for i, st := range states {
-		a, b := st.a, st.b
-		c := n - a - b
-		var row []sparseEntry
-		if a > 0 {
-			row = append(row, sparseEntry{to: index[state{a - 1, b}], p: float64(a) / fn})
+	for _, t := range ts {
+		rowEnd[t.from]++
+		if t.done != noProc {
+			success[t.from] += t.p
 		}
-		if b > 0 {
-			row = append(row, sparseEntry{to: index[state{a + 1, b - 1}], p: float64(b) / fn})
-		}
-		if c > 0 {
-			row = append(row, sparseEntry{to: index[state{a + 1, n - a - 1}], p: float64(c) / fn})
-			success[i] = float64(c) / fn
-		}
-		rows[i] = row
+	}
+	for i := 1; i < m; i++ {
+		rowEnd[i] += rowEnd[i-1]
+	}
+	fill := make([]int, m)
+	copy(fill[1:], rowEnd)
+	to := make([]int32, len(ts))
+	p := make([]float64, len(ts))
+	for _, t := range ts {
+		to[fill[t.from]], p[fill[t.from]] = int32(t.to), t.p
+		fill[t.from]++
 	}
 
-	// Lazy power iteration: v ← (vP + v) / 2.
 	cur := make([]float64, m)
 	next := make([]float64, m)
-	cur[index[state{n, 0}]] = 1
+	cur[start] = 1
 	for iter := 0; iter < maxIter; iter++ {
 		for i := range next {
 			next[i] = 0
 		}
+		k := 0
 		for i, vi := range cur {
 			if vi == 0 {
+				k = rowEnd[i]
 				continue
 			}
 			half := vi / 2
 			next[i] += half
-			for _, e := range rows[i] {
-				next[e.to] += half * e.p
+			for ; k < rowEnd[i]; k++ {
+				next[to[k]] += half * p[k]
 			}
 		}
 		// Residual of the ORIGINAL chain: ‖vP − v‖∞ = 2·‖vLazy − v‖∞.
@@ -113,5 +109,5 @@ func SCUSystemLatencyLarge(n int, tol float64, maxIter int) (float64, error) {
 			return 1 / mu, nil
 		}
 	}
-	return 0, fmt.Errorf("%w: n=%d after %d iterations", ErrNoSparseConvergence, n, maxIter)
+	return 0, fmt.Errorf("%w after %d iterations", ErrNoSparseConvergence, maxIter)
 }

@@ -7,17 +7,34 @@ import (
 )
 
 func TestSparseValidation(t *testing.T) {
-	if _, err := SCUSystemLatencyLarge(0, 1e-10, 1000); !errors.Is(err, ErrBadN) {
+	if _, err := SCUSystemLatencyLarge(0); !errors.Is(err, ErrBadN) {
 		t.Errorf("n=0: %v", err)
 	}
-	if _, err := SCUSystemLatencyLarge(4, 0, 1000); err == nil {
-		t.Error("tol=0: nil error")
+	if _, err := SCUSystemLatencyLarge(maxSCULargeN + 1); !errors.Is(err, ErrBadN) {
+		t.Errorf("n too large: %v", err)
 	}
-	if _, err := SCUSystemLatencyLarge(4, 1e-10, 0); err == nil {
-		t.Error("maxIter=0: nil error")
-	}
-	if _, err := SCUSystemLatencyLarge(4, 1e-30, 3); !errors.Is(err, ErrNoSparseConvergence) {
+	states, ts := scuSystem(4)
+	if _, err := lazyLatency(len(states), len(states)-1, ts, 1e-30, 3); !errors.Is(err, ErrNoSparseConvergence) {
 		t.Errorf("tiny budget: %v", err)
+	}
+}
+
+func TestSparseLargeNPinnedBits(t *testing.T) {
+	// The large-n exact rows of E4 and E11. The iteration sums in
+	// state order, so reordering the enumeration would move these
+	// bits.
+	for _, tc := range []struct {
+		n    int
+		bits uint64
+	}{{128, 0x4034af8b17ab1e73}, {256, 0x403d008dde819696}} {
+		w, err := SCUSystemLatencyLarge(tc.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := math.Float64bits(w); got != tc.bits {
+			t.Fatalf("n=%d: W = %v (bits %#x), want %v (bits %#x)",
+				tc.n, w, got, math.Float64frombits(tc.bits), tc.bits)
+		}
 	}
 }
 
@@ -31,7 +48,7 @@ func TestSparseMatchesDenseSolve(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wSparse, err := SCUSystemLatencyLarge(n, 1e-12, 5000000)
+		wSparse, err := SCUSystemLatencyLarge(n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,11 +61,11 @@ func TestSparseMatchesDenseSolve(t *testing.T) {
 func TestSparseLargeNSqrtScaling(t *testing.T) {
 	// The point of the sparse solver: exact W far beyond the dense
 	// cap, confirming the √n scaling with exact values.
-	w128, err := SCUSystemLatencyLarge(128, 1e-10, 5000000)
+	w128, err := SCUSystemLatencyLarge(128)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w512, err := SCUSystemLatencyLarge(512, 1e-10, 5000000)
+	w512, err := SCUSystemLatencyLarge(512)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,7 @@ func BallsBinsPhases(cfg Config) (*Table, error) {
 
 		// Sparse exact latency: the dense solve is cubic and already
 		// takes ~30s at n=128.
-		w, err := chains.SCUSystemLatencyLarge(n, 1e-10, 5000000)
+		w, err := chains.SCUSystemLatencyLarge(n)
 		if err != nil {
 			return nil, err
 		}

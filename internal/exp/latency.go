@@ -84,7 +84,7 @@ func SystemLatencySweep(cfg Config) (*Table, error) {
 	// values beyond the dense solver's reach.
 	for i, n := range largeNs {
 		r := results[3*len(ns)+i]
-		exact, err := chains.SCUSystemLatencyLarge(n, 1e-10, 5000000)
+		exact, err := chains.SCUSystemLatencyLarge(n)
 		if err != nil {
 			return nil, err
 		}
