@@ -1,0 +1,84 @@
+package checkpoint
+
+import (
+	"errors"
+	"os"
+	"path/filepath"
+	"strings"
+	"syscall"
+	"testing"
+
+	"pwf/internal/sweep"
+)
+
+// A commit that fails part-way must not leave its fragment in front of
+// the next commit's line. The file-size limit cuts the second record
+// short with EFBIG; after the limit is lifted a third commit succeeds,
+// and the file then loads with exactly the two committed points. The
+// failure names the checkpoint path, not the temp file that create
+// renamed away.
+func TestLogRollsBackFailedAppend(t *testing.T) {
+	cfg := testConfig()
+	results, err := sweep.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "sweep.ckpt")
+	l, err := Open(path, cfg, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := l.Commit(results[0]); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var limit syscall.Rlimit
+	if err := syscall.Getrlimit(syscall.RLIMIT_FSIZE, &limit); err != nil {
+		t.Fatal(err)
+	}
+	lowered := limit
+	lowered.Cur = uint64(fi.Size()) + 10
+	if lowered.Cur > limit.Max {
+		t.Skipf("hard file-size limit %d is below %d", limit.Max, lowered.Cur)
+	}
+	if err := syscall.Setrlimit(syscall.RLIMIT_FSIZE, &lowered); err != nil {
+		t.Skipf("cannot lower the file-size limit: %v", err)
+	}
+	err = l.Commit(results[1])
+	if rerr := syscall.Setrlimit(syscall.RLIMIT_FSIZE, &limit); rerr != nil {
+		t.Fatalf("restore file-size limit: %v", rerr)
+	}
+	if !errors.Is(err, syscall.EFBIG) {
+		t.Fatalf("commit past the file-size limit: %v, want EFBIG", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, path) || strings.Contains(msg, ".tmp") {
+		t.Errorf("commit error %q does not name %s", msg, path)
+	}
+
+	if err := l.Commit(results[2]); err != nil {
+		t.Fatalf("commit after a failed append: %v", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, recs, err := Load(path)
+	if err != nil {
+		t.Fatalf("Load after a failed append: %v", err)
+	}
+	if len(recs) != 2 || recs[0].Index != 0 || recs[1].Index != 2 {
+		t.Fatalf("Load returned %d records, want points 0 and 2", len(recs))
+	}
+	re, err := Open(path, cfg, Options{})
+	if err != nil {
+		t.Fatalf("Open after a failed append: %v", err)
+	}
+	defer re.Close()
+	if re.Restored() != 2 {
+		t.Errorf("reopened checkpoint restored %d points, want 2", re.Restored())
+	}
+}

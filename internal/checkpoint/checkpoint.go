@@ -25,10 +25,14 @@
 // commits and on Close). A SIGKILL at any byte therefore leaves a
 // loadable prefix: complete '\n'-terminated lines are restored, a
 // torn final line (no trailing newline) is discarded and overwritten
-// by the next append. A '\n'-terminated line that fails to decode is
-// real corruption and fails the load loudly, as does a header whose
-// grid hash, seed, or point count disagrees with the sweep being
-// resumed (ErrGridMismatch).
+// by the next append. An append that fails part-way (a full disk, a
+// file-size limit) is truncated back to the last whole record before
+// the error returns, so a later successful append still lands on a
+// record boundary; if that truncation fails too, the Log refuses every
+// later commit with the append's error. A '\n'-terminated line that
+// fails to decode is real corruption and fails the load loudly, as
+// does a header whose grid hash, seed, or point count disagrees with
+// the sweep being resumed (ErrGridMismatch).
 //
 // Because sweep point i always draws from rng.Stream(seed, i),
 // restoring the completed set and executing only the remainder yields
@@ -43,6 +47,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -119,9 +125,11 @@ type Log struct {
 	path       string
 	meta       Meta
 	restored   map[int]sweep.Result
+	size       int64 // bytes of header and whole records in the file
 	sinceSync  int
 	flushEvery int
 	closed     bool
+	failed     error // a failed append that could not be rolled back
 
 	mWritten  *obs.Counter
 	mRestored *obs.Counter
@@ -203,6 +211,7 @@ func (l *Log) create() error {
 	syncDir(dir)
 	// The renamed fd stays valid for appends; no reopen needed.
 	l.f = tmp
+	l.size = int64(len(header))
 	l.mBytes.Add(uint64(len(header)))
 	l.mSyncs.Inc()
 	return nil
@@ -236,6 +245,7 @@ func (l *Log) load() error {
 		return fmt.Errorf("checkpoint: seek %s: %w", l.path, err)
 	}
 	l.f = f
+	l.size = int64(validLen)
 	l.mRestored.Add(uint64(len(l.restored)))
 	return nil
 }
@@ -315,7 +325,8 @@ func (l *Log) Restore(i int) (sweep.Result, bool) {
 }
 
 // Commit implements sweep.Checkpoint: one canonical api.Result line
-// appended, with an fsync every flushEvery commits.
+// appended, with an fsync every flushEvery commits. A failed append is
+// truncated away before Commit returns (see the package comment).
 func (l *Log) Commit(r sweep.Result) error {
 	line, err := api.MarshalResult(api.ResultFromSweep(r))
 	if err != nil {
@@ -327,20 +338,49 @@ func (l *Log) Commit(r sweep.Result) error {
 	if l.closed {
 		return errors.New("checkpoint: commit after Close")
 	}
-	if _, err := l.f.Write(line); err != nil {
-		return fmt.Errorf("checkpoint: append point %d: %w", r.Index, err)
+	if l.failed != nil {
+		return l.failed
 	}
+	if _, err := l.f.Write(line); err != nil {
+		err = l.fileErr(fmt.Sprintf("append point %d to", r.Index), err)
+		if rerr := l.rollback(); rerr != nil {
+			l.failed = err
+			return fmt.Errorf("%w (and could not truncate the partial record: %v)", err, rerr)
+		}
+		return err
+	}
+	l.size += int64(len(line))
 	l.mWritten.Inc()
 	l.mBytes.Add(uint64(len(line)))
 	l.sinceSync++
 	if l.flushEvery < 0 || l.sinceSync >= l.flushEvery {
 		if err := l.f.Sync(); err != nil {
-			return fmt.Errorf("checkpoint: sync: %w", err)
+			return l.fileErr("sync", err)
 		}
 		l.mSyncs.Inc()
 		l.sinceSync = 0
 	}
 	return nil
+}
+
+// rollback cuts a partly written record off the end of the file and
+// moves the write offset back to the end of the last whole record.
+func (l *Log) rollback() error {
+	if err := l.f.Truncate(l.size); err != nil {
+		return err
+	}
+	_, err := l.f.Seek(l.size, io.SeekStart)
+	return err
+}
+
+// fileErr names the checkpoint path in an error from l.f, which after
+// create still carries the name of the temp file renamed into place.
+func (l *Log) fileErr(op string, err error) error {
+	var pe *fs.PathError
+	if errors.As(err, &pe) {
+		err = pe.Err
+	}
+	return fmt.Errorf("checkpoint: %s %s: %w", op, l.path, err)
 }
 
 // Sync forces any batched appends to durable storage.
@@ -351,7 +391,7 @@ func (l *Log) Sync() error {
 		return nil
 	}
 	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("checkpoint: sync: %w", err)
+		return l.fileErr("sync", err)
 	}
 	l.mSyncs.Inc()
 	l.sinceSync = 0
@@ -369,13 +409,13 @@ func (l *Log) Close() error {
 	var first error
 	if l.sinceSync > 0 {
 		if err := l.f.Sync(); err != nil {
-			first = fmt.Errorf("checkpoint: sync on close: %w", err)
+			first = l.fileErr("sync on close", err)
 		} else {
 			l.mSyncs.Inc()
 		}
 	}
 	if err := l.f.Close(); err != nil && first == nil {
-		first = fmt.Errorf("checkpoint: close: %w", err)
+		first = l.fileErr("close", err)
 	}
 	return first
 }

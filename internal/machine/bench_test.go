@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"fmt"
 	"testing"
 
 	"pwf/internal/rng"
@@ -33,14 +32,6 @@ func benchSim(tb testing.TB, n int, sch sched.Scheduler) *Sim {
 	return sim
 }
 
-// naiveUniform adapts Uniform's NextNaive reference path to the
-// Scheduler interface, so the end-to-end cost of the superseded O(n)
-// sampler is measurable against the dense active set on identical
-// machine code.
-type naiveUniform struct{ *sched.Uniform }
-
-func (s naiveUniform) Next() (int, error) { return s.NextNaive() }
-
 // BenchmarkSimRun times the untraced, crash-free Run fast path: one
 // scheduler draw plus one process step per iteration, with 0
 // allocs/op as the acceptance bar. (BenchmarkSimStep in
@@ -51,33 +42,6 @@ func BenchmarkSimRun(b *testing.B) {
 	b.ResetTimer()
 	if err := sim.Run(uint64(b.N)); err != nil {
 		b.Fatal(err)
-	}
-}
-
-// BenchmarkSimRunNaiveSched is the before side of the sampler rewrite
-// at paper scale: the same Run loop drawing through the O(n) naive
-// uniform sampler, with one process crashed so the draw takes the
-// rebuild-the-correct-set path (crash-free naive uniform is already
-// O(1)). Compare the n=1024 sub-benchmark against
-// BenchmarkSweepSteps/uniform/n=1024 (after side, also Crash: 1) in
-// BENCH.md.
-func BenchmarkSimRunNaiveSched(b *testing.B) {
-	for _, n := range []int{64, 1024} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			u, err := sched.NewUniform(n, rng.New(1))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := u.Crash(0); err != nil {
-				b.Fatal(err)
-			}
-			sim := benchSim(b, n, naiveUniform{u})
-			b.ReportAllocs()
-			b.ResetTimer()
-			if err := sim.Run(uint64(b.N)); err != nil {
-				b.Fatal(err)
-			}
-		})
 	}
 }
 

@@ -396,52 +396,71 @@ func TestTraceWriterConcurrentHammer(t *testing.T) {
 	}
 }
 
-// BenchmarkBinaryTraceEncode measures the per-event encode cost on a
-// sched-heavy stream — the number the <10%-of-traced-run acceptance
-// criterion in BENCH_trace.json is built from.
-func BenchmarkBinaryTraceEncode(b *testing.B) {
-	for _, comp := range []Compression{CompressNone, CompressGzip} {
-		b.Run(comp.String(), func(b *testing.B) {
-			w := NewBinaryTraceWriter(io.Discard, BinaryTraceOptions{
-				Compression: comp, Registry: NewRegistry(),
-			})
+// BenchmarkTrace times every trace format on one sched-heavy stream
+// of traceBenchEvents events: encode rows record one event per op
+// through NewTraceWriter into io.Discard, decode rows read the whole
+// encoded stream per op through ReadTrace. Both report the encoded
+// bytes per event.
+func BenchmarkTrace(b *testing.B) {
+	events := make([]Event, traceBenchEvents)
+	for i := range events {
+		events[i] = Event{Kind: KindSched, Step: uint64(i), PID: i & 1023}
+	}
+	for _, f := range []struct {
+		name   string
+		format TraceFormat
+		comp   Compression
+	}{
+		{"ndjson", TraceNDJSON, CompressNone},
+		{"bin", TraceBinary, CompressNone},
+		{"bin-gzip", TraceBinary, CompressGzip},
+	} {
+		var buf bytes.Buffer
+		w, err := NewTraceWriter(&buf, f.format, f.comp)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, e := range events {
+			w.Record(e)
+		}
+		if err := w.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		raw := buf.Bytes()
+		bytesPerEvent := float64(len(raw)) / float64(len(events))
+		b.Run(f.name+"/encode", func(b *testing.B) {
+			w, err := NewTraceWriter(io.Discard, f.format, f.comp)
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				w.Record(Event{Kind: KindSched, Step: uint64(i), PID: i & 1023})
+				w.Record(events[i%len(events)])
 			}
 			if err := w.Flush(); err != nil {
 				b.Fatal(err)
 			}
+			b.ReportMetric(bytesPerEvent, "B/event")
+		})
+		b.Run(f.name+"/decode", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				got, err := ReadTrace(bytes.NewReader(raw))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(got) != len(events) {
+					b.Fatalf("decoded %d events, want %d", len(got), len(events))
+				}
+			}
+			b.ReportMetric(bytesPerEvent, "B/event")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(events)), "ns/event")
 		})
 	}
 }
 
-func BenchmarkBinaryTraceDecode(b *testing.B) {
-	var events []Event
-	for i := 0; i < 100000; i++ {
-		events = append(events, Event{Kind: KindSched, Step: uint64(i), PID: i & 1023})
-	}
-	var buf bytes.Buffer
-	w := NewBinaryTraceWriter(&buf, BinaryTraceOptions{Registry: NewRegistry()})
-	for _, e := range events {
-		w.Record(e)
-	}
-	if err := w.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	raw := buf.Bytes()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		got, err := ReadBinaryEvents(bytes.NewReader(raw))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(got) != len(events) {
-			b.Fatalf("got %d events, want %d", len(got), len(events))
-		}
-	}
-}
+// traceBenchEvents is the length of BenchmarkTrace's stream.
+const traceBenchEvents = 10000
 
 // TestBinaryTraceJSONEquivalence checks that a binary trace decodes
 // to exactly the events its NDJSON twin encodes, field for field —

@@ -7,104 +7,43 @@ import (
 	"pwf/internal/rng"
 )
 
-// BenchmarkSchedDraw sweeps every stochastic scheduler's per-step
-// draw cost over the paper-scale process counts, fast path against
-// the naive O(n) reference. A few processes are crashed first so the
-// crash-mode paths — the ones the rewrite targets — are the paths
-// measured. The acceptance criterion is that the fast columns stay
-// flat (alias, dense set) or logarithmic (Fenwick) in n while the
-// naive columns grow linearly.
+// BenchmarkSchedDraw times every stochastic scheduler's per-step draw
+// over the paper-scale process counts. A few processes are crashed
+// first so the crash-mode paths are the ones measured. The draw cost
+// should stay flat in n (alias tables, dense active set) or grow
+// logarithmically (Fenwick tree). The O(n) samplers these replaced
+// (naiveNext) are no longer timed; BENCH_sched.json keeps their last
+// measurement.
 func BenchmarkSchedDraw(b *testing.B) {
+	type drawer interface {
+		Scheduler
+		Crasher
+	}
 	for _, n := range []int{16, 256, 1024, 4096} {
 		for _, bench := range []struct {
 			name  string
-			build func(n int) (func() (int, error), Crasher, error)
+			build func(n int) (drawer, error)
 		}{
-			{"uniform/dense", func(n int) (func() (int, error), Crasher, error) {
-				u, err := NewUniform(n, rng.New(1))
-				if err != nil {
-					return nil, nil, err
-				}
-				return u.Next, u, nil
-			}},
-			{"uniform/naive", func(n int) (func() (int, error), Crasher, error) {
-				u, err := NewUniform(n, rng.New(1))
-				if err != nil {
-					return nil, nil, err
-				}
-				return u.NextNaive, u, nil
-			}},
-			{"weighted/alias", func(n int) (func() (int, error), Crasher, error) {
-				w, err := NewWeighted(rampWeights(n), rng.New(2))
-				if err != nil {
-					return nil, nil, err
-				}
-				return w.Next, w, nil
-			}},
-			{"weighted/naive", func(n int) (func() (int, error), Crasher, error) {
-				w, err := NewWeighted(rampWeights(n), rng.New(2))
-				if err != nil {
-					return nil, nil, err
-				}
-				return w.NextNaive, w, nil
-			}},
-			{"lottery/fenwick", func(n int) (func() (int, error), Crasher, error) {
-				l, err := NewLottery(rampTickets(n), rng.New(3))
-				if err != nil {
-					return nil, nil, err
-				}
-				return l.Next, l, nil
-			}},
-			{"lottery/naive", func(n int) (func() (int, error), Crasher, error) {
-				l, err := NewLottery(rampTickets(n), rng.New(3))
-				if err != nil {
-					return nil, nil, err
-				}
-				return l.NextNaive, l, nil
-			}},
-			{"sticky/dense", func(n int) (func() (int, error), Crasher, error) {
-				s, err := NewSticky(n, 0.8, rng.New(4))
-				if err != nil {
-					return nil, nil, err
-				}
-				return s.Next, s, nil
-			}},
-			{"sticky/naive", func(n int) (func() (int, error), Crasher, error) {
-				s, err := NewSticky(n, 0.8, rng.New(4))
-				if err != nil {
-					return nil, nil, err
-				}
-				return s.NextNaive, s, nil
-			}},
-			{"phased/alias", func(n int) (func() (int, error), Crasher, error) {
-				p, err := NewPhased(n, benchPhases(n), rng.New(5))
-				if err != nil {
-					return nil, nil, err
-				}
-				return p.Next, p, nil
-			}},
-			{"phased/naive", func(n int) (func() (int, error), Crasher, error) {
-				p, err := NewPhased(n, benchPhases(n), rng.New(5))
-				if err != nil {
-					return nil, nil, err
-				}
-				return p.NextNaive, p, nil
-			}},
+			{"uniform/dense", func(n int) (drawer, error) { return NewUniform(n, rng.New(1)) }},
+			{"weighted/alias", func(n int) (drawer, error) { return NewWeighted(rampWeights(n), rng.New(2)) }},
+			{"lottery/fenwick", func(n int) (drawer, error) { return NewLottery(rampTickets(n), rng.New(3)) }},
+			{"sticky/dense", func(n int) (drawer, error) { return NewSticky(n, 0.8, rng.New(4)) }},
+			{"phased/alias", func(n int) (drawer, error) { return NewPhased(n, benchPhases(n), rng.New(5)) }},
 		} {
 			b.Run(fmt.Sprintf("%s/n=%d", bench.name, n), func(b *testing.B) {
-				next, crasher, err := bench.build(n)
+				s, err := bench.build(n)
 				if err != nil {
 					b.Fatal(err)
 				}
 				for pid := 0; pid < n/8; pid++ {
-					if err := crasher.Crash(pid); err != nil {
+					if err := s.Crash(pid); err != nil {
 						b.Fatal(err)
 					}
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := next(); err != nil {
+					if _, err := s.Next(); err != nil {
 						b.Fatal(err)
 					}
 				}

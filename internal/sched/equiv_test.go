@@ -11,12 +11,12 @@ import (
 
 // These tests establish that the constant-time sampling paths (dense
 // active set, alias tables, Fenwick tree) draw from the same
-// distributions as the naive O(n) reference samplers they replaced,
-// including under arbitrary crash and ticket-transfer sequences. Each
-// equivalence is a two-sample chi-square at p = 0.001 between counts
-// from a fast-path instance and a naive-path instance with
-// independent seeds; quick sources are pinned so the statistical
-// tests are deterministic.
+// distributions as the naive O(n) reference samplers they replaced
+// (naiveNext, in naive_test.go), including under arbitrary crash and
+// ticket-transfer sequences. Each equivalence is a two-sample
+// chi-square at p = 0.001 between counts from a fast-path instance and
+// a naive-path instance with independent seeds; quick sources are
+// pinned so the statistical tests are deterministic.
 
 // quickCfg returns a deterministic quick config for statistical
 // property tests.
@@ -72,7 +72,7 @@ func TestUniformEquivalenceUnderCrashes(t *testing.T) {
 	fast := mustUniform(t, n, 101)
 	naive := mustUniform(t, n, 202)
 	crashSome(t, n, 7, fast, naive)
-	chiEquiv(t, n, 100000, fast.Next, naive.NextNaive)
+	chiEquiv(t, n, 100000, fast.Next, naiveNext(naive))
 }
 
 func TestWeightedEquivalenceUnderCrashes(t *testing.T) {
@@ -91,7 +91,7 @@ func TestWeightedEquivalenceUnderCrashes(t *testing.T) {
 		t.Fatal(err)
 	}
 	crashSome(t, n, 8, fast, naive)
-	chiEquiv(t, n, 100000, fast.Next, naive.NextNaive)
+	chiEquiv(t, n, 100000, fast.Next, naiveNext(naive))
 }
 
 func TestLotteryEquivalenceUnderCrashesAndTransfers(t *testing.T) {
@@ -121,7 +121,7 @@ func TestLotteryEquivalenceUnderCrashesAndTransfers(t *testing.T) {
 		if err := naive.SetTickets(pid, amount); err != nil {
 			t.Fatal(err)
 		}
-		chiEquiv(t, n, 25000, fast.Next, naive.NextNaive)
+		chiEquiv(t, n, 25000, fast.Next, naiveNext(naive))
 	}
 }
 
@@ -150,7 +150,7 @@ func TestStickyEquivalenceUnderCrashes(t *testing.T) {
 			return next()
 		}
 	}
-	chiEquiv(t, n, 40000, thin(fast.Next), thin(naive.NextNaive))
+	chiEquiv(t, n, 40000, thin(fast.Next), thin(naiveNext(naive)))
 }
 
 func TestPhasedEquivalenceUnderCrashes(t *testing.T) {
@@ -168,7 +168,7 @@ func TestPhasedEquivalenceUnderCrashes(t *testing.T) {
 		t.Fatal(err)
 	}
 	crashSome(t, n, 11, fast, naive)
-	chiEquiv(t, n, 100000, fast.Next, naive.NextNaive)
+	chiEquiv(t, n, 100000, fast.Next, naiveNext(naive))
 }
 
 // ramp returns n weights starting at start with the given step.
@@ -218,6 +218,7 @@ func TestLotterySequenceMatchesNaive(t *testing.T) {
 			}
 		}
 	}
+	naiveDraw := naiveNext(naive)
 	for round := 0; round < 12; round++ {
 		mutate(round)
 		for i := 0; i < 500; i++ {
@@ -225,7 +226,7 @@ func TestLotterySequenceMatchesNaive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := naive.NextNaive()
+			want, err := naiveDraw()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -242,13 +243,13 @@ func TestLotterySequenceMatchesNaive(t *testing.T) {
 // reproduce their crash-free schedules unchanged.
 func TestUniformCrashFreeSequenceMatchesNaive(t *testing.T) {
 	fast := mustUniform(t, 9, 2024)
-	naive := mustUniform(t, 9, 2024)
+	naiveDraw := naiveNext(mustUniform(t, 9, 2024))
 	for i := 0; i < 5000; i++ {
 		got, err := fast.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := naive.NextNaive()
+		want, err := naiveDraw()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -32,8 +32,6 @@ type Phased struct {
 
 	tables []aliasTable
 	wBuf   []float64 // rebuild scratch
-
-	scratch []float64 // NextNaive scratch
 }
 
 // Phase is one segment of a Phased schedule.
@@ -104,7 +102,6 @@ func newPhased(n int, phases []Phase, srcs []rng.Source) (*Phased, error) {
 		left:      cp[0].Steps,
 		theta:     theta,
 		tables:    make([]aliasTable, len(cp)),
-		scratch:   make([]float64, n),
 	}
 	if err := p.rebuild(); err != nil {
 		return nil, err

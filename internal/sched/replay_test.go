@@ -92,52 +92,51 @@ func TestReplayZeroThreshold(t *testing.T) {
 
 // TestReplayRecordedNaiveTraceByteForByte closes the compatibility
 // loop of the sampler rewrite: a schedule trace recorded under the
-// superseded O(n) samplers (the NextNaive reference path, i.e. what
-// any pre-rewrite run would have written to disk) must replay
-// element-for-element through the untouched Replay scheduler.
+// superseded O(n) samplers (naiveNext, i.e. what any pre-rewrite run
+// would have written to disk) must replay element-for-element through
+// the untouched Replay scheduler. One table runs each recording
+// policy, with one process crashed, through the Crasher interface.
 func TestReplayRecordedNaiveTraceByteForByte(t *testing.T) {
 	const n = 8
-	samplers := map[string]func() (int, error){}
-
-	u := mustUniform(t, n, 31)
-	if err := u.Crash(3); err != nil {
-		t.Fatal(err)
-	}
-	samplers["uniform"] = u.NextNaive
-
 	l, err := NewLottery([]int{1, 2, 3, 4, 5, 6, 7, 8}, rng.New(32))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Crash(5); err != nil {
-		t.Fatal(err)
-	}
-	samplers["lottery"] = l.NextNaive
-
-	for name, next := range samplers {
+	for _, tc := range []struct {
+		name  string
+		sched Crasher
+		crash int
+	}{
+		{"uniform", mustUniform(t, n, 31), 3},
+		{"lottery", l, 5},
+	} {
+		if err := tc.sched.Crash(tc.crash); err != nil {
+			t.Fatal(err)
+		}
+		next := naiveNext(tc.sched)
 		trace := make([]int32, 4096)
 		for i := range trace {
 			pid, err := next()
 			if err != nil {
-				t.Fatalf("%s: %v", name, err)
+				t.Fatalf("%s: %v", tc.name, err)
 			}
 			trace[i] = int32(pid)
 		}
 		r, err := NewReplay(n, trace, false)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
 		for i, want := range trace {
 			got, err := r.Next()
 			if err != nil {
-				t.Fatalf("%s: step %d: %v", name, i, err)
+				t.Fatalf("%s: step %d: %v", tc.name, i, err)
 			}
 			if got != int(want) {
-				t.Fatalf("%s: step %d: replayed %d, recorded %d", name, i, got, want)
+				t.Fatalf("%s: step %d: replayed %d, recorded %d", tc.name, i, got, want)
 			}
 		}
 		if _, err := r.Next(); !errors.Is(err, ErrTraceExhausted) {
-			t.Fatalf("%s: after trace: %v", name, err)
+			t.Fatalf("%s: after trace: %v", tc.name, err)
 		}
 	}
 }

@@ -40,9 +40,8 @@
 // Weighted and Phased draw from Walker alias tables rebuilt only on
 // crash (O(1) per draw), and Lottery draws through a Fenwick tree
 // (O(log n) per draw and per ticket transfer). The superseded O(n)
-// scan samplers survive as the NextNaive methods (see naive.go),
-// which the equivalence tests and before/after benchmarks use as the
-// reference implementation.
+// scan samplers survive in the tests (naive_test.go) as the reference
+// the equivalence tests check these draws against.
 package sched
 
 import (
@@ -214,9 +213,8 @@ func (a *activeSet) pick(src *rng.Source) int {
 // active process is scheduled with probability 1/|A_τ| at every step.
 type Uniform struct {
 	activeSet
-	srcs     []rng.Source
-	draws    []int64 // NextBatch scratch, one slot per replica
-	naiveIDs []int   // NextNaive scratch
+	srcs  []rng.Source
+	draws []int64 // NextBatch scratch, one slot per replica
 }
 
 // NewUniform returns a uniform stochastic scheduler over n processes
@@ -296,8 +294,6 @@ type Weighted struct {
 
 	table aliasTable
 	wBuf  []float64 // rebuild scratch: weights of the active ids
-
-	scratch []float64 // NextNaive scratch
 }
 
 // NewWeighted builds a weighted stochastic scheduler with one replica,
@@ -326,7 +322,6 @@ func newWeighted(weights []float64, srcs []rng.Source) (*Weighted, error) {
 		weights:   append([]float64(nil), weights...),
 		activeSet: newActiveSet(len(weights)),
 		theta:     theta,
-		scratch:   make([]float64, len(weights)),
 	}
 	if err := w.rebuild(); err != nil {
 		return nil, err
@@ -527,10 +522,9 @@ func (l *Lottery) Crash(pid int) error {
 // scheduled process is per-replica state; the active set is shared.
 type Sticky struct {
 	activeSet
-	srcs     []rng.Source
-	rho      float64
-	last     []int32 // per replica: the previous pick, -1 before the first
-	naiveIDs []int   // NextNaive scratch
+	srcs []rng.Source
+	rho  float64
+	last []int32 // per replica: the previous pick, -1 before the first
 }
 
 // NewSticky builds a sticky scheduler with one replica, which draws

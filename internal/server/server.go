@@ -437,30 +437,26 @@ func (s *Server) janitor() {
 // Evicted ids are remembered (a few bytes each) so later lookups —
 // typically a client resuming a result stream by cursor — get a clean
 // 410 Gone instead of an indistinguishable-from-typo 404; persisted
-// state is deleted alongside the in-memory entry.
+// state is deleted alongside the in-memory entry, under the same lock,
+// so no caller sees the sweep gone while its files remain.
 func (s *Server) evictExpired(now time.Time) {
 	cutoff := now.Add(-s.cfg.Retention)
 	s.mu.Lock()
-	var evicted []string
+	defer s.mu.Unlock()
 	for id, st := range s.sweeps {
 		st.mu.Lock()
 		expired := (st.status == statusDone || st.status == statusFailed) &&
 			!st.finishedAt.IsZero() && st.finishedAt.Before(cutoff)
 		st.mu.Unlock()
-		if expired {
-			delete(s.sweeps, id)
-			s.gone[id] = struct{}{}
-			evicted = append(evicted, id)
+		if !expired {
+			continue
 		}
-	}
-	s.mu.Unlock()
-	if len(evicted) > 0 {
-		s.mSweepsEvicted.Add(uint64(len(evicted)))
+		delete(s.sweeps, id)
+		s.gone[id] = struct{}{}
+		s.mSweepsEvicted.Inc()
 		if s.cfg.CheckpointDir != "" {
-			for _, id := range evicted {
-				_ = os.Remove(s.gridPath(id))
-				_ = os.Remove(s.ckptPath(id))
-			}
+			_ = os.Remove(s.gridPath(id))
+			_ = os.Remove(s.ckptPath(id))
 		}
 	}
 }

@@ -50,56 +50,39 @@ func BenchmarkSweepSCU16Parallel(b *testing.B) { benchSweep(b, runtime.GOMAXPROC
 // Fenwick tree. The scalar variant runs one replica per RunJob call;
 // the batch variant runs replicaBenchWidth same-shape replicas
 // through the struct-of-arrays core and must come out at least 2x
-// faster per step at n=1024. cmd/pwfbench records the same
-// measurement into BENCH_sweep.json.
+// faster per step at n=1024. The n=1024 rows are the ones CI's paired
+// benchmark gate (.github/benchgate.sh) compares against the base
+// commit.
 func BenchmarkSweepSteps(b *testing.B) {
-	for _, spec := range []SchedulerSpec{
-		{Kind: SchedUniform},
-		{Kind: SchedLottery},
-	} {
+	schedulers := []SchedulerSpec{{Kind: SchedUniform}, {Kind: SchedLottery}}
+	for _, spec := range schedulers {
 		for _, n := range []int{16, 256, 1024, 4096} {
-			job := Job{
-				Workload: Workload{Kind: SCU, S: 1},
-				N:        n,
-				Sched:    spec,
-				Steps:    benchStepsPerJob,
-				Crash:    1,
-			}
-			b.Run(fmt.Sprintf("%s/n=%d/scalar", spec.Kind, n), func(b *testing.B) {
-				benchSweepStepsScalar(b, job)
-			})
-			b.Run(fmt.Sprintf("%s/n=%d/batch", spec.Kind, n), func(b *testing.B) {
-				benchSweepStepsBatch(b, job)
-			})
+			benchSweepStepsPair(b, fmt.Sprintf("%s/n=%d", spec.Kind, n), Workload{Kind: SCU, S: 1}, n, spec)
 		}
 	}
 	// The pointer-based workloads with replica-batched SoA forms, at
-	// the headline process count. cmd/pwfbench measures the same kinds
-	// across the full n list into BENCH_sweep.json.
-	for _, wk := range []Workload{
-		{Kind: Stack}, {Kind: Queue}, {Kind: RCU}, {Kind: Unbounded}, {Kind: LFUniversal},
-	} {
-		job := Job{
-			Workload: wk,
-			N:        1024,
-			Sched:    SchedulerSpec{Kind: SchedUniform},
-			Steps:    benchStepsPerJob,
-			Crash:    1,
+	// the headline process count.
+	for _, spec := range schedulers {
+		for _, wk := range []Workload{
+			{Kind: Stack}, {Kind: Queue}, {Kind: RCU}, {Kind: Unbounded}, {Kind: LFUniversal},
+		} {
+			benchSweepStepsPair(b, fmt.Sprintf("%s/%s/n=1024", spec.Kind, wk.Kind), wk, 1024, spec)
 		}
-		b.Run(fmt.Sprintf("uniform/%s/n=1024/scalar", wk.Kind), func(b *testing.B) {
-			benchSweepStepsScalar(b, job)
-		})
-		b.Run(fmt.Sprintf("uniform/%s/n=1024/batch", wk.Kind), func(b *testing.B) {
-			benchSweepStepsBatch(b, job)
-		})
 	}
+}
+
+// benchSweepStepsPair runs the scalar and the batch variant of one job
+// shape as the sub-benchmarks name/scalar and name/batch.
+func benchSweepStepsPair(b *testing.B, name string, wk Workload, n int, spec SchedulerSpec) {
+	job := Job{Workload: wk, N: n, Sched: spec, Steps: benchStepsPerJob, Crash: 1}
+	b.Run(name+"/scalar", func(b *testing.B) { benchSweepStepsScalar(b, job) })
+	b.Run(name+"/batch", func(b *testing.B) { benchSweepStepsBatch(b, job) })
 }
 
 const (
 	benchStepsPerJob = 100000
 	// replicaBenchWidth matches the width the serving layer uses, so
-	// the checked-in BENCH_sweep.json speedups describe production
-	// batches.
+	// the batch rows describe production batches.
 	replicaBenchWidth = 16
 )
 

@@ -137,3 +137,55 @@ func TestResultsUnaffectedByRecorder(t *testing.T) {
 			plain.Latencies, traced.Latencies)
 	}
 }
+
+// TestTraceSizesPinned pins the encoded size of one seed-1 SCU(0, 1)
+// uniform run at n = 1024 over 20,000 steps in every trace format.
+// NDJSON and uncompressed binary are deterministic encodings of a
+// deterministic run, so their byte counts are exact: a change to
+// either is a change to the format or to the run. Flate output may
+// differ across Go versions, so bin-gzip only has to keep its
+// compression ratio over NDJSON at or above 0.75× the ratio measured
+// when the pin was set.
+func TestTraceSizesPinned(t *testing.T) {
+	const (
+		ndjsonBytes   = 1796960
+		binBytes      = 177906
+		gzipRatio     = 18.26 // go1.24.0, linux/amd64
+		gzipRatioSlip = 0.75
+	)
+	job := Job{
+		Workload: Workload{Kind: SCU, Q: 0, S: 1},
+		N:        1024,
+		Sched:    SchedulerSpec{Kind: SchedUniform},
+		Steps:    20000,
+	}
+	size := func(format obs.TraceFormat, comp obs.Compression) int {
+		var buf bytes.Buffer
+		w, err := obs.NewTraceWriter(&buf, format, comp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traced := job
+		traced.Recorder = w
+		if _, err := RunJob(traced, 1, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Len()
+	}
+	nd := size(obs.TraceNDJSON, obs.CompressNone)
+	bin := size(obs.TraceBinary, obs.CompressNone)
+	gz := size(obs.TraceBinary, obs.CompressGzip)
+	if nd != ndjsonBytes {
+		t.Errorf("NDJSON trace is %d bytes, pinned %d", nd, ndjsonBytes)
+	}
+	if bin != binBytes {
+		t.Errorf("binary trace is %d bytes, pinned %d", bin, binBytes)
+	}
+	if ratio := float64(nd) / float64(gz); ratio < gzipRatioSlip*gzipRatio {
+		t.Errorf("bin-gzip compresses NDJSON %.2fx, below %.2f of the measured %.2fx",
+			ratio, gzipRatioSlip, gzipRatio)
+	}
+}
