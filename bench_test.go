@@ -109,9 +109,11 @@ func BenchmarkSimSCU43N8(b *testing.B)  { benchSimSteps(b, 8, 4, 3) }
 // --- Public API round trips -----------------------------------------
 
 func BenchmarkRunFetchInc(b *testing.B) {
+	cfg := NewRunConfig(FetchIncWorkload(), 8)
+	cfg.Steps = 50000
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(NewRunConfig(FetchIncWorkload(), 8),
-			WithSteps(50000), WithSeed(uint64(i))); err != nil {
+		cfg.Seed = uint64(i)
+		if _, err := Run(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

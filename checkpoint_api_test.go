@@ -54,7 +54,8 @@ func TestWithCheckpointResumesCanceledSweep(t *testing.T) {
 			cancel()
 		}
 	}
-	_, err = pwf.RunSweep(partial, pwf.WithCheckpoint(cp))
+	partial.Checkpoint = cp
+	_, err = pwf.RunSweep(partial)
 	if !errors.Is(err, pwf.ErrSweepCanceled) {
 		t.Fatalf("expected ErrSweepCanceled, got %v", err)
 	}
@@ -71,7 +72,9 @@ func TestWithCheckpointResumesCanceledSweep(t *testing.T) {
 		t.Fatalf("reopened checkpoint restored %d of %d points; want a strict partial",
 			re.Restored(), len(jobs))
 	}
-	resumed, err := pwf.RunSweep(cfg, pwf.WithCheckpoint(re))
+	resume := cfg
+	resume.Checkpoint = re
+	resumed, err := pwf.RunSweep(resume)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,6 +40,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -113,6 +114,13 @@ func run(args []string, out, errOut io.Writer) error {
 			return fmt.Errorf("-warmup %d must be below -steps %d", *warmup, *steps)
 		}
 		warmupFraction = float64(*warmup) / float64(*steps)
+		// The engine runs uint64(fraction*steps) warmup steps, and the
+		// rounded quotient can truncate to one step short (15/22*22 is
+		// 14.999…): nudge it up to the smallest fraction that yields
+		// exactly -warmup steps.
+		for uint64(warmupFraction*float64(*steps)) < *warmup {
+			warmupFraction = math.Nextafter(warmupFraction, 1)
+		}
 	}
 
 	format, err := pwf.ParseTraceFormat(*traceForm)
@@ -172,10 +180,11 @@ func run(args []string, out, errOut io.Writer) error {
 	err = withProfiles(*cpuProf, *memProf, func() error {
 		var err error
 		results, err = pwf.RunSweep(pwf.SweepConfig{
-			Jobs:    jobs,
-			Seed:    *seed,
-			Workers: *workers,
-		}, pwf.WithRecorder(pwf.MultiRecorder(recorders...)))
+			Jobs:     jobs,
+			Seed:     *seed,
+			Workers:  *workers,
+			Recorder: pwf.MultiRecorder(recorders...),
+		})
 		return err
 	})
 	if trace != nil {

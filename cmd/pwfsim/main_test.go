@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -144,6 +145,42 @@ func TestRunWarmupFlag(t *testing.T) {
 	}
 	if err := run([]string{"-n", "4", "-steps", "20000", "-warmup", "20000"}, &buf, &buf); err == nil {
 		t.Error("warmup >= steps accepted")
+	}
+}
+
+// -warmup W runs exactly W warmup steps. The fraction W/S the flag
+// becomes truncates to W-1 steps for many pairs (15/22*22 is 14.999…);
+// the trace counts every step, warmup included.
+func TestRunWarmupStepsExact(t *testing.T) {
+	for _, c := range []struct{ steps, warmup int }{
+		{22, 15}, {23, 13}, {47, 3}, {49, 1}, {55, 31}, {20, 5},
+	} {
+		path := filepath.Join(t.TempDir(), "trace.ndjson")
+		var buf bytes.Buffer
+		args := []string{"-n", "2", "-steps", strconv.Itoa(c.steps),
+			"-warmup", strconv.Itoa(c.warmup), "-trace", path}
+		if err := run(args, &buf, &buf); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		events, err := obs.ReadEvents(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		scheds := 0
+		for _, e := range events {
+			if e.Kind == obs.KindSched {
+				scheds++
+			}
+		}
+		if want := c.warmup + c.steps; scheds != want {
+			t.Errorf("-steps %d -warmup %d: %d sched events, want %d",
+				c.steps, c.warmup, scheds, want)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -113,6 +114,27 @@ func TestRunCheckpointResumePolicy(t *testing.T) {
 	err = run(append(base, "-resume", "-seed", "99"), &out, &errOut)
 	if err == nil || !strings.Contains(err.Error(), "grid mismatch") {
 		t.Errorf("mismatched resume: got %v, want a grid-mismatch error", err)
+	}
+}
+
+// An invalid grid is refused before its checkpoint file exists, so
+// the corrected rerun starts clean instead of tripping over a
+// header-only file that binds the bad grid.
+func TestRunInvalidGridLeavesNoCheckpoint(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "grid.ckpt")
+	args := []string{"-algos", "fetchinc", "-scheds", "uniform", "-n", "2",
+		"-seeds", "2", "-progress=false", "-checkpoint", ckpt}
+
+	var out, errOut bytes.Buffer
+	err := run(append(args, "-steps", "0"), &out, &errOut)
+	if err == nil || !strings.Contains(err.Error(), "Steps") {
+		t.Fatalf("-steps 0: got %v, want a Steps validation error", err)
+	}
+	if _, serr := os.Stat(ckpt); !os.IsNotExist(serr) {
+		t.Fatalf("refused grid left %s behind (stat err: %v)", ckpt, serr)
+	}
+	if err := run(append(args, "-steps", "10000"), &out, &errOut); err != nil {
+		t.Fatalf("corrected rerun: %v", err)
 	}
 }
 

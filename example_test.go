@@ -17,16 +17,17 @@ import (
 //	pwf.SimulateFetchInc(n, steps, seed)        // removed
 //	pwf.SimulateSCU(n, q, s, steps, seed)       // removed
 //
-// it now builds the same measurement from a declarative workload —
-// which additionally exposes the scheduler model and warmup window:
+// it now builds the same measurement from a declarative workload and
+// sets the fields it needs on the config — which additionally exposes
+// the scheduler model and warmup window:
 //
-//	pwf.Run(pwf.NewRunConfig(pwf.FetchIncWorkload(), n),
-//	        pwf.WithSteps(steps), pwf.WithSeed(seed))
-//	pwf.Run(pwf.NewRunConfig(pwf.SCUWorkload(q, s), n),
-//	        pwf.WithSteps(steps), pwf.WithSeed(seed))
+//	cfg := pwf.NewRunConfig(pwf.FetchIncWorkload(), n) // or SCUWorkload(q, s)
+//	cfg.Steps, cfg.Seed = steps, seed
+//	pwf.Run(cfg)
 func ExampleRun() {
-	lat, err := pwf.Run(pwf.NewRunConfig(pwf.FetchIncWorkload(), 8),
-		pwf.WithSteps(500000), pwf.WithSeed(1))
+	cfg := pwf.NewRunConfig(pwf.FetchIncWorkload(), 8)
+	cfg.Steps, cfg.Seed = 500000, 1
+	lat, err := pwf.Run(cfg)
 	if err != nil {
 		fmt.Println("error:", err)
 		return

@@ -37,8 +37,9 @@ func run() error {
 	fmt.Printf("%4s %12s %12s %12s %12s %10s\n",
 		"n", "W simulated", "W exact", "2*sqrt(n)", "W_i/(n*W)", "fairness")
 	for _, n := range []int{2, 4, 8, 16, 32} {
-		lat, err := pwf.Run(pwf.NewRunConfig(pwf.FetchIncWorkload(), n),
-			pwf.WithSteps(steps), pwf.WithSeed(seed))
+		cfg := pwf.NewRunConfig(pwf.FetchIncWorkload(), n)
+		cfg.Steps, cfg.Seed = steps, seed
+		lat, err := pwf.Run(cfg)
 		if err != nil {
 			return err
 		}

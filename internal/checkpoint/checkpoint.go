@@ -99,9 +99,9 @@ type Options struct {
 }
 
 // Hash returns the hex SHA-256 binding a sweep's identity: the
-// canonical api encoding of the expanded point list (job overrides
-// applied, replicas expanded — the layout that defines per-point seed
-// derivation) together with the master seed.
+// canonical api encoding of the expanded point list (replicas
+// expanded — the layout that defines per-point seed derivation)
+// together with the master seed.
 func Hash(cfg sweep.Config) (string, error) {
 	points := sweep.Points(cfg)
 	jobs := make([]api.Job, len(points))
@@ -144,8 +144,13 @@ type Log struct {
 // truncated away so appends resume on a clean prefix. The returned
 // Log is ready to pass as sweep.Config.Checkpoint. Callers that want
 // "refuse to overwrite" semantics (pwfsweep without -resume) stat the
-// path before calling.
+// path before calling. A config sweep.Run would refuse is refused here
+// before the file system is touched, so an invalid grid leaves no
+// checkpoint behind to block its corrected rerun.
 func Open(path string, cfg sweep.Config, opts Options) (*Log, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	if opts.FlushEvery == 0 {
 		opts.FlushEvery = DefaultFlushEvery
 	}

@@ -119,8 +119,8 @@ func TestLogRejectsGridMismatch(t *testing.T) {
 	}
 }
 
-// The hash binds the expanded point layout: replica expansion and the
-// warmup override are part of a grid's identity.
+// The hash binds the expanded point layout: replica expansion and each
+// job's warmup are part of a grid's identity.
 func TestHashCoversExpansionAndOverrides(t *testing.T) {
 	base := testConfig()
 	h1, err := Hash(base)
@@ -139,15 +139,15 @@ func TestHashCoversExpansionAndOverrides(t *testing.T) {
 		t.Error("replica expansion did not change the grid hash")
 	}
 
-	warm := 0.5
-	over := base
-	over.Warmup = &warm
-	h3, err := Hash(over)
+	warm := base
+	warm.Jobs = append([]sweep.Job{}, base.Jobs...)
+	warm.Jobs[0].WarmupFraction = 0.5
+	h3, err := Hash(warm)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h1 == h3 {
-		t.Error("warmup override did not change the grid hash")
+		t.Error("a changed job warmup did not change the grid hash")
 	}
 
 	// Execution-only knobs do not change identity.

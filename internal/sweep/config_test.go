@@ -17,46 +17,6 @@ func smallGrid() []Job {
 	}
 }
 
-func TestSweepWarmupOverride(t *testing.T) {
-	jobs := smallGrid()
-	base, err := Run(Config{Jobs: jobs, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm := 0.5
-	over, err := Run(Config{Jobs: jobs, Seed: 3, Warmup: &warm})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base[0].Latencies == over[0].Latencies {
-		t.Error("warmup override had no effect")
-	}
-	// The override is equivalent to setting every job's field by hand.
-	byHand := make([]Job, len(jobs))
-	copy(byHand, jobs)
-	for i := range byHand {
-		byHand[i].WarmupFraction = warm
-	}
-	want, err := Run(Config{Jobs: byHand, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if over[i].Latencies != want[i].Latencies {
-			t.Errorf("job %d: override %+v != per-job %+v", i, over[i].Latencies, want[i].Latencies)
-		}
-	}
-	// The echoed job reflects the warmup that actually ran.
-	if over[0].Job.WarmupFraction != warm {
-		t.Errorf("echoed warmup %v, want %v", over[0].Job.WarmupFraction, warm)
-	}
-
-	bad := 1.5
-	if _, err := Run(Config{Jobs: jobs, Seed: 3, Warmup: &bad}); err == nil {
-		t.Error("out-of-range warmup override accepted")
-	}
-}
-
 func TestSweepBatchFamiliesPreservesResults(t *testing.T) {
 	jobs := smallGrid()
 	plain, err := Run(Config{Jobs: jobs, Seed: 9})

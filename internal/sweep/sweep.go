@@ -193,10 +193,6 @@ type Config struct {
 	// Cache memoizes exact-chain constructions; nil selects the
 	// process-wide DefaultCache.
 	Cache *ChainCache
-	// Warmup, when non-nil, overrides every job's WarmupFraction —
-	// the sweep-level counterpart of pwf.WithWarmupFraction. It must
-	// lie in [0, 1).
-	Warmup *float64
 	// BatchFamilies reorders job *execution* (never results or seeds)
 	// so jobs of the same family — workload parameters, process and
 	// crash counts, full scheduler spec, exactness — run adjacently:
@@ -262,25 +258,14 @@ type Config struct {
 	OnBatchFallback func(reason string)
 }
 
-// job returns job i with sweep-level overrides applied.
-func (cfg *Config) job(i int) Job {
-	job := cfg.Jobs[i]
-	if cfg.Warmup != nil {
-		job.WarmupFraction = *cfg.Warmup
-	}
-	return job
-}
-
-// Points flattens a configuration into its points: job i with
-// sweep-level overrides applied, repeated max(1, Replicas) times. This
-// layout, not the execution mode, is the grid's identity: point p
-// draws its seed from rng.Stream(Seed, p) and checkpoint records are
-// keyed by point index, so the checkpoint layer binds resume state to
-// a hash of exactly this expansion.
+// Points flattens a configuration into its points: job i repeated
+// max(1, Replicas) times. This layout, not the execution mode, is the
+// grid's identity: point p draws its seed from rng.Stream(Seed, p) and
+// checkpoint records are keyed by point index, so the checkpoint layer
+// binds resume state to a hash of exactly this expansion.
 func Points(cfg Config) []Job {
 	points := make([]Job, 0, len(cfg.Jobs))
-	for i := range cfg.Jobs {
-		job := cfg.job(i)
+	for _, job := range cfg.Jobs {
 		reps := job.Replicas
 		if reps < 1 {
 			reps = 1
@@ -416,26 +401,31 @@ func (q *cbQueue) call(fn func()) {
 	fn()
 }
 
+// Validate reports the first reason Run would refuse cfg before
+// executing anything: an empty grid, a negative replica batch width,
+// or an invalid job.
+func (cfg *Config) Validate() error {
+	if len(cfg.Jobs) == 0 {
+		return errors.New("sweep: no jobs")
+	}
+	if cfg.ReplicaBatch < 0 {
+		return fmt.Errorf("sweep: negative replica batch width %d", cfg.ReplicaBatch)
+	}
+	for i := range cfg.Jobs {
+		if err := cfg.Jobs[i].Validate(); err != nil {
+			return fmt.Errorf("job %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
 // Run executes the sweep and returns one result per point — one per
 // job, times its Replicas expansion — in input order. The first point
 // error aborts the sweep (workers finish their in-flight work) and is
 // returned wrapped with the point index.
 func Run(cfg Config) ([]Result, error) {
-	if len(cfg.Jobs) == 0 {
-		return nil, errors.New("sweep: no jobs")
-	}
-	if cfg.Warmup != nil {
-		if f := *cfg.Warmup; f < 0 || f >= 1 || math.IsNaN(f) {
-			return nil, fmt.Errorf("sweep: warmup fraction %v out of [0, 1)", f)
-		}
-	}
-	if cfg.ReplicaBatch < 0 {
-		return nil, fmt.Errorf("sweep: negative replica batch width %d", cfg.ReplicaBatch)
-	}
-	for i := range cfg.Jobs {
-		if err := cfg.job(i).Validate(); err != nil {
-			return nil, fmt.Errorf("job %d: %w", i, err)
-		}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	points := Points(cfg)
 	total := len(points)

@@ -24,18 +24,11 @@ type (
 	// Registry names wait-free counters, histograms, and gauges, and
 	// snapshots them to JSON or expvar.
 	Registry = obs.Registry
-	// MetricsSnapshot is a point-in-time copy of a Registry.
-	MetricsSnapshot = obs.Snapshot
 	// TraceRecorder writes events as NDJSON, one per line (trace
 	// format v1).
 	TraceRecorder = obs.TraceRecorder
-	// BinaryTraceWriter writes events as varint-packed binary frames
-	// (trace format v2), optionally gzip-compressed per frame.
-	BinaryTraceWriter = obs.BinaryTraceWriter
-	// BinaryTraceOptions parameterizes NewBinaryTraceWriter.
-	BinaryTraceOptions = obs.BinaryTraceOptions
-	// TraceWriter is the common interface of TraceRecorder and
-	// BinaryTraceWriter: a Recorder with a final Flush.
+	// TraceWriter is the common interface of TraceRecorder and the
+	// binary (v2) trace writer: a Recorder with a final Flush.
 	TraceWriter = obs.TraceWriter
 	// TraceFormat names a trace file format ("ndjson" or "bin").
 	TraceFormat = obs.TraceFormat
@@ -52,10 +45,6 @@ type (
 	// OpStats is shared wait-free per-operation telemetry for the
 	// native structures (steps, retries, CAS failures).
 	OpStats = obs.OpStats
-	// AtomicCounter is a wait-free monotonic counter.
-	AtomicCounter = obs.Counter
-	// AtomicHistogram is a wait-free log-bucketed histogram.
-	AtomicHistogram = obs.Histogram
 )
 
 // Event kinds, re-exported.
@@ -158,10 +147,3 @@ func ServeDebug(addr string, reg *Registry, opts ...DebugOption) (bound string, 
 
 // ChainCache memoizes exact-chain analyses; see SweepConfig.Cache.
 type ChainCache = sweep.ChainCache
-
-// PublishChainCacheMetrics registers cache's hit/miss gauges on reg
-// under prefix (the default cache is already published on
-// DefaultRegistry as chain_cache_*).
-func PublishChainCacheMetrics(cache *ChainCache, reg *Registry, prefix string) {
-	cache.Publish(reg, prefix)
-}

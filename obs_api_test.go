@@ -9,8 +9,10 @@ import (
 
 func TestRunWithTrace(t *testing.T) {
 	var buf bytes.Buffer
-	cfg := pwf.NewRunConfig(pwf.SCUWorkload(0, 1), 4, pwf.WithSteps(10000))
-	lat, err := pwf.Run(cfg, pwf.WithTrace(&buf))
+	cfg := pwf.NewRunConfig(pwf.SCUWorkload(0, 1), 4)
+	cfg.Steps = 10000
+	cfg.Recorder = pwf.NewTraceRecorder(&buf)
+	lat, err := pwf.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +53,14 @@ func TestRunWithTraceFormat(t *testing.T) {
 	var first []pwf.Event
 	for _, v := range variants {
 		var buf bytes.Buffer
-		cfg := pwf.NewRunConfig(pwf.SCUWorkload(0, 1), 4, pwf.WithSteps(10000))
-		if _, err := pwf.Run(cfg, pwf.WithTraceFormat(&buf, v.format, v.comp)); err != nil {
+		tw, err := pwf.NewTraceWriter(&buf, v.format, v.comp)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", v.format, v.comp, err)
+		}
+		cfg := pwf.NewRunConfig(pwf.SCUWorkload(0, 1), 4)
+		cfg.Steps = 10000
+		cfg.Recorder = tw
+		if _, err := pwf.Run(cfg); err != nil {
 			t.Fatalf("%s/%s: %v", v.format, v.comp, err)
 		}
 		events, err := pwf.ReadTraceEvents(&buf)
@@ -75,22 +83,16 @@ func TestRunWithTraceFormat(t *testing.T) {
 	}
 }
 
-// TestWithTraceFormatRejectsBadCombo checks the fail-fast path: the
-// option cannot return an error, so Run must report it instead of
-// silently recording nothing.
+// TestWithTraceFormatRejectsBadCombo checks the fail-fast path:
+// NewTraceWriter refuses invalid format/compression pairs instead of
+// returning a writer that silently records nothing.
 func TestWithTraceFormatRejectsBadCombo(t *testing.T) {
 	var buf bytes.Buffer
-	cfg := pwf.NewRunConfig(pwf.SCUWorkload(0, 1), 2, pwf.WithSteps(100))
-	if _, err := pwf.Run(cfg, pwf.WithTraceFormat(&buf, pwf.TraceFormatNDJSON, pwf.TraceCompressGzip)); err == nil {
-		t.Fatal("Run accepted compressed NDJSON")
+	if _, err := pwf.NewTraceWriter(&buf, pwf.TraceFormatNDJSON, pwf.TraceCompressGzip); err == nil {
+		t.Fatal("NewTraceWriter accepted compressed NDJSON")
 	}
-	if _, err := pwf.Run(cfg, pwf.WithTraceFormat(&buf, "xml", pwf.TraceCompressNone)); err == nil {
-		t.Fatal("Run accepted an unknown format")
-	}
-	jobs := []pwf.SweepJob{{Workload: pwf.SCUWorkload(0, 1), N: 2, Steps: 100}}
-	if _, err := pwf.RunSweep(pwf.SweepConfig{Jobs: jobs, Seed: 1},
-		pwf.WithTraceFormat(&buf, pwf.TraceFormatNDJSON, pwf.TraceCompressGzip)); err == nil {
-		t.Fatal("RunSweep accepted compressed NDJSON")
+	if _, err := pwf.NewTraceWriter(&buf, "xml", pwf.TraceCompressNone); err == nil {
+		t.Fatal("NewTraceWriter accepted an unknown format")
 	}
 	if buf.Len() != 0 {
 		// The NDJSON recorder is never constructed on the error path,
@@ -108,9 +110,11 @@ func TestRunSweepBinaryTrace(t *testing.T) {
 		{Workload: pwf.SCUWorkload(0, 1), N: 2, Steps: 5000},
 		{Workload: pwf.FetchIncWorkload(), N: 2, Steps: 5000},
 	}
-	_, err := pwf.RunSweep(pwf.SweepConfig{Jobs: jobs, Seed: 1},
-		pwf.WithTraceFormat(&buf, pwf.TraceFormatBinary, pwf.TraceCompressGzip))
+	tw, err := pwf.NewTraceWriter(&buf, pwf.TraceFormatBinary, pwf.TraceCompressGzip)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pwf.RunSweep(pwf.SweepConfig{Jobs: jobs, Seed: 1, Recorder: tw}); err != nil {
 		t.Fatal(err)
 	}
 	events, err := pwf.ReadTraceEvents(&buf)
@@ -137,8 +141,10 @@ func TestRunSweepBinaryTrace(t *testing.T) {
 func TestRunWithRecorderMetrics(t *testing.T) {
 	reg := pwf.DefaultRegistry()
 	before := reg.Snapshot().Counters["sim_completions"]
-	cfg := pwf.NewRunConfig(pwf.SCUWorkload(0, 1), 4, pwf.WithSteps(10000))
-	if _, err := pwf.Run(cfg, pwf.WithRecorder(pwf.NewMetricsRecorder(nil))); err != nil {
+	cfg := pwf.NewRunConfig(pwf.SCUWorkload(0, 1), 4)
+	cfg.Steps = 10000
+	cfg.Recorder = pwf.NewMetricsRecorder(nil)
+	if _, err := pwf.Run(cfg); err != nil {
 		t.Fatal(err)
 	}
 	after := reg.Snapshot().Counters["sim_completions"]
@@ -153,8 +159,8 @@ func TestRunSweepWithTrace(t *testing.T) {
 		{Workload: pwf.SCUWorkload(0, 1), N: 2, Steps: 5000},
 		{Workload: pwf.FetchIncWorkload(), N: 2, Steps: 5000},
 	}
-	_, err := pwf.RunSweep(pwf.SweepConfig{Jobs: jobs, Seed: 1},
-		pwf.WithTrace(&buf))
+	_, err := pwf.RunSweep(pwf.SweepConfig{Jobs: jobs, Seed: 1,
+		Recorder: pwf.NewTraceRecorder(&buf)})
 	if err != nil {
 		t.Fatal(err)
 	}

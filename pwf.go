@@ -29,7 +29,6 @@
 package pwf
 
 import (
-	"pwf/internal/chains"
 	"pwf/internal/machine"
 	"pwf/internal/markov"
 	"pwf/internal/native"
@@ -56,9 +55,6 @@ type (
 	Scheduler = sched.Scheduler
 	// Chain is a finite Markov chain.
 	Chain = markov.Chain
-	// ChainAnalysis bundles a chain with its success structure and
-	// latency accessors.
-	ChainAnalysis = chains.Analysis
 	// LiftingReport carries the numerical residuals of a lifting
 	// verification.
 	LiftingReport = markov.LiftingReport
@@ -110,9 +106,6 @@ func NewSimOn(mem *Memory, procs []Process, s Scheduler) (*Sim, error) {
 // CounterSpec returns the fetch-and-add sequential specification.
 func CounterSpec() SequentialObject { return scu.CounterObject{} }
 
-// MaxRegisterSpec returns the max-register sequential specification.
-func MaxRegisterSpec() SequentialObject { return scu.MaxObject{} }
-
 // NewSCUProcesses builds n processes executing Algorithm 2 with
 // parameters (q, s) on a fresh object at register 0; the memory must
 // have at least SCUMemSize(s) registers.
@@ -123,16 +116,6 @@ func NewSCUProcesses(n, q, s int) ([]Process, error) {
 // SCUMemSize returns the number of registers an SCU(q, s) object
 // needs.
 func SCUMemSize(s int) int { return scu.SCULayout(s) }
-
-// NewFetchIncProcesses builds n processes executing the augmented-CAS
-// fetch-and-increment counter (Algorithm 5) at register 0; the memory
-// needs FetchIncMemSize registers.
-func NewFetchIncProcesses(n int) ([]Process, error) {
-	return scu.NewFetchIncGroup(n, 0)
-}
-
-// FetchIncMemSize is the register footprint of the counter.
-const FetchIncMemSize = scu.FetchIncLayout
 
 // NewUnboundedProcesses builds n processes executing Algorithm 1, the
 // unbounded lock-free algorithm of Lemma 2. waitFactor 0 selects the

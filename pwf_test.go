@@ -6,8 +6,9 @@ import (
 )
 
 func TestRunSCUQuick(t *testing.T) {
-	lat, err := Run(NewRunConfig(SCUWorkload(0, 1), 4),
-		WithSteps(100000), WithSeed(1))
+	cfg := NewRunConfig(SCUWorkload(0, 1), 4)
+	cfg.Steps, cfg.Seed = 100000, 1
+	lat, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,8 +31,9 @@ func TestRunSCUQuick(t *testing.T) {
 }
 
 func TestRunFetchIncMatchesExact(t *testing.T) {
-	lat, err := Run(NewRunConfig(FetchIncWorkload(), 8),
-		WithSteps(200000), WithSeed(2))
+	cfg := NewRunConfig(FetchIncWorkload(), 8)
+	cfg.Steps, cfg.Seed = 200000, 2
+	lat, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,10 +2,8 @@ package pwf
 
 import (
 	"fmt"
-	"io"
 
 	"pwf/internal/checkpoint"
-	"pwf/internal/obs"
 	"pwf/internal/sweep"
 )
 
@@ -84,8 +82,8 @@ func ParseScheduler(name string) (SchedulerSpec, error) {
 }
 
 // RunConfig is the input of Run: a workload, a process count, and
-// measurement settings. NewRunConfig fills in the defaults; the With*
-// functional options override them.
+// measurement settings. NewRunConfig fills in the defaults; set fields
+// to override them.
 type RunConfig struct {
 	// Workload is the simulated algorithm.
 	Workload Workload
@@ -101,7 +99,8 @@ type RunConfig struct {
 	// Scheduler selects the scheduler model.
 	Scheduler SchedulerSpec
 	// Recorder, when non-nil, receives the run's step-level telemetry
-	// events (package obs semantics; see WithRecorder/WithTrace).
+	// events (package obs semantics): for example a NewTraceWriter or
+	// NewMetricsRecorder, or several of them through MultiRecorder.
 	Recorder Recorder
 	// Cache memoizes exact-chain constructions; nil selects the
 	// process-wide default cache.
@@ -117,222 +116,6 @@ const (
 	DefaultSeed           = 1
 )
 
-// Option configures Run, RunSweep, or both. Every With* constructor
-// states its scope; most options apply to both entry points and are
-// defined once, not mirrored. Applying an option outside its scope is
-// an error (Run and RunSweep report it), so misuse fails loudly
-// instead of being dropped. Use AppliesToRun/AppliesToSweep to check
-// a scope programmatically, and ScopeNote for the documented reason a
-// single-scoped option does not lift.
-type Option struct {
-	name  string
-	run   func(*RunConfig)
-	sweep func(*SweepConfig)
-	// scopeNote documents why a single-scoped option does not apply
-	// to the other entry point.
-	scopeNote string
-}
-
-// RunOption is kept as a name for Options passed to Run.
-type RunOption = Option
-
-// SweepOption is kept as a name for Options passed to RunSweep.
-type SweepOption = Option
-
-// Name returns the option's constructor name, e.g. "WithSeed".
-func (o Option) Name() string { return o.name }
-
-// AppliesToRun reports whether the option configures Run.
-func (o Option) AppliesToRun() bool { return o.run != nil }
-
-// AppliesToSweep reports whether the option configures RunSweep.
-func (o Option) AppliesToSweep() bool { return o.sweep != nil }
-
-// ScopeNote returns the documented reason a single-scoped option does
-// not lift to the other entry point (empty for dual-scoped options).
-func (o Option) ScopeNote() string { return o.scopeNote }
-
-// WithScheduler selects the scheduler model (default: uniform).
-// Run-only: each sweep job carries its own SchedulerSpec.
-func WithScheduler(s SchedulerSpec) Option {
-	return Option{
-		name:      "WithScheduler",
-		run:       func(c *RunConfig) { c.Scheduler = s },
-		scopeNote: "each sweep job carries its own SchedulerSpec",
-	}
-}
-
-// WithSteps sets the measurement window (default: DefaultSteps).
-// Run-only: Steps is a per-job field of SweepJob.
-func WithSteps(steps uint64) Option {
-	return Option{
-		name:      "WithSteps",
-		run:       func(c *RunConfig) { c.Steps = steps },
-		scopeNote: "Steps is a per-job field of SweepJob",
-	}
-}
-
-// WithWarmupFraction sets the warmup as a fraction of the measurement
-// window (default: DefaultWarmupFraction for Run). On a sweep it
-// overrides every job's WarmupFraction. Values outside [0, 1) are
-// rejected.
-func WithWarmupFraction(f float64) Option {
-	return Option{
-		name:  "WithWarmupFraction",
-		run:   func(c *RunConfig) { c.WarmupFraction = f },
-		sweep: func(c *SweepConfig) { c.Warmup = &f },
-	}
-}
-
-// WithSeed sets the rng seed (default: DefaultSeed). On a sweep it is
-// the master seed job streams derive from.
-func WithSeed(seed uint64) Option {
-	return Option{
-		name:  "WithSeed",
-		run:   func(c *RunConfig) { c.Seed = seed },
-		sweep: func(c *SweepConfig) { c.Seed = seed },
-	}
-}
-
-// WithRecorder attaches a step-level telemetry recorder: the run
-// emits scheduling, CAS, retry, operation-boundary, and crash events
-// to it (default: none; the disabled hooks cost one branch per step).
-// On a sweep the recorder additionally receives job lifecycle events;
-// jobs run concurrently, so it must be safe for concurrent use and
-// events from different jobs interleave nondeterministically. Combine
-// sinks with MultiRecorder.
-func WithRecorder(r Recorder) Option {
-	return Option{
-		name:  "WithRecorder",
-		run:   func(c *RunConfig) { c.Recorder = r },
-		sweep: func(c *SweepConfig) { c.Recorder = r },
-	}
-}
-
-// WithTrace records the run's (or the whole sweep's) events as NDJSON
-// to w, one event per line (a convenience over
-// WithRecorder(NewTraceRecorder(w)); the trace is flushed when
-// Run/RunSweep returns). It replaces any previously set recorder — to
-// trace and aggregate metrics at once, compose explicitly with
-// MultiRecorder. In a sweep, use the job_start/job_end Job index to
-// attribute interleaved step events.
-func WithTrace(w io.Writer) Option {
-	rec := func() *TraceRecorder { return obs.NewTraceRecorder(w) }
-	return Option{
-		name:  "WithTrace",
-		run:   func(c *RunConfig) { c.Recorder = rec() },
-		sweep: func(c *SweepConfig) { c.Recorder = rec() },
-	}
-}
-
-// invalidRecorder is the Recorder WithTraceFormat installs when its
-// arguments are invalid. Option constructors cannot return errors, so
-// the error rides the config and Run/RunSweep fail fast on it before
-// touching the simulator.
-type invalidRecorder struct{ err error }
-
-func (invalidRecorder) Record(Event) {}
-
-// checkRecorder surfaces an option-construction error carried by the
-// configured recorder.
-func checkRecorder(r Recorder) error {
-	if bad, ok := r.(invalidRecorder); ok {
-		return bad.err
-	}
-	return nil
-}
-
-// WithTraceFormat records the run's (or the whole sweep's) events to w
-// in the selected trace format — TraceFormatNDJSON for the v1
-// line-oriented format or TraceFormatBinary for the compact v2 framing
-// — with optional per-frame compression (binary only; see
-// NewTraceWriter). It is WithTrace with the format made explicit:
-//
-//	pwf.WithTraceFormat(f, pwf.TraceFormatBinary, pwf.TraceCompressGzip)
-//
-// Like WithTrace it replaces any previously set recorder and flushes
-// when Run/RunSweep returns. Invalid format/compression combinations
-// are reported by Run/RunSweep, not silently ignored.
-func WithTraceFormat(w io.Writer, format TraceFormat, comp TraceCompression) Option {
-	rec := func() Recorder {
-		tw, err := obs.NewTraceWriter(w, format, comp)
-		if err != nil {
-			return invalidRecorder{err}
-		}
-		return tw
-	}
-	return Option{
-		name:  "WithTraceFormat",
-		run:   func(c *RunConfig) { c.Recorder = rec() },
-		sweep: func(c *SweepConfig) { c.Recorder = rec() },
-	}
-}
-
-// WithChainCache selects the memoization cache for exact-chain
-// analyses (default: the process-wide cache shared by all runs).
-func WithChainCache(cache *ChainCache) Option {
-	return Option{
-		name:  "WithChainCache",
-		run:   func(c *RunConfig) { c.Cache = cache },
-		sweep: func(c *SweepConfig) { c.Cache = cache },
-	}
-}
-
-// WithWorkers bounds the sweep's worker pool (default: GOMAXPROCS).
-// Results are identical for any worker count. Sweep-only: Run
-// executes exactly one job, so there is no pool to size.
-func WithWorkers(workers int) Option {
-	return Option{
-		name:      "WithWorkers",
-		sweep:     func(c *SweepConfig) { c.Workers = workers },
-		scopeNote: "Run executes exactly one job, so there is no pool to size",
-	}
-}
-
-// WithProgress calls fn after each sweep job completes with the
-// number of completed jobs and the total; calls are serialized but
-// arrive in completion order. Sweep-only: a single run has no
-// job-level progress to report.
-func WithProgress(fn func(done, total int)) Option {
-	return Option{
-		name:      "WithProgress",
-		sweep:     func(c *SweepConfig) { c.Progress = fn },
-		scopeNote: "a single run has no job-level progress to report",
-	}
-}
-
-// WithFamilyBatching reorders sweep job execution so compatible jobs
-// — same workload family and parameters, scheduler kind, exactness —
-// run adjacently and share ChainCache entries and hot code paths.
-// Results and seeds are byte-identical with batching on or off.
-// Sweep-only: a single job has nothing to batch with.
-func WithFamilyBatching() Option {
-	return Option{
-		name:      "WithFamilyBatching",
-		sweep:     func(c *SweepConfig) { c.BatchFamilies = true },
-		scopeNote: "a single job has nothing to batch with",
-	}
-}
-
-// WithReplicaBatching runs up to width same-shape sweep points
-// together in one struct-of-arrays simulator: one scheduler draw
-// table and one workload state block step every replica per loop
-// iteration, amortizing dispatch overhead and cache misses across the
-// batch. Widths 0 and 1 select the scalar path. Every point still
-// draws from its own (seed, index) stream and results are
-// byte-identical to the scalar path; shapes without a batched form
-// (data-structure workloads, per-job hooks or recorders) fall back to
-// scalar execution transparently. Pair with SweepJob.Replicas to
-// expand one shape into a seed group. Sweep-only: a single job has
-// nothing to batch with.
-func WithReplicaBatching(width int) Option {
-	return Option{
-		name:      "WithReplicaBatching",
-		sweep:     func(c *SweepConfig) { c.ReplicaBatch = width },
-		scopeNote: "a single job has nothing to batch with",
-	}
-}
-
 // ErrSweepCanceled marks a sweep stopped by SweepConfig.Context
 // before every point completed. RunSweep returns it wrapping the
 // context's own error alongside the partial results; match with
@@ -341,9 +124,8 @@ func WithReplicaBatching(width int) Option {
 var ErrSweepCanceled = sweep.ErrCanceled
 
 // Checkpoint is the resume state a sweep consults before dispatch and
-// records completed points through; see SweepConfig.Checkpoint and
-// WithCheckpoint. CheckpointLog is the crash-safe file-backed
-// implementation.
+// records completed points through; see SweepConfig.Checkpoint.
+// CheckpointLog is the crash-safe file-backed implementation.
 type Checkpoint = sweep.Checkpoint
 
 // CheckpointLog is a file-backed Checkpoint: an append-only,
@@ -364,39 +146,25 @@ var ErrCheckpointMismatch = checkpoint.ErrGridMismatch
 // OpenCheckpoint creates (or, when the file exists, loads and
 // validates) the checkpoint for cfg's grid at path. The grid identity
 // — expanded points plus master seed — must match an existing file
-// exactly (ErrCheckpointMismatch otherwise). Pass the result through
-// WithCheckpoint:
+// exactly (ErrCheckpointMismatch otherwise). A config RunSweep would
+// refuse is refused here too, before any file is created. Pass the
+// result through SweepConfig.Checkpoint:
 //
 //	cp, err := pwf.OpenCheckpoint("grid.ckpt", cfg)
 //	...
-//	results, err := pwf.RunSweep(cfg, pwf.WithCheckpoint(cp))
+//	cfg.Checkpoint = cp
+//	results, err := pwf.RunSweep(cfg)
 //	cp.Close()
 func OpenCheckpoint(path string, cfg SweepConfig) (*CheckpointLog, error) {
 	return checkpoint.Open(path, cfg, checkpoint.Options{})
 }
 
-// WithCheckpoint makes the sweep resumable through cp: points the
-// checkpoint already holds are restored instead of executed (replayed
-// through OnResult in input order first), and every newly completed
-// point is committed before its callbacks fire. Because point i
-// always draws from stream (seed, i), a resumed sweep's canonical
-// results are byte-identical to an uninterrupted run. Sweep-only: Run
-// executes exactly one job, so there is no partial grid to resume.
-func WithCheckpoint(cp Checkpoint) Option {
-	return Option{
-		name:      "WithCheckpoint",
-		sweep:     func(c *SweepConfig) { c.Checkpoint = cp },
-		scopeNote: "Run executes exactly one job, so there is no partial grid to resume",
-	}
-}
-
 // NewRunConfig returns the configuration for measuring workload w with
 // n processes under the defaults: uniform scheduler, DefaultSteps
-// steps, DefaultWarmupFraction warmup, DefaultSeed seed. Only the
-// Run-scoped part of each option applies here; sweep-only options are
-// ignored (Run itself reports them as errors).
-func NewRunConfig(w Workload, n int, opts ...Option) RunConfig {
-	cfg := RunConfig{
+// steps, DefaultWarmupFraction warmup, DefaultSeed seed. Set fields on
+// the result to override them.
+func NewRunConfig(w Workload, n int) RunConfig {
+	return RunConfig{
 		Workload:       w,
 		N:              n,
 		Steps:          DefaultSteps,
@@ -404,35 +172,20 @@ func NewRunConfig(w Workload, n int, opts ...Option) RunConfig {
 		Seed:           DefaultSeed,
 		Scheduler:      UniformSpec(),
 	}
-	for _, opt := range opts {
-		if opt.run != nil {
-			opt.run(&cfg)
-		}
-	}
-	return cfg
 }
 
 // Run measures one workload under one scheduler — the unified entry
-// point replacing the Simulate* constellation. Options applied here
-// override cfg:
+// point replacing the Simulate* constellation:
 //
-//	lat, err := pwf.Run(pwf.NewRunConfig(pwf.SCUWorkload(0, 1), 16),
-//	        pwf.WithSteps(2_000_000), pwf.WithSeed(7))
+//	cfg := pwf.NewRunConfig(pwf.SCUWorkload(0, 1), 16)
+//	cfg.Steps, cfg.Seed = 2_000_000, 7
+//	lat, err := pwf.Run(cfg)
 //
 // It validates cfg (in particular WarmupFraction must lie in [0, 1))
 // and runs warmup + measurement, returning the latency and fairness
-// metrics.
-func Run(cfg RunConfig, opts ...Option) (Latencies, error) {
-	for _, opt := range opts {
-		if opt.run == nil {
-			return Latencies{}, fmt.Errorf("pwf: option %s does not apply to Run: %s",
-				opt.name, opt.scopeNote)
-		}
-		opt.run(&cfg)
-	}
-	if err := checkRecorder(cfg.Recorder); err != nil {
-		return Latencies{}, fmt.Errorf("pwf: run: %w", err)
-	}
+// metrics. A recorder with a Flush method, such as a trace writer, is
+// flushed before Run returns.
+func Run(cfg RunConfig) (Latencies, error) {
 	res, err := sweep.RunJob(sweep.Job{
 		Workload:       cfg.Workload,
 		N:              cfg.N,
@@ -441,15 +194,21 @@ func Run(cfg RunConfig, opts ...Option) (Latencies, error) {
 		WarmupFraction: cfg.WarmupFraction,
 		Recorder:       cfg.Recorder,
 	}, cfg.Seed, cfg.Cache)
-	if tw, ok := cfg.Recorder.(interface{ Flush() error }); ok {
-		if ferr := tw.Flush(); ferr != nil && err == nil {
-			err = ferr
-		}
-	}
-	if err != nil {
+	if err = flushRecorder(cfg.Recorder, err); err != nil {
 		return Latencies{}, fmt.Errorf("pwf: run: %w", err)
 	}
 	return res.Latencies, nil
+}
+
+// flushRecorder flushes r when it buffers (trace writers do) and
+// returns err, or the flush error when err is nil.
+func flushRecorder(r Recorder, err error) error {
+	if f, ok := r.(interface{ Flush() error }); ok {
+		if ferr := f.Flush(); ferr != nil && err == nil {
+			err = ferr
+		}
+	}
+	return err
 }
 
 // SweepJob is one point of a sweep grid.
@@ -459,10 +218,9 @@ type SweepJob = sweep.Job
 type SweepResult = sweep.Result
 
 // SweepConfig describes a sweep: a job grid, a master seed, and
-// optional worker-pool bound, chain cache, warmup override, family
+// optional worker-pool bound, chain cache, family and replica
 // batching, progress and per-result callbacks, cancellation context,
-// checkpoint, and recorder. Most fields are settable through the same
-// With* options Run takes.
+// checkpoint, and recorder.
 type SweepConfig = sweep.Config
 
 // RunSweep executes a grid of independent jobs on a worker pool sized
@@ -471,29 +229,15 @@ type SweepConfig = sweep.Config
 // seed regardless of worker count: job i draws its randomness from a
 // SplitMix-derived stream (master, i). Exact-chain analyses requested
 // via SweepJob.Exact are memoized in a cache shared across the sweep
-// (and, by default, the process).
+// (and, by default, the process). Like Run, it flushes a recorder
+// that has a Flush method before returning.
 //
 //	jobs := []pwf.SweepJob{
 //	        {Workload: pwf.SCUWorkload(0, 1), N: 16, Steps: 1_000_000, Exact: true},
 //	        {Workload: pwf.FetchIncWorkload(), N: 16, Steps: 1_000_000},
 //	}
 //	results, err := pwf.RunSweep(pwf.SweepConfig{Jobs: jobs, Seed: 1})
-func RunSweep(cfg SweepConfig, opts ...Option) ([]SweepResult, error) {
-	for _, opt := range opts {
-		if opt.sweep == nil {
-			return nil, fmt.Errorf("pwf: option %s does not apply to RunSweep: %s",
-				opt.name, opt.scopeNote)
-		}
-		opt.sweep(&cfg)
-	}
-	if err := checkRecorder(cfg.Recorder); err != nil {
-		return nil, fmt.Errorf("pwf: sweep: %w", err)
-	}
+func RunSweep(cfg SweepConfig) ([]SweepResult, error) {
 	res, err := sweep.Run(cfg)
-	if tw, ok := cfg.Recorder.(interface{ Flush() error }); ok {
-		if ferr := tw.Flush(); ferr != nil && err == nil {
-			err = ferr
-		}
-	}
-	return res, err
+	return res, flushRecorder(cfg.Recorder, err)
 }

@@ -8,14 +8,17 @@ import (
 )
 
 func TestRunWarmupFractionValidated(t *testing.T) {
-	cfg := pwf.NewRunConfig(pwf.SCUWorkload(0, 1), 4, pwf.WithSteps(1000))
+	cfg := pwf.NewRunConfig(pwf.SCUWorkload(0, 1), 4)
+	cfg.Steps = 1000
 	for _, f := range []float64{-0.1, 1, 1.5, math.NaN()} {
-		if _, err := pwf.Run(cfg, pwf.WithWarmupFraction(f)); err == nil {
+		cfg.WarmupFraction = f
+		if _, err := pwf.Run(cfg); err == nil {
 			t.Errorf("warmup fraction %v accepted", f)
 		}
 	}
 	for _, f := range []float64{0, 0.1, 0.99} {
-		if _, err := pwf.Run(cfg, pwf.WithWarmupFraction(f)); err != nil {
+		cfg.WarmupFraction = f
+		if _, err := pwf.Run(cfg); err != nil {
 			t.Errorf("warmup fraction %v rejected: %v", f, err)
 		}
 	}
@@ -24,12 +27,15 @@ func TestRunWarmupFractionValidated(t *testing.T) {
 func TestRunWarmupChangesMeasurementWindow(t *testing.T) {
 	// Different warmup fractions shift the measurement window along
 	// the same schedule stream, so the measured completions differ.
-	cfg := pwf.NewRunConfig(pwf.SCUWorkload(0, 1), 4, pwf.WithSteps(20000))
-	a, err := pwf.Run(cfg, pwf.WithWarmupFraction(0))
+	cfg := pwf.NewRunConfig(pwf.SCUWorkload(0, 1), 4)
+	cfg.Steps = 20000
+	cfg.WarmupFraction = 0
+	a, err := pwf.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := pwf.Run(cfg, pwf.WithWarmupFraction(0.5))
+	cfg.WarmupFraction = 0.5
+	b, err := pwf.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,26 +45,64 @@ func TestRunWarmupChangesMeasurementWindow(t *testing.T) {
 }
 
 func TestRunWithSchedulerOption(t *testing.T) {
-	cfg := pwf.NewRunConfig(pwf.SCUWorkload(0, 1), 8, pwf.WithSteps(50000))
+	cfg := pwf.NewRunConfig(pwf.SCUWorkload(0, 1), 8)
+	cfg.Steps = 50000
 	uniform, err := pwf.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sticky, err := pwf.Run(cfg, pwf.WithScheduler(pwf.StickySpec(0.9)))
+	withSched := func(s pwf.SchedulerSpec) pwf.RunConfig {
+		c := cfg
+		c.Scheduler = s
+		return c
+	}
+	sticky, err := pwf.Run(withSched(pwf.StickySpec(0.9)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if uniform == sticky {
-		t.Error("scheduler option had no effect")
+		t.Error("scheduler field had no effect")
 	}
-	if _, err := pwf.Run(cfg, pwf.WithScheduler(pwf.RoundRobinSpec())); err != nil {
+	if _, err := pwf.Run(withSched(pwf.RoundRobinSpec())); err != nil {
 		t.Errorf("round-robin run failed: %v", err)
 	}
-	if _, err := pwf.Run(cfg, pwf.WithScheduler(pwf.LotterySpec(nil))); err != nil {
+	if _, err := pwf.Run(withSched(pwf.LotterySpec(nil))); err != nil {
 		t.Errorf("lottery run failed: %v", err)
 	}
-	if _, err := pwf.Run(cfg, pwf.WithScheduler(pwf.StickySpec(1.5))); err == nil {
+	if _, err := pwf.Run(withSched(pwf.StickySpec(1.5))); err == nil {
 		t.Error("invalid stickiness accepted")
+	}
+}
+
+// The sweep-level settings take effect — the progress callback fires
+// for every job under a bounded, family-batched pool — and a warmup
+// set on each job changes the sweep's measurements.
+func TestLiftedSweepOptions(t *testing.T) {
+	jobs := []pwf.SweepJob{
+		{Workload: pwf.SCUWorkload(0, 1), N: 3, Steps: 20000},
+		{Workload: pwf.FetchIncWorkload(), N: 3, Steps: 20000},
+	}
+	progress := 0
+	base, err := pwf.RunSweep(pwf.SweepConfig{
+		Jobs: jobs, Seed: 42, Workers: 1, BatchFamilies: true,
+		Progress: func(done, total int) { progress = done },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if progress != len(jobs) {
+		t.Errorf("progress callback reached %d of %d", progress, len(jobs))
+	}
+	warmJobs := append([]pwf.SweepJob(nil), jobs...)
+	for i := range warmJobs {
+		warmJobs[i].WarmupFraction = 0.5
+	}
+	warmed, err := pwf.RunSweep(pwf.SweepConfig{Jobs: warmJobs, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base[0].Latencies == warmed[0].Latencies {
+		t.Error("per-job warmup had no effect on the sweep")
 	}
 }
 
