@@ -26,8 +26,9 @@
 // a structured JSON body with a stable code. Finished sweeps age out
 // of retention; querying an evicted id yields 410 Gone (code "gone").
 //
-// With -checkpoint-dir, accepted sweeps survive restarts: grids and
-// completed points persist there (format internal/checkpoint), a
+// With -checkpoint-dir, accepted sweeps survive restarts: each sweep
+// persists there as one checkpoint holding its grid and completed
+// points (format internal/checkpoint), a
 // restarted daemon re-enqueues them, already-completed points replay
 // from the checkpoint instead of recomputing, and result-stream
 // cursors issued before the restart remain valid.
@@ -89,7 +90,7 @@ func start(args []string, errOut io.Writer) (*instance, error) {
 		maxBody    = fs.Int64("max-body", 8<<20, "maximum request body bytes")
 		workers    = fs.Int("workers", 0, "sweep worker pool size (default GOMAXPROCS)")
 		retryAfter = fs.Duration("retry-after", time.Second, "backoff advertised on 429 responses")
-		ckptDir    = fs.String("checkpoint-dir", "", "persist sweeps here (grids + completed-point checkpoints) so they survive restarts")
+		ckptDir    = fs.String("checkpoint-dir", "", "persist sweeps here (one checkpoint per sweep: its grid and completed points) so they survive restarts")
 	)
 	if err := fs.Parse(args); err != nil {
 		return nil, err

@@ -5,7 +5,7 @@
 // experiments: a multi-hour run killed at 99% resumes from its
 // checkpoint and produces output byte-identical to an uninterrupted
 // run, because every point draws its randomness from (master seed,
-// point index) alone and the checkpoint binds the grid's hash.
+// point index) alone and the checkpoint's header holds the grid.
 //
 // Usage:
 //
@@ -21,7 +21,7 @@
 // shape.
 //
 // Checkpointing: -checkpoint appends every completed point to an
-// fsync-batched log headed by the grid's SHA-256 and master seed
+// fsync-batched log headed by the expanded grid and master seed
 // (format: internal/checkpoint). An existing checkpoint is only
 // touched with -resume, and only if its header matches the requested
 // grid exactly — a mismatched checkpoint is rejected loudly rather

@@ -85,7 +85,7 @@ func TestRunEmitsCanonicalResultsInInputOrder(t *testing.T) {
 }
 
 // An existing checkpoint is refused without -resume, and a resumed
-// checkpoint whose grid hash mismatches the requested grid is
+// checkpoint whose grid mismatches the requested grid is
 // rejected loudly instead of mixing results.
 func TestRunCheckpointResumePolicy(t *testing.T) {
 	dir := t.TempDir()

@@ -8,6 +8,11 @@ import (
 	"testing"
 )
 
+// v2Header is a checkpoint header line: it embeds a grid, but is not
+// one.
+const v2Header = `{"v":2,"format":"pwf-checkpoint","grid":{"v":1,"seed":7,"jobs":[` +
+	`{"workload":{"kind":"scu","s":1},"n":2,"sched":{"kind":"uniform"},"steps":2000,"warmup_fraction":0.1}]}}`
+
 // FuzzDecodeGrid feeds DecodeGrid arbitrary bytes: it must never
 // panic, and every grid it accepts re-encodes canonically to bytes
 // that decode to an equal grid.
@@ -25,8 +30,8 @@ func FuzzDecodeGrid(f *testing.F) {
 		`{"v":1,"seed":3,"jobs":[{"workload":{"kind":"scu","s":1},"n":2,"steps":9}]} {}`,
 		// Non-grids: the files checkpoint.Load must refuse.
 		`{"v":1,"index":0,"job":{"workload":{"kind":"scu","s":1},"n":2,"sched":{"kind":"uniform"},"steps":2000}}`,
-		`{"v":1,"format":"pwf-checkpoint","grid_sha256":"00","seed":7,"points":2}` + "\n" + `{"v":7,"index":0}`,
-		`{"v":1,"format":"pwf-checkpoint","grid_sha256":"00","seed":7,"points":2}` + "\n" + `{"v":1,"index":-5}`,
+		v2Header + "\n" + `{"v":7,"index":0}`,
+		v2Header + "\n" + `{"v":1,"index":-5}`,
 	} {
 		f.Add([]byte(s))
 	}

@@ -1,16 +1,18 @@
 // Package checkpoint is the crash-safe persistence layer under
 // resumable sweeps: an append-only, fsync-batched log of completed
 // sweep points in the canonical internal/api Result encoding, under a
-// single-line header that binds the log to one grid (by SHA-256 of
-// the grid's canonical encoding) and one master seed.
+// single-line header that holds the sweep's grid itself, so the file
+// alone is enough to resume or re-serve the sweep.
 //
 // # File format
 //
 // The file is NDJSON. Line 1 is the header:
 //
-//	{"v":1,"format":"pwf-checkpoint","grid_sha256":"<hex>","seed":1,"points":100}
+//	{"v":2,"format":"pwf-checkpoint","grid":<api.Grid>}
 //
-// Every following line is one canonical api.Result (schema v1, no
+// where the grid is the canonical api encoding of the sweep's points
+// (replicas expanded, so grid job i is point i) and master seed. Every
+// following line is one canonical api.Result (schema v1, no
 // wall-clock fields), exactly the bytes pwfserve streams and pwfsim
 // -json emits for the same point. Records append in completion order;
 // point indices, not file order, key the restore.
@@ -31,8 +33,8 @@
 // record boundary; if that truncation fails too, the Log refuses every
 // later commit with the append's error. A '\n'-terminated line that
 // fails to decode is real corruption and fails the load loudly, as
-// does a header whose grid hash, seed, or point count disagrees with
-// the sweep being resumed (ErrGridMismatch).
+// does a header whose grid is not the sweep being resumed
+// (ErrGridMismatch).
 //
 // Because sweep point i always draws from rng.Stream(seed, i),
 // restoring the completed set and executing only the remainder yields
@@ -42,8 +44,6 @@ package checkpoint
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -61,8 +61,15 @@ import (
 // Format is the header's format discriminator.
 const Format = "pwf-checkpoint"
 
-// Version is the checkpoint header version this package speaks.
-const Version = 1
+// Version is the checkpoint header version this package speaks; files
+// of any other version, v1 included, are refused.
+const Version = 2
+
+// headerPrefix opens every header line; the canonical grid and "}\n"
+// close it. Joining the bytes, rather than marshaling a struct around
+// the encoded grid, spares a re-scan of a grid that can run to
+// hundreds of kilobytes.
+var headerPrefix = fmt.Sprintf(`{"v":%d,"format":%q,"grid":`, Version, Format)
 
 // DefaultFlushEvery is the default fsync batch: one durability point
 // per this many commits (and always on Close). Batching trades at
@@ -71,8 +78,8 @@ const Version = 1
 const DefaultFlushEvery = 64
 
 // ErrGridMismatch marks a checkpoint that does not belong to the
-// sweep being resumed: different grid hash, master seed, or point
-// count. Match with errors.Is.
+// sweep being resumed: a different master seed, point count, or job at
+// some point. Match with errors.Is.
 var ErrGridMismatch = errors.New("checkpoint: grid mismatch")
 
 // ErrCorrupt marks a checkpoint whose interior (not its torn tail) is
@@ -81,11 +88,11 @@ var ErrCorrupt = errors.New("checkpoint: corrupt")
 
 // Meta is the header line binding a checkpoint to its sweep.
 type Meta struct {
-	V       int    `json:"v"`
-	Format  string `json:"format"`
-	GridSHA string `json:"grid_sha256"`
-	Seed    uint64 `json:"seed"`
-	Points  int    `json:"points"`
+	V      int    `json:"v"`
+	Format string `json:"format"`
+	// Grid is the sweep's identity: its points, in order, and its
+	// master seed. Point i draws from rng.Stream(Grid.Seed, i).
+	Grid api.Grid `json:"grid"`
 }
 
 // Options tune a Log. The zero value selects every default.
@@ -98,24 +105,6 @@ type Options struct {
 	Registry *obs.Registry
 }
 
-// Hash returns the hex SHA-256 binding a sweep's identity: the
-// canonical api encoding of the expanded point list (replicas
-// expanded — the layout that defines per-point seed derivation)
-// together with the master seed.
-func Hash(cfg sweep.Config) (string, error) {
-	points := sweep.Points(cfg)
-	jobs := make([]api.Job, len(points))
-	for i, p := range points {
-		jobs[i] = api.JobFromSweep(p)
-	}
-	b, err := api.MarshalGrid(api.Grid{V: api.Version, Seed: cfg.Seed, Jobs: jobs})
-	if err != nil {
-		return "", fmt.Errorf("checkpoint: hash grid: %w", err)
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
-}
-
 // Log is the file-backed sweep.Checkpoint. Commit is safe for
 // concurrent use by sweep workers; Restore is called by sweep.Run
 // before any worker starts.
@@ -123,7 +112,6 @@ type Log struct {
 	mu         sync.Mutex
 	f          *os.File
 	path       string
-	meta       Meta
 	restored   map[int]sweep.Result
 	size       int64 // bytes of header and whole records in the file
 	sinceSync  int
@@ -139,7 +127,7 @@ type Log struct {
 
 // Open creates the checkpoint at path for cfg's grid, or — if the
 // file already exists — loads it, validating that its header binds
-// exactly this grid and seed (ErrGridMismatch otherwise) and
+// exactly this sweep's points and seed (ErrGridMismatch otherwise) and
 // restoring every complete record; a torn final line is discarded and
 // truncated away so appends resume on a clean prefix. The returned
 // Log is ready to pass as sweep.Config.Checkpoint. Callers that want
@@ -158,14 +146,19 @@ func Open(path string, cfg sweep.Config, opts Options) (*Log, error) {
 	if reg == nil {
 		reg = obs.Default
 	}
-	hash, err := Hash(cfg)
-	if err != nil {
-		return nil, err
+	points := sweep.Points(cfg)
+	grid := api.Grid{V: api.Version, Seed: cfg.Seed, Jobs: make([]api.Job, len(points))}
+	for i, p := range points {
+		grid.Jobs[i] = api.JobFromSweep(p)
 	}
-	total := len(sweep.Points(cfg))
+	enc, err := api.MarshalGrid(grid)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: encode grid: %w", err)
+	}
+	header := make([]byte, 0, len(headerPrefix)+len(enc)+2)
+	header = append(append(append(header, headerPrefix...), enc...), "}\n"...)
 	l := &Log{
 		path:       path,
-		meta:       Meta{V: Version, Format: Format, GridSHA: hash, Seed: cfg.Seed, Points: total},
 		restored:   make(map[int]sweep.Result),
 		flushEvery: opts.FlushEvery,
 		mWritten:   reg.Counter("checkpoint_points_written"),
@@ -174,11 +167,11 @@ func Open(path string, cfg sweep.Config, opts Options) (*Log, error) {
 		mSyncs:     reg.Counter("checkpoint_syncs"),
 	}
 	if _, err := os.Stat(path); err == nil {
-		if err := l.load(); err != nil {
+		if err := l.load(header, grid); err != nil {
 			return nil, err
 		}
 	} else if errors.Is(err, os.ErrNotExist) {
-		if err := l.create(); err != nil {
+		if err := l.create(header); err != nil {
 			return nil, err
 		}
 	} else {
@@ -187,15 +180,10 @@ func Open(path string, cfg sweep.Config, opts Options) (*Log, error) {
 	return l, nil
 }
 
-// create writes the header to a temp file and renames it into place,
-// so the checkpoint path never holds a headerless file.
-func (l *Log) create() error {
+// create writes the header line to a temp file and renames it into
+// place, so the checkpoint path never holds a headerless file.
+func (l *Log) create(header []byte) error {
 	dir := filepath.Dir(l.path)
-	header, err := json.Marshal(l.meta)
-	if err != nil {
-		return fmt.Errorf("checkpoint: marshal header: %w", err)
-	}
-	header = append(header, '\n')
 	tmp, err := os.CreateTemp(dir, filepath.Base(l.path)+".tmp*")
 	if err != nil {
 		return fmt.Errorf("checkpoint: create: %w", err)
@@ -222,15 +210,15 @@ func (l *Log) create() error {
 	return nil
 }
 
-// load reads an existing checkpoint: header validation against this
-// sweep, record restore, torn-tail truncation, and reopening for
-// append.
-func (l *Log) load() error {
+// load reads an existing checkpoint: validation of its header against
+// this sweep's (header, the line a fresh checkpoint of grid carries),
+// record restore, torn-tail truncation, and reopening for append.
+func (l *Log) load(header []byte, grid api.Grid) error {
 	data, err := os.ReadFile(l.path)
 	if err != nil {
 		return fmt.Errorf("checkpoint: read %s: %w", l.path, err)
 	}
-	_, recs, validLen, err := parse(l.path, data, &l.meta)
+	_, recs, validLen, err := parse(l.path, data, header, grid)
 	if err != nil {
 		return err
 	}
@@ -257,13 +245,14 @@ func (l *Log) load() error {
 
 // parse decodes the bytes of the checkpoint file at path (named in
 // errors): the header, which must carry this package's format and
-// version and, when want is non-nil, bind want's grid, seed and point
-// count (ErrGridMismatch otherwise); then every complete record line,
-// in file order, each of which must be a current-version result for a
-// point in [0, Points) not seen before. A torn final line (no
-// trailing newline) is not a record: validLen is the length of the
-// loadable prefix before it. Every other defect is ErrCorrupt.
-func parse(path string, data []byte, want *Meta) (meta Meta, recs []api.Result, validLen int, err error) {
+// version and, when header is non-nil, be byte for byte that line —
+// the header of grid's sweep (ErrGridMismatch otherwise); then every
+// complete record line, in file order, each of which must be a
+// current-version result for a point of the file's grid not seen
+// before. A torn final line (no trailing newline) is not a record:
+// validLen is the length of the loadable prefix before it. Every other
+// defect is ErrCorrupt.
+func parse(path string, data, header []byte, grid api.Grid) (meta Meta, recs []api.Result, validLen int, err error) {
 	fail := func(format string, args ...any) (Meta, []api.Result, int, error) {
 		return Meta{}, nil, 0, fmt.Errorf("%w: %s "+format, append([]any{ErrCorrupt, path}, args...)...)
 	}
@@ -272,17 +261,29 @@ func parse(path string, data []byte, want *Meta) (meta Meta, recs []api.Result, 
 		// Creation is atomic, so a headerless file is not ours.
 		return fail("has no complete header line")
 	}
-	if err := json.Unmarshal(data[:nl], &meta); err != nil {
-		return fail("header: %v", err)
-	}
-	if meta.V != Version || meta.Format != Format {
-		return fail("is %q v%d (this build speaks %q v%d)", meta.Format, meta.V, Format, Version)
-	}
-	if want != nil && (meta.GridSHA != want.GridSHA || meta.Seed != want.Seed || meta.Points != want.Points) {
-		return Meta{}, nil, 0, fmt.Errorf("%w: %s was written for grid %s (seed %d, %d points); "+
-			"this sweep is grid %s (seed %d, %d points) — refusing to mix results across grids",
-			ErrGridMismatch, path, meta.GridSHA, meta.Seed, meta.Points,
-			want.GridSHA, want.Seed, want.Points)
+	if header != nil && bytes.Equal(data[:nl+1], header) {
+		meta = Meta{V: Version, Format: Format, Grid: grid}
+	} else {
+		var h struct {
+			V      int             `json:"v"`
+			Format string          `json:"format"`
+			Grid   json.RawMessage `json:"grid"`
+		}
+		if err := json.Unmarshal(data[:nl], &h); err != nil {
+			return fail("header: %v", err)
+		}
+		if h.V != Version || h.Format != Format {
+			return fail("is %q v%d (this build speaks %q v%d)", h.Format, h.V, Format, Version)
+		}
+		fileGrid, err := api.DecodeGrid(bytes.NewReader(h.Grid))
+		if err != nil {
+			return fail("header grid: %v", err)
+		}
+		if header != nil {
+			return Meta{}, nil, 0, fmt.Errorf("%w: %s belongs to another sweep (%s); refusing to mix results across grids",
+				ErrGridMismatch, path, difference(fileGrid, grid))
+		}
+		meta = Meta{V: h.V, Format: h.Format, Grid: fileGrid}
 	}
 	seen := make(map[int]bool)
 	validLen = nl + 1
@@ -300,8 +301,8 @@ func parse(path string, data []byte, want *Meta) (meta Meta, recs []api.Result, 
 		if res.V != api.Version {
 			return fail("record has v=%d (this build speaks v%d)", res.V, api.Version)
 		}
-		if res.Index < 0 || res.Index >= meta.Points {
-			return fail("record index %d out of [0, %d)", res.Index, meta.Points)
+		if res.Index < 0 || res.Index >= len(meta.Grid.Jobs) {
+			return fail("record index %d out of [0, %d)", res.Index, len(meta.Grid.Jobs))
 		}
 		if seen[res.Index] {
 			return fail("holds point %d twice (two writers?)", res.Index)
@@ -312,6 +313,26 @@ func parse(path string, data []byte, want *Meta) (meta Meta, recs []api.Result, 
 		rest = rest[eol+1:]
 	}
 	return meta, recs, validLen, nil
+}
+
+// difference names the first way a checkpoint's grid differs from the
+// sweep's: the master seed, the point count, or the first point whose
+// job differs.
+func difference(file, sweep api.Grid) string {
+	if file.Seed != sweep.Seed {
+		return fmt.Sprintf("its master seed is %d, this sweep's is %d", file.Seed, sweep.Seed)
+	}
+	if len(file.Jobs) != len(sweep.Jobs) {
+		return fmt.Sprintf("it has %d points, this sweep has %d", len(file.Jobs), len(sweep.Jobs))
+	}
+	for i := range file.Jobs {
+		have, _ := json.Marshal(file.Jobs[i])
+		mine, _ := json.Marshal(sweep.Jobs[i])
+		if !bytes.Equal(have, mine) {
+			return fmt.Sprintf("its point %d is %s, this sweep's is %s", i, have, mine)
+		}
+	}
+	return "its header is not in canonical encoding"
 }
 
 // Restored returns the number of points loaded from the file.
@@ -437,14 +458,15 @@ func syncDir(dir string) {
 }
 
 // Load reads a checkpoint without binding it to a grid — header plus
-// restored results in file order — for inspection. It checks
-// everything Open checks except the grid binding, with the same
-// torn-tail tolerance; the file is not opened for writing.
+// restored results in file order — for inspection. Meta.Grid is the
+// header's grid, decoded as strictly as a pwfserve submission. Load
+// checks everything Open checks except the binding to a sweep, with
+// the same torn-tail tolerance; the file is not opened for writing.
 func Load(path string) (Meta, []api.Result, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return Meta{}, nil, fmt.Errorf("checkpoint: read %s: %w", path, err)
 	}
-	meta, recs, _, err := parse(path, data, nil)
+	meta, recs, _, err := parse(path, data, nil, api.Grid{})
 	return meta, recs, err
 }

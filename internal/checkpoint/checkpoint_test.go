@@ -1,7 +1,9 @@
 package checkpoint
 
 import (
+	"bytes"
 	"errors"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,6 +15,8 @@ import (
 	"pwf/internal/obs"
 	"pwf/internal/sweep"
 )
+
+var update = flag.Bool("update", false, "rewrite the golden files under testdata")
 
 func testConfig() sweep.Config {
 	return sweep.Config{
@@ -87,9 +91,9 @@ func TestLogRoundTripAndResume(t *testing.T) {
 	}
 }
 
-// A checkpoint written for one grid is rejected loudly for another:
-// different jobs, different seed, different point count all fail with
-// ErrGridMismatch.
+// A checkpoint written for one grid is rejected loudly for another,
+// and the error names what differs: the master seed, the point count,
+// or the first point whose job differs.
 func TestLogRejectsGridMismatch(t *testing.T) {
 	cfg := testConfig()
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
@@ -101,66 +105,73 @@ func TestLogRejectsGridMismatch(t *testing.T) {
 
 	otherSeed := cfg
 	otherSeed.Seed = 8
-	if _, err := Open(path, otherSeed, Options{}); !errors.Is(err, ErrGridMismatch) {
-		t.Errorf("different seed: got %v, want ErrGridMismatch", err)
-	}
-
 	otherJobs := cfg
 	otherJobs.Jobs = append([]sweep.Job{}, cfg.Jobs...)
-	otherJobs.Jobs[0].Steps = 99999
-	if _, err := Open(path, otherJobs, Options{}); !errors.Is(err, ErrGridMismatch) {
-		t.Errorf("different jobs: got %v, want ErrGridMismatch", err)
-	}
-
+	otherJobs.Jobs[2].Steps = 99999
 	fewer := cfg
 	fewer.Jobs = cfg.Jobs[:2]
-	if _, err := Open(path, fewer, Options{}); !errors.Is(err, ErrGridMismatch) {
-		t.Errorf("different point count: got %v, want ErrGridMismatch", err)
+	for _, tc := range []struct {
+		name string
+		cfg  sweep.Config
+		says string
+	}{
+		{"different seed", otherSeed, "its master seed is 7, this sweep's is 8"},
+		{"different jobs", otherJobs, `its point 2 is {"workload":{"kind":"fetchinc"},"n":4,"sched":{},"steps":20000,` +
+			`"warmup_fraction":0}, this sweep's is {"workload":{"kind":"fetchinc"},"n":4,"sched":{},"steps":99999,` +
+			`"warmup_fraction":0}`},
+		{"different point count", fewer, "it has 4 points, this sweep has 2"},
+	} {
+		_, err := Open(path, tc.cfg, Options{})
+		if !errors.Is(err, ErrGridMismatch) {
+			t.Errorf("%s: got %v, want ErrGridMismatch", tc.name, err)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.says) || !strings.Contains(err.Error(), path) {
+			t.Errorf("%s: error %q does not name %s and %q", tc.name, err, path, tc.says)
+		}
 	}
 }
 
-// The hash binds the expanded point layout: replica expansion and each
-// job's warmup are part of a grid's identity.
-func TestHashCoversExpansionAndOverrides(t *testing.T) {
+// The header binds the expanded point layout: replica expansion and
+// each job's warmup are part of a grid's identity, execution knobs are
+// not.
+func TestOpenBindsPointLayout(t *testing.T) {
 	base := testConfig()
-	h1, err := Hash(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	reps := base
 	reps.Jobs = append([]sweep.Job{}, base.Jobs...)
 	reps.Jobs[0].Replicas = 3
-	h2, err := Hash(reps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h1 == h2 {
-		t.Error("replica expansion did not change the grid hash")
-	}
-
 	warm := base
 	warm.Jobs = append([]sweep.Job{}, base.Jobs...)
 	warm.Jobs[0].WarmupFraction = 0.5
-	h3, err := Hash(warm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h1 == h3 {
-		t.Error("a changed job warmup did not change the grid hash")
-	}
-
-	// Execution-only knobs do not change identity.
 	exec := base
 	exec.Workers = 7
 	exec.BatchFamilies = true
 	exec.ReplicaBatch = 16
-	h4, err := Hash(exec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h1 != h4 {
-		t.Error("execution knobs changed the grid hash")
+	for _, tc := range []struct {
+		name  string
+		cfg   sweep.Config
+		binds bool
+	}{
+		{"replica expansion", reps, true},
+		{"job warmup", warm, true},
+		{"execution knobs", exec, false},
+	} {
+		path := filepath.Join(t.TempDir(), "sweep.ckpt")
+		l, err := Open(path, base, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.Close()
+		re, err := Open(path, tc.cfg, Options{})
+		if tc.binds && !errors.Is(err, ErrGridMismatch) {
+			t.Errorf("%s: reopen got %v, want ErrGridMismatch", tc.name, err)
+		}
+		if !tc.binds && err != nil {
+			t.Errorf("%s: reopen got %v, want the base checkpoint", tc.name, err)
+		}
+		if re != nil {
+			re.Close()
+		}
 	}
 }
 
@@ -336,7 +347,7 @@ func TestLoadInspectsFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta.Points != len(cfg.Jobs) || meta.Seed != cfg.Seed || meta.Format != Format {
+	if len(meta.Grid.Jobs) != len(cfg.Jobs) || meta.Grid.Seed != cfg.Seed || meta.Format != Format {
 		t.Errorf("meta = %+v", meta)
 	}
 	if len(results) != len(cfg.Jobs) {
@@ -346,9 +357,13 @@ func TestLoadInspectsFile(t *testing.T) {
 
 // Two canonical result lines and a checkpoint header for a two-point
 // grid, as literals so the rejection table and the fuzz corpus share
-// them.
+// them. testHeader is what Open writes for twoPoints (see
+// TestGoldenHeader); v1Header is the SHA-256-bound header this build
+// refuses.
 const (
-	testHeader = `{"v":1,"format":"pwf-checkpoint","grid_sha256":"00","seed":7,"points":2}` + "\n"
+	testJob    = `{"workload":{"kind":"scu","s":1},"n":2,"sched":{"kind":"uniform"},"steps":2000,"warmup_fraction":0.1}`
+	testHeader = `{"v":2,"format":"pwf-checkpoint","grid":{"v":1,"seed":7,"jobs":[` + testJob + `,` + testJob + `]}}` + "\n"
+	v1Header   = `{"v":1,"format":"pwf-checkpoint","grid_sha256":"00","seed":7,"points":2}` + "\n"
 	testRecord = `{"v":1,"index":%d,"job":{"workload":{"kind":"scu","s":1},"n":2,"sched":{"kind":"uniform"},` +
 		`"steps":2000,"warmup_fraction":0.1},"seed":7,"latencies":{"system":2.5,"individual":5,` +
 		`"completion_rate":0.4,"fairness":1,"completions":800},"proc_completions":[400,400],"theta":0.5}` + "\n"
@@ -356,17 +371,26 @@ const (
 
 func record(index int) string { return fmt.Sprintf(testRecord, index) }
 
+// twoPoints is the sweep testHeader binds.
+func twoPoints() sweep.Config {
+	job := sweep.Job{Workload: sweep.Workload{Kind: sweep.SCU, S: 1}, N: 2,
+		Sched: sweep.SchedulerSpec{Kind: sweep.SchedUniform}, Steps: 2000, WarmupFraction: 0.1}
+	return sweep.Config{Jobs: []sweep.Job{job, job}, Seed: 7}
+}
+
 // notCheckpoints are files Load must refuse: the first three are a
 // pwfsweep -out results file (no header: its first result line decodes
 // as a header without a format), a record of a future schema version,
-// and a record for a point outside the grid.
+// and a record for a point outside the grid; the last two are a v1
+// header and a header whose grid fails strict decoding.
 var notCheckpoints = []struct{ name, data string }{
 	{"results file", record(0) + record(1)},
 	{"record version 7", testHeader + strings.Replace(record(0), `"v":1`, `"v":7`, 1)},
 	{"negative index", testHeader + record(-5)},
 	{"index past points", testHeader + record(2)},
 	{"duplicate index", testHeader + record(1) + record(1)},
-	{"header version 2", strings.Replace(testHeader, `"v":1`, `"v":2`, 1) + record(0)},
+	{"header version 1", v1Header + record(0)},
+	{"unknown workload in header grid", strings.Replace(testHeader, `"scu"`, `"sku"`, 1) + record(0)},
 }
 
 func TestLoadRejectsNonCheckpoints(t *testing.T) {
@@ -391,7 +415,8 @@ func TestLoadRejectsNonCheckpoints(t *testing.T) {
 
 // FuzzCheckpointLoad feeds Load arbitrary file contents: it must never
 // panic, and every file it accepts is a current-format checkpoint whose
-// record indices lie in [0, Points) and appear once each.
+// grid re-encodes to a grid DecodeGrid accepts and whose record indices
+// lie in [0, len(Grid.Jobs)) and appear once each.
 func FuzzCheckpointLoad(f *testing.F) {
 	f.Add([]byte(testHeader + record(0) + record(1)))
 	f.Add([]byte(testHeader + record(1) + `{"v":1,"index":0,`))
@@ -410,12 +435,74 @@ func FuzzCheckpointLoad(f *testing.F) {
 		if meta.V != Version || meta.Format != Format {
 			t.Fatalf("accepted header %+v", meta)
 		}
+		enc, err := api.MarshalGrid(meta.Grid)
+		if err != nil {
+			t.Fatalf("accepted grid does not re-encode: %v", err)
+		}
+		if _, err := api.DecodeGrid(bytes.NewReader(enc)); err != nil {
+			t.Fatalf("accepted grid re-encodes to %s, which does not decode: %v", enc, err)
+		}
+		points := len(meta.Grid.Jobs)
 		seen := make(map[int]bool, len(recs))
 		for _, r := range recs {
-			if r.Index < 0 || r.Index >= meta.Points || seen[r.Index] {
-				t.Fatalf("accepted record index %d (points %d, repeated %v)", r.Index, meta.Points, seen[r.Index])
+			if r.Index < 0 || r.Index >= points || seen[r.Index] {
+				t.Fatalf("accepted record index %d (points %d, repeated %v)", r.Index, points, seen[r.Index])
 			}
 			seen[r.Index] = true
 		}
 	})
+}
+
+// The golden file pins the header bytes Open writes: if this test
+// fails, the file format changed and Version must be bumped.
+func TestGoldenHeader(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.ckpt")
+	l, err := Open(path, twoPoints(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "header_v2.ckpt")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run `go test ./internal/checkpoint -update` to regenerate)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("header drifted from %s.\n got: %s\nwant: %s\nIf the format change is intentional, bump Version and regenerate with -update.",
+			golden, got, want)
+	}
+	if string(got) != testHeader {
+		t.Errorf("testHeader is not the header Open writes:\n got: %s\nwant: %s", testHeader, got)
+	}
+}
+
+// A v1 header is a deliberate format break: Open and Load both refuse
+// it, naming the version found and the version this build speaks.
+func TestV1HeaderRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "v1.ckpt")
+	if err := os.WriteFile(path, []byte(v1Header+record(0)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, lerr := Load(path)
+	l, oerr := Open(path, twoPoints(), Options{})
+	if l != nil {
+		l.Close()
+	}
+	for name, err := range map[string]error{"Load": lerr, "Open": oerr} {
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "v1") || !strings.Contains(err.Error(), "v2") {
+			t.Errorf("%s of a v1 checkpoint: %v; want ErrCorrupt naming v1 and v2", name, err)
+		}
+	}
 }

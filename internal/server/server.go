@@ -39,17 +39,16 @@
 // remembers evictions it performed itself.
 //
 // With Config.CheckpointDir set, accepted sweeps survive restarts:
-// every submission persists its grid (<id>.grid) and every completed
-// point appends to a crash-safe checkpoint (<id>.ckpt, format
-// internal/checkpoint). A restarted server re-enqueues each persisted
-// sweep; its checkpointed points are restored — replayed through the
-// result stream rather than recomputed — so existing cursors remain
-// valid and the streamed bytes are identical to an uninterrupted
-// serve. Eviction deletes both files.
+// every submission is persisted as one crash-safe checkpoint (<id>.ckpt,
+// format internal/checkpoint) whose header holds the grid and to which
+// every completed point appends. A restarted server rebuilds each
+// persisted sweep from its header and re-enqueues it; its checkpointed
+// points are restored — replayed through the result stream rather than
+// recomputed — so existing cursors remain valid and the streamed bytes
+// are identical to an uninterrupted serve. Eviction deletes the file.
 package server
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -96,8 +95,8 @@ type Config struct {
 	// Evictions are counted by the server_sweeps_evicted metric.
 	Retention time.Duration
 	// CheckpointDir, when non-empty, persists sweep state there so
-	// accepted sweeps survive process restarts: one <id>.grid file per
-	// submission and one <id>.ckpt checkpoint log of its completed
+	// accepted sweeps survive process restarts: one <id>.ckpt
+	// checkpoint per submission, holding its grid and its completed
 	// points. A new Server re-enqueues everything the directory holds.
 	// Empty (the default) keeps all state in memory.
 	CheckpointDir string
@@ -304,53 +303,16 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// gridPath and ckptPath name a sweep's two persisted files.
-func (s *Server) gridPath(id string) string {
-	return filepath.Join(s.cfg.CheckpointDir, id+".grid")
-}
+// ckptPath names a sweep's persisted file.
 func (s *Server) ckptPath(id string) string {
 	return filepath.Join(s.cfg.CheckpointDir, id+".ckpt")
-}
-
-// writeFileAtomic lands data at path via temp file + fsync + rename,
-// so a crash mid-write leaves either the old file or the new one,
-// never a torn prefix.
-func writeFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if dir, err := os.Open(filepath.Dir(path)); err == nil {
-		_ = dir.Sync()
-		dir.Close()
-	}
-	return nil
 }
 
 // restoreFromDir re-enqueues every sweep CheckpointDir holds, in
 // original submission order, and advances the id counter past them.
 // Checkpointed points replay instead of recomputing when the executor
 // reaches each sweep, so a restart is invisible to result bytes and
-// cursors. A grid file that no longer decodes is surfaced as a failed
+// cursors. A checkpoint that no longer loads is surfaced as a failed
 // sweep under its id — queryable, evicted on schedule — rather than
 // silently dropped or deleted.
 func (s *Server) restoreFromDir() {
@@ -360,8 +322,8 @@ func (s *Server) restoreFromDir() {
 	}
 	var ids []string
 	for _, e := range entries {
-		if name := e.Name(); strings.HasSuffix(name, ".grid") {
-			ids = append(ids, strings.TrimSuffix(name, ".grid"))
+		if id, ok := strings.CutSuffix(e.Name(), ".ckpt"); ok {
+			ids = append(ids, id)
 		}
 	}
 	// Original submission order: ids are s1, s2, ... from the previous
@@ -371,11 +333,7 @@ func (s *Server) restoreFromDir() {
 		if n := idNum(id); n > s.nextID {
 			s.nextID = n
 		}
-		data, err := os.ReadFile(s.gridPath(id))
-		var grid api.Grid
-		if err == nil {
-			grid, err = api.DecodeGrid(bytes.NewReader(data))
-		}
+		meta, _, err := checkpoint.Load(s.ckptPath(id))
 		if err != nil {
 			failed := &sweepState{
 				id:     id,
@@ -390,13 +348,13 @@ func (s *Server) restoreFromDir() {
 		}
 		st := &sweepState{
 			id:     id,
-			grid:   grid,
+			grid:   meta.Grid,
 			status: statusQueued,
-			lines:  make([][]byte, len(grid.Jobs)),
+			lines:  make([][]byte, len(meta.Grid.Jobs)),
 			wake:   make(chan struct{}),
 		}
 		s.sweeps[id] = st
-		s.queuedJobs += len(grid.Jobs)
+		s.queuedJobs += len(meta.Grid.Jobs)
 		s.mSweepsRestored.Inc()
 		s.queue <- st
 	}
@@ -455,7 +413,6 @@ func (s *Server) evictExpired(now time.Time) {
 		s.gone[id] = struct{}{}
 		s.mSweepsEvicted.Inc()
 		if s.cfg.CheckpointDir != "" {
-			_ = os.Remove(s.gridPath(id))
 			_ = os.Remove(s.ckptPath(id))
 		}
 	}
@@ -560,13 +517,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.sweeps[st.id] = st
 	s.mu.Unlock()
 
-	// Persist the grid before acking: an id the client holds must
-	// survive a restart. The body already decoded strictly, so the
-	// canonical re-encoding cannot fail in practice.
+	// Persist the sweep before acking: an id the client holds must
+	// survive a restart. Creating the checkpoint lands its header, which
+	// holds the grid, atomically and durably.
 	if s.cfg.CheckpointDir != "" {
-		b, err := api.MarshalGrid(grid)
+		cp, err := checkpoint.Open(s.ckptPath(st.id), sweep.Config{Jobs: grid.SweepJobs(), Seed: grid.Seed},
+			checkpoint.Options{Registry: s.reg})
 		if err == nil {
-			err = writeFileAtomic(s.gridPath(st.id), append(b, '\n'))
+			err = cp.Close()
 		}
 		if err != nil {
 			s.mu.Lock()
@@ -575,7 +533,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			s.mu.Unlock()
 			writeError(w, http.StatusInternalServerError, api.Error{
 				V: api.Version, Code: api.CodeInternal,
-				Message: fmt.Sprintf("persist grid: %v", err),
+				Message: fmt.Sprintf("persist sweep: %v", err),
 			})
 			return
 		}

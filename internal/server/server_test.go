@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -822,7 +823,7 @@ func TestCheckpointDirPersistsSweepsAcrossRestart(t *testing.T) {
 	}
 }
 
-// Eviction under CheckpointDir deletes the persisted files, so a
+// Eviction under CheckpointDir deletes the persisted file, so a
 // restart does not resurrect expired sweeps.
 func TestEvictionRemovesPersistedState(t *testing.T) {
 	dir := t.TempDir()
@@ -849,9 +850,181 @@ func TestEvictionRemovesPersistedState(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	for _, path := range []string{s.gridPath(id), s.ckptPath(id)} {
-		if _, err := os.Stat(path); !os.IsNotExist(err) {
-			t.Errorf("%s still exists after eviction (stat err: %v)", path, err)
+	if _, err := os.Stat(s.ckptPath(id)); !os.IsNotExist(err) {
+		t.Errorf("%s still exists after eviction (stat err: %v)", s.ckptPath(id), err)
+	}
+}
+
+// A checkpoint a restart cannot load — its header does not parse, or
+// its grid fails strict decoding — is restored as a failed sweep under
+// its id, beside a good sweep that still streams its exact bytes. New
+// ids continue past all of them, and retention evicts the failed
+// sweeps and deletes their files like any finished sweep's.
+func TestRestoreSurfacesUnloadableCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	g := testGrid()
+	want := localLines(t, g)
+
+	s1, ts1 := startServer(t, Config{CheckpointDir: dir})
+	good, _ := submit(t, ts1, g)
+	resp, err := http.Get(ts1.URL + "/v1/sweeps/" + good + "/results")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	ts1.Close()
+	s1.Close()
+
+	data, err := os.ReadFile(s1.ckptPath(good))
+	if err != nil {
+		t.Fatal(err)
+	}
+	header := data[:bytes.IndexByte(data, '\n')+1]
+	unparsable := fmt.Sprintf("s%d", idNum(good)+1)
+	undecodable := fmt.Sprintf("s%d", idNum(good)+2)
+	for id, b := range map[string][]byte{
+		unparsable:  []byte("{\"v\":2,\"format\":\n"),
+		undecodable: bytes.Replace(header, []byte(`"kind":"scu"`), []byte(`"kind":"sku"`), 1),
+	} {
+		if err := os.WriteFile(s1.ckptPath(id), b, 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
+
+	s2, ts2 := startServer(t, Config{CheckpointDir: dir})
+	for _, id := range []string{unparsable, undecodable} {
+		resp, err := http.Get(ts2.URL + "/v1/sweeps/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var status struct {
+			Status string `json:"status"`
+			Error  string `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&status)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if status.Status != "failed" || !strings.HasPrefix(status.Error, "restore: ") {
+			t.Errorf("%s: status %q, error %q; want failed with a restore: message", id, status.Status, status.Error)
+		}
+	}
+
+	resp, err = http.Get(ts2.URL + "/v1/sweeps/" + good + "/results")
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, want) {
+		t.Errorf("good sweep beside unloadable checkpoints streams:\n%s\nwant:\n%s", again, want)
+	}
+
+	fresh, _ := submit(t, ts2, g)
+	for _, id := range []string{good, unparsable, undecodable} {
+		if idNum(fresh) <= idNum(id) {
+			t.Errorf("new submission got id %s, not after restored %s", fresh, id)
+		}
+	}
+
+	s2.evictExpired(time.Now().Add(2 * defaultRetention))
+	for _, id := range []string{unparsable, undecodable} {
+		resp, err := http.Get(ts2.URL + "/v1/sweeps/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusGone {
+			t.Errorf("%s after retention: status %d, want %d", id, resp.StatusCode, http.StatusGone)
+		}
+		resp.Body.Close()
+		if _, err := os.Stat(s2.ckptPath(id)); !os.IsNotExist(err) {
+			t.Errorf("%s still exists after eviction (stat err: %v)", s2.ckptPath(id), err)
+		}
+	}
+}
+
+// A result-stream client that stops reading stalls only its own
+// handler. Small socket buffers on both ends make the server's writes
+// block a few kilobytes into a stream of hundreds; the executor still
+// finishes that sweep, a later sweep runs and streams the local run's
+// bytes, and closing the stalled connection releases the blocked
+// handler, which counts the disconnect.
+func TestStalledStreamClientDoesNotBlockExecutor(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := New(Config{Registry: reg, Cache: sweep.NewChainCache()})
+	ts := httptest.NewUnstartedServer(s)
+	ts.Config.ConnState = func(c net.Conn, state http.ConnState) {
+		if tc, ok := c.(*net.TCPConn); ok && state == http.StateNew {
+			_ = tc.SetWriteBuffer(4096)
+		}
+	}
+	ts.Start()
+	t.Cleanup(func() { ts.Close(); s.Close() })
+
+	big := api.Grid{V: api.Version, Seed: 5}
+	for i := 0; i < 1500; i++ {
+		big.Jobs = append(big.Jobs, api.Job{Workload: api.Workload{Kind: sweep.FetchInc}, N: 2, Steps: 200})
+	}
+	id, _ := submit(t, ts, big)
+
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() }) // before the server's Cleanup waits on the handler
+	if err := conn.(*net.TCPConn).SetReadBuffer(4096); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fmt.Fprintf(conn, "GET /v1/sweeps/%s/results HTTP/1.1\r\nHost: pwf\r\n\r\n", id); err != nil {
+		t.Fatal(err)
+	}
+
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(30 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	waitFor("the stalled stream to open", func() bool {
+		return reg.Snapshot().Counters["server_streams_opened"] == 1
+	})
+	waitFor("the executor to finish the stalled sweep", func() bool {
+		s.mu.Lock()
+		st := s.sweeps[id]
+		s.mu.Unlock()
+		status, _, _ := st.snapshot()
+		return status == statusDone
+	})
+
+	g := testGrid()
+	id2, _ := submit(t, ts, g)
+	resp, err := http.Get(ts.URL + "/v1/sweeps/" + id2 + "/results")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := localLines(t, g); !bytes.Equal(got, want) {
+		t.Errorf("sweep behind a stalled stream:\n%s\nwant:\n%s", got, want)
+	}
+	if c := reg.Snapshot().Counters["server_streams_disconnected"]; c != 0 {
+		t.Fatalf("server_streams_disconnected = %d before the stalled client closed", c)
+	}
+
+	conn.Close()
+	waitFor("the stalled handler to count its disconnect", func() bool {
+		return reg.Snapshot().Counters["server_streams_disconnected"] == 1
+	})
 }

@@ -167,7 +167,7 @@ var ErrCanceled = errors.New("sweep: canceled")
 // it once per point before dispatch and records every newly completed
 // point through it. Implementations must be safe for concurrent Commit
 // calls from multiple workers. The file-backed implementation — an
-// append-only log under a header binding the grid hash and master
+// append-only log under a header holding the expanded grid and master
 // seed — lives in internal/checkpoint; binding checkpoints to the
 // right grid is the opener's job, not Run's.
 type Checkpoint interface {

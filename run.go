@@ -130,7 +130,7 @@ type Checkpoint = sweep.Checkpoint
 
 // CheckpointLog is a file-backed Checkpoint: an append-only,
 // fsync-batched log of completed points in the canonical wire
-// encoding, bound to one grid and master seed by a SHA-256 header. A
+// encoding, under a header holding the grid and master seed it binds. A
 // SIGKILL at any byte leaves a loadable prefix; reopening restores
 // every completed point and a resumed sweep's canonical results are
 // byte-identical to an uninterrupted run. Close it after RunSweep
