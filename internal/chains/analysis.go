@@ -74,13 +74,16 @@ type transition struct {
 }
 
 // assemble builds the Analysis of an m-state chain from its
-// transitions, adding each probability in the order given. With
+// transitions, adding the probabilities of a repeated (from, to) pair
+// and each state's success probabilities in the order given. With
 // procs > 0 it also fills ProcSuccess, and every completing transition
 // must then name its process.
 func assemble(name string, m, procs int, ts []transition) (*Analysis, error) {
-	p := make([][]float64, m)
-	for i := range p {
-		p[i] = make([]float64, m)
+	chain, err := markov.NewSparse(m, len(ts), func(k int) (int, int, float64) {
+		return ts[k].from, ts[k].to, ts[k].p
+	})
+	if err != nil {
+		return nil, fmt.Errorf("%s chain: %w", name, err)
 	}
 	success := make([]float64, m)
 	var procSuccess [][]float64
@@ -91,7 +94,6 @@ func assemble(name string, m, procs int, ts []transition) (*Analysis, error) {
 		}
 	}
 	for _, t := range ts {
-		p[t.from][t.to] += t.p
 		if t.done == noProc {
 			continue
 		}
@@ -99,10 +101,6 @@ func assemble(name string, m, procs int, ts []transition) (*Analysis, error) {
 		if procSuccess != nil {
 			procSuccess[t.from][t.done] += t.p
 		}
-	}
-	chain, err := markov.New(p)
-	if err != nil {
-		return nil, fmt.Errorf("%s chain: %w", name, err)
 	}
 	return &Analysis{Chain: chain, Success: success, ProcSuccess: procSuccess}, nil
 }

@@ -13,8 +13,11 @@ func TestSparseValidation(t *testing.T) {
 	if _, err := SCUSystemLatencyLarge(maxSCULargeN + 1); !errors.Is(err, ErrBadN) {
 		t.Errorf("n too large: %v", err)
 	}
-	states, ts := scuSystem(4)
-	if _, err := lazyLatency(len(states), len(states)-1, ts, 1e-30, 3); !errors.Is(err, ErrNoSparseConvergence) {
+	a, _, err := SCUSystem(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lazyLatency(a, a.Chain.N()-1, 1e-30, 3); !errors.Is(err, ErrNoSparseConvergence) {
 		t.Errorf("tiny budget: %v", err)
 	}
 }

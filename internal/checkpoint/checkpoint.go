@@ -43,6 +43,7 @@
 package checkpoint
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -254,36 +255,22 @@ func (l *Log) load(header []byte, grid api.Grid) error {
 // defect is ErrCorrupt.
 func parse(path string, data, header []byte, grid api.Grid) (meta Meta, recs []api.Result, validLen int, err error) {
 	fail := func(format string, args ...any) (Meta, []api.Result, int, error) {
-		return Meta{}, nil, 0, fmt.Errorf("%w: %s "+format, append([]any{ErrCorrupt, path}, args...)...)
+		return Meta{}, nil, 0, corrupt(path, format, args...)
 	}
 	nl := bytes.IndexByte(data, '\n')
 	if nl < 0 {
-		// Creation is atomic, so a headerless file is not ours.
 		return fail("has no complete header line")
 	}
 	if header != nil && bytes.Equal(data[:nl+1], header) {
 		meta = Meta{V: Version, Format: Format, Grid: grid}
 	} else {
-		var h struct {
-			V      int             `json:"v"`
-			Format string          `json:"format"`
-			Grid   json.RawMessage `json:"grid"`
-		}
-		if err := json.Unmarshal(data[:nl], &h); err != nil {
-			return fail("header: %v", err)
-		}
-		if h.V != Version || h.Format != Format {
-			return fail("is %q v%d (this build speaks %q v%d)", h.Format, h.V, Format, Version)
-		}
-		fileGrid, err := api.DecodeGrid(bytes.NewReader(h.Grid))
-		if err != nil {
-			return fail("header grid: %v", err)
+		if meta, err = parseHeader(path, data[:nl]); err != nil {
+			return Meta{}, nil, 0, err
 		}
 		if header != nil {
 			return Meta{}, nil, 0, fmt.Errorf("%w: %s belongs to another sweep (%s); refusing to mix results across grids",
-				ErrGridMismatch, path, difference(fileGrid, grid))
+				ErrGridMismatch, path, difference(meta.Grid, grid))
 		}
-		meta = Meta{V: h.V, Format: h.Format, Grid: fileGrid}
 	}
 	seen := make(map[int]bool)
 	validLen = nl + 1
@@ -313,6 +300,34 @@ func parse(path string, data, header []byte, grid api.Grid) (meta Meta, recs []a
 		rest = rest[eol+1:]
 	}
 	return meta, recs, validLen, nil
+}
+
+// parseHeader decodes the header line of the checkpoint file at path,
+// without its newline: it must carry this package's format and version
+// and a grid that decodes as strictly as a pwfserve submission. Every
+// defect is ErrCorrupt.
+func parseHeader(path string, line []byte) (Meta, error) {
+	var h struct {
+		V      int             `json:"v"`
+		Format string          `json:"format"`
+		Grid   json.RawMessage `json:"grid"`
+	}
+	if err := json.Unmarshal(line, &h); err != nil {
+		return Meta{}, corrupt(path, "header: %v", err)
+	}
+	if h.V != Version || h.Format != Format {
+		return Meta{}, corrupt(path, "is %q v%d (this build speaks %q v%d)", h.Format, h.V, Format, Version)
+	}
+	grid, err := api.DecodeGrid(bytes.NewReader(h.Grid))
+	if err != nil {
+		return Meta{}, corrupt(path, "header grid: %v", err)
+	}
+	return Meta{V: h.V, Format: h.Format, Grid: grid}, nil
+}
+
+// corrupt returns an ErrCorrupt error about the file at path.
+func corrupt(path, format string, args ...any) error {
+	return fmt.Errorf("%w: %s "+format, append([]any{ErrCorrupt, path}, args...)...)
 }
 
 // difference names the first way a checkpoint's grid differs from the
@@ -469,4 +484,24 @@ func Load(path string) (Meta, []api.Result, error) {
 	}
 	meta, recs, _, err := parse(path, data, nil, api.Grid{})
 	return meta, recs, err
+}
+
+// ReadHeader reads only the header line of the checkpoint at path and
+// applies the checks Load applies to it; the records after it are not
+// read, so a damaged record surfaces only when the file is opened or
+// loaded.
+func ReadHeader(path string) (Meta, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return Meta{}, fmt.Errorf("checkpoint: read %s: %w", path, err)
+	}
+	defer f.Close()
+	line, err := bufio.NewReader(f).ReadBytes('\n')
+	if err == io.EOF {
+		return Meta{}, corrupt(path, "has no complete header line")
+	}
+	if err != nil {
+		return Meta{}, fmt.Errorf("checkpoint: read %s: %w", path, err)
+	}
+	return parseHeader(path, line[:len(line)-1])
 }

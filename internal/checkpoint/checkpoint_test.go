@@ -413,6 +413,56 @@ func TestLoadRejectsNonCheckpoints(t *testing.T) {
 	}
 }
 
+// ReadHeader checks the header line as Load does and reads nothing
+// after it.
+func TestReadHeader(t *testing.T) {
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good.ckpt")
+	if err := os.WriteFile(good, []byte(testHeader+record(0)+record(1)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := Load(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	damaged := filepath.Join(dir, "damaged.ckpt")
+	if err := os.WriteFile(damaged, []byte(testHeader+"not a record\n"+record(0)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Load(damaged); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Load of a garbage record: %v; want ErrCorrupt", err)
+	}
+	for _, path := range []string{good, damaged} {
+		meta, err := ReadHeader(path)
+		if err != nil || !reflect.DeepEqual(meta, want) {
+			t.Errorf("%s: ReadHeader = %+v, %v; want %+v", path, meta, err, want)
+		}
+	}
+
+	for _, tc := range notCheckpoints {
+		if strings.HasPrefix(tc.data, testHeader) {
+			continue // the defect is in a record
+		}
+		path := filepath.Join(dir, strings.ReplaceAll(tc.name, " ", "_"))
+		if err := os.WriteFile(path, []byte(tc.data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if meta, err := ReadHeader(path); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: ReadHeader = %+v, %v; want ErrCorrupt", tc.name, meta, err)
+		}
+	}
+	headerless := filepath.Join(dir, "headerless.ckpt")
+	if err := os.WriteFile(headerless, []byte(strings.TrimSuffix(testHeader, "\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadHeader(headerless); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("header without its newline: %v; want ErrCorrupt", err)
+	}
+	if _, err := ReadHeader(filepath.Join(dir, "missing.ckpt")); err == nil || errors.Is(err, ErrCorrupt) {
+		t.Errorf("missing file: %v; want a read error", err)
+	}
+}
+
 // FuzzCheckpointLoad feeds Load arbitrary file contents: it must never
 // panic, and every file it accepts is a current-format checkpoint whose
 // grid re-encodes to a grid DecodeGrid accepts and whose record indices

@@ -59,8 +59,9 @@ func BallsBinsPhases(cfg Config) (*Table, error) {
 			boundSum += b
 		}
 
-		// Sparse exact latency: the dense solve is cubic and already
-		// takes ~30s at n=128.
+		// Exact latency by the lazy iteration: the direct solve takes
+		// seconds from n=128 on, and the pinned E11 values come from
+		// the iteration.
 		w, err := chains.SCUSystemLatencyLarge(n)
 		if err != nil {
 			return nil, err

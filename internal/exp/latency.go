@@ -80,8 +80,8 @@ func SystemLatencySweep(cfg Config) (*Table, error) {
 			1*math.Sqrt(float64(n)))
 	}
 
-	// Large-n rows: the sparse lazy iteration gives exact SCU(0,1)
-	// values beyond the dense solver's reach.
+	// Large-n rows: the lazy iteration gives exact SCU(0,1) values
+	// beyond the direct solve's range.
 	for i, n := range largeNs {
 		r := results[3*len(ns)+i]
 		exact, err := chains.SCUSystemLatencyLarge(n)

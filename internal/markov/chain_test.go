@@ -321,35 +321,6 @@ func TestHittingTimesValidation(t *testing.T) {
 	}
 }
 
-func TestSolveDense(t *testing.T) {
-	// 2x + y = 5, x - y = 1 → x = 2, y = 1.
-	x, err := solveDense([][]float64{{2, 1}, {1, -1}}, []float64{5, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(x[0]-2) > 1e-12 || math.Abs(x[1]-1) > 1e-12 {
-		t.Fatalf("solution = %v, want [2 1]", x)
-	}
-}
-
-func TestSolveDenseSingular(t *testing.T) {
-	if _, err := solveDense([][]float64{{1, 1}, {2, 2}}, []float64{1, 2}); !errors.Is(err, ErrSingular) {
-		t.Errorf("singular system: %v", err)
-	}
-}
-
-func TestSolveDenseValidation(t *testing.T) {
-	if _, err := solveDense(nil, nil); err == nil {
-		t.Error("empty: nil error")
-	}
-	if _, err := solveDense([][]float64{{1}}, []float64{1, 2}); err == nil {
-		t.Error("rhs mismatch: nil error")
-	}
-	if _, err := solveDense([][]float64{{1, 2}}, []float64{1}); err == nil {
-		t.Error("non-square: nil error")
-	}
-}
-
 func TestQuickStationaryProperties(t *testing.T) {
 	src := rng.New(99)
 	f := func(nRaw uint8) bool {

@@ -37,12 +37,9 @@ func (c *Chain) WriteDOT(w io.Writer, name string, labels []string) error {
 		}
 	}
 	for i := 0; i < c.N(); i++ {
-		for j := 0; j < c.N(); j++ {
-			p := c.P(i, j)
-			if p == 0 {
-				continue
-			}
-			if _, err := fmt.Fprintf(w, "  %d -> %d [label=%q];\n", i, j, trimFloat(p)); err != nil {
+		col, p := c.Row(i)
+		for k, j := range col {
+			if _, err := fmt.Fprintf(w, "  %d -> %d [label=%q];\n", i, j, trimFloat(p[k])); err != nil {
 				return err
 			}
 		}

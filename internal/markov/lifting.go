@@ -80,10 +80,9 @@ func VerifyLifting(big, small *Chain, f []int) (*LiftingReport, error) {
 			continue
 		}
 		fx := f[x]
-		for y := 0; y < big.N(); y++ {
-			if pxy := big.P(x, y); pxy > 0 {
-				agg[fx][f[y]] += piBig[x] * pxy
-			}
+		col, p := big.Row(x)
+		for k, y := range col {
+			agg[fx][f[y]] += piBig[x] * p[k]
 		}
 	}
 

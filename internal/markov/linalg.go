@@ -4,15 +4,43 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 )
 
 // ErrSingular is returned when a linear system has no unique solution.
 var ErrSingular = errors.New("markov: singular linear system")
 
-// solveDense solves A x = b by Gaussian elimination with partial
-// pivoting. A and b are overwritten; the solution is returned in a new
-// slice. A must be square and len(b) == len(A).
-func solveDense(a [][]float64, b []float64) ([]float64, error) {
+// envRow is one row of a sparse linear system: it holds the columns
+// [lo, lo+len(v)), its envelope, and every other entry is zero.
+type envRow struct {
+	lo int
+	v  []float64
+}
+
+// at returns the row's entry in column c.
+func (r *envRow) at(c int) float64 {
+	if c < r.lo || c >= r.lo+len(r.v) {
+		return 0
+	}
+	return r.v[c-r.lo]
+}
+
+// solveEnvelope solves A x = b by Gaussian elimination with partial
+// pivoting, where row i of A is a[i]. A and b are overwritten; the
+// solution is returned in a new slice.
+//
+// It makes the pivot choices and floating-point operations of dense
+// elimination (pick the first row, in row order, with the largest
+// |entry| in the pivot column; subtract f·pivot row from every row
+// below it with f ≠ 0; back-substitute in increasing column order) in
+// the same order, and skips only the products with an entry outside a
+// row's envelope, which is exactly zero. For finite f, x − f·0 = x for
+// every nonzero x, so a skipped product changes at most the sign of a
+// zero, and every nonzero entry and solution component has the dense
+// solve's bits. A row with a zero in the pivot column never wins the
+// pivot search and is not updated, so only the rows whose envelope
+// covers the pivot column are visited; partial pivoting keeps |f| ≤ 1.
+func solveEnvelope(a []envRow, b []float64) ([]float64, error) {
 	n := len(a)
 	if n == 0 {
 		return nil, errors.New("markov: empty system")
@@ -20,51 +48,91 @@ func solveDense(a [][]float64, b []float64) ([]float64, error) {
 	if len(b) != n {
 		return nil, fmt.Errorf("markov: dimension mismatch: %d rows, %d rhs", n, len(b))
 	}
-	for _, row := range a {
-		if len(row) != n {
-			return nil, errors.New("markov: non-square matrix")
+	// Rows keep their index in a (and b); at[k] is the row now at
+	// position k and pos its inverse, so a row swap is two writes.
+	at := make([]int, n)
+	pos := make([]int, n)
+	// enter lists the rows by the first column of their envelope.
+	enter := make([]int, 0, n)
+	for i := range a {
+		if a[i].lo < 0 || a[i].lo+len(a[i].v) > n {
+			return nil, fmt.Errorf("markov: row %d spans columns [%d,%d) of %d",
+				i, a[i].lo, a[i].lo+len(a[i].v), n)
+		}
+		at[i], pos[i] = i, i
+		if len(a[i].v) > 0 {
+			enter = append(enter, i)
 		}
 	}
+	sort.Slice(enter, func(x, y int) bool { return a[enter[x]].lo < a[enter[y]].lo })
 
-	// Forward elimination with partial pivoting.
+	// active holds the unfinished rows whose envelope covers the
+	// current column; every other unfinished row is zero there.
+	var active []int
 	for col := 0; col < n; col++ {
-		pivot := col
-		best := math.Abs(a[col][col])
-		for r := col + 1; r < n; r++ {
-			if v := math.Abs(a[r][col]); v > best {
-				best = v
-				pivot = r
+		for len(enter) > 0 && a[enter[0]].lo <= col {
+			active = append(active, enter[0])
+			enter = enter[1:]
+		}
+		// The first position with the largest |entry|, as a scan from
+		// position col in row order finds it.
+		piv := at[col]
+		best := math.Abs(a[piv].at(col))
+		for _, i := range active {
+			if v := math.Abs(a[i].at(col)); v > best || v == best && pos[i] < pos[piv] {
+				best, piv = v, i
 			}
 		}
 		if best < 1e-14 {
 			return nil, ErrSingular
 		}
-		if pivot != col {
-			a[col], a[pivot] = a[pivot], a[col]
-			b[col], b[pivot] = b[pivot], b[col]
+		if other := at[col]; other != piv {
+			at[col], at[pos[piv]] = piv, other
+			pos[other], pos[piv] = pos[piv], col
 		}
-		inv := 1 / a[col][col]
-		for r := col + 1; r < n; r++ {
-			f := a[r][col] * inv
-			if f == 0 {
+
+		// Trim the pivot row's trailing zeros, so they do not widen
+		// every row it updates.
+		p := &a[piv]
+		for len(p.v) > col+1-p.lo && p.v[len(p.v)-1] == 0 {
+			p.v = p.v[:len(p.v)-1]
+		}
+		hi := p.lo + len(p.v)
+		inv := 1 / p.v[col-p.lo]
+		tail := p.v[col+1-p.lo:]
+		keep := active[:0]
+		for _, i := range active {
+			if i == piv {
 				continue
 			}
-			a[r][col] = 0
-			for c := col + 1; c < n; c++ {
-				a[r][c] -= f * a[col][c]
+			r := &a[i]
+			if f := r.at(col) * inv; f != 0 {
+				r.v[col-r.lo] = 0
+				if end := r.lo + len(r.v); end < hi {
+					r.v = append(r.v, make([]float64, hi-end)...)
+				}
+				rv := r.v[col+1-r.lo:][:len(tail)]
+				for k, x := range tail {
+					rv[k] -= f * x
+				}
+				b[i] -= f * b[piv]
 			}
-			b[r] -= f * b[col]
+			if r.lo+len(r.v) > col+1 {
+				keep = append(keep, i)
+			}
 		}
+		active = keep
 	}
 
 	// Back substitution.
 	x := make([]float64, n)
-	for r := n - 1; r >= 0; r-- {
-		sum := b[r]
-		for c := r + 1; c < n; c++ {
-			sum -= a[r][c] * x[c]
+	for k := n - 1; k >= 0; k-- {
+		r := &a[at[k]]
+		sum := b[at[k]]
+		for c := k + 1; c < r.lo+len(r.v); c++ {
+			sum -= r.v[c-r.lo] * x[c]
 		}
-		x[r] = sum / a[r][r]
+		x[k] = sum / r.v[k-r.lo]
 	}
 	return x, nil
 }

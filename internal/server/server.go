@@ -333,7 +333,7 @@ func (s *Server) restoreFromDir() {
 		if n := idNum(id); n > s.nextID {
 			s.nextID = n
 		}
-		meta, _, err := checkpoint.Load(s.ckptPath(id))
+		meta, err := checkpoint.ReadHeader(s.ckptPath(id))
 		if err != nil {
 			failed := &sweepState{
 				id:     id,

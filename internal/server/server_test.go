@@ -948,6 +948,74 @@ func TestRestoreSurfacesUnloadableCheckpoints(t *testing.T) {
 	}
 }
 
+// Restart reads only each checkpoint's header line, so a file with a
+// good header and a garbage record restores as a queued sweep; the
+// record is found when the executor opens the checkpoint, and the
+// sweep then fails with a message that names the file.
+func TestRestoreDefersRecordErrorsToExecutor(t *testing.T) {
+	dir := t.TempDir()
+	g := testGrid()
+	s1, ts1 := startServer(t, Config{CheckpointDir: dir})
+	id, _ := submit(t, ts1, g)
+	resp, err := http.Get(ts1.URL + "/v1/sweeps/" + id + "/results")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	ts1.Close()
+	s1.Close()
+
+	path := s1.ckptPath(id)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header := data[:bytes.IndexByte(data, '\n')+1]
+	damaged := append(append([]byte{}, header...), "not a record\n{\"v\":1,\"ind"...)
+	if err := os.WriteFile(path, damaged, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := obs.NewRegistry()
+	_, ts2 := startServer(t, Config{CheckpointDir: dir, Registry: reg})
+	if n := reg.Snapshot().Counters["server_sweeps_restored"]; n != 1 {
+		t.Fatalf("server_sweeps_restored = %d, want 1 (restored as queued)", n)
+	}
+	resp, err = http.Get(ts2.URL + "/v1/sweeps/" + id + "/results")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e api.Error
+	if err := json.Unmarshal(bytes.TrimSuffix(stream, []byte("\n")), &e); err != nil {
+		t.Fatalf("stream is not one api.Error line: %v: %s", err, stream)
+	}
+	if !strings.HasPrefix(e.Message, "checkpoint: ") || !strings.Contains(e.Message, path) {
+		t.Errorf("error %q: want a checkpoint: message naming %s", e.Message, path)
+	}
+
+	resp, err = http.Get(ts2.URL + "/v1/sweeps/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var status struct {
+		Status string `json:"status"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&status)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status.Status != "failed" {
+		t.Errorf("sweep status %q, want failed", status.Status)
+	}
+}
+
 // A result-stream client that stops reading stalls only its own
 // handler. Small socket buffers on both ends make the server's writes
 // block a few kilobytes into a stream of hundreds; the executor still
