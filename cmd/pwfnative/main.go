@@ -5,22 +5,17 @@
 // Usage:
 //
 //	pwfnative -mode schedule -workers 8 -ops 200000 [-trace out.ndjson]
-//	pwfnative -mode rate -maxworkers 32 -ops 100000 [-algo counter|add|sharded|stack|queue] [-metrics]
-//
-// Contention-management flags (rate mode): -backoff paces retry loops
-// (none, spin[:iters], exp[:base[:cap]], adaptive[:base[:cap]]);
-// -elim gives the stack an elimination array of that many slots;
-// -shards sets the sharded counter's shard count (0 = one per CPU).
+//	pwfnative -mode rate -maxworkers 32 -ops 100000 [-algo counter|add|stack|queue] [-metrics]
 //
 // Observability flags: -trace writes the recovered hardware
 // interleaving as sched events (schedule mode only); -trace-format
 // selects NDJSON (v1, default) or the compact binary framing (v2,
 // "bin") and -trace-compress adds per-frame gzip to binary traces;
 // -metrics prints a JSON metrics snapshot to stderr, including the
-// wait-free retry/step histograms and elimination-hit counters the
-// rate workloads record; -debug-addr serves /metrics, /debug/vars and
-// /debug/pprof over HTTP for the duration of the run;
-// -cpuprofile/-memprofile write pprof profiles.
+// wait-free retry/step histograms the rate workloads record;
+// -debug-addr serves /metrics, /debug/vars and /debug/pprof over HTTP
+// for the duration of the run; -cpuprofile/-memprofile write pprof
+// profiles.
 package main
 
 import (
@@ -32,7 +27,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 
-	"pwf/internal/backoff"
 	"pwf/internal/native"
 	"pwf/internal/obs"
 )
@@ -51,11 +45,7 @@ func run(args []string, out, errOut io.Writer) error {
 		workers    = fs.Int("workers", runtime.GOMAXPROCS(0), "workers for -mode schedule")
 		maxWorkers = fs.Int("maxworkers", 2*runtime.GOMAXPROCS(0), "largest worker count for -mode rate")
 		ops        = fs.Int("ops", 200000, "operations per worker")
-		algo       = fs.String("algo", "counter", "workload for -mode rate: counter, add, sharded, stack, queue")
-		backoffArg = fs.String("backoff", "none", "retry pacing: none, spin[:iters], exp[:base[:cap]], adaptive[:base[:cap]]")
-		elimSlots  = fs.Int("elim", 0, "elimination-array slots for the stack workload (0 = disabled)")
-		shards     = fs.Int("shards", 0, "shard count for -algo sharded (0 = one per CPU)")
-		seed       = fs.Uint64("seed", 1, "seed for backoff jitter and elimination slot picks")
+		algo       = fs.String("algo", "counter", "workload for -mode rate: counter, add, stack, queue")
 		traceFile  = fs.String("trace", "", "write the recovered schedule as trace events (schedule mode)")
 		traceForm  = fs.String("trace-format", "ndjson", "trace file format: ndjson (v1) or bin (compact binary v2)")
 		traceComp  = fs.String("trace-compress", "none", "binary trace compression: none or gzip")
@@ -87,16 +77,6 @@ func run(args []string, out, errOut io.Writer) error {
 	if *ops < 1 {
 		return fmt.Errorf("-ops must be at least 1, got %d", *ops)
 	}
-	if *elimSlots < 0 {
-		return fmt.Errorf("-elim must be non-negative, got %d", *elimSlots)
-	}
-	if *shards < 0 {
-		return fmt.Errorf("-shards must be non-negative, got %d", *shards)
-	}
-	structOpts, err := structOptions(*backoffArg, *elimSlots, *shards, *seed)
-	if err != nil {
-		return err
-	}
 
 	if *debugAddr != "" {
 		bound, stop, err := obs.ServeDebug(*debugAddr, obs.Default)
@@ -112,7 +92,7 @@ func run(args []string, out, errOut io.Writer) error {
 		case "schedule":
 			return runSchedule(out, *workers, *ops, *traceFile, format, comp)
 		case "rate":
-			return runRate(out, *maxWorkers, *ops, *algo, *metrics, structOpts)
+			return runRate(out, *maxWorkers, *ops, *algo, *metrics)
 		default:
 			return fmt.Errorf("unknown mode %q", *mode)
 		}
@@ -212,43 +192,13 @@ func writeScheduleTrace(path string, s *native.Schedule, format obs.TraceFormat,
 	return f.Close()
 }
 
-// structOptions translates the contention-management flags into
-// structure construction options. Options a given workload does not
-// support are ignored by the structure, so a single option list serves
-// every -algo.
-func structOptions(backoffSpec string, elimSlots, shards int, seed uint64) ([]native.Option, error) {
-	var opts []native.Option
-	strat, err := backoff.Parse(backoffSpec, seed)
-	if err != nil {
-		return nil, err
-	}
-	if strat != nil {
-		opts = append(opts, native.WithBackoff(strat))
-	}
-	if elimSlots > 0 {
-		opts = append(opts, native.WithElimination(elimSlots))
-	}
-	if shards > 0 {
-		opts = append(opts, native.WithShards(shards))
-	}
-	if len(opts) > 0 {
-		opts = append(opts, native.WithSeed(seed))
-	}
-	return opts, nil
-}
-
-func runRate(out io.Writer, maxWorkers, ops int, algo string, metrics bool, structOpts []native.Option) error {
+func runRate(out io.Writer, maxWorkers, ops int, algo string, metrics bool) error {
 	var stats *obs.OpStats
-	var opts []native.RateOption
 	if metrics {
 		stats = &obs.OpStats{}
 		stats.Register(obs.Default, "native_"+algo)
-		opts = append(opts, native.WithOpStats(stats))
 	}
-	if len(structOpts) > 0 {
-		opts = append(opts, native.WithStructOptions(structOpts...))
-	}
-	measure, err := rateFunc(algo, opts)
+	measure, err := rateFunc(algo)
 	if err != nil {
 		return err
 	}
@@ -258,7 +208,7 @@ func runRate(out io.Writer, maxWorkers, ops int, algo string, metrics bool, stru
 
 	var c, cWorst float64
 	for n := 1; n <= maxWorkers; n *= 2 {
-		res, err := measure(n, ops)
+		res, err := measure(n, ops, stats)
 		if err != nil {
 			return err
 		}
@@ -273,23 +223,16 @@ func runRate(out io.Writer, maxWorkers, ops int, algo string, metrics bool, stru
 	return nil
 }
 
-func rateFunc(algo string, opts []native.RateOption) (func(workers, ops int) (native.RateResult, error), error) {
-	var measure func(workers, ops int, opts ...native.RateOption) (native.RateResult, error)
+func rateFunc(algo string) (func(workers, ops int, st *obs.OpStats) (native.RateResult, error), error) {
 	switch algo {
 	case "counter":
-		measure = native.MeasureCASCounterRate
+		return native.MeasureCASCounterRate, nil
 	case "add":
-		measure = native.MeasureAddCounterRate
-	case "sharded":
-		measure = native.MeasureShardedCounterRate
+		return native.MeasureAddCounterRate, nil
 	case "stack":
-		measure = native.MeasureStackRate
+		return native.MeasureStackRate, nil
 	case "queue":
-		measure = native.MeasureQueueRate
-	default:
-		return nil, fmt.Errorf("unknown workload %q", algo)
+		return native.MeasureQueueRate, nil
 	}
-	return func(workers, ops int) (native.RateResult, error) {
-		return measure(workers, ops, opts...)
-	}, nil
+	return nil, fmt.Errorf("unknown workload %q", algo)
 }

@@ -6,11 +6,10 @@
 //     stochastic scheduler, with linearizability shadow-checking and
 //     per-process latency distribution (the view practitioners know
 //     from latency histograms of lock-free stacks);
-//  2. natively on goroutines and sync/atomic, measuring the
-//     completion rate — bare, with exponential-jitter backoff, and
-//     with an elimination array, to show the contention-management
-//     options leave the completion rate intact while bounding retry
-//     work under contention.
+//  2. natively on goroutines and sync/atomic: the bare stack, whose
+//     retry loop issues CAS attempts back to back exactly as the
+//     paper's SCU model assumes, measured for its completion rate
+//     and CAS failures per operation.
 //
 // Run with: go run ./examples/stack
 package main
@@ -19,7 +18,6 @@ import (
 	"fmt"
 	"os"
 
-	"pwf/internal/backoff"
 	"pwf/internal/machine"
 	"pwf/internal/native"
 	"pwf/internal/obs"
@@ -101,36 +99,14 @@ func run() error {
 	}
 
 	// --- Native Treiber stack ------------------------------------
-	// Three contention-management configurations of the same stack.
-	// The strategies only engage on the retry path, so on a lightly
-	// loaded host all three report the same rate; under real
-	// contention the paced variants hold their rate while the bare
-	// loop's CAS failures climb (see BENCH.md).
 	fmt.Printf("\nnative Treiber stack (goroutines + sync/atomic), %d workers:\n", n)
-	configs := []struct {
-		name string
-		opts []native.Option
-	}{
-		{"bare CAS", nil},
-		{"exp-jitter backoff", []native.Option{
-			native.WithBackoff(backoff.NewExp(16, 1<<12, 7)),
-		}},
-		{"elimination (4 slots)", []native.Option{
-			native.WithElimination(4), native.WithSeed(7),
-		}},
+	var ops obs.OpStats
+	res, err := native.MeasureStackRate(n, 50_000, &ops)
+	if err != nil {
+		return err
 	}
-	for _, cfg := range configs {
-		var st obs.OpStats
-		res, err := native.MeasureStackRate(n, 50_000,
-			native.WithOpStats(&st),
-			native.WithStructOptions(cfg.opts...))
-		if err != nil {
-			return err
-		}
-		fmt.Printf("  %-22s %d ops in %v, rate %.4f ops/step, casfails/op %.4f, elim hits %d\n",
-			cfg.name, res.Ops, res.Elapsed.Round(1000), res.Rate(),
-			float64(st.CASFailures.Load())/float64(res.Ops),
-			st.Eliminations.Load())
-	}
+	fmt.Printf("  %d ops in %v, rate %.4f ops/step, casfails/op %.4f\n",
+		res.Ops, res.Elapsed.Round(1000), res.Rate(),
+		float64(ops.CASFailures.Load())/float64(res.Ops))
 	return nil
 }

@@ -82,3 +82,53 @@ func TestLogRollsBackFailedAppend(t *testing.T) {
 		t.Errorf("reopened checkpoint restored %d points, want 2", re.Restored())
 	}
 }
+
+// A failed fsync poisons the Log. After fsync reports an error the
+// kernel may have dropped the dirty pages it could not write, so a
+// later fsync that succeeds says nothing about the earlier records.
+// The write end of a pipe accepts the record but rejects fsync with
+// EINVAL; once the real file is back, the next Commit, Sync and Close
+// must still fail with that error, naming the checkpoint path.
+func TestLogFailedSyncPoisons(t *testing.T) {
+	cfg := testConfig()
+	results, err := sweep.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "sweep.ckpt")
+	l, err := Open(path, cfg, Options{FlushEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pr.Close()
+	defer pw.Close()
+	real := l.f
+	l.f = pw
+	syncErr := l.Commit(results[0])
+	l.f = real
+	if !errors.Is(syncErr, syscall.EINVAL) {
+		t.Fatalf("commit with a failing fsync: %v, want EINVAL", syncErr)
+	}
+	if msg := syncErr.Error(); !strings.Contains(msg, path) {
+		t.Errorf("sync error %q does not name %s", msg, path)
+	}
+
+	for _, c := range []struct {
+		name string
+		call func() error
+	}{
+		{"Commit", func() error { return l.Commit(results[1]) }},
+		{"Sync", l.Sync},
+		{"Close", l.Close},
+		{"Commit after Close", func() error { return l.Commit(results[2]) }},
+		{"second Close", l.Close},
+	} {
+		if err := c.call(); !errors.Is(err, syscall.EINVAL) || !strings.Contains(err.Error(), path) {
+			t.Errorf("%s after a failed fsync: %v, want the sync error on %s", c.name, err, path)
+		}
+	}
+}

@@ -31,10 +31,13 @@
 // file-size limit) is truncated back to the last whole record before
 // the error returns, so a later successful append still lands on a
 // record boundary; if that truncation fails too, the Log refuses every
-// later commit with the append's error. A '\n'-terminated line that
-// fails to decode is real corruption and fails the load loudly, as
-// does a header whose grid is not the sweep being resumed
-// (ErrGridMismatch).
+// later commit with the append's error. A failed fsync poisons the Log
+// the same way: the kernel may already have dropped the dirty pages it
+// could not write, so a later fsync that succeeds proves nothing about
+// earlier records, and every later Commit, Sync and Close returns the
+// sync error. A '\n'-terminated line that fails to decode is real
+// corruption and fails the load loudly, as does a header whose grid is
+// not the sweep being resumed (ErrGridMismatch).
 //
 // Because sweep point i always draws from rng.Stream(seed, i),
 // restoring the completed set and executing only the remainder yields
@@ -118,7 +121,7 @@ type Log struct {
 	sinceSync  int
 	flushEvery int
 	closed     bool
-	failed     error // a failed append that could not be rolled back
+	failed     error // a failed fsync, or an append that could not be rolled back
 
 	mWritten  *obs.Counter
 	mRestored *obs.Counter
@@ -376,11 +379,11 @@ func (l *Log) Commit(r sweep.Result) error {
 	line = append(line, '\n')
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return errors.New("checkpoint: commit after Close")
-	}
 	if l.failed != nil {
 		return l.failed
+	}
+	if l.closed {
+		return errors.New("checkpoint: commit after Close")
 	}
 	if _, err := l.f.Write(line); err != nil {
 		err = l.fileErr(fmt.Sprintf("append point %d to", r.Index), err)
@@ -395,12 +398,20 @@ func (l *Log) Commit(r sweep.Result) error {
 	l.mBytes.Add(uint64(len(line)))
 	l.sinceSync++
 	if l.flushEvery < 0 || l.sinceSync >= l.flushEvery {
-		if err := l.f.Sync(); err != nil {
-			return l.fileErr("sync", err)
-		}
-		l.mSyncs.Inc()
-		l.sinceSync = 0
+		return l.sync()
 	}
+	return nil
+}
+
+// sync fsyncs the file. A failure poisons the Log (see the package
+// comment). Called with l.mu held.
+func (l *Log) sync() error {
+	if err := l.f.Sync(); err != nil {
+		l.failed = l.fileErr("sync", err)
+		return l.failed
+	}
+	l.mSyncs.Inc()
+	l.sinceSync = 0
 	return nil
 }
 
@@ -428,15 +439,13 @@ func (l *Log) fileErr(op string, err error) error {
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.failed != nil {
+		return l.failed
+	}
 	if l.closed || l.sinceSync == 0 {
 		return nil
 	}
-	if err := l.f.Sync(); err != nil {
-		return l.fileErr("sync", err)
-	}
-	l.mSyncs.Inc()
-	l.sinceSync = 0
-	return nil
+	return l.sync()
 }
 
 // Close syncs and closes the file. The Log is unusable afterwards.
@@ -444,16 +453,12 @@ func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
-		return nil
+		return l.failed
 	}
 	l.closed = true
-	var first error
-	if l.sinceSync > 0 {
-		if err := l.f.Sync(); err != nil {
-			first = l.fileErr("sync on close", err)
-		} else {
-			l.mSyncs.Inc()
-		}
+	first := l.failed
+	if first == nil && l.sinceSync > 0 {
+		first = l.sync()
 	}
 	if err := l.f.Close(); err != nil && first == nil {
 		first = l.fileErr("close", err)

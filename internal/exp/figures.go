@@ -155,7 +155,7 @@ func Fig5CompletionRate(cfg Config) (*Table, error) {
 	// other timing-sensitive work.
 	nativeRates := make([]float64, len(ns))
 	for i, n := range ns {
-		res, err := native.MeasureCASCounterRate(n, nativeOps)
+		res, err := native.MeasureCASCounterRate(n, nativeOps, nil)
 		if err != nil {
 			return nil, err
 		}

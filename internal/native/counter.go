@@ -15,7 +15,6 @@ import (
 	"errors"
 	"sync/atomic"
 
-	"pwf/internal/backoff"
 	"pwf/internal/obs"
 )
 
@@ -24,19 +23,11 @@ var ErrBadWorkers = errors.New("native: need at least one worker")
 
 // CASCounter is the lock-free fetch-and-increment counter measured in
 // Appendix B: read the value, then try to install value+1 with CAS,
-// retrying on failure. It is lock-free but not wait-free. The zero
-// value retries back to back; NewCASCounter with WithBackoff paces the
-// retry loop.
+// retrying on failure back to back. It is lock-free but not
+// wait-free. The zero value is ready to use.
 type CASCounter struct {
 	v     atomic.Int64
 	stats *obs.OpStats
-	bo    backoff.Strategy
-}
-
-// NewCASCounter builds a counter configured by opts (WithBackoff).
-// With no options it is equivalent to the zero value.
-func NewCASCounter(opts ...Option) *CASCounter {
-	return &CASCounter{bo: applyOptions(opts).backoff}
 }
 
 // Instrument attaches wait-free per-operation telemetry (steps, retry
@@ -57,9 +48,6 @@ func (c *CASCounter) Inc() (value int64, steps uint64) {
 		steps++
 		if c.v.CompareAndSwap(v, v+1) {
 			steps++
-			if c.bo != nil {
-				c.bo.Succeeded()
-			}
 			if c.stats != nil {
 				c.stats.ObserveOp(steps, fails)
 			}
@@ -67,9 +55,6 @@ func (c *CASCounter) Inc() (value int64, steps uint64) {
 		}
 		steps++
 		fails++
-		if c.bo != nil {
-			c.bo.Pause(fails)
-		}
 	}
 }
 
@@ -98,133 +83,3 @@ func (c *AddCounter) Inc() (value int64, steps uint64) {
 
 // Load returns the current counter value.
 func (c *AddCounter) Load() int64 { return c.v.Load() }
-
-// DefaultBatch is the reconcile batch used by NewShardedCounter when
-// WithBatch is not given.
-const DefaultBatch = 64
-
-// ShardedCounter trades the read exactness of a single fetch-and-add
-// word for contention-free increments: each increment is one wait-free
-// fetch-and-add on a cache-line-padded shard cell, and once per batch
-// increments the shard reconciles — folds a whole batch into the
-// shared total with a single fetch-and-add. The shared word therefore
-// sees 1/batch of the traffic while every increment stays wait-free
-// with at most two steps.
-//
-// Semantics versus CASCounter: Inc still hands out globally unique
-// values — shard i dispenses the arithmetic progression i, i+k,
-// i+2k, ... for k shards — but consecutive values are spread across
-// shards rather than issued in global arrival order, and Load returns
-// the reconciled total, which lags the true increment count by roughly
-// k*(batch-1) (exactly that bound in quiescence; transiently more if a
-// best-effort fold loses its CAS). Exact sums the shard cells directly
-// (k reads; exact only in quiescence).
-type ShardedCounter struct {
-	total  atomic.Int64
-	batch  int64
-	shards []counterShard
-	stats  *obs.OpStats
-}
-
-// counterShard is a per-shard increment cell plus the high-water mark
-// of increments already folded into the shared total, padded to a
-// cache line so neighbouring shards do not false-share.
-type counterShard struct {
-	n       atomic.Int64
-	flushed atomic.Int64
-	_       [48]byte
-}
-
-// NewShardedCounter builds a sharded counter configured by opts
-// (WithShards, WithBatch). The default shard count is one per
-// available CPU and the default batch is DefaultBatch.
-func NewShardedCounter(opts ...Option) *ShardedCounter {
-	cfg := applyOptions(opts)
-	batch := cfg.batch
-	if batch <= 0 {
-		batch = DefaultBatch
-	}
-	return &ShardedCounter{
-		batch:  batch,
-		shards: make([]counterShard, cfg.shardCount()),
-	}
-}
-
-// Instrument attaches wait-free per-operation telemetry; see
-// CASCounter.Instrument.
-func (c *ShardedCounter) Instrument(st *obs.OpStats) { c.stats = st }
-
-// Shards returns the shard count.
-func (c *ShardedCounter) Shards() int { return len(c.shards) }
-
-// Inc increments via the given shard (callers spread goroutines across
-// shards, e.g. worker % Shards(); any goroutine may use any shard) and
-// returns a globally unique value plus the number of shared-memory
-// steps: one for the shard cell, plus one more on the operations that
-// reconcile a full batch into the total.
-func (c *ShardedCounter) Inc(shard int) (value int64, steps uint64) {
-	k := len(c.shards)
-	if shard < 0 {
-		shard = -shard
-	}
-	shard %= k
-	seq := c.shards[shard].n.Add(1) - 1
-	steps = 1
-	if (seq+1)%c.batch == 0 {
-		steps += c.flush(shard, seq+1)
-	}
-	if c.stats != nil {
-		c.stats.ObserveOp(steps, 0)
-	}
-	return seq*int64(k) + int64(shard), steps
-}
-
-// flush advances shard's folded high-water mark to target (if it still
-// lags) and adds the advance to the shared total. The CAS is a single
-// best-effort attempt — a concurrent flush is already doing the work —
-// so flush is wait-free; the watermark moves only forward, so the
-// total never double-counts an increment.
-func (c *ShardedCounter) flush(shard int, target int64) (steps uint64) {
-	sh := &c.shards[shard]
-	f := sh.flushed.Load()
-	steps++
-	if target <= f {
-		return steps
-	}
-	if sh.flushed.CompareAndSwap(f, target) {
-		steps++
-		c.total.Add(target - f)
-		steps++
-	} else {
-		steps++
-	}
-	return steps
-}
-
-// Load returns the reconciled total: a lower bound on the number of
-// increments, trailing the truth by roughly Shards()*(batch-1).
-func (c *ShardedCounter) Load() int64 { return c.total.Load() }
-
-// Exact returns the sum of all shard cells. It reads each shard once
-// (no snapshot): with increments in flight the result is some value
-// between the count at the start and at the end of the scan; in
-// quiescence it is the exact increment count.
-func (c *ShardedCounter) Exact() int64 {
-	var sum int64
-	for i := range c.shards {
-		sum += c.shards[i].n.Load()
-	}
-	return sum
-}
-
-// Reconcile folds every shard's unreconciled remainder into the total
-// so that Load catches up with Exact as of the scan. It is safe to run
-// concurrently with Inc — the per-shard watermark CAS ensures every
-// increment is folded exactly once — though increments landing during
-// the scan may or may not be included.
-func (c *ShardedCounter) Reconcile() int64 {
-	for i := range c.shards {
-		c.flush(i, c.shards[i].n.Load())
-	}
-	return c.total.Load()
-}

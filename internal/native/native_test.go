@@ -5,6 +5,8 @@ import (
 	"math"
 	"sync"
 	"testing"
+
+	"pwf/internal/obs"
 )
 
 func TestCASCounterSequential(t *testing.T) {
@@ -89,9 +91,9 @@ func TestStackSequentialLIFO(t *testing.T) {
 		}
 	}
 	for i := 9; i >= 0; i-- {
-		v, ok, _ := s.Pop()
-		if !ok || v != i {
-			t.Fatalf("Pop = (%d, %v), want (%d, true)", v, ok, i)
+		v, ok, steps := s.Pop()
+		if !ok || v != i || steps != 3 {
+			t.Fatalf("Pop = (%d, %v, %d steps), want (%d, true, 3 steps)", v, ok, steps, i)
 		}
 	}
 	if _, ok, steps := s.Pop(); ok || steps != 1 {
@@ -99,7 +101,18 @@ func TestStackSequentialLIFO(t *testing.T) {
 	}
 }
 
+// TestStackConcurrentConservation hammers the stack with interleaved
+// push/pop pairs from 8 workers and checks value conservation: nothing
+// lost, nothing duplicated. It runs bare and with shared OpStats
+// attached, which must then have seen every operation.
 func TestStackConcurrentConservation(t *testing.T) {
+	for _, st := range []*obs.OpStats{nil, new(obs.OpStats)} {
+		stackConservation(t, st)
+	}
+}
+
+func stackConservation(t *testing.T, st *obs.OpStats) {
+	t.Helper()
 	const (
 		workers = 8
 		pairs   = 2000
@@ -109,6 +122,7 @@ func TestStackConcurrentConservation(t *testing.T) {
 		wg sync.WaitGroup
 		mu sync.Mutex
 	)
+	s.Instrument(st)
 	popped := make(map[int]int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -136,8 +150,10 @@ func TestStackConcurrentConservation(t *testing.T) {
 	}
 	// Drain the leftovers; total must be workers*pairs.
 	total := len(popped)
+	drains := 0
 	for {
 		v, ok, _ := s.Pop()
+		drains++
 		if !ok {
 			break
 		}
@@ -149,6 +165,11 @@ func TestStackConcurrentConservation(t *testing.T) {
 	if total != workers*pairs {
 		t.Fatalf("recovered %d values, want %d", total, workers*pairs)
 	}
+	if st != nil {
+		if got, want := st.Ops.Load(), uint64(2*workers*pairs+drains); got != want {
+			t.Fatalf("stats recorded %d ops, want %d", got, want)
+		}
+	}
 }
 
 func TestQueueSequentialFIFO(t *testing.T) {
@@ -157,16 +178,18 @@ func TestQueueSequentialFIFO(t *testing.T) {
 		t.Fatal("new queue not empty")
 	}
 	for i := 0; i < 10; i++ {
-		q.Enqueue(i)
-	}
-	for i := 0; i < 10; i++ {
-		v, ok, _ := q.Dequeue()
-		if !ok || v != i {
-			t.Fatalf("Dequeue = (%d, %v), want (%d, true)", v, ok, i)
+		if steps := q.Enqueue(i); steps != 4 {
+			t.Fatalf("uncontended enqueue took %d steps, want 4", steps)
 		}
 	}
-	if _, ok, _ := q.Dequeue(); ok {
-		t.Fatal("dequeue on empty queue succeeded")
+	for i := 0; i < 10; i++ {
+		v, ok, steps := q.Dequeue()
+		if !ok || v != i || steps != 4 {
+			t.Fatalf("Dequeue = (%d, %v, %d steps), want (%d, true, 4 steps)", v, ok, steps, i)
+		}
+	}
+	if _, ok, steps := q.Dequeue(); ok || steps != 3 {
+		t.Fatalf("empty dequeue: ok=%v steps=%d", ok, steps)
 	}
 }
 
@@ -348,7 +371,7 @@ func TestMeasureRateValidation(t *testing.T) {
 }
 
 func TestMeasureAddCounterRateIsOne(t *testing.T) {
-	res, err := MeasureAddCounterRate(4, 10000)
+	res, err := MeasureAddCounterRate(4, 10000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +384,7 @@ func TestMeasureAddCounterRateIsOne(t *testing.T) {
 }
 
 func TestMeasureCASCounterRateSolo(t *testing.T) {
-	res, err := MeasureCASCounterRate(1, 10000)
+	res, err := MeasureCASCounterRate(1, 10000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +394,7 @@ func TestMeasureCASCounterRateSolo(t *testing.T) {
 }
 
 func TestMeasureCASCounterRateContended(t *testing.T) {
-	res, err := MeasureCASCounterRate(8, 20000)
+	res, err := MeasureCASCounterRate(8, 20000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,14 +407,14 @@ func TestMeasureCASCounterRateContended(t *testing.T) {
 }
 
 func TestMeasureStackAndQueueRates(t *testing.T) {
-	sres, err := MeasureStackRate(4, 10000)
+	sres, err := MeasureStackRate(4, 10000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sres.Rate() <= 0 || sres.Rate() > 0.5 {
 		t.Fatalf("stack rate %v out of (0, 0.5]", sres.Rate())
 	}
-	qres, err := MeasureQueueRate(4, 10000)
+	qres, err := MeasureQueueRate(4, 10000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ func TestRateMeasurementsRecordOpStats(t *testing.T) {
 		workers = 4
 		ops     = 5000
 	)
-	measures := map[string]func(w, o int, opts ...RateOption) (RateResult, error){
+	measures := map[string]func(w, o int, st *obs.OpStats) (RateResult, error){
 		"counter": MeasureCASCounterRate,
 		"add":     MeasureAddCounterRate,
 		"stack":   MeasureStackRate,
@@ -28,7 +28,7 @@ func TestRateMeasurementsRecordOpStats(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			var st obs.OpStats
-			res, err := measure(workers, ops, WithOpStats(&st))
+			res, err := measure(workers, ops, &st)
 			if err != nil {
 				t.Fatal(err)
 			}

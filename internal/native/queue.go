@@ -3,21 +3,17 @@ package native
 import (
 	"sync/atomic"
 
-	"pwf/internal/backoff"
 	"pwf/internal/obs"
 )
 
 // Queue is a Michael–Scott queue [17] on real atomics with the
 // original helping step; the Go garbage collector plays the role of
 // the reclamation scheme, as in the paper's experimental setting.
-// NewQueue with WithBackoff paces the retry loop after failed CAS
-// attempts and helping detours; with no options the queue retries
-// back to back as before.
+// Its retry loops run back to back. Build one with NewQueue.
 type Queue[T any] struct {
 	head  atomic.Pointer[queueNode[T]]
 	tail  atomic.Pointer[queueNode[T]]
 	stats *obs.OpStats
-	bo    backoff.Strategy
 }
 
 // Instrument attaches wait-free per-operation telemetry (steps, retry
@@ -31,10 +27,9 @@ type queueNode[T any] struct {
 	next  atomic.Pointer[queueNode[T]]
 }
 
-// NewQueue builds an empty queue with its initial dummy node,
-// configured by opts (WithBackoff).
-func NewQueue[T any](opts ...Option) *Queue[T] {
-	q := &Queue[T]{bo: applyOptions(opts).backoff}
+// NewQueue builds an empty queue with its initial dummy node.
+func NewQueue[T any]() *Queue[T] {
+	q := &Queue[T]{}
 	dummy := &queueNode[T]{}
 	q.head.Store(dummy)
 	q.tail.Store(dummy)
@@ -55,9 +50,6 @@ func (q *Queue[T]) Enqueue(v T) (steps uint64) {
 			q.tail.CompareAndSwap(tail, next)
 			steps++
 			fails++
-			if q.bo != nil {
-				q.bo.Pause(fails)
-			}
 			continue
 		}
 		if tail.next.CompareAndSwap(nil, n) {
@@ -65,9 +57,6 @@ func (q *Queue[T]) Enqueue(v T) (steps uint64) {
 			// Best-effort swing; failure is fine (someone helped).
 			q.tail.CompareAndSwap(tail, n)
 			steps++
-			if q.bo != nil {
-				q.bo.Succeeded()
-			}
 			if q.stats != nil {
 				q.stats.ObserveOp(steps, fails)
 			}
@@ -75,9 +64,6 @@ func (q *Queue[T]) Enqueue(v T) (steps uint64) {
 		}
 		steps++
 		fails++
-		if q.bo != nil {
-			q.bo.Pause(fails)
-		}
 	}
 }
 
@@ -94,9 +80,6 @@ func (q *Queue[T]) Dequeue() (v T, ok bool, steps uint64) {
 		steps++
 		if head == tail {
 			if next == nil {
-				if q.bo != nil {
-					q.bo.Succeeded()
-				}
 				if q.stats != nil {
 					q.stats.ObserveOp(steps, fails)
 				}
@@ -106,17 +89,11 @@ func (q *Queue[T]) Dequeue() (v T, ok bool, steps uint64) {
 			q.tail.CompareAndSwap(tail, next)
 			steps++
 			fails++
-			if q.bo != nil {
-				q.bo.Pause(fails)
-			}
 			continue
 		}
 		value := next.value
 		if q.head.CompareAndSwap(head, next) {
 			steps++
-			if q.bo != nil {
-				q.bo.Succeeded()
-			}
 			if q.stats != nil {
 				q.stats.ObserveOp(steps, fails)
 			}
@@ -124,9 +101,6 @@ func (q *Queue[T]) Dequeue() (v T, ok bool, steps uint64) {
 		}
 		steps++
 		fails++
-		if q.bo != nil {
-			q.bo.Pause(fails)
-		}
 	}
 }
 

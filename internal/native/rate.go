@@ -82,43 +82,13 @@ func MeasureRate(workers, opsPerWorker int, makeOp func(worker int) Op) (RateRes
 	return res, nil
 }
 
-// RateOption configures one of the concrete Measure*Rate
-// measurements.
-type RateOption func(*rateConfig)
-
-type rateConfig struct {
-	stats      *obs.OpStats
-	structOpts []Option
-}
-
-// WithOpStats instruments the measured structure with shared wait-free
-// per-operation telemetry (steps, retry distribution, CAS failures),
-// recorded concurrently by every worker.
-func WithOpStats(st *obs.OpStats) RateOption {
-	return func(c *rateConfig) { c.stats = st }
-}
-
-// WithStructOptions forwards structure construction options
-// (WithBackoff, WithElimination, WithShards, ...) to the structure
-// under measurement; options the structure does not support are
-// ignored.
-func WithStructOptions(opts ...Option) RateOption {
-	return func(c *rateConfig) { c.structOpts = append(c.structOpts, opts...) }
-}
-
-func applyRateOptions(opts []RateOption) rateConfig {
-	var cfg rateConfig
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	return cfg
-}
-
 // MeasureCASCounterRate measures the CAS-loop counter of Appendix B.
-func MeasureCASCounterRate(workers, opsPerWorker int, opts ...RateOption) (RateResult, error) {
-	cfg := applyRateOptions(opts)
-	c := NewCASCounter(cfg.structOpts...)
-	c.Instrument(cfg.stats)
+// A non-nil st records every worker's operations (steps, retry
+// distribution, CAS failures) concurrently; nil leaves the counter
+// uninstrumented. The same holds for the other Measure*Rate functions.
+func MeasureCASCounterRate(workers, opsPerWorker int, st *obs.OpStats) (RateResult, error) {
+	var c CASCounter
+	c.Instrument(st)
 	return MeasureRate(workers, opsPerWorker, func(int) Op {
 		return func() uint64 {
 			_, steps := c.Inc()
@@ -127,30 +97,11 @@ func MeasureCASCounterRate(workers, opsPerWorker int, opts ...RateOption) (RateR
 	})
 }
 
-// MeasureShardedCounterRate measures the sharded counter with its
-// batched reconcile path. Worker w increments through shard
-// w % Shards(), so with shards >= workers the shared-memory traffic is
-// one fetch-and-add on a private line plus one reconcile per batch.
-func MeasureShardedCounterRate(workers, opsPerWorker int, opts ...RateOption) (RateResult, error) {
-	cfg := applyRateOptions(opts)
-	c := NewShardedCounter(cfg.structOpts...)
-	c.Instrument(cfg.stats)
-	return MeasureRate(workers, opsPerWorker, func(w int) Op {
-		shard := w % c.Shards()
-		return func() uint64 {
-			_, steps := c.Inc(shard)
-			return steps
-		}
-	})
-}
-
 // MeasureAddCounterRate measures the wait-free fetch-and-add baseline
 // (rate exactly 1, independent of contention).
-func MeasureAddCounterRate(workers, opsPerWorker int, opts ...RateOption) (RateResult, error) {
+func MeasureAddCounterRate(workers, opsPerWorker int, st *obs.OpStats) (RateResult, error) {
 	var c AddCounter
-	c.Instrument(applyRateOptions(opts).stats)
-	// Backoff/sharding options are meaningless for the wait-free
-	// baseline and are ignored.
+	c.Instrument(st)
 	return MeasureRate(workers, opsPerWorker, func(int) Op {
 		return func() uint64 {
 			_, steps := c.Inc()
@@ -161,10 +112,9 @@ func MeasureAddCounterRate(workers, opsPerWorker int, opts ...RateOption) (RateR
 
 // MeasureStackRate measures a Treiber stack under an alternating
 // push/pop workload.
-func MeasureStackRate(workers, opsPerWorker int, opts ...RateOption) (RateResult, error) {
-	cfg := applyRateOptions(opts)
-	s := NewStack[int](cfg.structOpts...)
-	s.Instrument(cfg.stats)
+func MeasureStackRate(workers, opsPerWorker int, st *obs.OpStats) (RateResult, error) {
+	var s Stack[int]
+	s.Instrument(st)
 	return MeasureRate(workers, opsPerWorker, func(w int) Op {
 		push := true
 		return func() uint64 {
@@ -182,10 +132,9 @@ func MeasureStackRate(workers, opsPerWorker int, opts ...RateOption) (RateResult
 
 // MeasureQueueRate measures a Michael–Scott queue under an
 // alternating enqueue/dequeue workload.
-func MeasureQueueRate(workers, opsPerWorker int, opts ...RateOption) (RateResult, error) {
-	cfg := applyRateOptions(opts)
-	q := NewQueue[int](cfg.structOpts...)
-	q.Instrument(cfg.stats)
+func MeasureQueueRate(workers, opsPerWorker int, st *obs.OpStats) (RateResult, error) {
+	q := NewQueue[int]()
+	q.Instrument(st)
 	return MeasureRate(workers, opsPerWorker, func(w int) Op {
 		enq := true
 		return func() uint64 {

@@ -3,7 +3,6 @@ package native
 import (
 	"sync/atomic"
 
-	"pwf/internal/backoff"
 	"pwf/internal/obs"
 )
 
@@ -12,34 +11,17 @@ import (
 // the paper's class SCU models (no ABA: a node address cannot be
 // reused while any goroutine still references it).
 //
-// The zero value is a bare stack whose retry loop issues CAS attempts
-// back to back, exactly as the paper's SCU model assumes. NewStack
-// adds contention management: WithBackoff paces retries and
-// WithElimination lets colliding push/pop pairs exchange values off
-// the hot top-of-stack word.
+// The zero value is an empty stack whose retry loop issues CAS
+// attempts back to back, exactly as the paper's SCU model assumes.
 type Stack[T any] struct {
 	top   atomic.Pointer[stackNode[T]]
 	stats *obs.OpStats
-	bo    backoff.Strategy
-	elim  *elimArray[T]
-}
-
-// NewStack builds a stack configured by opts (WithBackoff,
-// WithElimination, WithSeed). With no options it is equivalent to the
-// zero value.
-func NewStack[T any](opts ...Option) *Stack[T] {
-	cfg := applyOptions(opts)
-	s := &Stack[T]{bo: cfg.backoff}
-	if cfg.elim > 0 {
-		s.elim = newElimArray[T](cfg.elim, cfg.seed)
-	}
-	return s
 }
 
 // Instrument attaches wait-free per-operation telemetry (steps, retry
-// distribution, CAS failures, elimination hits) shared by every
-// goroutine using the stack. Pass nil to detach. Not safe to call
-// concurrently with Push/Pop.
+// distribution, CAS failures) shared by every goroutine using the
+// stack. Pass nil to detach. Not safe to call concurrently with
+// Push/Pop.
 func (s *Stack[T]) Instrument(st *obs.OpStats) { s.stats = st }
 
 type stackNode[T any] struct {
@@ -48,8 +30,7 @@ type stackNode[T any] struct {
 }
 
 // Push adds v on top of the stack and returns the number of
-// shared-memory steps taken (one read plus one CAS per attempt, plus
-// any steps spent on the elimination array).
+// shared-memory steps taken (one read plus one CAS per attempt).
 func (s *Stack[T]) Push(v T) (steps uint64) {
 	n := &stackNode[T]{value: v}
 	var fails uint64
@@ -64,17 +45,6 @@ func (s *Stack[T]) Push(v T) (steps uint64) {
 		}
 		steps++
 		fails++
-		if s.elim != nil {
-			es, ok := s.elim.tryPush(v)
-			steps += es
-			if ok {
-				s.completeEliminated(steps, fails)
-				return steps
-			}
-		}
-		if s.bo != nil {
-			s.bo.Pause(fails)
-		}
 	}
 }
 
@@ -98,44 +68,15 @@ func (s *Stack[T]) Pop() (v T, ok bool, steps uint64) {
 		}
 		steps++
 		fails++
-		if s.elim != nil {
-			ev, es, ok := s.elim.tryPop()
-			steps += es
-			if ok {
-				s.completeEliminated(steps, fails)
-				return ev, true, steps
-			}
-		}
-		if s.bo != nil {
-			s.bo.Pause(fails)
-		}
 	}
 }
 
-// complete funnels the end-of-operation bookkeeping shared by every
-// exit path: the backoff strategy's success signal and the optional
-// telemetry.
+// complete records the optional telemetry shared by every exit path.
 func (s *Stack[T]) complete(steps, fails uint64) {
-	if s.bo != nil {
-		s.bo.Succeeded()
-	}
 	if s.stats != nil {
 		s.stats.ObserveOp(steps, fails)
-	}
-}
-
-// completeEliminated is complete for operations that finished on the
-// elimination array instead of the top word.
-func (s *Stack[T]) completeEliminated(steps, fails uint64) {
-	if s.bo != nil {
-		s.bo.Succeeded()
-	}
-	if s.stats != nil {
-		s.stats.ObserveOp(steps, fails)
-		s.stats.Eliminations.Inc()
 	}
 }
 
 // Empty reports whether the stack is empty at the moment of the call.
-// It ignores values parked on the elimination array mid-exchange.
 func (s *Stack[T]) Empty() bool { return s.top.Load() == nil }

@@ -174,12 +174,8 @@ func (s HistogramSnapshot) Max() uint64 {
 type OpStats struct {
 	Ops         Counter
 	CASFailures Counter
-	// Eliminations counts operations that completed on a stack's
-	// elimination array instead of the hot top-of-stack word (always 0
-	// for structures without elimination).
-	Eliminations Counter
-	Retries      Histogram
-	Steps        Histogram
+	Retries     Histogram
+	Steps       Histogram
 }
 
 // ObserveOp records one completed operation that took steps
@@ -196,12 +192,10 @@ func (s *OpStats) ObserveOp(steps, retries uint64) {
 }
 
 // Register names the stats' fields on reg under prefix: <prefix>_ops,
-// <prefix>_cas_failures, <prefix>_eliminations, <prefix>_retries,
-// <prefix>_steps.
+// <prefix>_cas_failures, <prefix>_retries and <prefix>_steps.
 func (s *OpStats) Register(reg *Registry, prefix string) {
 	reg.RegisterCounter(prefix+"_ops", &s.Ops)
 	reg.RegisterCounter(prefix+"_cas_failures", &s.CASFailures)
-	reg.RegisterCounter(prefix+"_eliminations", &s.Eliminations)
 	reg.RegisterHistogram(prefix+"_retries", &s.Retries)
 	reg.RegisterHistogram(prefix+"_steps", &s.Steps)
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -310,6 +311,17 @@ func TestOpStatsRegister(t *testing.T) {
 	st.ObserveOp(5, 2)
 	st.ObserveOp(1, 0)
 	s := reg.Snapshot()
+	var names []string
+	for name := range s.Counters {
+		names = append(names, name)
+	}
+	for name := range s.Histograms {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	if got, want := strings.Join(names, " "), "stack_cas_failures stack_ops stack_retries stack_steps"; got != want {
+		t.Errorf("registered %q, want %q", got, want)
+	}
 	if s.Counters["stack_ops"] != 2 {
 		t.Errorf("ops = %d, want 2", s.Counters["stack_ops"])
 	}

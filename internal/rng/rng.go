@@ -13,7 +13,6 @@ package rng
 import (
 	"errors"
 	"math/bits"
-	"sync/atomic"
 )
 
 // Source is a deterministic xoshiro256** generator. It is NOT safe for
@@ -187,52 +186,6 @@ func (s *Source) Categorical(weights []float64) (int, error) {
 		}
 	}
 	return 0, errors.New("rng: weights sum to zero")
-}
-
-// Atomic is a wait-free splitmix64 stream that may be shared by any
-// number of goroutines: every draw advances the state with a single
-// hardware fetch-and-add and finalizes the claimed state locally, so a
-// draw completes in a bounded number of steps regardless of contention
-// (the same progress argument as obs.Counter). The outputs observed
-// across all goroutines are exactly the splitmix64 sequence for the
-// seed — each call claims a distinct state — though which goroutine
-// sees which element depends on the interleaving.
-//
-// Use Atomic where a structure shared by many goroutines needs cheap
-// deterministic randomness (backoff jitter, elimination-slot picks);
-// use Source when a single goroutine owns the stream and full
-// sequence-level reproducibility matters.
-type Atomic struct {
-	state atomic.Uint64
-}
-
-// NewAtomic returns a concurrent stream seeded at seed.
-func NewAtomic(seed uint64) *Atomic {
-	a := &Atomic{}
-	a.state.Store(seed)
-	return a
-}
-
-// Uint64 returns the next 64 uniformly distributed bits.
-func (a *Atomic) Uint64() uint64 {
-	state := a.state.Add(goldenGamma)
-	z := state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// Bounded returns a value in [0, n) by the multiply-shift reduction.
-// Unlike Source.Intn it does not reject, so it carries a bias of at
-// most n/2^64 — negligible for the slot and jitter picks it serves,
-// and the price of staying wait-free (rejection loops are not bounded).
-// It panics if n == 0.
-func (a *Atomic) Bounded(n uint64) uint64 {
-	if n == 0 {
-		panic("rng: Bounded called with n == 0")
-	}
-	hi, _ := bits.Mul64(a.Uint64(), n)
-	return hi
 }
 
 // goldenGamma is the splitmix64 state increment (2^64 / phi).

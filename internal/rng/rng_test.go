@@ -2,7 +2,6 @@ package rng
 
 import (
 	"math"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -298,69 +297,4 @@ func BenchmarkFloat64(b *testing.B) {
 		sink = s.Float64()
 	}
 	_ = sink
-}
-
-func TestAtomicMatchesStream(t *testing.T) {
-	// Sequential draws from Atomic are exactly the Stream outputs for
-	// the same seed: both walk the splitmix64 sequence.
-	a := NewAtomic(12345)
-	for i := uint64(0); i < 100; i++ {
-		if got, want := a.Uint64(), Stream(12345, i); got != want {
-			t.Fatalf("draw %d: Atomic %#x, Stream %#x", i, got, want)
-		}
-	}
-}
-
-func TestAtomicConcurrentDrawsDistinct(t *testing.T) {
-	// Concurrent draws claim distinct states, so all outputs are
-	// distinct and form a permutation of the sequential sequence.
-	const (
-		workers = 8
-		draws   = 2000
-	)
-	a := NewAtomic(7)
-	var wg sync.WaitGroup
-	outs := make([][]uint64, workers)
-	for w := 0; w < workers; w++ {
-		outs[w] = make([]uint64, draws)
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := range outs[w] {
-				outs[w][i] = a.Uint64()
-			}
-		}(w)
-	}
-	wg.Wait()
-	want := make(map[uint64]bool, workers*draws)
-	for i := uint64(0); i < workers*draws; i++ {
-		want[Stream(7, i)] = true
-	}
-	seen := make(map[uint64]bool, workers*draws)
-	for _, out := range outs {
-		for _, v := range out {
-			if seen[v] {
-				t.Fatal("duplicate draw")
-			}
-			seen[v] = true
-			if !want[v] {
-				t.Fatal("draw outside the seed's splitmix64 sequence")
-			}
-		}
-	}
-}
-
-func TestAtomicBounded(t *testing.T) {
-	a := NewAtomic(3)
-	for i := 0; i < 10000; i++ {
-		if v := a.Bounded(10); v >= 10 {
-			t.Fatalf("Bounded(10) = %d", v)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Bounded(0) did not panic")
-		}
-	}()
-	a.Bounded(0)
 }

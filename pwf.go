@@ -225,5 +225,5 @@ func RecordSchedule(workers, opsPerWorker int) (*NativeSchedule, error) {
 // MeasureCounterRate measures the native CAS-loop counter's
 // completion rate (Figure 5) with the given workers.
 func MeasureCounterRate(workers, opsPerWorker int) (RateResult, error) {
-	return native.MeasureCASCounterRate(workers, opsPerWorker)
+	return native.MeasureCASCounterRate(workers, opsPerWorker, nil)
 }
