@@ -12,7 +12,8 @@
 // selects NDJSON (v1, default) or the compact binary framing (v2,
 // "bin") and -trace-compress adds per-frame gzip to binary traces;
 // -metrics prints a JSON metrics snapshot to stderr, including the
-// wait-free retry/step histograms the rate workloads record;
+// wait-free retry/step histograms the rate workloads record, one set
+// per worker count n under the prefix native_<algo>_w<n>;
 // -debug-addr serves /metrics, /debug/vars and /debug/pprof over HTTP
 // for the duration of the run; -cpuprofile/-memprofile write pprof
 // profiles.
@@ -193,11 +194,6 @@ func writeScheduleTrace(path string, s *native.Schedule, format obs.TraceFormat,
 }
 
 func runRate(out io.Writer, maxWorkers, ops int, algo string, metrics bool) error {
-	var stats *obs.OpStats
-	if metrics {
-		stats = &obs.OpStats{}
-		stats.Register(obs.Default, "native_"+algo)
-	}
 	measure, err := rateFunc(algo)
 	if err != nil {
 		return err
@@ -208,6 +204,11 @@ func runRate(out io.Writer, maxWorkers, ops int, algo string, metrics bool) erro
 
 	var c, cWorst float64
 	for n := 1; n <= maxWorkers; n *= 2 {
+		var stats *obs.OpStats
+		if metrics {
+			stats = &obs.OpStats{}
+			stats.Register(obs.Default, fmt.Sprintf("native_%s_w%d", algo, n))
+		}
 		res, err := measure(n, ops, stats)
 		if err != nil {
 			return err

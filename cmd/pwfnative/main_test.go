@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -129,17 +130,26 @@ func TestRunRateAllWorkloads(t *testing.T) {
 	}
 }
 
+// Each worker count of the rate sweep gets its own OpStats, so the
+// snapshot's op counters read workers×ops, not a sum over the sweep.
 func TestRunRateMetrics(t *testing.T) {
 	var out, errOut bytes.Buffer
-	args := []string{"-mode", "rate", "-maxworkers", "2", "-ops", "2000",
+	args := []string{"-mode", "rate", "-maxworkers", "4", "-ops", "1000",
 		"-algo", "counter", "-metrics"}
 	if err := run(args, &out, &errOut); err != nil {
 		t.Fatal(err)
 	}
-	snap := errOut.String()
-	for _, want := range []string{"native_counter_ops", "native_counter_retries"} {
-		if !strings.Contains(snap, want) {
-			t.Errorf("metrics snapshot missing %q:\n%s", want, snap)
+	var snap obs.Snapshot
+	if err := json.Unmarshal(errOut.Bytes(), &snap); err != nil {
+		t.Fatalf("metrics snapshot: %v\n%s", err, errOut.String())
+	}
+	for _, n := range []int{1, 2, 4} {
+		prefix := fmt.Sprintf("native_counter_w%d", n)
+		if got, want := snap.Counters[prefix+"_ops"], uint64(1000*n); got != want {
+			t.Errorf("%s_ops = %d, want %d", prefix, got, want)
+		}
+		if _, ok := snap.Histograms[prefix+"_retries"]; !ok {
+			t.Errorf("metrics snapshot missing %s_retries", prefix)
 		}
 	}
 }

@@ -40,7 +40,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -66,7 +65,7 @@ func run(args []string, out, errOut io.Writer) error {
 		q         = fs.Int("q", 0, "preamble length (scu/parallel)")
 		s         = fs.Int("s", 1, "scan length (scu)")
 		steps     = fs.Uint64("steps", 1000000, "system steps to simulate")
-		warmup    = fs.Uint64("warmup", 0, "warmup steps discarded before measuring (default steps/10)")
+		warmup    = fs.Float64("warmup", pwf.DefaultWarmupFraction, "warmup fraction of the measurement window, in [0, 1)")
 		schedName = fs.String("sched", "uniform", "scheduler: uniform, roundrobin, sticky:<rho>, lottery[:tickets], weighted[:weights], phased:<w,..>@<steps>/.., adversary:<victim>")
 		seed      = fs.Uint64("seed", 1, "master rng seed (per-job seeds are derived deterministically)")
 		crash     = fs.Int("crash", 0, "number of processes to crash before starting")
@@ -108,21 +107,6 @@ func run(args []string, out, errOut io.Writer) error {
 	if err != nil {
 		return err
 	}
-	warmupFraction := pwf.DefaultWarmupFraction
-	if *warmup > 0 {
-		if *warmup >= *steps {
-			return fmt.Errorf("-warmup %d must be below -steps %d", *warmup, *steps)
-		}
-		warmupFraction = float64(*warmup) / float64(*steps)
-		// The engine runs uint64(fraction*steps) warmup steps, and the
-		// rounded quotient can truncate to one step short (15/22*22 is
-		// 14.999…): nudge it up to the smallest fraction that yields
-		// exactly -warmup steps.
-		for uint64(warmupFraction*float64(*steps)) < *warmup {
-			warmupFraction = math.Nextafter(warmupFraction, 1)
-		}
-	}
-
 	format, err := pwf.ParseTraceFormat(*traceForm)
 	if err != nil {
 		return err
@@ -171,7 +155,7 @@ func run(args []string, out, errOut io.Writer) error {
 			N:              n,
 			Sched:          spec,
 			Steps:          *steps,
-			WarmupFraction: warmupFraction,
+			WarmupFraction: *warmup,
 			Crash:          *crash,
 			Exact:          *exact,
 		}

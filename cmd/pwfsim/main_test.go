@@ -140,25 +140,30 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 
 func TestRunWarmupFlag(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-n", "4", "-steps", "20000", "-warmup", "5000"}, &buf, &buf); err != nil {
+	if err := run([]string{"-n", "4", "-steps", "20000", "-warmup", "0.25"}, &buf, &buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-n", "4", "-steps", "20000", "-warmup", "20000"}, &buf, &buf); err == nil {
-		t.Error("warmup >= steps accepted")
+	for _, bad := range []string{"1", "1.5", "-0.1", "NaN"} {
+		if err := run([]string{"-n", "4", "-steps", "20000", "-warmup", bad}, &buf, &buf); err == nil {
+			t.Errorf("-warmup %s accepted", bad)
+		}
 	}
 }
 
-// -warmup W runs exactly W warmup steps. The fraction W/S the flag
-// becomes truncates to W-1 steps for many pairs (15/22*22 is 14.999…);
-// the trace counts every step, warmup included.
+// -warmup F runs F·steps warmup steps before the -steps window; the
+// trace counts every step, warmup included.
 func TestRunWarmupStepsExact(t *testing.T) {
-	for _, c := range []struct{ steps, warmup int }{
-		{22, 15}, {23, 13}, {47, 3}, {49, 1}, {55, 31}, {20, 5},
+	for _, c := range []struct {
+		steps  int
+		warmup string
+		want   int
+	}{
+		{20000, "0.25", 25000}, {100, "0", 100}, {40, "0.1", 44},
 	} {
 		path := filepath.Join(t.TempDir(), "trace.ndjson")
 		var buf bytes.Buffer
 		args := []string{"-n", "2", "-steps", strconv.Itoa(c.steps),
-			"-warmup", strconv.Itoa(c.warmup), "-trace", path}
+			"-warmup", c.warmup, "-trace", path}
 		if err := run(args, &buf, &buf); err != nil {
 			t.Fatal(err)
 		}
@@ -177,9 +182,9 @@ func TestRunWarmupStepsExact(t *testing.T) {
 				scheds++
 			}
 		}
-		if want := c.warmup + c.steps; scheds != want {
-			t.Errorf("-steps %d -warmup %d: %d sched events, want %d",
-				c.steps, c.warmup, scheds, want)
+		if scheds != c.want {
+			t.Errorf("-steps %d -warmup %s: %d sched events, want %d",
+				c.steps, c.warmup, scheds, c.want)
 		}
 	}
 }

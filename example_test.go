@@ -3,6 +3,7 @@ package pwf_test
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"pwf"
 )
@@ -67,38 +68,46 @@ func ExampleVerifySCULifting() {
 	// Lemma 1 marginals hold: true
 }
 
-// Composing the pieces by hand: Algorithm 1 (the unbounded lock-free
-// algorithm of Lemma 2) starves all but one process even under a fair
-// random scheduler, while bounded SCU does not.
-func ExampleNewSim() {
-	run := func(procs []pwf.Process, memSize int, seed uint64) (starved int) {
-		s, err := pwf.NewUniformScheduler(len(procs), seed)
-		if err != nil {
-			return -1
-		}
-		sim, err := pwf.NewSim(memSize, procs, s)
-		if err != nil {
-			return -1
-		}
-		if err := sim.Run(300000); err != nil {
-			return -1
-		}
-		return len(sim.StarvedProcesses())
-	}
-
-	bounded, err := pwf.NewSCUProcesses(8, 0, 1)
+// The Theorem 3 / Lemma 2 dichotomy as one sweep. A bounded lock-free
+// algorithm, SCU(0,1), is wait-free with probability 1 under the
+// uniform stochastic scheduler: no process starves. Under an adversary
+// that never schedules its victim (θ = 0) the victim starves, which is
+// what the stochastic threshold rules out; the adversary cycles
+// through the other processes deterministically, and like round-robin
+// (E8) that lets one of them win every round. The unbounded
+// Algorithm 1 starves all but one process even under the uniform
+// scheduler, so bounded progress is necessary (Lemma 2).
+func ExampleRunSweep() {
+	adversary, err := pwf.ParseScheduler("adversary:0")
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
-	unbounded, err := pwf.NewUnboundedProcesses(8, 0)
+	const n, steps = 8, 300000
+	jobs := []pwf.SweepJob{
+		{Label: "SCU(0,1), uniform", Workload: pwf.SCUWorkload(0, 1),
+			Sched: pwf.UniformSpec()},
+		{Label: "SCU(0,1), adversary:0", Workload: pwf.SCUWorkload(0, 1),
+			Sched: adversary},
+		{Label: "Algorithm 1, uniform", Workload: pwf.UnboundedWorkload(0),
+			Sched: pwf.UniformSpec()},
+	}
+	for i := range jobs {
+		jobs[i].N, jobs[i].Steps = n, steps
+		jobs[i].WarmupFraction = pwf.DefaultWarmupFraction
+	}
+	results, err := pwf.RunSweep(pwf.SweepConfig{Jobs: jobs, Seed: 1})
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
-	fmt.Println("bounded SCU starved:", run(bounded, pwf.SCUMemSize(1), 1))
-	fmt.Println("Algorithm 1 starved:", run(unbounded, pwf.UnboundedMemSize, 2))
+	for _, r := range results {
+		fmt.Printf("%s: %d of %d starved\n", r.Label, len(r.Starved), n)
+	}
+	fmt.Println("victim starved:", slices.Contains(results[1].Starved, 0))
 	// Output:
-	// bounded SCU starved: 0
-	// Algorithm 1 starved: 7
+	// SCU(0,1), uniform: 0 of 8 starved
+	// SCU(0,1), adversary:0: 7 of 8 starved
+	// Algorithm 1, uniform: 7 of 8 starved
+	// victim starved: true
 }

@@ -3,6 +3,10 @@ package scu
 import (
 	"errors"
 	"testing"
+
+	"pwf/internal/machine"
+	"pwf/internal/rng"
+	"pwf/internal/sched"
 )
 
 func TestUnboundedValidation(t *testing.T) {
@@ -78,19 +82,33 @@ func TestUnboundedLoserBacksOffProportionally(t *testing.T) {
 
 func TestUnboundedLockFreeSystemProgress(t *testing.T) {
 	// The algorithm is lock-free: the system as a whole keeps
-	// completing operations (C keeps growing) even under contention.
+	// completing operations (C keeps growing) even under contention,
+	// under the uniform and under a sticky stochastic scheduler.
 	const n = 4
-	mem := newMemory(t, UnboundedLayout)
-	procs, err := NewUnboundedGroup(n, 0, 0) // waitFactor = n²
+	uniform, err := sched.NewUniform(n, rng.New(11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := uniformSim(t, mem, procs, 11)
-	if err := sim.Run(200000); err != nil {
+	sticky, err := sched.NewSticky(n, 0.5, rng.New(3))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if sim.TotalCompletions() < 100 {
-		t.Fatalf("system made little progress: %d completions", sim.TotalCompletions())
+	for _, s := range []sched.Scheduler{uniform, sticky} {
+		mem := newMemory(t, UnboundedLayout)
+		procs, err := NewUnboundedGroup(n, 0, 0) // waitFactor = n²
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim, err := machine.New(mem, procs, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.Run(200000); err != nil {
+			t.Fatal(err)
+		}
+		if sim.TotalCompletions() < 100 {
+			t.Fatalf("%T: system made little progress: %d completions", s, sim.TotalCompletions())
+		}
 	}
 }
 

@@ -162,7 +162,8 @@ func TestSchedulerSpecJSONStringForm(t *testing.T) {
 	}
 }
 
-// Weighted and phased specs validate and build into running jobs.
+// Weighted and phased specs validate and build into running jobs that
+// starve no process.
 func TestWeightedAndPhasedSpecsRun(t *testing.T) {
 	for _, schedStr := range []string{
 		"weighted", "weighted:1,2,3,4", "phased:3,1,1,1@50/1,1,1,3@50",
@@ -178,6 +179,9 @@ func TestWeightedAndPhasedSpecsRun(t *testing.T) {
 		}
 		if res.Latencies.Completions == 0 {
 			t.Errorf("%s: no completions", schedStr)
+		}
+		if len(res.Starved) != 0 {
+			t.Errorf("%s: stochastic scheduler starved %v", schedStr, res.Starved)
 		}
 		if res.Theta <= 0 {
 			t.Errorf("%s: theta %v not positive for a stochastic scheduler", schedStr, res.Theta)

@@ -59,154 +59,6 @@ func TestVerifySCULiftingPublic(t *testing.T) {
 	}
 }
 
-func TestNewSimCustomComposition(t *testing.T) {
-	// Compose the public pieces by hand: unbounded algorithm under a
-	// sticky scheduler.
-	procs, err := NewUnboundedProcesses(4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewStickyScheduler(4, 0.5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim, err := NewSim(UnboundedMemSize, procs, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.Run(50000); err != nil {
-		t.Fatal(err)
-	}
-	if sim.TotalCompletions() == 0 {
-		t.Fatal("no completions")
-	}
-}
-
-func TestRoundRobinSchedulerPublic(t *testing.T) {
-	procs, err := NewSCUProcesses(3, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rr, err := NewRoundRobinScheduler(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim, err := NewSim(SCUMemSize(1), procs, rr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.Run(6000); err != nil {
-		t.Fatal(err)
-	}
-	if len(sim.StarvedProcesses()) == 0 {
-		// Deterministic round-robin on SCU(0,1) lets the same process
-		// win every round (see E8); with 3 processes, two starve.
-		t.Log("round-robin did not starve anyone (schedule-dependent)")
-	}
-}
-
-func TestReplayAndPhasedPublic(t *testing.T) {
-	rec, err := RecordSchedule(2, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replay, err := NewReplayScheduler(2, rec.Order(), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	procs, err := NewSCUProcesses(2, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim, err := NewSim(SCUMemSize(1), procs, replay)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.Run(3000); err != nil {
-		t.Fatal(err)
-	}
-	if sim.TotalCompletions() == 0 {
-		t.Fatal("no completions under replayed schedule")
-	}
-
-	phased, err := NewPhasedScheduler(2, []SchedulerPhase{
-		{Weights: []float64{3, 1}, Steps: 50},
-		{Weights: []float64{1, 3}, Steps: 50},
-	}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	procs2, err := NewSCUProcesses(2, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim2, err := NewSim(SCUMemSize(1), procs2, phased)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sim2.Run(20000); err != nil {
-		t.Fatal(err)
-	}
-	if len(sim2.StarvedProcesses()) != 0 {
-		t.Fatal("phased stochastic scheduler starved a process")
-	}
-}
-
-func TestUniversalObjectsPublic(t *testing.T) {
-	inc := func(pid int, seq int64) int64 { return 1 }
-
-	lf, err := NewLockFreeObject(CounterSpec(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	procs, err := lf.Processes(inc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u, err := NewUniformScheduler(3, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim, err := NewSim(LockFreeObjectMemSize, procs, u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.Run(20000); err != nil {
-		t.Fatal(err)
-	}
-	if lf.Violations() != 0 {
-		t.Fatalf("violations: %d", lf.Violations())
-	}
-
-	wf, err := NewWaitFreeObject(CounterSpec(), 3, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem, err := NewMemory(WaitFreeObjectMemSize(3, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wf.Init(mem)
-	wfProcs, err := wf.Processes(inc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u2, err := NewUniformScheduler(3, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wfSim, err := NewSimOn(mem, wfProcs, u2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wfSim.Run(30000); err != nil {
-		t.Fatal(err)
-	}
-	if wf.Violations() != 0 {
-		t.Fatalf("wait-free violations: %d", wf.Violations())
-	}
-}
-
 func TestRecordScheduleAndRatePublic(t *testing.T) {
 	s, err := RecordSchedule(2, 2000)
 	if err != nil {

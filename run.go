@@ -15,9 +15,9 @@ type Workload = sweep.Workload
 // WorkloadKind names an algorithm family.
 type WorkloadKind = sweep.WorkloadKind
 
-// SchedulerSpec is a declarative, reusable description of a scheduler
-// (unlike the New*Scheduler constructors, which return a stateful
-// instance bound to one n and seed).
+// SchedulerSpec is a declarative, reusable description of a scheduler:
+// each run builds its own stateful instance from it for the run's n
+// and seed.
 type SchedulerSpec = sweep.SchedulerSpec
 
 // SCUWorkload describes Algorithm 2 with parameters (q, s).
