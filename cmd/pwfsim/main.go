@@ -28,9 +28,11 @@
 // crash, job lifecycle) to a file; -trace-format selects NDJSON
 // (format v1, the default) or the compact binary framing (format v2,
 // "bin"), and -trace-compress adds per-frame gzip to binary traces;
-// -metrics aggregates the same events into wait-free counters and
-// histograms and prints a JSON snapshot — including the chain-cache
-// hit/miss gauges — to stderr; -debug-addr serves /metrics,
+// -metrics counts the same quantities into wait-free counters and
+// histograms — on the simulator's fast path alone, from the events
+// when a trace or tail also records — and prints a JSON snapshot,
+// including the chain-cache hit/miss gauges, to stderr; -debug-addr
+// serves /metrics,
 // /debug/vars, /debug/pprof, and a live /debug/trace/tail (NDJSON
 // with cursor resume) over HTTP; -cpuprofile/-memprofile write pprof
 // profiles.

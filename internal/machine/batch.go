@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"pwf/internal/obs"
 	"pwf/internal/sched"
 )
 
@@ -29,9 +30,12 @@ import (
 // Implementations live beside their scalar forms in package scu.
 type BatchGroup interface {
 	// StepBatch performs, for every replica r, one shared-memory step
-	// of process pids[r] in replica r's memory, recording in done[r]
-	// whether an operation completed. len(pids) == len(done) == K().
-	StepBatch(pids []int32, done []bool)
+	// of process pids[r] in replica r's memory, recording in out[r]
+	// the step's Outcome: whether an operation completed, and whether
+	// the step was a CAS and failed — exactly the bits the scalar
+	// process's step leaves in its memory's operation counters.
+	// len(pids) == len(out) == K().
+	StepBatch(pids []int32, out []Outcome)
 	// K returns the replica count.
 	K() int
 	// N returns the number of processes per replica.
@@ -66,7 +70,10 @@ type BatchSim struct {
 
 	// Step scratch.
 	pids []int32
-	done []bool
+	out  []Outcome
+
+	// Counting telemetry (SetMetrics), nil when off.
+	cnt *counter
 }
 
 // NewBatchSim builds a batched simulator from a group and a drawer
@@ -91,7 +98,7 @@ func NewBatchSim(group BatchGroup, drawer sched.BatchDrawer) (*BatchSim, error) 
 		drawer:  drawer,
 		windows: make([]Window, k),
 		pids:    make([]int32, k),
-		done:    make([]bool, k),
+		out:     make([]Outcome, k),
 	}
 	ind := make([]indCell, k*n)
 	for r := range b.windows {
@@ -100,20 +107,63 @@ func NewBatchSim(group BatchGroup, drawer sched.BatchDrawer) (*BatchSim, error) 
 	return b, nil
 }
 
+// SetMetrics counts every replica's steps into m, as a scalar Sim
+// counts into an *obs.Metrics recorder: one per-simulator obs.Tally,
+// merged into m at the end of each Run and at least every 1<<16 steps.
+// Pass nil to stop counting.
+func (b *BatchSim) SetMetrics(m *obs.Metrics) {
+	if b.cnt != nil {
+		b.cnt.flush()
+	}
+	if m == nil {
+		b.cnt = nil
+		return
+	}
+	k, n := len(b.windows), b.group.N()
+	b.cnt = &counter{m: m, ops: make([]opCell, k*n), n: n, width: uint64(k)}
+}
+
 // Run advances every replica by steps time units.
 func (b *BatchSim) Run(steps uint64) error {
-	pids, done := b.pids, b.done
+	if b.cnt != nil {
+		return b.runCounted(steps)
+	}
+	pids, out := b.pids, b.out
 	for i := uint64(0); i < steps; i++ {
 		if err := b.drawer.NextBatch(pids); err != nil {
 			return fmt.Errorf("machine: batch schedule step %d: %w", b.steps, err)
 		}
 		b.steps++
-		b.group.StepBatch(pids, done)
-		for r := 0; r < len(done); r++ {
-			if done[r] {
+		b.group.StepBatch(pids, out)
+		for r := 0; r < len(out); r++ {
+			if out[r]&Completed != 0 {
 				b.windows[r].record(int(pids[r]), b.steps)
 			}
 		}
+	}
+	return nil
+}
+
+// runCounted is Run with counting telemetry: the same loop, plus one
+// count of every replica's step into the Tally.
+func (b *BatchSim) runCounted(steps uint64) error {
+	pids, out, cnt := b.pids, b.out, b.cnt
+	ops, n := cnt.ops, cnt.n
+	defer cnt.flush()
+	for i := uint64(0); i < steps; i++ {
+		if err := b.drawer.NextBatch(pids); err != nil {
+			return fmt.Errorf("machine: batch schedule step %d: %w", b.steps, err)
+		}
+		b.steps++
+		b.group.StepBatch(pids, out)
+		for r, o := range out {
+			pid := int(pids[r])
+			cnt.count(&ops[r*n+pid], o)
+			if o&Completed != 0 {
+				b.windows[r].record(pid, b.steps)
+			}
+		}
+		cnt.tick()
 	}
 	return nil
 }

@@ -18,12 +18,13 @@ type periodGroup struct {
 func (g *periodGroup) K() int { return g.k }
 func (g *periodGroup) N() int { return g.n }
 
-func (g *periodGroup) StepBatch(pids []int32, done []bool) {
+func (g *periodGroup) StepBatch(pids []int32, out []Outcome) {
 	for r, pid := range pids {
 		c := &g.count[r*g.n+int(pid)]
 		*c++
-		done[r] = *c == g.period
-		if done[r] {
+		out[r] = 0
+		if *c == g.period {
+			out[r] = Completed
 			*c = 0
 		}
 	}

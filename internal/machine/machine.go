@@ -20,6 +20,14 @@
 // ways — as the mean of inter-completion gaps and as the
 // total-steps/total-completions ratio — which agree in the long run;
 // tests compare them (the "latency estimator" ablation in DESIGN.md).
+//
+// Telemetry rides on the same loops. Every step has an Outcome —
+// completed, CAS, CAS failed — which Sim reads off the memory's
+// operation counters and each BatchGroup reports from its own
+// transition. Both loops count an *obs.Metrics on their fast path,
+// through one per-process bookkeeping of the operation in flight and
+// a per-simulator obs.Tally (Sim.SetRecorder, BatchSim.SetMetrics);
+// Sim feeds any other recorder the step's events instead.
 package machine
 
 import (
@@ -62,18 +70,14 @@ type Sim struct {
 	// hook, when set, observes every completion event.
 	hook func(step uint64, pid int)
 
-	// rec, when non-nil, receives step-level telemetry events. Every
-	// emission site is guarded by a nil check so the disabled layer
-	// costs one predictable branch per step (see obs bench_test.go).
+	// Telemetry, off by default: with ops nil, every step takes the
+	// fast path behind one predictable branch (see obs bench_test.go).
+	// SetRecorder allocates ops, the per-process operation
+	// bookkeeping, and sets exactly one of rec (the event path) and
+	// cnt (the counting path for an *obs.Metrics).
 	rec obs.Recorder
-
-	// Per-process telemetry state, allocated on first SetRecorder:
-	// CAS attempts in the current operation, whether an operation is
-	// in flight, and pending/accumulated retry bookkeeping.
-	opAttempts   []uint64
-	retryIter    []uint64
-	inOp         []bool
-	retryPending []bool
+	cnt *counter
+	ops []opCell
 }
 
 // New builds a simulator. The scheduler must govern exactly
@@ -114,60 +118,53 @@ func (s *Sim) ProcessAt(pid int) (Process, bool) {
 }
 
 // Step advances the simulation by one time unit: the scheduler picks a
-// process, which takes one shared-memory step.
+// process, which takes one shared-memory step. With telemetry on, the
+// step's Outcome comes from the memory's operation counters around it
+// and drives pid's operation bookkeeping, either counted into the
+// Tally or emitted as events.
 func (s *Sim) Step() error {
 	pid, err := s.sch.Next()
 	if err != nil {
 		return fmt.Errorf("machine: schedule step %d: %w", s.steps, err)
 	}
 	s.steps++
-	if s.rec != nil {
-		return s.observedStep(pid)
-	}
-	if !s.procs[pid].Step(s.mem) {
+	if s.ops == nil {
+		if s.procs[pid].Step(s.mem) {
+			s.complete(pid)
+		}
 		return nil
 	}
-	s.complete(pid)
-	return nil
-}
-
-// observedStep is the traced twin of the Step hot path: it emits
-// scheduling, operation-begin, retry, CAS, and completion events
-// around the process step. CAS outcomes are recovered from the
-// memory's operation counters — the model guarantees exactly one
-// shared-memory operation per step, so the counter delta identifies
-// the operation kind without touching the algorithms.
-func (s *Sim) observedStep(pid int) error {
-	s.rec.Record(obs.Event{Kind: obs.KindSched, Step: s.steps, PID: pid})
-	if !s.inOp[pid] {
-		s.inOp[pid] = true
-		s.rec.Record(obs.Event{Kind: obs.KindBegin, Step: s.steps, PID: pid})
-	} else if s.retryPending[pid] {
-		s.retryPending[pid] = false
-		s.rec.Record(obs.Event{Kind: obs.KindRetry, Step: s.steps, PID: pid, Attempts: s.retryIter[pid]})
-	}
-
 	before := s.mem.Counters()
 	completed := s.procs[pid].Step(s.mem)
-	after := s.mem.Counters()
-	if after.CASes > before.CASes {
-		ok := after.CASFailures == before.CASFailures
-		s.opAttempts[pid]++
-		s.rec.Record(obs.Event{Kind: obs.KindCAS, Step: s.steps, PID: pid, OK: ok})
-		if !ok {
-			s.retryIter[pid]++
-			s.retryPending[pid] = true
-		}
+	o := stepOutcome(before, s.mem.Counters(), completed)
+	if c := s.cnt; c != nil {
+		c.count(&s.ops[pid], o)
+		c.tick()
+	} else {
+		s.emit(pid, o)
 	}
 	if completed {
-		s.rec.Record(obs.Event{Kind: obs.KindComplete, Step: s.steps, PID: pid, Attempts: s.opAttempts[pid]})
-		s.opAttempts[pid] = 0
-		s.retryIter[pid] = 0
-		s.retryPending[pid] = false
-		s.inOp[pid] = false
 		s.complete(pid)
 	}
 	return nil
+}
+
+// emit records one step with outcome o as events, in stream order.
+func (s *Sim) emit(pid int, o Outcome) {
+	step := s.steps
+	s.rec.Record(obs.Event{Kind: obs.KindSched, Step: step, PID: pid})
+	begin, retry, fails, attempts := s.ops[pid].advance(o)
+	if begin != 0 {
+		s.rec.Record(obs.Event{Kind: obs.KindBegin, Step: step, PID: pid})
+	} else if retry != 0 {
+		s.rec.Record(obs.Event{Kind: obs.KindRetry, Step: step, PID: pid, Attempts: fails})
+	}
+	if o&CAS != 0 {
+		s.rec.Record(obs.Event{Kind: obs.KindCAS, Step: step, PID: pid, OK: o&CASFailed == 0})
+	}
+	if o&Completed != 0 {
+		s.rec.Record(obs.Event{Kind: obs.KindComplete, Step: step, PID: pid, Attempts: attempts})
+	}
 }
 
 // complete records a completion by pid at the current step in the
@@ -184,22 +181,33 @@ func (s *Sim) complete(pid int) {
 // hook. Package progress uses this to build histories.
 func (s *Sim) SetCompletionHook(fn func(step uint64, pid int)) { s.hook = fn }
 
-// SetRecorder installs r as the step-level telemetry sink: every
-// subsequent Step emits scheduling, operation-begin, CAS, retry and
-// completion events to it (see package obs for the event
-// schema). Passing nil or obs.Nop disables telemetry; the disabled
-// hooks cost a single branch per step.
+// SetRecorder installs r as the step-level telemetry sink. Passing nil
+// or obs.Nop disables telemetry; the disabled hooks cost a single
+// branch per step. An *obs.Metrics is counted on the fast path: every
+// step adds into a plain per-simulator obs.Tally, merged into r at the
+// end of each Run and at least every 1<<16 steps. Any other recorder
+// receives every step's scheduling, operation-begin, CAS, retry and
+// completion events (see package obs for the event schema); so does a
+// Metrics behind obs.Multi, with the same totals.
 func (s *Sim) SetRecorder(r obs.Recorder) {
+	if s.cnt != nil {
+		s.cnt.flush()
+	}
 	if r == obs.Nop {
 		r = nil
 	}
-	s.rec = r
-	if r != nil && s.opAttempts == nil {
-		n := len(s.procs)
-		s.opAttempts = make([]uint64, n)
-		s.retryIter = make([]uint64, n)
-		s.inOp = make([]bool, n)
-		s.retryPending = make([]bool, n)
+	s.rec, s.cnt = nil, nil
+	if r == nil {
+		s.ops = nil
+		return
+	}
+	if s.ops == nil {
+		s.ops = make([]opCell, len(s.procs))
+	}
+	if m, ok := r.(*obs.Metrics); ok {
+		s.cnt = &counter{m: m, ops: s.ops, width: 1}
+	} else {
+		s.rec = r
 	}
 }
 
@@ -208,15 +216,18 @@ func (s *Sim) SetRecorder(r obs.Recorder) {
 // in — it drops into a tight loop that skips the per-step feature
 // checks, so one simulated step is one scheduler draw, one process
 // step, and nothing else: no allocation, no trace plumbing
-// (TestRunZeroAllocs pins this).
+// (TestRunZeroAllocs pins this). A counting recorder is brought up to
+// date before Run returns.
 func (s *Sim) Run(steps uint64) error {
-	if s.rec != nil {
-		for i := uint64(0); i < steps; i++ {
-			if err := s.Step(); err != nil {
-				return err
-			}
+	if s.ops != nil {
+		var err error
+		for i := uint64(0); i < steps && err == nil; i++ {
+			err = s.Step()
 		}
-		return nil
+		if s.cnt != nil {
+			s.cnt.flush()
+		}
+		return err
 	}
 	for i := uint64(0); i < steps; i++ {
 		pid, err := s.sch.Next()

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"io"
+	"reflect"
 	"testing"
 
 	"pwf/internal/obs"
@@ -153,9 +154,114 @@ func benchSimStep(b *testing.B, rec obs.Recorder) {
 
 func BenchmarkSimStepNoRecorder(b *testing.B)  { benchSimStep(b, nil) }
 func BenchmarkSimStepNopRecorder(b *testing.B) { benchSimStep(b, obs.Nop) }
+
+// BenchmarkSimStepMetrics times the counting path an *obs.Metrics
+// recorder gets; BenchmarkSimStepMetricsEvents times the same Metrics
+// fed one event at a time, as it is behind any wrapper.
 func BenchmarkSimStepMetrics(b *testing.B) {
 	benchSimStep(b, obs.NewMetrics(obs.NewRegistry()))
 }
+func BenchmarkSimStepMetricsEvents(b *testing.B) {
+	benchSimStep(b, eventPath{obs.NewMetrics(obs.NewRegistry())})
+}
 func BenchmarkSimStepTraceDiscard(b *testing.B) {
 	benchSimStep(b, obs.NewTraceRecorder(io.Discard))
+}
+
+// eventPath hides a recorder's type, so that an *obs.Metrics behind it
+// is fed events instead of counted.
+type eventPath struct{ obs.Recorder }
+
+// TestCountedMetricsMatchEvents runs the same contended CAS loop with
+// an *obs.Metrics counted on the fast path and with one fed events,
+// and requires identical registries.
+func TestCountedMetricsMatchEvents(t *testing.T) {
+	var snaps [2]obs.Snapshot
+	for i, wrap := range []bool{false, true} {
+		reg := obs.NewRegistry()
+		var rec obs.Recorder = obs.NewMetrics(reg)
+		if wrap {
+			rec = eventPath{rec}
+		}
+		s := newCASSim(t, 5, rec)
+		if err := s.Run(3 * flushEvery / 2); err != nil {
+			t.Fatal(err)
+		}
+		snaps[i] = reg.Snapshot()
+	}
+	if snaps[1].Counters["sim_retries"] == 0 {
+		t.Fatalf("no retries in a contended run: %v", snaps[1].Counters)
+	}
+	if !reflect.DeepEqual(snaps[0], snaps[1]) {
+		t.Errorf("counted registry %+v\nevent registry %+v", snaps[0], snaps[1])
+	}
+}
+
+// TestMetricsFlushCadence pins when a counted *obs.Metrics sees the
+// steps: every flushEvery steps and at the end of every Run, for the
+// scalar Sim and for each replica of a BatchSim.
+func TestMetricsFlushCadence(t *testing.T) {
+	m := obs.NewMetrics(obs.NewRegistry())
+	s := newCASSim(t, 4, m)
+	for i := 0; i < flushEvery-1; i++ {
+		if err := s.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := m.SchedSteps.Load(); got != 0 {
+		t.Fatalf("%d steps flushed before step %d", got, flushEvery)
+	}
+	if err := s.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.SchedSteps.Load(); got != flushEvery {
+		t.Fatalf("after %d steps the registry holds %d", flushEvery, got)
+	}
+	if err := s.Run(10); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.SchedSteps.Load(); got != flushEvery+10 {
+		t.Fatalf("Run(10) left the registry at %d, want %d", got, flushEvery+10)
+	}
+
+	const k, n = 3, 4
+	bm := obs.NewMetrics(obs.NewRegistry())
+	drawer, err := sched.NewUniformBatch(n, []uint64{1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := &probeGroup{periodGroup: periodGroup{k: k, n: n, period: 2, count: make([]int, k*n)}, m: bm}
+	bs, err := NewBatchSim(probe, drawer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs.SetMetrics(bm)
+	const steps = 2*flushEvery + 3
+	if err := bs.Run(steps); err != nil {
+		t.Fatal(err)
+	}
+	for i, got := range probe.seen {
+		if want := uint64(i/flushEvery) * flushEvery * k; got != want {
+			t.Fatalf("before step %d the registry held %d steps, want %d", i+1, got, want)
+		}
+	}
+	if got := bm.SchedSteps.Load(); got != steps*k {
+		t.Fatalf("after Run the registry holds %d steps, want %d", got, steps*k)
+	}
+	if got, want := bm.Completions.Load(), bm.AttemptsPerOp.Count(); got == 0 || got != want {
+		t.Fatalf("%d completions, %d histogram observations", got, want)
+	}
+}
+
+// probeGroup is a periodGroup that reads the registry's step count
+// before every batch step.
+type probeGroup struct {
+	periodGroup
+	m    *obs.Metrics
+	seen []uint64
+}
+
+func (g *probeGroup) StepBatch(pids []int32, out []Outcome) {
+	g.seen = append(g.seen, g.m.SchedSteps.Load())
+	g.periodGroup.StepBatch(pids, out)
 }

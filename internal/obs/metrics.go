@@ -204,6 +204,14 @@ func (s *OpStats) Register(reg *Registry, prefix string) {
 // wait-free registry metrics instead of (or alongside) tracing them.
 // It keeps no per-event mutable state beyond the atomics, so one
 // Metrics may serve every job of a parallel sweep concurrently.
+//
+// The simulator does not feed a Metrics one event at a time when it
+// is the whole recorder: package machine recognizes a *Metrics and
+// counts into a per-job Tally on its fast path, scalar or
+// replica-batched, and merges it in with Add at the end of every run
+// and at least every 1<<16 steps. Record is the event path, taken
+// when a Metrics sits behind Multi or another wrapper; both paths
+// yield the same totals.
 type Metrics struct {
 	SchedSteps   *Counter
 	Begins       *Counter
@@ -254,4 +262,51 @@ func (m *Metrics) Record(e Event) {
 	case KindCrash:
 		m.Crashes.Inc()
 	}
+}
+
+// Tally is a plain, single-owner accumulator of what a Metrics counts:
+// one field per counter, and the attempts histogram as local buckets
+// indexed like Histogram's (by bits.Len64 of the value) plus their sum;
+// their count is Completions. One simulator owns it and updates it
+// without atomics; Metrics.Add publishes it.
+type Tally struct {
+	SchedSteps, Begins, CASSuccesses, CASFailures, Retries, Completions, Crashes uint64
+
+	AttemptsSum   uint64
+	AttemptsPerOp [histBuckets]uint64
+}
+
+// Add merges t into the shared metrics with one atomic add per
+// non-zero field or bucket, so a flush costs nothing for what did not
+// happen. The caller resets t afterwards.
+func (m *Metrics) Add(t *Tally) {
+	for _, f := range [...]struct {
+		c *Counter
+		v uint64
+	}{
+		{m.SchedSteps, t.SchedSteps},
+		{m.Begins, t.Begins},
+		{m.CASSuccesses, t.CASSuccesses},
+		{m.CASFailures, t.CASFailures},
+		{m.Retries, t.Retries},
+		{m.Completions, t.Completions},
+		{m.Crashes, t.Crashes},
+	} {
+		if f.v != 0 {
+			f.c.Add(f.v)
+		}
+	}
+	if t.Completions == 0 {
+		return
+	}
+	h := m.AttemptsPerOp
+	for k, c := range t.AttemptsPerOp {
+		if c != 0 {
+			h.buckets[k].Add(c)
+		}
+	}
+	if t.AttemptsSum != 0 {
+		h.sum.Add(t.AttemptsSum)
+	}
+	h.count.Add(t.Completions)
 }

@@ -85,9 +85,9 @@ func (g *SCUBatch) N() int { return g.n }
 
 // StepBatch implements machine.BatchGroup with the exact transition
 // logic of SCU.Step on raw registers.
-func (g *SCUBatch) StepBatch(pids []int32, done []bool) {
+func (g *SCUBatch) StepBatch(pids []int32, out []machine.Outcome) {
 	if g.q == 0 && g.s == 1 {
-		g.stepScanValidate(pids, done)
+		g.stepScanValidate(pids, out)
 		return
 	}
 	stride := g.s + 1
@@ -99,7 +99,7 @@ func (g *SCUBatch) StepBatch(pids []int32, done []bool) {
 		c := &cells[r*g.n+pid]
 		base := r * stride
 		pc := c.pc
-		completed := false
+		var o machine.Outcome
 		switch {
 		case pc == q:
 			// First scan read snapshots the decision register; reads
@@ -118,16 +118,17 @@ func (g *SCUBatch) StepBatch(pids []int32, done []bool) {
 			c.seq++
 			if regs[base] == c.snapshot {
 				regs[base] = proposal(pid, int64(c.seq))
-				completed = true
+				o = machine.CAS | machine.Completed
 				pc = 0
 			} else {
 				// Failed validation rescans without repeating the
 				// preamble, exactly like the scalar SCU.
+				o = machine.CAS | machine.CASFailed
 				pc = q
 			}
 		}
 		c.pc = pc
-		done[r] = completed
+		out[r] = o
 	}
 }
 
@@ -138,8 +139,10 @@ func (g *SCUBatch) StepBatch(pids []int32, done []bool) {
 // branch on the phase would mispredict roughly every other step and
 // flush the speculative state loads of the replicas behind it, while
 // the select form lets the per-replica cell loads issue back to back
-// and overlap their cache misses.
-func (g *SCUBatch) stepScanValidate(pids []int32, done []bool) {
+// and overlap their cache misses. The outcome bits come from the same
+// masks: a validate step is a CAS, which completes when it succeeds
+// and fails otherwise.
+func (g *SCUBatch) stepScanValidate(pids []int32, out []machine.Outcome) {
 	cells, regs := g.cells, g.regs
 	n := g.n
 	for r := range pids {
@@ -162,7 +165,8 @@ func (g *SCUBatch) stepScanValidate(pids []int32, done []bool) {
 		c.snapshot = snap
 		c.seq = seq
 		c.pc = int32(1 - pc)
-		done[r] = okm != 0
+		ok := okm & 1
+		out[r] = machine.Outcome(ok | pc<<1 | (pc^ok)<<2)
 	}
 }
 
@@ -195,15 +199,15 @@ func (g *ParallelBatch) N() int { return g.n }
 
 // StepBatch implements machine.BatchGroup; a step is a read, which
 // leaves raw registers untouched.
-func (g *ParallelBatch) StepBatch(pids []int32, done []bool) {
+func (g *ParallelBatch) StepBatch(pids []int32, out []machine.Outcome) {
 	for r := range pids {
 		i := r*g.n + int(pids[r])
 		g.step[i]++
 		if int(g.step[i]) == g.q {
 			g.step[i] = 0
-			done[r] = true
+			out[r] = machine.Completed
 		} else {
-			done[r] = false
+			out[r] = 0
 		}
 	}
 }
@@ -234,17 +238,17 @@ func (g *FetchIncBatch) K() int { return g.k }
 func (g *FetchIncBatch) N() int { return g.n }
 
 // StepBatch implements machine.BatchGroup with the CASGet loop of
-// FetchInc.Step on raw registers.
-func (g *FetchIncBatch) StepBatch(pids []int32, done []bool) {
+// FetchInc.Step on raw registers; every step is a CAS.
+func (g *FetchIncBatch) StepBatch(pids []int32, out []machine.Outcome) {
 	for r := range pids {
 		i := r*g.n + int(pids[r])
 		if g.ctr[r] == g.v[i] {
 			g.ctr[r]++
 			g.v[i]++
-			done[r] = true
+			out[r] = machine.CAS | machine.Completed
 		} else {
 			g.v[i] = g.ctr[r]
-			done[r] = false
+			out[r] = machine.CAS | machine.CASFailed
 		}
 	}
 }

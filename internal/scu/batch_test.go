@@ -147,10 +147,52 @@ func groupCases() []groupCase {
 	}
 }
 
+// outcomeLog wraps a batch group and keeps every replica's step
+// outcomes in order.
+type outcomeLog struct {
+	machine.BatchGroup
+	outs [][]machine.Outcome // [r][step]
+}
+
+func (g *outcomeLog) StepBatch(pids []int32, out []machine.Outcome) {
+	g.BatchGroup.StepBatch(pids, out)
+	for r, o := range out {
+		g.outs[r] = append(g.outs[r], o)
+	}
+}
+
+// counterProc wraps a scalar process and logs, per step, the outcome
+// its memory's operation counters show: a completion, and a CAS that
+// succeeded or failed.
+type counterProc struct {
+	machine.Process
+	outs *[]machine.Outcome
+}
+
+func (p counterProc) Step(mem *shmem.Memory) bool {
+	before := mem.Counters()
+	done := p.Process.Step(mem)
+	after := mem.Counters()
+	var o machine.Outcome
+	if done {
+		o |= machine.Completed
+	}
+	if after.CASes > before.CASes {
+		o |= machine.CAS
+		if after.CASFailures > before.CASFailures {
+			o |= machine.CASFailed
+		}
+	}
+	*p.outs = append(*p.outs, o)
+	return done
+}
+
 // TestBatchSimMatchesScalarSims runs a BatchSim (uniform batch drawer
 // + batch group) against K scalar Sims built from the same seeds and
 // demands bit-identical metrics for every replica — including across
-// a mid-run ResetMetrics, mirroring the warmup flow of the sweep runner.
+// a mid-run ResetMetrics, mirroring the warmup flow of the sweep runner
+// — and, at every step, the Outcome the batch group reports equal to
+// the one the scalar memory counters show.
 func TestBatchSimMatchesScalarSims(t *testing.T) {
 	const (
 		n      = 17
@@ -176,10 +218,14 @@ func TestBatchSimMatchesScalarSims(t *testing.T) {
 				sims := make([]*machine.Sim, k)
 				schs := make([]sched.Scheduler, k)
 				checks := make([]func() error, k)
+				scalarOuts := make([][]machine.Outcome, k)
 				for r := 0; r < k; r++ {
 					sr, err := tc.scalar(n)
 					if err != nil {
 						t.Fatal(err)
+					}
+					for pid, p := range sr.procs {
+						sr.procs[pid] = counterProc{p, &scalarOuts[r]}
 					}
 					checks[r] = sr.check
 					if schs[r], err = sched.NewUniform(n, rng.New(seeds[r])); err != nil {
@@ -200,7 +246,8 @@ func TestBatchSimMatchesScalarSims(t *testing.T) {
 						}
 					}
 				}
-				bs, err := machine.NewBatchSim(group, drawer)
+				logged := &outcomeLog{BatchGroup: group, outs: make([][]machine.Outcome, k)}
+				bs, err := machine.NewBatchSim(logged, drawer)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -224,6 +271,7 @@ func TestBatchSimMatchesScalarSims(t *testing.T) {
 
 				for r := 0; r < k; r++ {
 					compareReplica(t, bs, sims[r], r)
+					compareOutcomes(t, logged.outs[r], scalarOuts[r], r)
 				}
 
 				// The batched form must expose per-replica invariant
@@ -249,6 +297,20 @@ func TestBatchSimMatchesScalarSims(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// compareOutcomes checks replica r's per-step outcomes from the batch
+// group against the scalar memory counters' view of the same steps.
+func compareOutcomes(t *testing.T, batch, scalar []machine.Outcome, r int) {
+	t.Helper()
+	if len(batch) != len(scalar) {
+		t.Fatalf("replica %d: %d batch outcomes vs %d scalar steps", r, len(batch), len(scalar))
+	}
+	for i := range batch {
+		if batch[i] != scalar[i] {
+			t.Fatalf("replica %d step %d: batch outcome %03b, scalar counters %03b", r, i+1, batch[i], scalar[i])
 		}
 	}
 }
@@ -435,8 +497,11 @@ type procGroup struct {
 func (g *procGroup) K() int { return 1 }
 func (g *procGroup) N() int { return len(g.procs) }
 
-func (g *procGroup) StepBatch(pids []int32, done []bool) {
-	done[0] = g.procs[pids[0]].Step(g.mem)
+func (g *procGroup) StepBatch(pids []int32, out []machine.Outcome) {
+	out[0] = 0
+	if g.procs[pids[0]].Step(g.mem) {
+		out[0] = machine.Completed
+	}
 }
 
 // BenchmarkStepLoopsK1 times one SCU(0,1) replica through each step

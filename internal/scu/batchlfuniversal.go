@@ -88,11 +88,11 @@ func (g *LFUniversalBatch) CheckReplica(r int) error {
 
 // StepBatch implements machine.BatchGroup with the exact transition
 // logic of LFUniversalProc.Step on raw registers.
-func (g *LFUniversalBatch) StepBatch(pids []int32, done []bool) {
+func (g *LFUniversalBatch) StepBatch(pids []int32, out []machine.Outcome) {
 	for r := range pids {
 		pid := int(pids[r])
 		c := &g.cells[r*g.n+pid]
-		completed := false
+		var o machine.Outcome
 
 		switch lfPhase(c.pc) {
 		case lfRead:
@@ -102,6 +102,7 @@ func (g *LFUniversalBatch) StepBatch(pids []int32, done []bool) {
 			op := g.ops(pid, c.seq)
 			newState, resp := g.obj.Apply(decodeState(c.snapshot), op)
 			next := encodeVersioned(decodeVersion(c.snapshot)+1, newState)
+			o = machine.CAS | machine.CASFailed
 			if g.regs[r] == c.snapshot {
 				g.regs[r] = next
 				// Linearization: replay on the shadow and validate.
@@ -111,12 +112,12 @@ func (g *LFUniversalBatch) StepBatch(pids []int32, done []bool) {
 				}
 				g.state[r] = wantState
 				c.seq++
-				completed = true
+				o = machine.CAS | machine.Completed
 			}
 			c.pc = int8(lfRead)
 		default:
 			c.pc = int8(lfRead)
 		}
-		done[r] = completed
+		out[r] = o
 	}
 }

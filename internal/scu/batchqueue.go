@@ -105,13 +105,13 @@ func (g *QueueBatch) CheckReplica(r int) error {
 
 // StepBatch implements machine.BatchGroup with the exact transition
 // logic of QueueProc.Step on raw registers.
-func (g *QueueBatch) StepBatch(pids []int32, done []bool) {
+func (g *QueueBatch) StepBatch(pids []int32, out []machine.Outcome) {
 	for r := range pids {
 		pid := int(pids[r])
 		c := &g.cells[r*g.n+pid]
 		meta := g.meta[r*g.slots : (r+1)*g.slots]
 		nodes := g.nodes[r*g.slots : (r+1)*g.slots]
-		completed := false
+		var o machine.Outcome
 
 		switch queuePhase(c.pc) {
 		case queueEnqWriteValue:
@@ -148,8 +148,10 @@ func (g *QueueBatch) StepBatch(pids []int32, done []bool) {
 
 		case queueEnqSwingStale:
 			// Helping: the tail lags; try to advance it, then retry.
+			o = machine.CAS | machine.CASFailed
 			if g.tails[r] == c.tail {
 				g.tails[r] = c.next
+				o = machine.CAS
 			}
 			c.pc = int8(queueEnqReadTail)
 
@@ -160,14 +162,18 @@ func (g *QueueBatch) StepBatch(pids []int32, done []bool) {
 				// Linearization point of the enqueue.
 				g.shadows[r] = append(g.shadows[r], ref)
 				meta[c.slot].live = true
+				o = machine.CAS
 				c.pc = int8(queueEnqSwingTail)
 			} else {
+				o = machine.CAS | machine.CASFailed
 				c.pc = int8(queueEnqReadTail)
 			}
 
 		case queueEnqSwingTail:
+			o = machine.CAS | machine.CASFailed | machine.Completed
 			if g.tails[r] == c.tail {
 				g.tails[r] = batchRef(meta, int(c.slot))
+				o = machine.CAS | machine.Completed
 			}
 			meta[c.slot].held--
 			c.slot = -1
@@ -175,7 +181,6 @@ func (g *QueueBatch) StepBatch(pids []int32, done []bool) {
 			setRef(meta, &c.tail, 0)
 			setRef(meta, &c.next, 0)
 			c.pc = int8(queueDeqReadHead)
-			completed = true
 
 		case queueDeqReadHead:
 			setRef(meta, &c.head, g.heads[r])
@@ -193,7 +198,7 @@ func (g *QueueBatch) StepBatch(pids []int32, done []bool) {
 					setRef(meta, &c.head, 0)
 					setRef(meta, &c.tail, 0)
 					c.pc = int8(queueEnqWriteValue)
-					completed = true
+					o = machine.Completed
 				} else {
 					c.pc = int8(queueDeqSwingStale)
 				}
@@ -202,8 +207,10 @@ func (g *QueueBatch) StepBatch(pids []int32, done []bool) {
 			}
 
 		case queueDeqSwingStale:
+			o = machine.CAS | machine.CASFailed
 			if g.tails[r] == c.tail {
 				g.tails[r] = c.next
+				o = machine.CAS
 			}
 			c.pc = int8(queueDeqReadHead)
 
@@ -227,8 +234,9 @@ func (g *QueueBatch) StepBatch(pids []int32, done []bool) {
 				setRef(meta, &c.tail, 0)
 				setRef(meta, &c.next, 0)
 				c.pc = int8(queueEnqWriteValue)
-				completed = true
+				o = machine.CAS | machine.Completed
 			} else {
+				o = machine.CAS | machine.CASFailed
 				c.pc = int8(queueDeqReadHead)
 			}
 
@@ -238,6 +246,6 @@ func (g *QueueBatch) StepBatch(pids []int32, done []bool) {
 		default:
 			c.pc = int8(queueDeqReadHead)
 		}
-		done[r] = completed
+		out[r] = o
 	}
 }

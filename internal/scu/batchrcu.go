@@ -112,19 +112,19 @@ func (g *RCUBatch) CheckReplica(r int) error {
 
 // StepBatch implements machine.BatchGroup with the exact transition
 // logic of RCUProc.Step on raw registers.
-func (g *RCUBatch) StepBatch(pids []int32, done []bool) {
+func (g *RCUBatch) StepBatch(pids []int32, out []machine.Outcome) {
 	for r := range pids {
 		pid := int(pids[r])
 		c := &g.cells[r*g.n+pid]
 		meta := g.meta[r*g.slots : (r+1)*g.slots]
-		completed := false
+		var o machine.Outcome
 
 		switch rcuPhase(c.pc) {
 		case rcuReadVersion:
 			setRef(meta, &c.ver, g.versions[r])
 			if c.ver == 0 {
 				// Nothing published yet: the read completes empty.
-				completed = true
+				o = machine.Completed
 			} else {
 				c.pc = int8(rcuReadSnapshot)
 			}
@@ -140,7 +140,7 @@ func (g *RCUBatch) StepBatch(pids []int32, done []bool) {
 			}
 			setRef(meta, &c.ver, 0)
 			c.pc = int8(rcuReadVersion)
-			completed = true
+			o = machine.Completed
 
 		case rcuWriteSnapshot:
 			if c.slot < 0 {
@@ -181,9 +181,10 @@ func (g *RCUBatch) StepBatch(pids []int32, done []bool) {
 				c.slot = -1
 				setRef(meta, &c.ver, 0)
 				c.pc = int8(rcuWriteSnapshot)
-				completed = true
+				o = machine.CAS | machine.Completed
 			} else {
 				// Validation failed: re-read V and retry the publish.
+				o = machine.CAS | machine.CASFailed
 				c.pc = int8(rcuWriterReadVersion)
 			}
 
@@ -193,6 +194,6 @@ func (g *RCUBatch) StepBatch(pids []int32, done []bool) {
 		default:
 			c.pc = int8(rcuReadVersion)
 		}
-		done[r] = completed
+		out[r] = o
 	}
 }

@@ -95,13 +95,13 @@ func (g *StackBatch) CheckReplica(r int) error {
 
 // StepBatch implements machine.BatchGroup with the exact transition
 // logic of StackProc.Step on raw registers.
-func (g *StackBatch) StepBatch(pids []int32, done []bool) {
+func (g *StackBatch) StepBatch(pids []int32, out []machine.Outcome) {
 	for r := range pids {
 		pid := int(pids[r])
 		c := &g.cells[r*g.n+pid]
 		meta := g.meta[r*g.slots : (r+1)*g.slots]
 		nodes := g.nodes[r*g.slots : (r+1)*g.slots]
-		completed := false
+		var o machine.Outcome
 
 		switch stackPhase(c.pc) {
 		case stackPushWriteValue:
@@ -139,8 +139,9 @@ func (g *StackBatch) StepBatch(pids []int32, done []bool) {
 				c.slot = -1
 				setRef(meta, &c.top, 0)
 				c.pc = int8(stackPopReadTop)
-				completed = true
+				o = machine.CAS | machine.Completed
 			} else {
+				o = machine.CAS | machine.CASFailed
 				c.pc = int8(stackPushReadTop)
 			}
 
@@ -150,7 +151,7 @@ func (g *StackBatch) StepBatch(pids []int32, done []bool) {
 				// Empty pop completes; like the scalar, the stale next
 				// reference is kept (it pins its slot until overwritten).
 				c.pc = int8(stackPushWriteValue)
-				completed = true
+				o = machine.Completed
 			} else {
 				c.pc = int8(stackPopReadNext)
 			}
@@ -170,8 +171,10 @@ func (g *StackBatch) StepBatch(pids []int32, done []bool) {
 					g.shadows[r] = sh[:len(sh)-1]
 				}
 				meta[refSlot(c.top)].live = false
+				o = machine.CAS
 				c.pc = int8(stackPopReadValue)
 			} else {
+				o = machine.CAS | machine.CASFailed
 				c.pc = int8(stackPopReadTop)
 			}
 
@@ -180,7 +183,7 @@ func (g *StackBatch) StepBatch(pids []int32, done []bool) {
 			setRef(meta, &c.top, 0)
 			setRef(meta, &c.next, 0)
 			c.pc = int8(stackPushWriteValue)
-			completed = true
+			o = machine.Completed
 
 		case stackStuck:
 			// Pool exhausted: spin harmlessly, like the scalar.
@@ -188,6 +191,6 @@ func (g *StackBatch) StepBatch(pids []int32, done []bool) {
 		default:
 			c.pc = int8(stackPushWriteValue)
 		}
-		done[r] = completed
+		out[r] = o
 	}
 }

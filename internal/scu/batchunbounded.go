@@ -67,8 +67,9 @@ func (g *UnboundedBatch) N() int { return g.n }
 //
 // waiting and C are non-negative and v tracks C, so sign-bit masks
 // are safe: (w|-w)>>63 is all-ones iff w != 0, and d|-d has the sign
-// bit set iff d != 0.
-func (g *UnboundedBatch) StepBatch(pids []int32, done []bool) {
+// bit set iff d != 0. The outcome bits are the same masks: every step
+// outside the backoff is a CAS, which either completes or fails.
+func (g *UnboundedBatch) StepBatch(pids []int32, out []machine.Outcome) {
 	cells, ctrs := g.cells, g.ctr
 	n, wf := g.n, g.waitFactor
 	for r := range pids {
@@ -82,6 +83,7 @@ func (g *UnboundedBatch) StepBatch(pids []int32, done []bool) {
 		c.waiting = w + (-1 & nzm) + ((wf * ctr) & failm)
 		c.v = v + (1 & succm) + (d & failm)
 		ctrs[r] = ctr + (1 & succm)
-		done[r] = succm != 0
+		out[r] = machine.Outcome(succm&int64(machine.Completed) |
+			^nzm&int64(machine.CAS) | failm&int64(machine.CASFailed))
 	}
 }

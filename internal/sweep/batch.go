@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"pwf/internal/machine"
+	"pwf/internal/obs"
 	"pwf/internal/scu"
 )
 
@@ -15,7 +16,11 @@ var errNoBatchForm = errors.New("sweep: no batched form for this job shape")
 // batchFallbackReason explains why a point cannot run on the
 // replica-batched path, or returns "" when it can: the workload has a
 // struct-of-arrays form and nothing wants to observe individual steps
-// or completions. The reasons are surfaced through
+// or completions. A sweep-level recorder that is exactly an
+// *obs.Metrics only counts, which the batched core does on its own
+// fast path (machine.BatchSim.SetMetrics), so it does not force the
+// scalar path; any other sweep recorder, a per-job recorder and a
+// completion hook do. The reasons are surfaced through
 // Config.OnBatchFallback so users learn when replica batching silently
 // did nothing.
 func batchFallbackReason(cfg Config, job Job) string {
@@ -30,7 +35,9 @@ func batchFallbackReason(cfg Config, job Job) string {
 	case job.Recorder != nil:
 		return "job has a per-job recorder"
 	case cfg.Recorder != nil:
-		return "sweep has a recorder observing step-level telemetry"
+		if _, ok := cfg.Recorder.(*obs.Metrics); !ok {
+			return "sweep has a recorder observing step-level events"
+		}
 	}
 	return ""
 }

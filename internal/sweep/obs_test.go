@@ -2,6 +2,9 @@ package sweep
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -187,5 +190,109 @@ func TestTraceSizesPinned(t *testing.T) {
 	if ratio := float64(nd) / float64(gz); ratio < gzipRatioSlip*gzipRatio {
 		t.Errorf("bin-gzip compresses NDJSON %.2fx, below %.2f of the measured %.2fx",
 			ratio, gzipRatioSlip, gzipRatio)
+	}
+}
+
+// eventPath hides an *obs.Metrics behind another Recorder type, which
+// makes the sweep feed it events (and fall back to scalar) instead of
+// counting on the fast path.
+type eventPath struct{ obs.Recorder }
+
+// simSnapshot is the registry state a Metrics owns: every sim_*
+// counter and the attempts-per-op histogram.
+func simSnapshot(reg *obs.Registry) (map[string]uint64, obs.HistogramSnapshot) {
+	s := reg.Snapshot()
+	counters := map[string]uint64{}
+	for name, v := range s.Counters {
+		if strings.HasPrefix(name, "sim_") {
+			counters[name] = v
+		}
+	}
+	return counters, s.Histograms["sim_cas_attempts_per_op"]
+}
+
+// TestCountedMetricsMatchEventPath pins the counting fast path to the
+// event path it replaces: a sweep-level *obs.Metrics counted by the
+// scalar Sim and by the batched core must leave exactly the registry
+// the same Metrics fed one event at a time leaves, for every workload
+// kind and stochastic scheduler with a crash, and the results must
+// not change.
+func TestCountedMetricsMatchEventPath(t *testing.T) {
+	kinds := []Workload{
+		{Kind: SCU, S: 1}, {Kind: Parallel, Q: 3}, {Kind: FetchInc},
+		{Kind: Unbounded}, {Kind: Stack}, {Kind: Queue}, {Kind: RCU},
+		{Kind: LFUniversal}, {Kind: List}, {Kind: HashSet}, {Kind: WFUniversal},
+	}
+	var jobs []Job
+	scalarOnly := 0
+	for _, w := range kinds {
+		for _, s := range []string{"uniform", "sticky:0.5", "lottery"} {
+			spec, err := ParseScheduler(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			job := Job{Workload: w, N: 6, Sched: spec, Steps: 3000,
+				WarmupFraction: DefaultWarmupFraction, Crash: 1, Replicas: 3,
+				Label: string(w.Kind) + "/" + s}
+			if batchFallbackReason(Config{}, job) != "" {
+				scalarOnly += job.Replicas
+			}
+			jobs = append(jobs, job)
+		}
+	}
+
+	type run struct {
+		name     string
+		counters map[string]uint64
+		hist     obs.HistogramSnapshot
+		results  []Result
+	}
+	var runs []run
+	for _, width := range []int{1, 16} {
+		for _, events := range []bool{false, true} {
+			reg := obs.NewRegistry()
+			var rec obs.Recorder = obs.NewMetrics(reg)
+			if events {
+				rec = eventPath{rec}
+			}
+			res, err := Run(Config{Jobs: jobs, Seed: 3, Workers: 2,
+				ReplicaBatch: width, Recorder: rec, Registry: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range res {
+				res[i].Elapsed, res[i].Job.Recorder = 0, nil
+			}
+			c, h := simSnapshot(reg)
+			name := fmt.Sprintf("width=%d/events=%v", width, events)
+			runs = append(runs, run{name, c, h, res})
+			if width > 1 {
+				want := uint64(scalarOnly)
+				if events {
+					want = uint64(len(Points(Config{Jobs: jobs})))
+				}
+				if got := reg.Counter("sweep_batch_fallbacks").Load(); got != want {
+					t.Errorf("%s: sweep_batch_fallbacks = %d, want %d", name, got, want)
+				}
+			}
+		}
+	}
+	ref := runs[1] // the event path on the scalar core
+	if ref.counters["sim_crashes"] != uint64(len(ref.results)) {
+		t.Errorf("sim_crashes = %d, want one per point (%d)", ref.counters["sim_crashes"], len(ref.results))
+	}
+	if ref.counters["sim_cas_failures"] == 0 || ref.hist.Count == 0 {
+		t.Fatalf("grid exercised no contention: %v", ref.counters)
+	}
+	for _, r := range runs {
+		if !reflect.DeepEqual(r.counters, ref.counters) {
+			t.Errorf("%s: counters %v, event path %v", r.name, r.counters, ref.counters)
+		}
+		if !reflect.DeepEqual(r.hist, ref.hist) {
+			t.Errorf("%s: attempts histogram %+v, event path %+v", r.name, r.hist, ref.hist)
+		}
+		if !reflect.DeepEqual(r.results, ref.results) {
+			t.Errorf("%s: results differ from the event path's", r.name)
+		}
 	}
 }

@@ -89,9 +89,11 @@ type Job struct {
 
 	// Recorder, when non-nil, receives the job's step-level telemetry
 	// events (package obs): scheduling decisions, CAS outcomes,
-	// retries, operation boundaries, crash injections. Inside a sweep
-	// the recorder is shared across workers, so it must be safe for
-	// concurrent use (obs.TraceRecorder and obs.Metrics are).
+	// retries, operation boundaries, crash injections. A recorder that
+	// is exactly an *obs.Metrics is counted on the simulator's fast
+	// path instead, with the same totals. Inside a sweep the recorder
+	// is shared across workers, so it must be safe for concurrent use
+	// (obs.TraceRecorder and obs.Metrics are).
 	Recorder obs.Recorder `json:"-"`
 }
 
@@ -209,7 +211,8 @@ type Config struct {
 	// Every point still draws from rng.Stream(Seed, i) and batched
 	// results are byte-identical to the scalar path; shapes without a
 	// batched form (data-structure workloads, per-job hooks or
-	// recorders) fall back to scalar execution transparently.
+	// recorders, a sweep Recorder other than an *obs.Metrics) fall
+	// back to scalar execution transparently.
 	ReplicaBatch int
 	// Progress, when non-nil, is called after each job completes with
 	// the number of completed jobs and the total. Calls are serialized
@@ -239,22 +242,28 @@ type Config struct {
 	// excludes wall time) to an uninterrupted run of the same grid.
 	Checkpoint Checkpoint
 	// Recorder, when non-nil, receives per-job lifecycle events
-	// (obs.KindJobStart/KindJobEnd) and the step-level telemetry of
-	// every job that does not set its own Job.Recorder. It must be
-	// safe for concurrent use; events from concurrently executing jobs
-	// interleave.
+	// (obs.KindJobStart/KindJobEnd) of the points run on the scalar
+	// path and the step-level telemetry of every job that does not set
+	// its own Job.Recorder. It must be safe for concurrent use; events
+	// from concurrently executing jobs interleave. A Recorder that is
+	// exactly an *obs.Metrics is counted on the fast path, scalar or
+	// replica-batched, and keeps batching on; any other Recorder,
+	// including a Metrics inside obs.Multi, is fed events and sends
+	// every point to the scalar path.
 	Recorder obs.Recorder
 	// Registry receives the sweep's execution-path counters when
 	// ReplicaBatch > 1: sweep_batch_jobs counts points executed on the
 	// replica-batched path, sweep_batch_fallbacks points that fell back
-	// to scalar execution despite batching being requested. Nil selects
+	// to scalar execution despite batching being requested. A counted
+	// *obs.Metrics Recorder is not a fallback reason. Nil selects
 	// obs.Default.
 	Registry *obs.Registry
 	// OnBatchFallback, when non-nil and ReplicaBatch > 1, is called at
 	// most once per distinct reason when points fall back to scalar
 	// execution — a workload without a batched form, a per-job hook or
-	// recorder, or a batch construction failure. Calls are serialized
-	// but may come from any worker.
+	// recorder, a sweep Recorder that wants events, or a batch
+	// construction failure. Calls are serialized but may come from any
+	// worker.
 	OnBatchFallback func(reason string)
 }
 
@@ -583,7 +592,10 @@ func Run(cfg Config) ([]Result, error) {
 				jobs := make([]Job, len(grp))
 				seeds := make([]uint64, len(grp))
 				for r, i := range grp {
+					// Batched points have no recorder of their own;
+					// the sweep's, if any, is a counted *obs.Metrics.
 					jobs[r] = points[i]
+					jobs[r].Recorder = cfg.Recorder
 					seeds[r] = rng.Stream(cfg.Seed, uint64(i))
 				}
 				batchRes, batchErrs, err := runPoints(jobs, seeds, cache)
@@ -662,8 +674,9 @@ type simulator interface {
 // one error slot per point; the third return value is a failure
 // before anything was measured. One point runs on the scalar Sim, with
 // the job's completion hook and recorder; K > 1 points run in lockstep
-// on one BatchSim, and a failure to build it (no batched form) tells
-// the caller to run the points one by one instead.
+// on one BatchSim, counting into the job's recorder when it is an
+// *obs.Metrics, and a failure to build it (no batched form) tells the
+// caller to run the points one by one instead.
 //
 // Replica r evolves exactly as the lone point (jobs[r], seeds[r]): the
 // scheduler draws replica r's stream through the same sampling
@@ -687,6 +700,9 @@ func runPoints(jobs []Job, seeds []uint64, cache *ChainCache) ([]Result, []error
 	if err != nil {
 		return nil, nil, err
 	}
+	// A recorder that is exactly an *obs.Metrics is counted on the
+	// simulator's fast path instead of fed events.
+	metrics, counted := job.Recorder.(*obs.Metrics)
 	if job.Crash > 0 {
 		crasher, ok := drawer.(sched.Crasher)
 		if !ok {
@@ -696,10 +712,13 @@ func runPoints(jobs []Job, seeds []uint64, cache *ChainCache) ([]Result, []error
 			if err := crasher.Crash(pid); err != nil {
 				return nil, nil, fmt.Errorf("sweep: crash process %d: %w", pid, err)
 			}
-			if job.Recorder != nil {
+			if job.Recorder != nil && !counted {
 				// Pre-run crashes take effect before step 1.
 				job.Recorder.Record(obs.Event{Kind: obs.KindCrash, Step: 0, PID: pid})
 			}
+		}
+		if counted {
+			metrics.Crashes.Add(uint64(job.Crash * k))
 		}
 	}
 	var (
@@ -737,6 +756,9 @@ func runPoints(jobs []Job, seeds []uint64, cache *ChainCache) ([]Result, []error
 		}
 		for r := range windows {
 			windows[r], _ = bs.Replica(r)
+		}
+		if counted {
+			bs.SetMetrics(metrics)
 		}
 		sim = bs
 		if chk, ok := group.(machine.BatchChecker); ok {
