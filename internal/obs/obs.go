@@ -27,9 +27,11 @@
 //     per line) and BinaryTraceWriter writes compact varint-packed
 //     frames with optional per-frame gzip (format v2, see binary.go);
 //     both re-parse through ReadTrace for byte-exact replay. Metrics
-//     aggregates events into a Registry, TraceTailer streams the
-//     newest events of a live run, and ServeDebug exposes expvar +
-//     pprof + /metrics + /debug/trace/tail over HTTP for long sweeps.
+//     aggregates events into a Registry, or merges the per-job
+//     Tallies the simulator counts for it on its fast path;
+//     TraceTailer streams the newest events of a live run, and
+//     ServeDebug exposes expvar + pprof + /metrics +
+//     /debug/trace/tail over HTTP for long sweeps.
 package obs
 
 import "fmt"

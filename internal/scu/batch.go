@@ -11,14 +11,16 @@ import (
 // implements machine.BatchGroup. The batched forms bypass
 // shmem.Memory and operate on raw register arrays — legal because the
 // sweep fast path never observes memory contents or operation
-// counters, only completions — so one StepBatch call replaces K
-// interface dispatches plus K bounds-checked shmem calls.
+// counters, only each step's machine.Outcome, which the groups report
+// themselves — so one StepBatch call replaces K interface dispatches
+// plus K bounds-checked shmem calls.
 //
 // Determinism contract: replica r of a batch group, fed the schedule
 // of replica r, transitions through exactly the states of the scalar
 // process group (NewSCUGroup / NewParallelGroup / NewFetchIncGroup)
 // on a fresh shmem.Memory: same phases, same register values, same
-// completion steps.
+// completion steps, and per step the Outcome the scalar memory's
+// operation counters show.
 
 // batchShape validates the common (k, n) constructor arguments.
 func batchShape(k, n int) error {

@@ -39,8 +39,10 @@ type (
 	TraceTailer = obs.TraceTailer
 	// DebugOption extends ServeDebug (see WithTraceTail).
 	DebugOption = obs.DebugOption
-	// MetricsRecorder aggregates simulator events into registry
-	// metrics (sim_* counters and the CAS-attempts histogram).
+	// MetricsRecorder aggregates simulator steps into registry metrics
+	// (sim_* counters and the CAS-attempts histogram). Used as the
+	// whole recorder it is counted on the simulator's fast path,
+	// replica-batched sweeps included.
 	MetricsRecorder = obs.Metrics
 	// OpStats is shared wait-free per-operation telemetry for the
 	// native structures (steps, retries, CAS failures).
