@@ -132,3 +132,55 @@ func TestLogFailedSyncPoisons(t *testing.T) {
 		}
 	}
 }
+
+// A header whose directory entry cannot be synced is not durable, so
+// Open must fail rather than report it committed. With the descriptor
+// limit one above the lowest free descriptor, create's temp file takes
+// the last descriptor and opening the directory for its fsync gets
+// EMFILE. Open must name the directory and leave no file behind.
+func TestOpenFailsWhenDirSyncFails(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "sweep.ckpt")
+	// Start the runtime's poller, which needs descriptors of its own,
+	// before they run short.
+	pr, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr.Close()
+	pw.Close()
+	probe, err := os.Open(os.DevNull)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lowest := probe.Fd()
+	probe.Close()
+
+	var limit syscall.Rlimit
+	if err := syscall.Getrlimit(syscall.RLIMIT_NOFILE, &limit); err != nil {
+		t.Fatal(err)
+	}
+	lowered := limit
+	lowered.Cur = uint64(lowest) + 1
+	if err := syscall.Setrlimit(syscall.RLIMIT_NOFILE, &lowered); err != nil {
+		t.Skipf("cannot lower the descriptor limit: %v", err)
+	}
+	l, err := Open(path, testConfig(), Options{})
+	if rerr := syscall.Setrlimit(syscall.RLIMIT_NOFILE, &limit); rerr != nil {
+		t.Fatalf("restore descriptor limit: %v", rerr)
+	}
+	if err == nil {
+		l.Close()
+		t.Fatal("Open succeeded although the directory fsync could not run")
+	}
+	if !errors.Is(err, syscall.EMFILE) || !strings.Contains(err.Error(), "checkpoint: sync dir "+dir+": ") {
+		t.Fatalf("Open with the directory fsync failing: %v, want EMFILE from checkpoint: sync dir %s", err, dir)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		t.Errorf("failed Open left %s behind", e.Name())
+	}
+}

@@ -205,7 +205,13 @@ func (l *Log) create(header []byte) error {
 		cleanup()
 		return fmt.Errorf("checkpoint: rename into place: %w", err)
 	}
-	syncDir(dir)
+	if err := syncDir(dir); err != nil {
+		// The header is in place but its name may not survive a power
+		// loss; take it away again so a failed Open leaves nothing.
+		tmp.Close()
+		os.Remove(l.path)
+		return fmt.Errorf("checkpoint: sync dir %s: %w", dir, err)
+	}
 	// The renamed fd stays valid for appends; no reopen needed.
 	l.f = tmp
 	l.size = int64(len(header))
@@ -467,14 +473,17 @@ func (l *Log) Close() error {
 }
 
 // syncDir fsyncs a directory so a just-renamed file survives power
-// loss. Best-effort: some filesystems reject directory fsync.
-func syncDir(dir string) {
+// loss.
+func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
-		return
+		return err
 	}
-	_ = d.Sync()
-	_ = d.Close()
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Load reads a checkpoint without binding it to a grid — header plus
