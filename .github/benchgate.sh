@@ -30,16 +30,19 @@ readonly COUNT=7
 readonly BOUND=0.25
 readonly SPREAD=3
 
-# package, benchmark pattern, benchtime. The sweep rows are the n = 1024
-# step loops, scalar and replica-batched, for SCU and every pointer
-# workload under the uniform and lottery schedulers, and for SCU under
-# the uniform scheduler counted into an obs.Metrics. The machine rows
+# package, benchmark pattern, benchtime. The sched rows are one scalar
+# draw of every stochastic scheduler, and one K = 16 NextBatch of the
+# uniform, sticky and lottery drawers the default grid batches. The
+# sweep rows are the n = 1024 step loops, scalar and replica-batched,
+# for SCU and every pointer workload under the uniform and lottery
+# schedulers, and for SCU under the uniform scheduler counted into an
+# obs.Metrics. The machine rows
 # time one simulator step with no recorder, counted into an
 # obs.Metrics, and feeding the same Metrics events. The chain rows
 # build and solve the two 2,145-state exact chains of SCU(0, 1) and
 # parallel(3) at n = 64, one build and solve per pass.
 readonly BENCHES=(
-	"internal/sched ^BenchmarkSchedDraw$/./(dense|alias|fenwick)/ 200000x"
+	"internal/sched ^BenchmarkSchedDraw$/./(dense|alias|fenwick|batch16)/ 200000x"
 	"internal/sweep ^BenchmarkSweepSteps$/./(n=1024|stack|queue|rcu|unbounded|lfuniversal|metrics)$ 1x"
 	"internal/machine ^BenchmarkSimStep(NoRecorder|Metrics|MetricsEvents)$ 1000000x"
 	"internal/obs ^BenchmarkTrace$/./encode$ 100000x"

@@ -12,6 +12,7 @@ package rng
 
 import (
 	"errors"
+	"math"
 	"math/bits"
 )
 
@@ -63,19 +64,16 @@ func Stream(master, index uint64) uint64 {
 	return out
 }
 
-// Uint64 returns the next 64 uniformly distributed bits.
+// Uint64 returns the next 64 uniformly distributed bits. It is the
+// one copy of the xoshiro256** step; it is written to stay under the
+// compiler's inlining budget, so batch loops here and in callers get
+// the step inlined into their loop bodies.
 func (s *Source) Uint64() uint64 {
-	result := bits.RotateLeft64(s.s[1]*5, 7) * 9
-
-	t := s.s[1] << 17
-	s.s[2] ^= s.s[0]
-	s.s[3] ^= s.s[1]
-	s.s[1] ^= s.s[2]
-	s.s[0] ^= s.s[3]
-	s.s[2] ^= t
-	s.s[3] = bits.RotateLeft64(s.s[3], 45)
-
-	return result
+	s0, s1, s2, s3 := s.s[0], s.s[1], s.s[2], s.s[3]
+	s2 ^= s0
+	s3 ^= s1
+	s.s = [4]uint64{s0 ^ s3, s1 ^ s2, s2 ^ s1<<17, bits.RotateLeft64(s3, 45)}
+	return bits.RotateLeft64(s1*5, 7) * 9
 }
 
 // Intn returns a uniformly distributed integer in [0, n). It panics if
@@ -92,10 +90,18 @@ func (s *Source) Intn(n int) int {
 func (s *Source) boundedUint64(n uint64) uint64 {
 	hi, lo := bits.Mul64(s.Uint64(), n)
 	if lo < n {
-		thresh := -n % n
-		for lo < thresh {
-			hi, lo = bits.Mul64(s.Uint64(), n)
-		}
+		hi = s.reject(hi, lo, n)
+	}
+	return hi
+}
+
+// reject finishes Lemire's method for a first product (hi, lo) with
+// lo < n, a path taken with probability n / 2^64: it draws again while
+// lo falls below 2^64 mod n and returns the accepted high word.
+func (s *Source) reject(hi, lo, n uint64) uint64 {
+	thresh := -n % n
+	for lo < thresh {
+		hi, lo = bits.Mul64(s.Uint64(), n)
 	}
 	return hi
 }
@@ -116,25 +122,33 @@ func IntnBatch(srcs []Source, n int, out []int64) {
 	un := uint64(n)
 	for i := range srcs {
 		s := &srcs[i]
-		result := bits.RotateLeft64(s.s[1]*5, 7) * 9
-
-		t := s.s[1] << 17
-		s.s[2] ^= s.s[0]
-		s.s[3] ^= s.s[1]
-		s.s[1] ^= s.s[2]
-		s.s[0] ^= s.s[3]
-		s.s[2] ^= t
-		s.s[3] = bits.RotateLeft64(s.s[3], 45)
-
-		hi, lo := bits.Mul64(result, un)
+		hi, lo := bits.Mul64(s.Uint64(), un)
 		if lo < un {
-			// Rejection path, taken with probability n / 2^64.
-			thresh := -un % un
-			for lo < thresh {
-				hi, lo = bits.Mul64(s.Uint64(), un)
-			}
+			hi = s.reject(hi, lo, un)
 		}
 		out[i] = int64(hi)
+	}
+}
+
+// IntnAt is IntnBatch over a subset of the sources: it fills out[j]
+// with srcs[lanes[j]].Intn(n) for every j, advancing only the listed
+// sources, each exactly as the scalar call would. It panics if n <= 0,
+// the lengths of lanes and out differ, or a lane is out of range.
+func IntnAt(srcs []Source, lanes []int32, n int, out []int64) {
+	if n <= 0 {
+		panic("rng: IntnAt called with non-positive n")
+	}
+	if len(out) != len(lanes) {
+		panic("rng: IntnAt output length differs from lane count")
+	}
+	un := uint64(n)
+	for j, r := range lanes {
+		s := &srcs[r]
+		hi, lo := bits.Mul64(s.Uint64(), un)
+		if lo < un {
+			hi = s.reject(hi, lo, un)
+		}
+		out[j] = int64(hi)
 	}
 }
 
@@ -153,6 +167,16 @@ func (s *Source) Bernoulli(p float64) bool {
 		return true
 	}
 	return s.Float64() < p
+}
+
+// BernoulliThreshold returns ⌈p·2^53⌉, the integer form of Bernoulli's
+// test for p in (0, 1): for the 64-bit output u that Float64 would
+// consume, u>>11 < BernoulliThreshold(p) exactly when Float64() < p.
+// Float64 is (u>>11)·2^-53 with no rounding, and p·2^53 is exact, so
+// the two compares agree bit for bit. Outside (0, 1) Bernoulli draws
+// nothing, so a caller must not draw for such p either.
+func BernoulliThreshold(p float64) uint64 {
+	return uint64(math.Ceil(p * (1 << 53)))
 }
 
 // Categorical draws an index in [0, len(weights)) with probability

@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -269,6 +270,105 @@ func TestStreamSeedsIndependentSources(t *testing.T) {
 	}
 	if same {
 		t.Fatal("adjacent streams produced identical sequences")
+	}
+}
+
+// TestUint64MatchesReferenceStep checks the xoshiro256** step against
+// a direct transcription of the reference algorithm by Blackman and
+// Vigna, state word by state word.
+func TestUint64MatchesReferenceStep(t *testing.T) {
+	s := New(42)
+	ref := s.s
+	for i := 0; i < 1000; i++ {
+		want := bits.RotateLeft64(ref[1]*5, 7) * 9
+		tmp := ref[1] << 17
+		ref[2] ^= ref[0]
+		ref[3] ^= ref[1]
+		ref[1] ^= ref[2]
+		ref[0] ^= ref[3]
+		ref[2] ^= tmp
+		ref[3] = bits.RotateLeft64(ref[3], 45)
+		if got := s.Uint64(); got != want || s.s != ref {
+			t.Fatalf("step %d: output %#x state %x, reference %#x state %x", i, got, s.s, want, ref)
+		}
+	}
+}
+
+// sourceYielding returns a Source whose next Uint64 is u. The output is
+// rotl(s[1]·5, 7)·9, and 5 and 9 are odd, so s[1] follows by undoing
+// both multiplications mod 2^64 and the rotation.
+func sourceYielding(u uint64) *Source {
+	inverse := func(a uint64) uint64 {
+		x := a // correct to 3 bits for odd a; each step doubles that
+		for i := 0; i < 5; i++ {
+			x *= 2 - a*x
+		}
+		return x
+	}
+	return &Source{s: [4]uint64{1, bits.RotateLeft64(u*inverse(9), -7) * inverse(5), 3, 4}}
+}
+
+// TestBernoulliThresholdMatchesFloat64 checks the integer stay test
+// against Float64() < p where they could part: at the outputs u whose
+// top 53 bits lie on either side of the threshold, with the 11 bits
+// Float64 drops all clear and all set.
+func TestBernoulliThresholdMatchesFloat64(t *testing.T) {
+	for _, p := range []float64{
+		0x1p-60, 0x1p-53, 0x1p-52, 0.1, 1.0 / 3,
+		math.Nextafter(0.5, 0), 0.5, math.Nextafter(0.5, 1),
+		0.7, 1 - 0x1p-52, 1 - 0x1p-53,
+	} {
+		thr := BernoulliThreshold(p)
+		for _, m := range []uint64{0, thr - 1, thr, thr + 1, 1<<53 - 1} {
+			if m >= 1<<53 {
+				continue // thr - 1 wrapped, or thr + 1 past the top
+			}
+			for _, low := range []uint64{0, 1<<11 - 1} {
+				u := m<<11 | low
+				if got := sourceYielding(u).Uint64(); got != u {
+					t.Fatalf("sourceYielding(%#x) yields %#x", u, got)
+				}
+				want := sourceYielding(u).Float64() < p
+				if got := u>>11 < thr; got != want {
+					t.Errorf("p = %v, u = %#x: threshold %d says %v, Float64 says %v", p, u, thr, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestIntnBatchesMatchIntn checks IntnBatch over every source and
+// IntnAt over a subset against per-source Intn calls, including an n
+// for which Lemire's method rejects about one draw in four; IntnAt
+// must leave the unlisted sources untouched.
+func TestIntnBatchesMatchIntn(t *testing.T) {
+	lanes := []int32{4, 0, 5, 2}
+	for _, n := range []int{1, 7, 1000, 1<<62 + 1} {
+		srcs := make([]Source, 6)
+		refs := make([]Source, 6)
+		for r := range srcs {
+			srcs[r].Seed(uint64(r))
+			refs[r].Seed(uint64(r))
+		}
+		all := make([]int64, len(srcs))
+		at := make([]int64, len(lanes))
+		for round := 0; round < 200; round++ {
+			IntnBatch(srcs, n, all)
+			for r := range refs {
+				if want := refs[r].Intn(n); all[r] != int64(want) {
+					t.Fatalf("n = %d round %d: IntnBatch[%d] = %d, Intn %d", n, round, r, all[r], want)
+				}
+			}
+			IntnAt(srcs, lanes, n, at)
+			for j, r := range lanes {
+				if want := refs[r].Intn(n); at[j] != int64(want) {
+					t.Fatalf("n = %d round %d: IntnAt lane %d = %d, Intn %d", n, round, r, at[j], want)
+				}
+			}
+			if srcs[1] != refs[1] || srcs[3] != refs[3] {
+				t.Fatalf("n = %d round %d: IntnAt advanced an unlisted source", n, round)
+			}
+		}
 	}
 }
 

@@ -18,7 +18,8 @@ import (
 // Determinism contract: replica r of a K-replica scheduler built from
 // seeds[r] produces exactly the pid sequence of the same scheduler
 // built with K = 1 from rng.New(seeds[r]). NextBatch reuses the
-// sampling structures of Next, one replica source at a time
+// sampling structures of Next and advances each replica's source
+// exactly as Next would, though not necessarily one replica at a time
 // (TestBatchDrawerMatchesScalar pins this).
 //
 // Crashes and ticket transfers are configuration, not per-replica

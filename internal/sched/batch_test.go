@@ -85,8 +85,10 @@ func policyCases() []policyCase {
 // BatchDrawer interface. Its determinism contract: replica r of a
 // K-replica scheduler built from seeds[r] yields exactly the pid
 // sequence of the single-replica scheduler built with
-// rng.New(seeds[r]) — with and without pre-run crashes — so NextBatch
-// (rng.IntnBatch, fenwick.findBatch) agrees with Next (Intn, find).
+// rng.New(seeds[r]) — with and without pre-run crashes, and through
+// mid-run crashes and ticket transfers — so NextBatch (rng.IntnBatch,
+// rng.IntnAt, the ticket table, fenwick.findBatch) agrees with Next
+// (Intn, Bernoulli, the table, find).
 // Next on the K-replica scheduler fails with ErrBatchLen, and neither
 // draw allocates.
 func TestBatchDrawerMatchesScalar(t *testing.T) {
@@ -156,6 +158,111 @@ func TestBatchDrawerMatchesScalar(t *testing.T) {
 					t.Errorf("Next allocated %v/op, want 0", allocs)
 				}
 			})
+		}
+	}
+
+	// Mid-run events hit the batch and every scalar replica before the
+	// same step. Sticky crashes the previous pick of one replica after
+	// another, across the edge values of rho: 0 draws no trial, 2^-53
+	// and 1 - 2^-53 are the extreme nonzero integer thresholds.
+	for _, rho := range []float64{0, 0x1p-53, 0.5, 1 - 0x1p-53} {
+		t.Run(fmt.Sprintf("sticky:%g/mid-run-crash", rho), func(t *testing.T) {
+			batched, err := NewStickyBatch(n, rho, seeds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scalars := make([]BatchDrawer, k)
+			for r := range scalars {
+				if scalars[r], err = NewSticky(n, rho, rng.New(seeds[r])); err != nil {
+					t.Fatal(err)
+				}
+			}
+			lockstep(t, batched, scalars, steps, func(step int) {
+				if step == 0 || step%500 != 0 {
+					return
+				}
+				victim := int(batched.last[step/500%k])
+				crashEverywhere(t, victim, batched, scalars)
+			})
+		})
+	}
+	// Lottery transfers and a crash move the active ticket total across
+	// holderTableMax both ways, switching both forms between the
+	// ticket→holder table and the Fenwick tree.
+	t.Run("lottery/mid-run-transfers", func(t *testing.T) {
+		batched, err := NewLotteryBatch(ones(n), seeds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scalars := make([]BatchDrawer, k)
+		for r := range scalars {
+			if scalars[r], err = NewLottery(ones(n), rng.New(seeds[r])); err != nil {
+				t.Fatal(err)
+			}
+		}
+		transfer := func(pid, tickets int) {
+			for _, d := range append([]BatchDrawer{batched}, scalars...) {
+				if err := d.(*Lottery).SetTickets(pid, tickets); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		lockstep(t, batched, scalars, steps, func(step int) {
+			var wantTable bool
+			switch step {
+			case 800: // 22 + 4,096 tickets
+				transfer(3, holderTableMax)
+			case 1600: // 22 + 2
+				transfer(3, 2)
+				wantTable = true
+			case 2400: // 23 + 4,086 - 1
+				transfer(7, holderTableMax-10)
+			case 3200: // 23
+				crashEverywhere(t, 7, batched, scalars)
+				wantTable = true
+			default:
+				return
+			}
+			for _, d := range append([]BatchDrawer{batched}, scalars...) {
+				if l := d.(*Lottery); (len(l.holders) != 0) != wantTable {
+					t.Fatalf("step %d: active total %d, table in use %v, want %v",
+						step, l.activeTotal, len(l.holders) != 0, wantTable)
+				}
+			}
+		})
+	})
+}
+
+// lockstep draws steps batches from batched and checks replica r of
+// every batch against the next draw of scalars[r]. Before each step
+// it calls event(step), which may crash processes or transfer tickets
+// in all of them alike.
+func lockstep(t *testing.T, batched BatchDrawer, scalars []BatchDrawer, steps int, event func(step int)) {
+	t.Helper()
+	pids := make([]int32, len(scalars))
+	for step := 0; step < steps; step++ {
+		event(step)
+		if err := batched.NextBatch(pids); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		for r, s := range scalars {
+			want, err := s.Next()
+			if err != nil {
+				t.Fatalf("scalar step %d replica %d: %v", step, r, err)
+			}
+			if int(pids[r]) != want {
+				t.Fatalf("step %d replica %d: batched pid %d, scalar %d", step, r, pids[r], want)
+			}
+		}
+	}
+}
+
+// crashEverywhere crashes pid in the batched drawer and every scalar.
+func crashEverywhere(t *testing.T, pid int, batched BatchDrawer, scalars []BatchDrawer) {
+	t.Helper()
+	for _, d := range append([]BatchDrawer{batched}, scalars...) {
+		if err := d.(Crasher).Crash(pid); err != nil {
+			t.Fatalf("crash %d: %v", pid, err)
 		}
 	}
 }

@@ -50,6 +50,49 @@ func BenchmarkSchedDraw(b *testing.B) {
 			})
 		}
 	}
+
+	// K = 16 NextBatch rows for the three drawers the default sweep grid
+	// batches, lottery at its default of one ticket per process. One op
+	// is one batch; ns/lane is its cost per replica.
+	const k = 16
+	seeds := make([]uint64, k)
+	for r := range seeds {
+		seeds[r] = uint64(100 + r)
+	}
+	for _, n := range []int{4, 16, 64} {
+		for _, bench := range []struct {
+			name  string
+			build func(n int) (BatchDrawer, error)
+		}{
+			{"uniform/batch16", func(n int) (BatchDrawer, error) { return NewUniformBatch(n, seeds) }},
+			{"sticky/batch16", func(n int) (BatchDrawer, error) { return NewStickyBatch(n, 0.5, seeds) }},
+			{"lottery/batch16", func(n int) (BatchDrawer, error) { return NewLotteryBatch(ones(n), seeds) }},
+		} {
+			b.Run(fmt.Sprintf("%s/n=%d", bench.name, n), func(b *testing.B) {
+				s, err := bench.build(n)
+				if err != nil {
+					b.Fatal(err)
+				}
+				pids := make([]int32, k)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := s.NextBatch(pids); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*k), "ns/lane")
+			})
+		}
+	}
+}
+
+func ones(n int) []int {
+	ts := make([]int, n)
+	for i := range ts {
+		ts[i] = 1
+	}
+	return ts
 }
 
 func rampWeights(n int) []float64 {

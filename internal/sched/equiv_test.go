@@ -181,59 +181,73 @@ func ramp(n int, start, step float64) []float64 {
 }
 
 // TestLotterySequenceMatchesNaive pins a stronger property than
-// distributional equivalence: the Fenwick inverse-CDF search resolves
-// winning tickets in id order exactly as the linear scan did, so for
-// identical rng states the rewritten Lottery reproduces the naive
-// pid sequence element-for-element — through crashes and transfers.
+// distributional equivalence: both lookups, the ticket→holder table
+// and the Fenwick inverse-CDF search, resolve winning tickets in id
+// order exactly as the linear scan did, so for identical rng states
+// the rewritten Lottery reproduces the naive pid sequence
+// element-for-element — through crashes and transfers. Holdings scaled
+// by holderTableMax keep the active total above it, which selects the
+// tree; unscaled ones keep it below, which selects the table.
 func TestLotterySequenceMatchesNaive(t *testing.T) {
 	const n = 32
-	tickets := make([]int, n)
-	src := rng.New(13)
-	for i := range tickets {
-		tickets[i] = 1 + src.Intn(7)
-	}
-	fast, err := NewLottery(tickets, rng.New(77))
-	if err != nil {
-		t.Fatal(err)
-	}
-	naive, err := NewLottery(tickets, rng.New(77))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mutate := func(round int) {
-		switch round % 3 {
-		case 0:
-			pid := src.Intn(n)
-			errF, errN := fast.Crash(pid), naive.Crash(pid)
-			if (errF == nil) != (errN == nil) {
-				t.Fatalf("crash disagreement at %d: %v vs %v", pid, errF, errN)
+	for _, tc := range []struct {
+		name  string
+		scale int
+		table bool
+	}{{"table", 1, true}, {"fenwick", holderTableMax, false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			tickets := make([]int, n)
+			src := rng.New(13)
+			for i := range tickets {
+				tickets[i] = tc.scale * (1 + src.Intn(7))
 			}
-		case 1:
-			pid, amount := src.Intn(n), 1+src.Intn(10)
-			if err := fast.SetTickets(pid, amount); err != nil {
-				t.Fatal(err)
-			}
-			if err := naive.SetTickets(pid, amount); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	naiveDraw := naiveNext(naive)
-	for round := 0; round < 12; round++ {
-		mutate(round)
-		for i := 0; i < 500; i++ {
-			got, err := fast.Next()
+			fast, err := NewLottery(tickets, rng.New(77))
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := naiveDraw()
+			naive, err := NewLottery(tickets, rng.New(77))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got != want {
-				t.Fatalf("round %d draw %d: fast=%d naive=%d", round, i, got, want)
+			mutate := func(round int) {
+				switch round % 3 {
+				case 0:
+					pid := src.Intn(n)
+					errF, errN := fast.Crash(pid), naive.Crash(pid)
+					if (errF == nil) != (errN == nil) {
+						t.Fatalf("crash disagreement at %d: %v vs %v", pid, errF, errN)
+					}
+				case 1:
+					pid, amount := src.Intn(n), tc.scale*(1+src.Intn(10))
+					if err := fast.SetTickets(pid, amount); err != nil {
+						t.Fatal(err)
+					}
+					if err := naive.SetTickets(pid, amount); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
-		}
+			naiveDraw := naiveNext(naive)
+			for round := 0; round < 12; round++ {
+				mutate(round)
+				if table := len(fast.holders) != 0; table != tc.table {
+					t.Fatalf("round %d: active total %d, table in use %v", round, fast.activeTotal, table)
+				}
+				for i := 0; i < 500; i++ {
+					got, err := fast.Next()
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := naiveDraw()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got != want {
+						t.Fatalf("round %d draw %d: fast=%d naive=%d", round, i, got, want)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -38,8 +38,10 @@
 // simulation of S steps spends O(S) — not O(S·n) — in scheduling:
 // Uniform and Sticky draw from a dense swap-remove active set (O(1)),
 // Weighted and Phased draw from Walker alias tables rebuilt only on
-// crash (O(1) per draw), and Lottery draws through a Fenwick tree
-// (O(log n) per draw and per ticket transfer). The superseded O(n)
+// crash (O(1) per draw), and Lottery draws through a ticket→holder
+// table (O(1) per draw) while its active tickets number at most
+// holderTableMax, else through a Fenwick tree (O(log n) per draw and
+// per ticket transfer). The superseded O(n)
 // scan samplers survive in the tests (naive_test.go) as the reference
 // the equivalence tests check these draws against.
 package sched
@@ -385,13 +387,19 @@ func (w *Weighted) Crash(pid int) error {
 // probability proportional to its holding. It is a Weighted scheduler
 // with integer weights and runtime ticket transfers.
 //
-// Draws resolve the winning ticket through a Fenwick tree over the
-// active ticket counts, shared by every replica: O(log n) per draw,
-// per transfer, and per crash, with the active ticket total maintained
-// incrementally rather than recomputed per step. The tree's
-// inverse-CDF search visits processes in id order exactly as the
-// superseded linear scan did, so for identical rng states Next returns
-// the identical pid sequence (see TestLotterySequenceMatchesNaive).
+// A draw picks a winning ticket among the active ones and resolves its
+// holder, through structures shared by every replica. While the active
+// ticket total is at most holderTableMax — one ticket per process, the
+// default, up to n = 4096 — a ticket→holder table answers in O(1): it
+// lists the correct pids in id order, each once per ticket, and is
+// rebuilt in O(total) on every crash and transfer. Above that, a
+// Fenwick tree over the active ticket counts answers in O(log n), with
+// O(log n) transfers and crashes. The tree is kept current either way,
+// and the active ticket total is maintained incrementally rather than
+// recomputed per step. Both lookups resolve tickets in id order
+// exactly as the superseded linear scan did, so for identical rng
+// states Next returns the identical pid sequence on either path (see
+// TestLotterySequenceMatchesNaive).
 type Lottery struct {
 	activeSet
 	srcs    []rng.Source
@@ -400,8 +408,19 @@ type Lottery struct {
 
 	fen         *fenwick
 	activeTotal int64   // tickets held by correct processes
+	holders     []int32 // holders[t] holds active ticket t; empty above holderTableMax
 	wins        []int64 // NextBatch scratch, one slot per replica
 }
+
+// holderTableMax is the largest active ticket total the Lottery
+// resolves through its ticket→holder table. Draws alone favour the
+// table at every total measured: at K = 16 and n ≤ 256, a table of up
+// to 2^18 tickets cost 3–6 ns per lane against 13–26 for the Fenwick
+// descent. The limit bounds what the table costs elsewhere: its
+// rebuild on every crash and transfer took 3 µs at 4,096 tickets and
+// 46 µs at 65,536, against 16 ns for a tree update, and at 4,096 it
+// stays a 16 KB array.
+const holderTableMax = 4096
 
 // NewLottery builds a lottery scheduler with one replica, which draws
 // from a copy of *src. Tickets must pass CheckTickets.
@@ -428,7 +447,7 @@ func newLottery(tickets []int, srcs []rng.Source) (*Lottery, error) {
 	}
 	fen := newFenwick(len(tickets))
 	fen.init(vals)
-	return &Lottery{
+	l := &Lottery{
 		srcs:        srcs,
 		tickets:     append([]int(nil), tickets...),
 		activeSet:   newActiveSet(len(tickets)),
@@ -436,11 +455,31 @@ func newLottery(tickets []int, srcs []rng.Source) (*Lottery, error) {
 		fen:         fen,
 		activeTotal: int64(total),
 		wins:        make([]int64, len(srcs)),
-	}, nil
+	}
+	l.reindex()
+	return l, nil
+}
+
+// reindex rebuilds the ticket→holder table after the active holdings
+// changed, or empties it when the active total is above
+// holderTableMax. The table reuses its storage.
+func (l *Lottery) reindex() {
+	holders := l.holders[:0]
+	if l.activeTotal <= holderTableMax {
+		for pid, t := range l.tickets {
+			if l.alive[pid] {
+				for ; t > 0; t-- {
+					holders = append(holders, int32(pid))
+				}
+			}
+		}
+	}
+	l.holders = holders
 }
 
 // Next implements Scheduler by drawing a winning ticket among active
-// processes and resolving its holder in O(log n).
+// processes and resolving its holder through the same lookup as
+// NextBatch: the table in O(1), or the tree in O(log n).
 func (l *Lottery) Next() (int, error) {
 	if len(l.srcs) != 1 {
 		return 0, ErrBatchLen
@@ -449,13 +488,17 @@ func (l *Lottery) Next() (int, error) {
 		return 0, ErrAllCrashed
 	}
 	win := l.srcs[0].Intn(int(l.activeTotal))
+	if len(l.holders) != 0 {
+		return int(l.holders[win]), nil
+	}
 	return l.fen.find(int64(win)), nil
 }
 
-// NextBatch implements BatchDrawer: one winning-ticket draw and one
-// O(log n) tree search per replica, all against the shared tree. The
-// searches run through findBatch so the descents of the whole batch
-// overlap instead of serialising one dependent chain at a time.
+// NextBatch implements BatchDrawer: the winning tickets of the whole
+// batch drawn through rng.IntnBatch, then resolved against the shared
+// table, or else the shared tree through findBatch, so the descents of
+// the whole batch overlap instead of serialising one dependent chain
+// at a time.
 func (l *Lottery) NextBatch(pids []int32) error {
 	if len(pids) != len(l.srcs) {
 		return ErrBatchLen
@@ -464,13 +507,21 @@ func (l *Lottery) NextBatch(pids []int32) error {
 		return ErrAllCrashed
 	}
 	rng.IntnBatch(l.srcs, int(l.activeTotal), l.wins)
+	if holders := l.holders; len(holders) != 0 {
+		for r, win := range l.wins {
+			pids[r] = holders[win]
+		}
+		return nil
+	}
 	l.fen.findBatch(l.wins, pids)
 	return nil
 }
 
-// SetTickets changes pid's holding at runtime (ticket transfers),
-// O(log n). The holding is shared, so the change applies to every
-// replica. A change that would overflow the ticket total is rejected.
+// SetTickets changes pid's holding at runtime (ticket transfers):
+// O(log n) on the tree, plus the table's O(total) rebuild while the
+// active total is at most holderTableMax. The holding is shared, so
+// the change applies to every replica. A change that would overflow
+// the ticket total is rejected.
 func (l *Lottery) SetTickets(pid, tickets int) error {
 	if pid < 0 || pid >= len(l.tickets) {
 		return fmt.Errorf("%w: %d", ErrBadProcess, pid)
@@ -488,6 +539,7 @@ func (l *Lottery) SetTickets(pid, tickets int) error {
 	if l.alive[pid] {
 		l.fen.add(pid, int64(delta))
 		l.activeTotal += int64(delta)
+		l.reindex()
 	}
 	return nil
 }
@@ -501,13 +553,15 @@ func (l *Lottery) Threshold() float64 {
 }
 
 // Crash implements Crasher, zeroing pid's tickets in the tree so the
-// inverse-CDF search skips it (O(log n)).
+// inverse-CDF search skips it (O(log n)) and dropping them from the
+// table.
 func (l *Lottery) Crash(pid int) error {
 	if err := l.activeSet.Crash(pid); err != nil {
 		return err
 	}
 	l.fen.add(pid, -int64(l.tickets[pid]))
 	l.activeTotal -= int64(l.tickets[pid])
+	l.reindex()
 	return nil
 }
 
@@ -520,11 +574,18 @@ func (l *Lottery) Crash(pid int) error {
 // are sampled in O(1): the sticky branch is a Bernoulli trial and the
 // exploration branch draws from the dense active set. The previously
 // scheduled process is per-replica state; the active set is shared.
+// NextBatch runs the trials of all replicas first, as the integer
+// compare rng.BernoulliThreshold gives, and then the dense-set draws
+// of the replicas that did not stay.
 type Sticky struct {
 	activeSet
 	srcs []rng.Source
 	rho  float64
+	stay uint64  // rng.BernoulliThreshold(rho); 0 when rho = 0 draws no trial
 	last []int32 // per replica: the previous pick, -1 before the first
+
+	explore []int32 // NextBatch scratch: the replicas that explore
+	draws   []int64 // NextBatch scratch: their dense-set draws
 }
 
 // NewSticky builds a sticky scheduler with one replica, which draws
@@ -552,7 +613,19 @@ func newSticky(n int, rho float64, srcs []rng.Source) (*Sticky, error) {
 	for r := range last {
 		last[r] = -1
 	}
-	return &Sticky{srcs: srcs, rho: rho, activeSet: newActiveSet(n), last: last}, nil
+	var stay uint64
+	if rho > 0 {
+		stay = rng.BernoulliThreshold(rho)
+	}
+	return &Sticky{
+		srcs:      srcs,
+		rho:       rho,
+		stay:      stay,
+		activeSet: newActiveSet(n),
+		last:      last,
+		explore:   make([]int32, len(srcs)),
+		draws:     make([]int64, len(srcs)),
+	}, nil
 }
 
 // Next implements Scheduler in O(1).
@@ -571,24 +644,79 @@ func (s *Sticky) Next() (int, error) {
 	return int(*last), nil
 }
 
-// NextBatch implements BatchDrawer, mirroring Next per replica: a
-// Bernoulli trial on the replica's previous pick, falling back to a
-// dense-set draw.
+// NextBatch implements BatchDrawer, drawing what Next draws per
+// replica in two passes over the batch. The first runs the stay trial
+// of every replica that has a previous pick, each one xoshiro step and
+// the integer compare that equals Bernoulli's. It writes every
+// replica's index to the explore list but counts it only when it did
+// not stay, so sorting the replicas costs no branch on the trial's
+// outcome. The second pass draws the explorers' dense-set picks,
+// pipelined through rng.IntnAt. Every replica's stream advances
+// exactly as under Next: a trial if it has a previous pick, then a
+// pick unless it stayed.
 func (s *Sticky) NextBatch(pids []int32) error {
 	if len(pids) != len(s.srcs) {
 		return ErrBatchLen
 	}
-	if s.NumCorrect() == 0 {
+	ids := s.ids
+	if len(ids) == 0 {
 		return ErrAllCrashed
 	}
-	for r := range pids {
-		src, last := &s.srcs[r], &s.last[r]
-		if *last >= 0 && s.alive[*last] && src.Bernoulli(s.rho) {
-			pids[r] = *last
+	last, explore, n := s.last, s.explore, len(s.explore)
+	if s.stay == 0 {
+		// rho = 0: Bernoulli draws nothing and every replica explores.
+		for r := range explore {
+			explore[r] = int32(r)
+		}
+	} else {
+		n = stayTrials(s.srcs, last, s.stay, explore)
+	}
+	explore, draws := explore[:n], s.draws[:n]
+	rng.IntnAt(s.srcs, explore, len(ids), draws)
+	for j, r := range explore {
+		last[r] = ids[draws[j]]
+	}
+	copy(pids, last)
+	return nil
+}
+
+// stayTrials runs the stay trial of every replica r with a previous
+// pick (last[r] ≥ 0): the trial fails when srcs[r]'s next output u has
+// u>>11 ≥ stay. It lists in explore the replicas with no previous pick
+// or a failed trial, in replica order, and returns how many there are.
+// Each replica's index is written to explore[n] unconditionally and
+// kept by advancing n, so the trial's outcome costs no branch. It is a
+// function of its own so that its loop, with the inlined xoshiro step,
+// does not share registers with the rest of NextBatch.
+func stayTrials(srcs []rng.Source, last []int32, stay uint64, explore []int32) int {
+	n := 0
+	for r, prev := range last {
+		explore[n] = int32(r)
+		if prev < 0 {
+			n++
 			continue
 		}
-		*last = int32(s.pick(src))
-		pids[r] = *last
+		// The top bit of m - stay is set exactly when m < stay, as
+		// m < 2^53 and stay ≤ 2^53, so n grows when the trial fails.
+		m := srcs[r].Uint64() >> 11
+		n += int(1 - (m-stay)>>63)
+	}
+	return n
+}
+
+// Crash implements Crasher. It also forgets the crashed pid as any
+// replica's previous pick, so that a replica with a previous pick
+// (last ≥ 0) always has a correct one and NextBatch need not look the
+// pick up in the active set. Next still checks, which keeps it the
+// independent reference the batch form is tested against.
+func (s *Sticky) Crash(pid int) error {
+	if err := s.activeSet.Crash(pid); err != nil {
+		return err
+	}
+	for r, prev := range s.last {
+		if int(prev) == pid {
+			s.last[r] = -1
+		}
 	}
 	return nil
 }
