@@ -13,12 +13,11 @@
 //	pwfchains -chain parallel -n 3 -q 3
 //
 // Observability flags: -trace records the analysis as job lifecycle
-// events (job_start/job_end with the chain family and wall time);
-// -trace-format selects NDJSON (v1, default) or the compact binary
-// framing (v2, "bin") and -trace-compress adds per-frame gzip to
-// binary traces; -metrics prints a JSON metrics snapshot — the
-// chain-cache hit/miss gauges — to stderr. The trace speaks the same
-// wire schema as pwfsim's, so one tool reads both.
+// events (job_start/job_end with the chain family and wall time) in
+// the binary trace format v2, and -trace-compress adds per-frame
+// gzip; -metrics prints a JSON metrics snapshot — the chain-cache
+// hit/miss gauges — to stderr. The trace has the same format as
+// pwfsim's, so one reader (pwf.ReadTraceEvents) reads both.
 package main
 
 import (
@@ -52,30 +51,23 @@ func run(args []string, out, errOut io.Writer) error {
 		dot       = fs.Bool("dot", false, "emit the system chain as Graphviz DOT (Figure 1) instead of the analysis")
 		metrics   = fs.Bool("metrics", false, "print a JSON metrics snapshot (chain-cache hits/misses) to stderr")
 		traceFile = fs.String("trace", "", "record the analysis as job lifecycle trace events in this file")
-		traceForm = fs.String("trace-format", "ndjson", "trace file format: ndjson (v1) or bin (compact binary v2)")
-		traceComp = fs.String("trace-compress", "none", "binary trace compression: none or gzip")
+		traceComp = fs.String("trace-compress", "none", "trace compression: none or gzip")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	format, err := obs.ParseTraceFormat(*traceForm)
-	if err != nil {
 		return err
 	}
 	comp, err := obs.ParseCompression(*traceComp)
 	if err != nil {
 		return err
 	}
-	var trace obs.TraceWriter
+	var trace *obs.BinaryTraceWriter
 	if *traceFile != "" {
 		f, err := os.Create(*traceFile)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		if trace, err = obs.NewTraceWriter(f, format, comp); err != nil {
-			return err
-		}
+		trace = obs.NewBinaryTraceWriter(f, obs.BinaryTraceOptions{Compression: comp})
 	}
 
 	label := fmt.Sprintf("%s n=%d", *chain, *n)

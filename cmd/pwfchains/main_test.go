@@ -99,14 +99,14 @@ func TestRunRejectsBadInputs(t *testing.T) {
 	}
 }
 
-// TestRunTraceRecordsLifecycle checks the -trace flag in both formats:
-// the analysis brackets into job_start/job_end events carrying the
-// chain label and a positive wall time.
+// TestRunTraceRecordsLifecycle checks the -trace flag with and without
+// compression: the analysis brackets into job_start/job_end events
+// carrying the chain label and a positive wall time.
 func TestRunTraceRecordsLifecycle(t *testing.T) {
-	for _, format := range []string{"ndjson", "bin"} {
+	for _, comp := range []string{"none", "gzip"} {
 		path := filepath.Join(t.TempDir(), "chains-trace")
 		var out bytes.Buffer
-		args := []string{"-chain", "scu", "-n", "3", "-trace", path, "-trace-format", format}
+		args := []string{"-chain", "scu", "-n", "3", "-trace", path, "-trace-compress", comp}
 		if err := run(args, &out, &out); err != nil {
 			t.Fatal(err)
 		}
@@ -114,19 +114,19 @@ func TestRunTraceRecordsLifecycle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		events, err := obs.ReadTrace(f)
+		events, err := obs.ReadBinaryEvents(f)
 		f.Close()
 		if err != nil {
-			t.Fatalf("%s: decode: %v", format, err)
+			t.Fatalf("%s: decode: %v", comp, err)
 		}
 		if len(events) != 2 {
-			t.Fatalf("%s: got %d events, want job_start + job_end", format, len(events))
+			t.Fatalf("%s: got %d events, want job_start + job_end", comp, len(events))
 		}
 		if events[0].Kind != obs.KindJobStart || events[0].Label != "scu n=3" {
-			t.Errorf("%s: first event %+v, want job_start with label", format, events[0])
+			t.Errorf("%s: first event %+v, want job_start with label", comp, events[0])
 		}
 		if events[1].Kind != obs.KindJobEnd || events[1].ElapsedNS <= 0 {
-			t.Errorf("%s: second event %+v, want job_end with elapsed time", format, events[1])
+			t.Errorf("%s: second event %+v, want job_end with elapsed time", comp, events[1])
 		}
 	}
 }

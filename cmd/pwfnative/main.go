@@ -4,13 +4,12 @@
 //
 // Usage:
 //
-//	pwfnative -mode schedule -workers 8 -ops 200000 [-trace out.ndjson]
+//	pwfnative -mode schedule -workers 8 -ops 200000 [-trace out.pwft]
 //	pwfnative -mode rate -maxworkers 32 -ops 100000 [-algo counter|add|stack|queue] [-metrics]
 //
 // Observability flags: -trace writes the recovered hardware
-// interleaving as sched events (schedule mode only); -trace-format
-// selects NDJSON (v1, default) or the compact binary framing (v2,
-// "bin") and -trace-compress adds per-frame gzip to binary traces;
+// interleaving as sched events in the binary trace format v2
+// (schedule mode only), and -trace-compress adds per-frame gzip;
 // -metrics prints a JSON metrics snapshot to stderr, including the
 // wait-free retry/step histograms the rate workloads record, one set
 // per worker count n under the prefix native_<algo>_w<n>;
@@ -48,8 +47,7 @@ func run(args []string, out, errOut io.Writer) error {
 		ops        = fs.Int("ops", 200000, "operations per worker")
 		algo       = fs.String("algo", "counter", "workload for -mode rate: counter, add, stack, queue")
 		traceFile  = fs.String("trace", "", "write the recovered schedule as trace events (schedule mode)")
-		traceForm  = fs.String("trace-format", "ndjson", "trace file format: ndjson (v1) or bin (compact binary v2)")
-		traceComp  = fs.String("trace-compress", "none", "binary trace compression: none or gzip")
+		traceComp  = fs.String("trace-compress", "none", "trace compression: none or gzip")
 		metrics    = fs.Bool("metrics", false, "print a JSON metrics snapshot to stderr after the run")
 		debugAddr  = fs.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -60,10 +58,6 @@ func run(args []string, out, errOut io.Writer) error {
 	}
 	if *traceFile != "" && *mode != "schedule" {
 		return fmt.Errorf("-trace applies only to -mode schedule")
-	}
-	format, err := obs.ParseTraceFormat(*traceForm)
-	if err != nil {
-		return err
 	}
 	comp, err := obs.ParseCompression(*traceComp)
 	if err != nil {
@@ -91,7 +85,7 @@ func run(args []string, out, errOut io.Writer) error {
 	err = withProfiles(*cpuProfile, *memProfile, func() error {
 		switch *mode {
 		case "schedule":
-			return runSchedule(out, *workers, *ops, *traceFile, format, comp)
+			return runSchedule(out, *workers, *ops, *traceFile, comp)
 		case "rate":
 			return runRate(out, *maxWorkers, *ops, *algo, *metrics)
 		default:
@@ -135,7 +129,7 @@ func withProfiles(cpu, mem string, f func() error) error {
 	return nil
 }
 
-func runSchedule(out io.Writer, workers, ops int, traceFile string, format obs.TraceFormat, comp obs.Compression) error {
+func runSchedule(out io.Writer, workers, ops int, traceFile string, comp obs.Compression) error {
 	s, err := native.RecordSchedule(workers, ops)
 	if err != nil {
 		return err
@@ -144,7 +138,7 @@ func runSchedule(out io.Writer, workers, ops int, traceFile string, format obs.T
 		s.Len(), workers, runtime.GOMAXPROCS(0))
 
 	if traceFile != "" {
-		if err := writeScheduleTrace(traceFile, s, format, comp); err != nil {
+		if err := writeScheduleTrace(traceFile, s, comp); err != nil {
 			return err
 		}
 	}
@@ -169,20 +163,16 @@ func runSchedule(out io.Writer, workers, ops int, traceFile string, format obs.T
 
 // writeScheduleTrace dumps the recovered hardware interleaving as
 // sched events (1-based steps, matching the simulator's numbering) in
-// the selected trace format so it can be replayed through the
-// simulator's trace-driven scheduler. Binary hardware schedules are a
+// the binary trace format so it can be replayed through the
+// simulator's trace-driven scheduler. Hardware schedules are a
 // natural fit for delta coding: consecutive steps differ by one, so
 // each event costs about two bytes before compression.
-func writeScheduleTrace(path string, s *native.Schedule, format obs.TraceFormat, comp obs.Compression) error {
+func writeScheduleTrace(path string, s *native.Schedule, comp obs.Compression) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	tr, err := obs.NewTraceWriter(f, format, comp)
-	if err != nil {
-		f.Close()
-		return err
-	}
+	tr := obs.NewBinaryTraceWriter(f, obs.BinaryTraceOptions{Compression: comp})
 	for i, w := range s.Order() {
 		tr.Record(obs.Event{Kind: obs.KindSched, Step: uint64(i) + 1, PID: int(w)})
 	}

@@ -42,7 +42,7 @@ func recordedSteps(t *testing.T, out string, workers, ops int) int {
 }
 
 func TestRunScheduleTrace(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sched.ndjson")
+	path := filepath.Join(t.TempDir(), "sched.pwft")
 	var buf bytes.Buffer
 	args := []string{"-mode", "schedule", "-workers", "2", "-ops", "1000", "-trace", path}
 	if err := run(args, &buf, &buf); err != nil {
@@ -53,7 +53,7 @@ func TestRunScheduleTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	events, err := obs.ReadEvents(f)
+	events, err := obs.ReadBinaryEvents(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,15 +73,16 @@ func TestRunScheduleTrace(t *testing.T) {
 	}
 }
 
-// TestRunScheduleTraceBinary records the hardware schedule in trace
-// format v2 and checks it decodes to the same shape as the NDJSON
-// path: all sched events with consecutive 1-based steps.
+// TestRunScheduleTraceBinary records the hardware schedule with each
+// -trace-compress value and checks it decodes to the same shape as
+// TestRunScheduleTrace's: all sched events with consecutive 1-based
+// steps.
 func TestRunScheduleTraceBinary(t *testing.T) {
 	for _, comp := range []string{"none", "gzip"} {
 		path := filepath.Join(t.TempDir(), "sched.pwft")
 		var buf bytes.Buffer
 		args := []string{"-mode", "schedule", "-workers", "2", "-ops", "1000",
-			"-trace", path, "-trace-format", "bin", "-trace-compress", comp}
+			"-trace", path, "-trace-compress", comp}
 		if err := run(args, &buf, &buf); err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +90,7 @@ func TestRunScheduleTraceBinary(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		events, err := obs.ReadTrace(f)
+		events, err := obs.ReadBinaryEvents(f)
 		f.Close()
 		if err != nil {
 			t.Fatalf("compress=%s: decode: %v", comp, err)
@@ -105,12 +106,22 @@ func TestRunScheduleTraceBinary(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadTraceFormat checks that the trace format flag is
+// gone (there is one format) and that an unknown compression fails.
 func TestRunRejectsBadTraceFormat(t *testing.T) {
-	var buf bytes.Buffer
-	args := []string{"-mode", "schedule", "-workers", "1", "-ops", "10",
-		"-trace", filepath.Join(t.TempDir(), "x"), "-trace-format", "xml"}
-	if err := run(args, &buf, &buf); err == nil {
-		t.Error("unknown -trace-format accepted")
+	retired := "-trace-" + "format"
+	for _, c := range []struct {
+		flag, value, wantMsg string
+	}{
+		{retired, "xml", "flag provided but not defined: " + retired},
+		{"-trace-compress", "zstd", "unknown trace compression"},
+	} {
+		var buf bytes.Buffer
+		args := []string{"-mode", "schedule", "-workers", "1", "-ops", "10",
+			"-trace", filepath.Join(t.TempDir(), "x"), c.flag, c.value}
+		if err := run(args, &buf, &buf); err == nil || !strings.Contains(err.Error(), c.wantMsg) {
+			t.Errorf("%s %s: error %v, want %q", c.flag, c.value, err, c.wantMsg)
+		}
 	}
 }
 

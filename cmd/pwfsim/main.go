@@ -9,8 +9,8 @@
 //
 //	pwfsim -algo scu -n 16 -q 0 -s 1 -steps 1000000 -sched uniform
 //	pwfsim -algo fetchinc -n 1,2,4,8,16 -exact -json
-//	pwfsim -algo scu -n 4 -steps 100000 -trace run.ndjson -metrics
-//	pwfsim -algo scu -n 4 -trace run.pwft -trace-format bin -trace-compress gzip
+//	pwfsim -algo scu -n 4 -steps 100000 -trace run.pwft -metrics
+//	pwfsim -algo scu -n 4 -trace run.pwft -trace-compress gzip
 //
 // Algorithms: scu (Algorithm 2), parallel (Algorithm 4),
 // fetchinc (Algorithm 5), unbounded (Algorithm 1), stack, queue,
@@ -25,17 +25,15 @@
 //
 // Observability flags: -trace writes every step-level event
 // (scheduling decision, CAS outcome, retry, operation boundary,
-// crash, job lifecycle) to a file; -trace-format selects NDJSON
-// (format v1, the default) or the compact binary framing (format v2,
-// "bin"), and -trace-compress adds per-frame gzip to binary traces;
-// -metrics counts the same quantities into wait-free counters and
-// histograms — on the simulator's fast path alone, from the events
-// when a trace or tail also records — and prints a JSON snapshot,
-// including the chain-cache hit/miss gauges, to stderr; -debug-addr
-// serves /metrics,
-// /debug/vars, /debug/pprof, and a live /debug/trace/tail (NDJSON
-// with cursor resume) over HTTP; -cpuprofile/-memprofile write pprof
-// profiles.
+// crash, job lifecycle) to a file in the compact binary trace format
+// v2 (read it back with pwf.ReadTraceEvents), and -trace-compress adds
+// per-frame gzip; -metrics counts the same quantities into wait-free
+// counters and histograms — on the simulator's fast path alone, from
+// the events when a trace or tail also records — and prints a JSON
+// snapshot, including the chain-cache hit/miss gauges, to stderr;
+// -debug-addr serves /metrics, /debug/vars, /debug/pprof, and a live
+// /debug/trace/tail (NDJSON with cursor resume) over HTTP;
+// -cpuprofile/-memprofile write pprof profiles.
 package main
 
 import (
@@ -75,8 +73,7 @@ func run(args []string, out, errOut io.Writer) error {
 		asJSON    = fs.Bool("json", false, "emit one canonical api result line (NDJSON, schema v1) per job instead of the text report")
 		workers   = fs.Int("workers", 0, "sweep worker pool size (default GOMAXPROCS)")
 		traceFile = fs.String("trace", "", "write step-level telemetry events to this file")
-		traceForm = fs.String("trace-format", "ndjson", "trace file format: ndjson (v1) or bin (compact binary v2)")
-		traceComp = fs.String("trace-compress", "none", "binary trace compression: none or gzip")
+		traceComp = fs.String("trace-compress", "none", "trace compression: none or gzip")
 		metrics   = fs.Bool("metrics", false, "print a JSON metrics snapshot to stderr after the run")
 		debugAddr = fs.String("debug-addr", "", "serve /metrics, /debug/vars, /debug/pprof and /debug/trace/tail on this address")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -109,27 +106,23 @@ func run(args []string, out, errOut io.Writer) error {
 	if err != nil {
 		return err
 	}
-	format, err := pwf.ParseTraceFormat(*traceForm)
-	if err != nil {
-		return err
-	}
 	comp, err := pwf.ParseTraceCompression(*traceComp)
 	if err != nil {
 		return err
 	}
 
-	// Assemble the telemetry pipeline: a trace file in either format,
-	// a live tail ring behind the debug server, an aggregating metrics
+	// Assemble the telemetry pipeline: a binary trace file, a live
+	// tail ring behind the debug server, an aggregating metrics
 	// recorder — all fanned out through MultiRecorder.
 	var recorders []pwf.Recorder
-	var trace pwf.TraceWriter
+	var trace *pwf.TraceWriter
 	if *traceFile != "" {
 		f, err := os.Create(*traceFile)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		trace, err = pwf.NewTraceWriter(f, format, comp)
+		trace, err = pwf.NewTraceWriter(f, comp)
 		if err != nil {
 			return err
 		}

@@ -160,7 +160,7 @@ func TestRunWarmupStepsExact(t *testing.T) {
 	}{
 		{20000, "0.25", 25000}, {100, "0", 100}, {40, "0.1", 44},
 	} {
-		path := filepath.Join(t.TempDir(), "trace.ndjson")
+		path := filepath.Join(t.TempDir(), "trace.pwft")
 		var buf bytes.Buffer
 		args := []string{"-n", "2", "-steps", strconv.Itoa(c.steps),
 			"-warmup", c.warmup, "-trace", path}
@@ -171,7 +171,7 @@ func TestRunWarmupStepsExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		events, err := obs.ReadEvents(f)
+		events, err := obs.ReadBinaryEvents(f)
 		f.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -237,8 +237,8 @@ func TestRunRejectsZeroSteps(t *testing.T) {
 	}
 }
 
-func TestRunTraceEmitsValidNDJSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "trace.ndjson")
+func TestRunTraceEmitsValidTrace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.pwft")
 	var buf bytes.Buffer
 	args := []string{"-algo", "scu", "-n", "2", "-steps", "5000", "-trace", path}
 	if err := run(args, &buf, &buf); err != nil {
@@ -249,7 +249,7 @@ func TestRunTraceEmitsValidNDJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	events, err := obs.ReadEvents(f)
+	events, err := obs.ReadBinaryEvents(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,43 +280,34 @@ func TestRunTraceEmitsValidNDJSON(t *testing.T) {
 	}
 }
 
-// TestRunTraceFormats runs the same seed once per format/compression
-// combination and requires all traces to decode to the identical event
-// stream — the flag changes the file size, never the history.
+// TestRunTraceFormats runs the same seed once per -trace-compress value
+// and requires both traces to decode to the identical event stream —
+// the flag changes the file size, never the history.
 func TestRunTraceFormats(t *testing.T) {
 	dir := t.TempDir()
-	type variant struct {
-		name         string
-		format, comp string
-	}
-	variants := []variant{
-		{"ndjson", "ndjson", "none"},
-		{"bin", "bin", "none"},
-		{"bin-gzip", "bin", "gzip"},
-	}
 	var first []obs.Event
 	sizes := map[string]int64{}
-	for _, v := range variants {
-		path := filepath.Join(dir, "trace-"+v.name)
+	for _, comp := range []string{"none", "gzip"} {
+		path := filepath.Join(dir, "trace-"+comp)
 		var buf bytes.Buffer
 		args := []string{"-algo", "scu", "-n", "2", "-steps", "5000", "-seed", "7",
-			"-trace", path, "-trace-format", v.format, "-trace-compress", v.comp}
+			"-trace", path, "-trace-compress", comp}
 		if err := run(args, &buf, &buf); err != nil {
-			t.Fatalf("%s: %v", v.name, err)
+			t.Fatalf("%s: %v", comp, err)
 		}
 		st, err := os.Stat(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sizes[v.name] = st.Size()
+		sizes[comp] = st.Size()
 		f, err := os.Open(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		events, err := obs.ReadTrace(f)
+		events, err := obs.ReadBinaryEvents(f)
 		f.Close()
 		if err != nil {
-			t.Fatalf("%s: decode: %v", v.name, err)
+			t.Fatalf("%s: decode: %v", comp, err)
 		}
 		// job_end carries wall-clock time, the one nondeterministic
 		// field across otherwise identical runs.
@@ -330,36 +321,31 @@ func TestRunTraceFormats(t *testing.T) {
 			continue
 		}
 		if len(events) != len(first) {
-			t.Fatalf("%s: %d events, ndjson run had %d", v.name, len(events), len(first))
+			t.Fatalf("%s: %d events, uncompressed run had %d", comp, len(events), len(first))
 		}
 		for i := range events {
 			if events[i] != first[i] {
-				t.Fatalf("%s: event %d: %+v, ndjson run had %+v", v.name, i, events[i], first[i])
+				t.Fatalf("%s: event %d: %+v, uncompressed run had %+v", comp, i, events[i], first[i])
 			}
 		}
 	}
-	if sizes["bin"] >= sizes["ndjson"] {
-		t.Errorf("binary trace (%d B) not smaller than NDJSON (%d B)", sizes["bin"], sizes["ndjson"])
-	}
-	if sizes["bin-gzip"] >= sizes["bin"] {
+	if sizes["gzip"] >= sizes["none"] {
 		t.Errorf("gzip trace (%d B) not smaller than uncompressed binary (%d B)",
-			sizes["bin-gzip"], sizes["bin"])
+			sizes["gzip"], sizes["none"])
 	}
 }
 
 func TestRunRejectsBadTraceFlags(t *testing.T) {
 	var buf bytes.Buffer
 	base := []string{"-algo", "scu", "-n", "2", "-steps", "100"}
-	if err := run(append(base, "-trace-format", "xml"), &buf, &buf); err == nil {
-		t.Error("unknown -trace-format accepted")
+	// The trace format flag is gone: there is one format.
+	retired := "-trace-" + "format"
+	err := run(append(base, retired, "xml"), &buf, &buf)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+retired) {
+		t.Errorf("%s xml: error %v, want an undefined flag", retired, err)
 	}
 	if err := run(append(base, "-trace-compress", "zstd"), &buf, &buf); err == nil {
 		t.Error("unknown -trace-compress accepted")
-	}
-	path := filepath.Join(t.TempDir(), "t")
-	if err := run(append(base, "-trace", path, "-trace-format", "ndjson", "-trace-compress", "gzip"),
-		&buf, &buf); err == nil {
-		t.Error("compressed NDJSON accepted")
 	}
 }
 

@@ -1,6 +1,8 @@
 package pwf_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"slices"
@@ -49,6 +51,65 @@ func ExampleRun() {
 	// simulation within 5% of the exact chain: true
 	// individual latency is n times system latency: true
 	// fair: true
+}
+
+// Reading a trace back. A trace file is binary (format v2);
+// ReadTraceEvents decodes it into events, and each event prints as
+// the JSON line the live tail (/debug/trace/tail) serves. The PIDs of
+// the sched events, in order, are the run's schedule.
+func ExampleReadTraceEvents() {
+	var file bytes.Buffer // an *os.File in practice
+	tw, err := pwf.NewTraceWriter(&file, pwf.TraceCompressGzip)
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	cfg := pwf.NewRunConfig(pwf.SCUWorkload(0, 1), 2)
+	cfg.Steps, cfg.Seed, cfg.Recorder = 100, 3, tw
+	if _, err := pwf.Run(cfg); err != nil { // Run flushes the writer
+		fmt.Println("error:", err)
+		return
+	}
+	events, err := pwf.ReadTraceEvents(&file)
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	// Process 1's CAS at step 8 fails, and it retries.
+	for _, e := range events[:21] {
+		line, _ := json.Marshal(e)
+		fmt.Println(string(line))
+	}
+	var schedule []int
+	for _, e := range events {
+		if e.Kind == pwf.EventSched {
+			schedule = append(schedule, e.PID)
+		}
+	}
+	fmt.Println(len(schedule), "scheduling decisions: 100 steps and 10% warmup")
+	// Output:
+	// {"kind":"sched","step":1,"pid":1}
+	// {"kind":"begin","step":1,"pid":1}
+	// {"kind":"sched","step":2,"pid":1}
+	// {"kind":"cas","step":2,"pid":1,"ok":true}
+	// {"kind":"complete","step":2,"pid":1,"attempts":1}
+	// {"kind":"sched","step":3,"pid":0}
+	// {"kind":"begin","step":3,"pid":0}
+	// {"kind":"sched","step":4,"pid":1}
+	// {"kind":"begin","step":4,"pid":1}
+	// {"kind":"sched","step":5,"pid":0}
+	// {"kind":"cas","step":5,"pid":0,"ok":true}
+	// {"kind":"complete","step":5,"pid":0,"attempts":1}
+	// {"kind":"sched","step":6,"pid":0}
+	// {"kind":"begin","step":6,"pid":0}
+	// {"kind":"sched","step":7,"pid":0}
+	// {"kind":"cas","step":7,"pid":0,"ok":true}
+	// {"kind":"complete","step":7,"pid":0,"attempts":1}
+	// {"kind":"sched","step":8,"pid":1}
+	// {"kind":"cas","step":8,"pid":1,"ok":false}
+	// {"kind":"sched","step":9,"pid":1}
+	// {"kind":"retry","step":9,"pid":1,"attempts":1}
+	// 110 scheduling decisions: 100 steps and 10% warmup
 }
 
 // Verifying the paper's key analytical tool: the individual Markov

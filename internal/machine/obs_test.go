@@ -165,7 +165,7 @@ func BenchmarkSimStepMetricsEvents(b *testing.B) {
 	benchSimStep(b, eventPath{obs.NewMetrics(obs.NewRegistry())})
 }
 func BenchmarkSimStepTraceDiscard(b *testing.B) {
-	benchSimStep(b, obs.NewTraceRecorder(io.Discard))
+	benchSimStep(b, obs.NewBinaryTraceWriter(io.Discard, obs.BinaryTraceOptions{Registry: obs.NewRegistry()}))
 }
 
 // eventPath hides a recorder's type, so that an *obs.Metrics behind it

@@ -11,14 +11,15 @@ import (
 	"sync"
 )
 
-// Trace format v2: a length-prefixed binary framing for Event streams.
+// Trace format v2: a length-prefixed binary framing for Event streams,
+// and the only trace file format.
 //
-// The NDJSON trace path (format v1, trace.go) spends hundreds of
-// nanoseconds and ~35 bytes per event, which dominates I/O long
-// before the paper-scale n=4096 × 10^8-step regime. Format v2 packs
-// the same events into varint-coded binary frames at a few bytes per
-// event, optionally compressed frame-by-frame, while preserving the
-// byte-exact replay guarantee (see TestBinaryTraceReplayRoundTrip).
+// Format v2 packs events into varint-coded binary frames at a few
+// bytes per event, optionally compressed frame-by-frame, so tracing
+// stays cheap at the paper-scale n=4096 × 10^8-step regime while
+// preserving the byte-exact replay guarantee (see
+// TestBinaryTraceReplayRoundTrip). JSON is only the wire encoding of
+// the live tail (tail.go).
 //
 // # File layout
 //
@@ -57,8 +58,8 @@ import (
 var traceMagic = [4]byte{'P', 'W', 'F', 'T'}
 
 // traceVersion is the binary trace schema version this package
-// encodes and accepts. Version 1 is the NDJSON format, which carries
-// no header; the binary format starts at 2.
+// encodes and accepts. Version 1 was the headerless NDJSON format,
+// since removed; the binary format starts at 2.
 const traceVersion = 2
 
 // traceHeaderLen is the fixed byte length of the file header.
@@ -69,31 +70,8 @@ const traceHeaderLen = 8
 var ErrTraceVersion = errors.New("obs: unsupported binary trace version")
 
 // ErrNotBinaryTrace is returned (wrapped) when the input does not
-// start with the binary trace magic — usually an NDJSON trace fed to
-// the binary reader. ReadTrace sniffs the magic and dispatches to the
-// right decoder.
+// start with the binary trace magic, such as an old NDJSON trace.
 var ErrNotBinaryTrace = errors.New("obs: not a binary trace (missing PWFT magic)")
-
-// TraceFormat names a trace file format, as spelled by the CLIs'
-// -trace-format flag.
-type TraceFormat string
-
-const (
-	// TraceNDJSON is format v1: one JSON event per line.
-	TraceNDJSON TraceFormat = "ndjson"
-	// TraceBinary is format v2: length-prefixed varint-packed binary
-	// frames, optionally compressed.
-	TraceBinary TraceFormat = "bin"
-)
-
-// ParseTraceFormat parses a -trace-format flag value.
-func ParseTraceFormat(s string) (TraceFormat, error) {
-	switch TraceFormat(s) {
-	case TraceNDJSON, TraceBinary:
-		return TraceFormat(s), nil
-	}
-	return "", fmt.Errorf("obs: unknown trace format %q (want ndjson or bin)", s)
-}
 
 // Compression selects the per-frame compression of a binary trace.
 // The value is the header's compression byte.
@@ -129,45 +107,15 @@ func ParseCompression(s string) (Compression, error) {
 	return 0, fmt.Errorf("obs: unknown trace compression %q (want none or gzip)", s)
 }
 
-// TraceWriter is the interface every trace-writing Recorder
-// implements: record events, then Flush once the run is over. Both
-// TraceRecorder (NDJSON) and BinaryTraceWriter satisfy it, so callers
-// can switch formats without changing their plumbing.
-type TraceWriter interface {
-	Recorder
-	Flush() error
-}
-
-// NewTraceWriter constructs the trace writer for a (format,
-// compression) pair: the NDJSON TraceRecorder or a binary
-// BinaryTraceWriter. Compression is a binary-format feature; asking
-// for a compressed NDJSON trace is an error rather than a silently
-// different format.
-func NewTraceWriter(w io.Writer, format TraceFormat, comp Compression) (TraceWriter, error) {
-	switch format {
-	case TraceNDJSON:
-		if comp != CompressNone {
-			return nil, fmt.Errorf("obs: compression %s requires -trace-format=bin", comp)
-		}
-		return NewTraceRecorder(w), nil
-	case TraceBinary:
-		if comp != CompressNone && comp != CompressGzip {
-			return nil, fmt.Errorf("obs: unknown trace compression %d", comp)
-		}
-		return NewBinaryTraceWriter(w, BinaryTraceOptions{Compression: comp}), nil
-	}
-	return nil, fmt.Errorf("obs: unknown trace format %q", format)
-}
-
 // Binary trace size bounds. The writer flushes frames at
-// defaultFrameBytes of raw payload; the reader rejects frames
+// frameBytes of raw payload; the reader rejects frames
 // claiming more than maxFrameBytes (encoded or decoded) so corrupt or
 // adversarial length prefixes cannot force huge allocations, and
 // labels longer than maxLabelBytes for the same reason.
 const (
-	defaultFrameBytes = 32 << 10
-	maxFrameBytes     = 1 << 26
-	maxLabelBytes     = 1 << 20
+	frameBytes    = 32 << 10
+	maxFrameBytes = 1 << 26
+	maxLabelBytes = 1 << 20
 )
 
 // appendEvent packs e onto buf using prevStep as the step-delta base
@@ -313,15 +261,11 @@ func decodeEvent(frame []byte, off int, prevStep uint64) (Event, int, uint64, er
 }
 
 // BinaryTraceOptions parameterizes NewBinaryTraceWriter. The zero
-// value selects an uncompressed trace with the default frame size,
-// metered on the Default registry.
+// value selects an uncompressed trace metered on the Default
+// registry.
 type BinaryTraceOptions struct {
 	// Compression selects the per-frame compression (default none).
 	Compression Compression
-	// FrameBytes is the raw payload size at which the writer emits a
-	// frame (default 32 KiB). Larger frames compress better; smaller
-	// frames bound a tailing reader's latency.
-	FrameBytes int
 	// Registry receives the writer metrics (trace_frames_written,
 	// trace_events_written, trace_raw_bytes, trace_bytes_written,
 	// trace_events_dropped, and the trace_compression_ratio_x100
@@ -330,17 +274,19 @@ type BinaryTraceOptions struct {
 }
 
 // BinaryTraceWriter is a Recorder writing events in trace format v2.
-// Like TraceRecorder it buffers internally and serializes Record with
-// a mutex, so one writer may receive events from every worker of a
-// sweep; call Flush (or re-Flush) when the run is over — the file is
-// valid after any Flush, because frames are self-contained.
+// It buffers internally and serializes Record with a mutex, so one
+// writer may receive events from every worker of a sweep — within a
+// job events appear in simulation order, while events of concurrently
+// executing jobs interleave. Call Flush (or re-Flush) when the run is
+// over; the file is valid after any Flush, because frames are
+// self-contained.
 type BinaryTraceWriter struct {
 	mu       sync.Mutex
 	bw       *bufio.Writer
 	comp     Compression
 	frame    []byte
 	prevStep uint64
-	flushAt  int
+	flushAt  int // frameBytes; in-package tests lower it to force many frames
 	gz       *gzip.Writer
 	gzBuf    bytes.Buffer
 	err      error
@@ -380,14 +326,11 @@ func registerTraceMetrics(reg *Registry) (frames, events, raw, written, dropped 
 // to w. The header is written immediately; any write error is sticky
 // and reported by Flush.
 func NewBinaryTraceWriter(w io.Writer, opts BinaryTraceOptions) *BinaryTraceWriter {
-	if opts.FrameBytes <= 0 {
-		opts.FrameBytes = defaultFrameBytes
-	}
 	t := &BinaryTraceWriter{
 		bw:      bufio.NewWriterSize(w, 1<<16),
 		comp:    opts.Compression,
-		frame:   make([]byte, 0, opts.FrameBytes+256),
-		flushAt: opts.FrameBytes,
+		frame:   make([]byte, 0, frameBytes+256),
+		flushAt: frameBytes,
 	}
 	t.mFrames, t.mEvents, t.mRaw, t.mWritten, t.mDropped = registerTraceMetrics(opts.Registry)
 	if opts.Compression == CompressGzip {
@@ -480,7 +423,7 @@ func (t *BinaryTraceWriter) Flush() error {
 }
 
 // BinaryTraceReader decodes a v2 binary trace frame at a time: at
-// most one frame (32 KiB raw by default) is resident regardless of
+// most one frame (32 KiB raw as written) is resident regardless of
 // file size, which is what lets paper-scale traces replay without
 // paper-scale memory.
 type BinaryTraceReader struct {
@@ -594,8 +537,8 @@ func (r *BinaryTraceReader) readFrame() error {
 	return nil
 }
 
-// ReadBinaryEvents decodes a whole v2 binary trace, preserving order
-// — the binary counterpart of ReadEvents.
+// ReadBinaryEvents decodes a whole v2 binary trace, preserving order.
+// This is what pwf.ReadTraceEvents calls.
 func ReadBinaryEvents(r io.Reader) ([]Event, error) {
 	br, err := NewBinaryTraceReader(r)
 	if err != nil {
@@ -612,17 +555,4 @@ func ReadBinaryEvents(r io.Reader) ([]Event, error) {
 		}
 		out = append(out, e)
 	}
-}
-
-// ReadTrace decodes a trace in either format: it sniffs the v2 magic
-// and dispatches to the binary reader, falling back to NDJSON. This
-// is what pwf.ReadTraceEvents calls, so replay tooling is agnostic to
-// how a trace was recorded.
-func ReadTrace(r io.Reader) ([]Event, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	magic, err := br.Peek(4)
-	if err == nil && bytes.Equal(magic, traceMagic[:]) {
-		return ReadBinaryEvents(br)
-	}
-	return ReadEvents(br)
 }

@@ -108,15 +108,23 @@ func TestBinaryTraceRoundTrip(t *testing.T) {
 }
 
 func TestBinaryTraceRoundTripAcrossFrames(t *testing.T) {
-	// A tiny FrameBytes forces many frames, exercising the per-frame
-	// step-delta reset and empty-frame/boundary handling.
+	// A tiny flush threshold forces many frames, exercising the
+	// per-frame step-delta reset and empty-frame/boundary handling.
 	var events []Event
 	for i := 0; i < 5000; i++ {
 		events = append(events, Event{Kind: KindSched, Step: uint64(i + 1), PID: i % 7})
 	}
 	for _, comp := range []Compression{CompressNone, CompressGzip} {
-		raw := encodeBinary(t, events, BinaryTraceOptions{Compression: comp, FrameBytes: 64})
-		got, err := ReadBinaryEvents(bytes.NewReader(raw))
+		var buf bytes.Buffer
+		w := NewBinaryTraceWriter(&buf, BinaryTraceOptions{Compression: comp, Registry: NewRegistry()})
+		w.flushAt = 64
+		for _, e := range events {
+			w.Record(e)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatalf("%s: flush: %v", comp, err)
+		}
+		got, err := ReadBinaryEvents(&buf)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", comp, err)
 		}
@@ -149,7 +157,7 @@ func TestBinaryTraceRejectsBadMagic(t *testing.T) {
 	if _, err := ReadBinaryEvents(bytes.NewReader(raw)); !errors.Is(err, ErrNotBinaryTrace) {
 		t.Fatalf("bad magic: got %v, want ErrNotBinaryTrace", err)
 	}
-	// An NDJSON trace fed to the binary reader is the common case.
+	// An old NDJSON trace fed to the binary reader is the common case.
 	if _, err := ReadBinaryEvents(bytes.NewReader([]byte(`{"kind":"sched","step":1,"pid":0}`))); !errors.Is(err, ErrNotBinaryTrace) {
 		t.Fatalf("ndjson input: got %v, want ErrNotBinaryTrace", err)
 	}
@@ -200,51 +208,7 @@ func TestBinaryTraceRejectsUnknownKind(t *testing.T) {
 	}
 }
 
-func TestReadTraceSniffsBothFormats(t *testing.T) {
-	events := sampleEvents()
-
-	var ndjson bytes.Buffer
-	tr := NewTraceRecorder(&ndjson)
-	for _, e := range events {
-		tr.Record(e)
-	}
-	if err := tr.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	bin := encodeBinary(t, events, BinaryTraceOptions{Compression: CompressGzip})
-
-	for name, raw := range map[string][]byte{"ndjson": ndjson.Bytes(), "binary": bin} {
-		got, err := ReadTrace(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(got) != len(events) {
-			t.Fatalf("%s: got %d events, want %d", name, len(got), len(events))
-		}
-		for i := range events {
-			if got[i] != events[i] {
-				t.Errorf("%s: event %d: got %+v, want %+v", name, i, got[i], events[i])
-			}
-		}
-	}
-}
-
-func TestNewTraceWriterRejectsCompressedNDJSON(t *testing.T) {
-	if _, err := NewTraceWriter(io.Discard, TraceNDJSON, CompressGzip); err == nil {
-		t.Fatal("ndjson+gzip accepted; compression is a binary-format feature")
-	}
-	if _, err := NewTraceWriter(io.Discard, "protobuf", CompressNone); err == nil {
-		t.Fatal("unknown format accepted")
-	}
-}
-
-func TestParseTraceFormatAndCompression(t *testing.T) {
-	if f, err := ParseTraceFormat("bin"); err != nil || f != TraceBinary {
-		t.Fatalf("ParseTraceFormat(bin) = %v, %v", f, err)
-	}
-	if _, err := ParseTraceFormat("yaml"); err == nil {
-		t.Fatal("ParseTraceFormat(yaml) accepted")
-	}
+func TestParseCompression(t *testing.T) {
 	if c, err := ParseCompression("gzip"); err != nil || c != CompressGzip {
 		t.Fatalf("ParseCompression(gzip) = %v, %v", c, err)
 	}
@@ -255,7 +219,8 @@ func TestParseTraceFormatAndCompression(t *testing.T) {
 
 // TestBinaryTraceCompression pins the size win the format exists for:
 // on a realistic event stream the binary trace must be at least 5×
-// smaller than NDJSON, with and without gzip.
+// smaller than the same events as JSON lines (the tail's wire form,
+// and once the NDJSON trace format), with and without gzip.
 func TestBinaryTraceCompression(t *testing.T) {
 	var events []Event
 	step := uint64(0)
@@ -274,21 +239,14 @@ func TestBinaryTraceCompression(t *testing.T) {
 			events = append(events, Event{Kind: KindComplete, Step: step, PID: pid, Attempts: uint64(i % 7)})
 		}
 	}
-	var ndjson bytes.Buffer
-	tr := NewTraceRecorder(&ndjson)
-	for _, e := range events {
-		tr.Record(e)
-	}
-	if err := tr.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	lines := jsonLines(t, events)
 	for _, comp := range []Compression{CompressNone, CompressGzip} {
 		raw := encodeBinary(t, events, BinaryTraceOptions{Compression: comp})
-		ratio := float64(ndjson.Len()) / float64(len(raw))
-		t.Logf("%s: %d events, ndjson %d B, binary %d B, ratio %.1fx",
-			comp, len(events), ndjson.Len(), len(raw), ratio)
+		ratio := float64(len(lines)) / float64(len(raw))
+		t.Logf("%s: %d events, JSON lines %d B, binary %d B, ratio %.1fx",
+			comp, len(events), len(lines), len(raw), ratio)
 		if ratio < 5 {
-			t.Errorf("%s: binary trace only %.1fx smaller than NDJSON, want >= 5x", comp, ratio)
+			t.Errorf("%s: binary trace only %.1fx smaller than JSON lines, want >= 5x", comp, ratio)
 		}
 	}
 }
@@ -346,80 +304,68 @@ type failWriter struct{}
 
 func (failWriter) Write(p []byte) (int, error) { return 0, errors.New("disk full") }
 
-// TestTraceWriterConcurrentHammer drives both trace writers from many
+// TestTraceWriterConcurrentHammer drives the trace writer from many
 // goroutines under -race: events must interleave without corruption,
 // with per-goroutine order preserved by the serializing mutex.
 func TestTraceWriterConcurrentHammer(t *testing.T) {
 	const writers = 8
 	const per = 2000
-	for _, format := range []TraceFormat{TraceNDJSON, TraceBinary} {
-		var buf bytes.Buffer
-		var w TraceWriter
-		if format == TraceNDJSON {
-			w = NewTraceRecorder(&buf)
-		} else {
-			w = NewBinaryTraceWriter(&buf, BinaryTraceOptions{
-				Compression: CompressGzip, FrameBytes: 512, Registry: NewRegistry(),
-			})
-		}
-		var wg sync.WaitGroup
-		for g := 0; g < writers; g++ {
-			wg.Add(1)
-			go func(pid int) {
-				defer wg.Done()
-				for i := 0; i < per; i++ {
-					w.Record(Event{Kind: KindSched, Step: uint64(i + 1), PID: pid})
-				}
-			}(g)
-		}
-		wg.Wait()
-		if err := w.Flush(); err != nil {
-			t.Fatalf("%s: flush: %v", format, err)
-		}
-		events, err := ReadTrace(&buf)
-		if err != nil {
-			t.Fatalf("%s: decode: %v", format, err)
-		}
-		if len(events) != writers*per {
-			t.Fatalf("%s: got %d events, want %d", format, len(events), writers*per)
-		}
-		next := make([]uint64, writers)
-		for _, e := range events {
-			if e.PID < 0 || e.PID >= writers {
-				t.Fatalf("%s: corrupt pid %d", format, e.PID)
+	var buf bytes.Buffer
+	w := NewBinaryTraceWriter(&buf, BinaryTraceOptions{Compression: CompressGzip, Registry: NewRegistry()})
+	w.flushAt = 512
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(pid int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				w.Record(Event{Kind: KindSched, Step: uint64(i + 1), PID: pid})
 			}
-			if e.Step != next[e.PID]+1 {
-				t.Fatalf("%s: pid %d: step %d after %d", format, e.PID, e.Step, next[e.PID])
-			}
-			next[e.PID] = e.Step
+		}(g)
+	}
+	wg.Wait()
+	if err := w.Flush(); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	events, err := ReadBinaryEvents(&buf)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if len(events) != writers*per {
+		t.Fatalf("got %d events, want %d", len(events), writers*per)
+	}
+	next := make([]uint64, writers)
+	for _, e := range events {
+		if e.PID < 0 || e.PID >= writers {
+			t.Fatalf("corrupt pid %d", e.PID)
 		}
+		if e.Step != next[e.PID]+1 {
+			t.Fatalf("pid %d: step %d after %d", e.PID, e.Step, next[e.PID])
+		}
+		next[e.PID] = e.Step
 	}
 }
 
-// BenchmarkTrace times every trace format on one sched-heavy stream
-// of traceBenchEvents events: encode rows record one event per op
-// through NewTraceWriter into io.Discard, decode rows read the whole
-// encoded stream per op through ReadTrace. Both report the encoded
-// bytes per event.
+// BenchmarkTrace times the trace format, uncompressed and gzip, on
+// one sched-heavy stream of traceBenchEvents events: encode rows
+// record one event per op through a BinaryTraceWriter into
+// io.Discard, decode rows read the whole encoded stream per op
+// through ReadBinaryEvents. Both report the encoded bytes per event.
 func BenchmarkTrace(b *testing.B) {
 	events := make([]Event, traceBenchEvents)
 	for i := range events {
 		events[i] = Event{Kind: KindSched, Step: uint64(i), PID: i & 1023}
 	}
 	for _, f := range []struct {
-		name   string
-		format TraceFormat
-		comp   Compression
+		name string
+		comp Compression
 	}{
-		{"ndjson", TraceNDJSON, CompressNone},
-		{"bin", TraceBinary, CompressNone},
-		{"bin-gzip", TraceBinary, CompressGzip},
+		{"bin", CompressNone},
+		{"bin-gzip", CompressGzip},
 	} {
+		opts := BinaryTraceOptions{Compression: f.comp, Registry: NewRegistry()}
 		var buf bytes.Buffer
-		w, err := NewTraceWriter(&buf, f.format, f.comp)
-		if err != nil {
-			b.Fatal(err)
-		}
+		w := NewBinaryTraceWriter(&buf, opts)
 		for _, e := range events {
 			w.Record(e)
 		}
@@ -429,10 +375,7 @@ func BenchmarkTrace(b *testing.B) {
 		raw := buf.Bytes()
 		bytesPerEvent := float64(len(raw)) / float64(len(events))
 		b.Run(f.name+"/encode", func(b *testing.B) {
-			w, err := NewTraceWriter(io.Discard, f.format, f.comp)
-			if err != nil {
-				b.Fatal(err)
-			}
+			w := NewBinaryTraceWriter(io.Discard, opts)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				w.Record(events[i%len(events)])
@@ -445,7 +388,7 @@ func BenchmarkTrace(b *testing.B) {
 		b.Run(f.name+"/decode", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				got, err := ReadTrace(bytes.NewReader(raw))
+				got, err := ReadBinaryEvents(bytes.NewReader(raw))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -463,29 +406,32 @@ func BenchmarkTrace(b *testing.B) {
 const traceBenchEvents = 10000
 
 // TestBinaryTraceJSONEquivalence checks that a binary trace decodes
-// to exactly the events its NDJSON twin encodes, field for field —
-// the two formats are views of one stream.
+// to events whose JSON lines, the tail's wire form, are byte for byte
+// the lines of the events recorded: printing a decoded trace shows
+// what a live tail of the run showed.
 func TestBinaryTraceJSONEquivalence(t *testing.T) {
 	events := sampleEvents()
-	var ndjson bytes.Buffer
-	tr := NewTraceRecorder(&ndjson)
-	for _, e := range events {
-		tr.Record(e)
-	}
-	if err := tr.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	fromJSON, err := ReadEvents(&ndjson)
-	if err != nil {
-		t.Fatal(err)
-	}
 	fromBin, err := ReadBinaryEvents(bytes.NewReader(encodeBinary(t, events, BinaryTraceOptions{})))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := json.Marshal(fromJSON)
-	bj, _ := json.Marshal(fromBin)
-	if !bytes.Equal(a, bj) {
-		t.Fatalf("decoded streams differ:\nndjson: %s\nbinary: %s", a, bj)
+	if a, b := jsonLines(t, events), jsonLines(t, fromBin); !bytes.Equal(a, b) {
+		t.Fatalf("decoded stream differs:\nrecorded: %s\ndecoded:  %s", a, b)
 	}
+}
+
+// jsonLines renders events as JSON lines, one per event, as the tail
+// serves them.
+func jsonLines(t *testing.T, events []Event) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	for _, e := range events {
+		b, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf.Write(b)
+		buf.WriteByte('\n')
+	}
+	return buf.Bytes()
 }

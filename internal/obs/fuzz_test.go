@@ -57,52 +57,6 @@ func FuzzReadBinaryTrace(f *testing.F) {
 	})
 }
 
-// FuzzReadEvents throws arbitrary bytes at the NDJSON event decoder.
-// Any stream it accepts must survive a TraceRecorder re-encode: decode
-// ∘ encode ∘ decode is the identity on accepted input, so the decoder
-// keeps no value the encoder cannot write.
-func FuzzReadEvents(f *testing.F) {
-	var buf bytes.Buffer
-	tr := NewTraceRecorder(&buf)
-	for _, e := range sampleEventsForFuzz() {
-		tr.Record(e)
-	}
-	if err := tr.Flush(); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add([]byte(`{"kind":"cas","elApsed_ns":1}`))
-	f.Add([]byte("\n  \n{\"kind\":\"job_end\",\"job\":-1,\"label\":\"\\u00e9\",\"elapsed_ns\":-7}\n"))
-	f.Add([]byte(`{"kind":"sched","step":18446744073709551615,"pid":-1}`))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		events, err := ReadEvents(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		tr := NewTraceRecorder(&buf)
-		for _, e := range events {
-			tr.Record(e)
-		}
-		if err := tr.Flush(); err != nil {
-			t.Fatalf("re-encode of accepted input failed: %v", err)
-		}
-		again, err := ReadEvents(&buf)
-		if err != nil {
-			t.Fatalf("decode of re-encoded trace failed: %v", err)
-		}
-		if len(again) != len(events) {
-			t.Fatalf("round trip changed event count: %d -> %d", len(events), len(again))
-		}
-		for i := range events {
-			if events[i] != again[i] {
-				t.Fatalf("round trip changed event %d: %+v -> %+v", i, events[i], again[i])
-			}
-		}
-	})
-}
-
 // sampleEventsForFuzz mirrors sampleEvents but lives here so the fuzz
 // target is self-contained when run with -run=^$ -fuzz.
 func sampleEventsForFuzz() []Event {

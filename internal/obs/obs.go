@@ -23,15 +23,15 @@
 //   - Metrics: Counter and Histogram are wait-free atomics, safe to
 //     call from any goroutine; Registry names them and snapshots to
 //     JSON or expvar.
-//   - Export: TraceRecorder writes NDJSON (trace format v1, one event
-//     per line) and BinaryTraceWriter writes compact varint-packed
-//     frames with optional per-frame gzip (format v2, see binary.go);
-//     both re-parse through ReadTrace for byte-exact replay. Metrics
-//     aggregates events into a Registry, or merges the per-job
-//     Tallies the simulator counts for it on its fast path;
-//     TraceTailer streams the newest events of a live run, and
-//     ServeDebug exposes expvar + pprof + /metrics +
-//     /debug/trace/tail over HTTP for long sweeps.
+//   - Export: BinaryTraceWriter writes the trace file, compact
+//     varint-packed frames with optional per-frame gzip (format v2,
+//     see binary.go), and ReadBinaryEvents parses it back for
+//     byte-exact replay. Metrics aggregates events into a Registry, or
+//     merges the per-job Tallies the simulator counts for it on its
+//     fast path; TraceTailer streams the newest events of a live run
+//     as JSON lines (Event.MarshalJSON), and ServeDebug exposes
+//     expvar, pprof, /metrics and /debug/trace/tail over HTTP for long
+//     sweeps.
 package obs
 
 import "fmt"
@@ -78,22 +78,13 @@ var kindNames = map[Kind]string{
 	KindJobEnd:   "job_end",
 }
 
-// String implements fmt.Stringer; it returns the NDJSON wire name.
+// String implements fmt.Stringer; it returns the name the tail's
+// JSON lines carry.
 func (k Kind) String() string {
 	if s, ok := kindNames[k]; ok {
 		return s
 	}
 	return fmt.Sprintf("Kind(%d)", uint8(k))
-}
-
-// ParseKind maps a wire name back to its Kind.
-func ParseKind(s string) (Kind, error) {
-	for k, name := range kindNames {
-		if name == s {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("obs: unknown event kind %q", s)
 }
 
 // Event is one structured telemetry event. All fields are scalars (no

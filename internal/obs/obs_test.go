@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -12,158 +11,99 @@ import (
 	"testing"
 )
 
+// TestKindStringRoundTrip checks that every kind has a name of its
+// own, that the name is the kind field of the kind's JSON line, and
+// that the kind survives the binary encoding.
 func TestKindStringRoundTrip(t *testing.T) {
 	kinds := []Kind{
 		KindSched, KindBegin, KindCAS, KindRetry,
 		KindComplete, KindCrash, KindJobStart, KindJobEnd,
 	}
+	seen := map[string]Kind{}
 	for _, k := range kinds {
-		got, err := ParseKind(k.String())
-		if err != nil {
-			t.Fatalf("ParseKind(%q): %v", k.String(), err)
+		name := k.String()
+		if prev, dup := seen[name]; dup {
+			t.Errorf("kinds %d and %d share the name %q", prev, k, name)
 		}
-		if got != k {
-			t.Errorf("ParseKind(%q) = %v, want %v", k.String(), got, k)
+		seen[name] = k
+		b, err := json.Marshal(Event{Kind: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var w struct {
+			Kind string `json:"kind"`
+		}
+		if err := json.Unmarshal(b, &w); err != nil || w.Kind != name {
+			t.Errorf("%s: JSON line %s carries kind %q (%v)", name, b, w.Kind, err)
+		}
+		packed, _, err := appendEvent(nil, Event{Kind: k}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _, _, err := decodeEvent(packed, 0, 0); err != nil || got.Kind != k {
+			t.Errorf("%s: binary round trip gave kind %v (%v)", name, got.Kind, err)
 		}
 	}
-	if _, err := ParseKind("bogus"); err == nil {
-		t.Error("ParseKind accepted an unknown kind")
+	if got := Kind(99).String(); got != "Kind(99)" {
+		t.Errorf("Kind(99).String() = %q", got)
 	}
 }
 
+// TestEventJSONRoundTrip pins the JSON line of every kind, byte for
+// byte: the tail serves these lines, and each carries exactly the
+// fields its kind defines, whatever else the Event holds. Decoding a
+// line back into those fields gives the event again.
 func TestEventJSONRoundTrip(t *testing.T) {
-	events := []Event{
-		{Kind: KindSched, Step: 17, PID: 3},
-		{Kind: KindSched, Step: 1, PID: 0},
-		{Kind: KindBegin, Step: 2, PID: 1},
-		{Kind: KindCAS, Step: 9, PID: 2, OK: true},
-		{Kind: KindCAS, Step: 10, PID: 2, OK: false},
-		{Kind: KindRetry, Step: 11, PID: 2, Attempts: 4},
-		{Kind: KindComplete, Step: 12, PID: 2, Attempts: 5},
-		{Kind: KindCrash, Step: 0, PID: 7},
-		{Kind: KindJobStart, Job: 0, Label: "scu-n4"},
-		{Kind: KindJobEnd, Job: 3, Label: "", ElapsedNS: 123456},
-	}
-	for _, e := range events {
-		data, err := json.Marshal(e)
+	for _, c := range []struct {
+		e    Event
+		line string
+	}{
+		{Event{Kind: KindSched, Step: 17, PID: 3}, `{"kind":"sched","step":17,"pid":3}`},
+		{Event{Kind: KindSched, Step: 1, PID: 0}, `{"kind":"sched","step":1,"pid":0}`},
+		{Event{Kind: KindBegin, Step: 2, PID: 1}, `{"kind":"begin","step":2,"pid":1}`},
+		{Event{Kind: KindCAS, Step: 9, PID: 2, OK: true}, `{"kind":"cas","step":9,"pid":2,"ok":true}`},
+		{Event{Kind: KindCAS, Step: 10, PID: 2, OK: false}, `{"kind":"cas","step":10,"pid":2,"ok":false}`},
+		{Event{Kind: KindRetry, Step: 11, PID: 2, Attempts: 4}, `{"kind":"retry","step":11,"pid":2,"attempts":4}`},
+		{Event{Kind: KindComplete, Step: 12, PID: 2, Attempts: 5}, `{"kind":"complete","step":12,"pid":2,"attempts":5}`},
+		{Event{Kind: KindComplete, Step: 4, PID: 0}, `{"kind":"complete","step":4,"pid":0,"attempts":0}`},
+		{Event{Kind: KindCrash, Step: 0, PID: 7}, `{"kind":"crash","step":0,"pid":7}`},
+		{Event{Kind: KindJobStart, Job: 0, Label: "scu-n4"}, `{"kind":"job_start","job":0,"label":"scu-n4"}`},
+		{Event{Kind: KindJobEnd, Job: 3, Label: "", ElapsedNS: 123456}, `{"kind":"job_end","job":3,"elapsed_ns":123456}`},
+		{Event{Kind: KindJobEnd, Job: -1, Label: "é\"<", ElapsedNS: -7}, `{"kind":"job_end","job":-1,"label":"é\"\u003c","elapsed_ns":-7}`},
+	} {
+		b, err := json.Marshal(c.e)
 		if err != nil {
-			t.Fatalf("marshal %+v: %v", e, err)
+			t.Fatalf("marshal %+v: %v", c.e, err)
 		}
-		var back Event
-		if err := json.Unmarshal(data, &back); err != nil {
-			t.Fatalf("unmarshal %s: %v", data, err)
+		if string(b) != c.line {
+			t.Errorf("marshal %+v:\n got %s\nwant %s", c.e, b, c.line)
 		}
-		if back != e {
-			t.Errorf("round trip %s: got %+v, want %+v", data, back, e)
+		var w struct {
+			Kind      string
+			Step      uint64
+			PID       int
+			OK        bool
+			Attempts  uint64
+			Job       int
+			Label     string
+			ElapsedNS int64 `json:"elapsed_ns"`
 		}
-	}
-}
-
-func TestTraceRecorderAndReadEvents(t *testing.T) {
-	var buf bytes.Buffer
-	tr := NewTraceRecorder(&buf)
-	want := []Event{
-		{Kind: KindJobStart, Job: 0, Label: "demo"},
-		{Kind: KindSched, Step: 1, PID: 0},
-		{Kind: KindCAS, Step: 1, PID: 0, OK: false},
-		{Kind: KindJobEnd, Job: 0, Label: "demo", ElapsedNS: 42},
-	}
-	for _, e := range want {
-		tr.Record(e)
-	}
-	if err := tr.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if n := strings.Count(buf.String(), "\n"); n != len(want) {
-		t.Fatalf("%d lines, want %d:\n%s", n, len(want), buf.String())
-	}
-	got, err := ReadEvents(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%d events, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("event %d: got %+v, want %+v", i, got[i], want[i])
+		if err := json.Unmarshal(b, &w); err != nil {
+			t.Fatalf("unmarshal %s: %v", b, err)
+		}
+		back := Event{Kind: c.e.Kind, Step: w.Step, PID: w.PID, OK: w.OK,
+			Attempts: w.Attempts, Job: w.Job, Label: w.Label, ElapsedNS: w.ElapsedNS}
+		if w.Kind != c.e.Kind.String() || back != c.e {
+			t.Errorf("round trip %s: got %q %+v, want %+v", b, w.Kind, back, c.e)
 		}
 	}
-}
-
-func TestReadEventsRejectsGarbage(t *testing.T) {
-	_, err := ReadEvents(strings.NewReader("{\"kind\":\"sched\",\"step\":1,\"pid\":0}\nnot json\n"))
-	if err == nil {
-		t.Fatal("garbage line accepted")
+	// Fields another kind defines never reach the line.
+	stray := Event{Kind: KindSched, Step: 1, OK: true, Attempts: 9, Job: 4, Label: "x", ElapsedNS: 5}
+	if b, _ := json.Marshal(stray); string(b) != `{"kind":"sched","step":1,"pid":0}` {
+		t.Errorf("sched event with stray fields marshals to %s", b)
 	}
-	if !strings.Contains(err.Error(), "line 2") {
-		t.Errorf("error does not name the offending line: %v", err)
-	}
-}
-
-// TestReadEventsRejectsOversizedLine is a regression test: a line
-// longer than the scanner's 4 MiB cap used to surface as a bare
-// "token too long" with no position, which was useless against a
-// multi-gigabyte trace. It must be a wrapped bufio.ErrTooLong naming
-// the offending line number.
-func TestReadEventsRejectsOversizedLine(t *testing.T) {
-	var in bytes.Buffer
-	in.WriteString("{\"kind\":\"sched\",\"step\":1,\"pid\":0}\n")
-	in.WriteString("{\"kind\":\"pad\",\"x\":\"")
-	in.Write(bytes.Repeat([]byte("a"), 1<<22))
-	in.WriteString("\"}\n")
-	_, err := ReadEvents(&in)
-	if err == nil {
-		t.Fatal("oversized line accepted")
-	}
-	if !errors.Is(err, bufio.ErrTooLong) {
-		t.Errorf("error does not wrap bufio.ErrTooLong: %v", err)
-	}
-	if !strings.Contains(err.Error(), "line 2") {
-		t.Errorf("error does not name the offending line: %v", err)
-	}
-}
-
-// TestEventUnmarshalEnforcesKindFields is a regression test: the
-// decoder used to keep any field on any kind, so {"kind":"cas",
-// "elApsed_ns":1} decoded to a cas event with ElapsedNS set, a value
-// MarshalJSON cannot write back. A line is accepted exactly when it
-// carries the fields its kind defines.
-func TestEventUnmarshalEnforcesKindFields(t *testing.T) {
-	bad := []string{
-		`{"kind":"cas","elApsed_ns":1}`,
-		`{"kind":"cas","step":1,"pid":0,"elapsed_ns":1}`,
-		`{"kind":"sched","step":1,"pid":0,"ok":true}`,
-		`{"kind":"crash","step":0,"pid":1,"label":"x"}`,
-		`{"kind":"retry","step":1,"pid":0,"job":2}`,
-		`{"kind":"job_start","job":0,"step":1}`,
-		`{"kind":"job_end","job":0,"attempts":1}`,
-		`{"kind":"sched","step":1,"pid":0,"bogus":1}`,
-		`{"kind":"sched"}`,
-		`{"kind":"begin","step":1}`,
-		`{"kind":"complete","pid":1,"attempts":2}`,
-		`{"kind":"job_start","label":"x"}`,
-		`{"step":1,"pid":0}`,
-	}
-	for _, line := range bad {
-		var e Event
-		if err := json.Unmarshal([]byte(line), &e); err == nil {
-			t.Errorf("%s accepted as %+v", line, e)
-		}
-	}
-	good := map[string]Event{
-		`{"kind":"cas","step":3,"pid":1}`:                       {Kind: KindCAS, Step: 3, PID: 1},
-		`{"kind":"complete","step":4,"pid":0}`:                  {Kind: KindComplete, Step: 4},
-		`{"kind":"job_start","job":2}`:                          {Kind: KindJobStart, Job: 2},
-		`{"kind":"job_end","job":1,"label":"a","elapsed_ns":5}`: {Kind: KindJobEnd, Job: 1, Label: "a", ElapsedNS: 5},
-	}
-	for line, want := range good {
-		var e Event
-		if err := json.Unmarshal([]byte(line), &e); err != nil {
-			t.Errorf("%s rejected: %v", line, err)
-		} else if e != want {
-			t.Errorf("%s decoded to %+v, want %+v", line, e, want)
-		}
+	if _, err := json.Marshal(Event{Kind: 99}); err == nil {
+		t.Error("unknown kind marshalled without error")
 	}
 }
 
@@ -175,15 +115,15 @@ func TestMultiDropsNopAndNil(t *testing.T) {
 		t.Error("Multi(nil, Nop) != nil")
 	}
 	var buf bytes.Buffer
-	tr := NewTraceRecorder(&buf)
+	tr := NewBinaryTraceWriter(&buf, BinaryTraceOptions{Registry: NewRegistry()})
 	if got := Multi(nil, tr, Nop); got != Recorder(tr) {
 		t.Errorf("single live recorder not unwrapped: %T", got)
 	}
 	m := Multi(tr, NewMetrics(NewRegistry()))
 	m.Record(Event{Kind: KindSched, Step: 1, PID: 0})
 	tr.Flush()
-	if buf.Len() == 0 {
-		t.Error("fan-out did not reach the trace recorder")
+	if buf.Len() <= traceHeaderLen {
+		t.Error("fan-out did not reach the trace writer")
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 )
 
 // buildSCUSim assembles an SCU(0,1) simulator over n processes with
-// the given scheduler, tracing into w.
-func buildSCUSim(t *testing.T, n int, sch sched.Scheduler, w *bytes.Buffer) (*machine.Sim, *obs.TraceRecorder) {
+// the given scheduler, recording into rec.
+func buildSCUSim(t *testing.T, n int, sch sched.Scheduler, rec obs.Recorder) *machine.Sim {
 	t.Helper()
 	mem, err := shmem.New(scu.SCULayout(1))
 	if err != nil {
@@ -28,109 +28,21 @@ func buildSCUSim(t *testing.T, n int, sch sched.Scheduler, w *bytes.Buffer) (*ma
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := obs.NewTraceRecorder(w)
-	sim.SetRecorder(tr)
-	return sim, tr
+	sim.SetRecorder(rec)
+	return sim
 }
 
-// TestTraceReplayRoundTrip is the acceptance test for the trace
-// format: record a stochastic run's schedule to NDJSON, feed the
-// recovered schedule through sched.Replay on a fresh identical
-// workload, and require the replayed run to reproduce the original
-// history event for event.
-func TestTraceReplayRoundTrip(t *testing.T) {
-	const (
-		n     = 4
-		steps = 20000
-		seed  = 42
-	)
+// eventSlice is an in-memory recorder keeping every event it is given.
+type eventSlice []obs.Event
 
-	uni, err := sched.NewUniform(n, rng.New(seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var orig bytes.Buffer
-	sim, tr := buildSCUSim(t, n, uni, &orig)
-	if err := sim.Run(steps); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	origBytes := append([]byte(nil), orig.Bytes()...)
+func (s *eventSlice) Record(e obs.Event) { *s = append(*s, e) }
 
-	events, err := obs.ReadEvents(&orig)
-	if err != nil {
-		t.Fatalf("recorded trace is not valid NDJSON: %v", err)
-	}
-
-	// Recover the interleaving from the sched events.
-	var trace []int32
-	for _, e := range events {
-		if e.Kind == obs.KindSched {
-			trace = append(trace, int32(e.PID))
-		}
-	}
-	if len(trace) != steps {
-		t.Fatalf("recovered %d sched events, want %d", len(trace), steps)
-	}
-
-	replay, err := sched.NewReplay(n, trace, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep bytes.Buffer
-	sim2, tr2 := buildSCUSim(t, n, replay, &rep)
-	if err := sim2.Run(steps); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr2.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The model is deterministic given the schedule, so the replayed
-	// run must reproduce the original trace byte for byte: same CAS
-	// outcomes, same retries, same completions at the same steps.
-	if !bytes.Equal(origBytes, rep.Bytes()) {
-		t.Fatal("replayed trace differs from the original")
-	}
-
-	for pid := 0; pid < n; pid++ {
-		if a, b := sim.Completions()[pid], sim2.Completions()[pid]; a != b {
-			t.Errorf("pid %d: completions %d (original) vs %d (replay)", pid, a, b)
-		}
-	}
-	if sim.TotalCompletions() == 0 {
-		t.Fatal("degenerate run: no completions")
-	}
-}
-
-// buildSCUSimBinary is buildSCUSim tracing into a v2 binary writer.
-func buildSCUSimBinary(t *testing.T, n int, sch sched.Scheduler, w *bytes.Buffer, comp obs.Compression) (*machine.Sim, *obs.BinaryTraceWriter) {
-	t.Helper()
-	mem, err := shmem.New(scu.SCULayout(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	procs, err := scu.NewSCUGroup(n, 0, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim, err := machine.New(mem, procs, sch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bw := obs.NewBinaryTraceWriter(w, obs.BinaryTraceOptions{
-		Compression: comp, Registry: obs.NewRegistry(),
-	})
-	sim.SetRecorder(bw)
-	return sim, bw
-}
-
-// TestBinaryTraceReplayRoundTrip is the v2 acceptance test: a run
-// recorded in the binary format must replay byte-exactly, and must
-// decode to the very same events as an NDJSON recording of the same
-// seed — the format changes the bytes on disk, never the history.
+// TestBinaryTraceReplayRoundTrip is the acceptance test for the trace
+// format: a run recorded in the binary format must decode to exactly
+// the events the simulator emitted (an in-memory recording of the
+// same seed), and feeding the recovered schedule through sched.Replay
+// on a fresh identical workload must reproduce the trace byte for
+// byte.
 func TestBinaryTraceReplayRoundTrip(t *testing.T) {
 	const (
 		n     = 4
@@ -144,7 +56,10 @@ func TestBinaryTraceReplayRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			var orig bytes.Buffer
-			sim, bw := buildSCUSimBinary(t, n, uni, &orig, comp)
+			bw := obs.NewBinaryTraceWriter(&orig, obs.BinaryTraceOptions{
+				Compression: comp, Registry: obs.NewRegistry(),
+			})
+			sim := buildSCUSim(t, n, uni, bw)
 			if err := sim.Run(steps); err != nil {
 				t.Fatal(err)
 			}
@@ -153,40 +68,34 @@ func TestBinaryTraceReplayRoundTrip(t *testing.T) {
 			}
 			origBytes := append([]byte(nil), orig.Bytes()...)
 
-			events, err := obs.ReadTrace(&orig)
+			events, err := obs.ReadBinaryEvents(&orig)
 			if err != nil {
 				t.Fatalf("recorded binary trace does not decode: %v", err)
 			}
 
-			// The same seed recorded via NDJSON must yield the same
-			// event stream: the formats are interchangeable views.
-			uniJ, err := sched.NewUniform(n, rng.New(seed))
+			// The same seed recorded in memory is what the simulator
+			// emitted: the decoder must give back exactly that.
+			uniM, err := sched.NewUniform(n, rng.New(seed))
 			if err != nil {
 				t.Fatal(err)
 			}
-			var nd bytes.Buffer
-			simJ, trJ := buildSCUSim(t, n, uniJ, &nd)
-			if err := simJ.Run(steps); err != nil {
+			var emitted eventSlice
+			if err := buildSCUSim(t, n, uniM, &emitted).Run(steps); err != nil {
 				t.Fatal(err)
 			}
-			if err := trJ.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			jsonEvents, err := obs.ReadEvents(&nd)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(events) != len(jsonEvents) {
-				t.Fatalf("binary run has %d events, ndjson run %d", len(events), len(jsonEvents))
+			if len(events) != len(emitted) {
+				t.Fatalf("binary run has %d events, in-memory run %d", len(events), len(emitted))
 			}
 			for i := range events {
-				if events[i] != jsonEvents[i] {
-					t.Fatalf("event %d: binary %+v vs ndjson %+v", i, events[i], jsonEvents[i])
+				if events[i] != emitted[i] {
+					t.Fatalf("event %d: binary %+v vs emitted %+v", i, events[i], emitted[i])
 				}
 			}
 
 			// Replay the recovered schedule; the rerecorded binary
-			// trace must match the original byte for byte.
+			// trace must match the original byte for byte: same CAS
+			// outcomes, same retries, same completions at the same
+			// steps.
 			var trace []int32
 			for _, e := range events {
 				if e.Kind == obs.KindSched {
@@ -201,7 +110,10 @@ func TestBinaryTraceReplayRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			var rep bytes.Buffer
-			sim2, bw2 := buildSCUSimBinary(t, n, replay, &rep, comp)
+			bw2 := obs.NewBinaryTraceWriter(&rep, obs.BinaryTraceOptions{
+				Compression: comp, Registry: obs.NewRegistry(),
+			})
+			sim2 := buildSCUSim(t, n, replay, bw2)
 			if err := sim2.Run(steps); err != nil {
 				t.Fatal(err)
 			}

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -17,14 +18,16 @@ import (
 //	GET /debug/trace/tail              stream from the oldest retained event
 //	GET /debug/trace/tail?cursor=N     resume after the first N events
 //
-// The stream is NDJSON, one event per line in the v1 wire schema
-// (binary traces tail as readable JSON, not raw frames). The cursor
-// is the absolute number of events the client has consumed, mirroring
-// the pwfserve result-stream idiom: a client that reconnects with its
-// line count resumes with no duplicates and no gaps, as long as the
-// ring still holds that position — a cursor older than the ring is
-// refused with 410 Gone rather than silently skipping ahead. Events
-// evicted from the ring are counted by trace_tail_evicted.
+// The stream is NDJSON, one event per line as Event.MarshalJSON
+// writes it (the run's trace file stays binary; the tail is for
+// humans). The cursor is the absolute number of events the client has
+// consumed, mirroring the pwfserve result-stream idiom: a client that
+// reconnects with its line count resumes with no duplicates and no
+// gaps, as long as the ring still holds that position — a cursor
+// older than the ring is refused with 410 Gone rather than silently
+// skipping ahead. Every position gets exactly one line: an event the
+// wire schema cannot carry gets an error line and ends the stream.
+// Events evicted from the ring are counted by trace_tail_evicted.
 type TraceTailer struct {
 	mu     sync.Mutex
 	ring   []Event
@@ -175,13 +178,18 @@ func (t *TraceTailer) Handler() http.Handler {
 			if expired {
 				// The client stalled past the ring: terminate with an
 				// explicit gap marker instead of resuming with a hole.
-				fmt.Fprintf(w, "{\"error\":\"trace tail cursor %d expired\"}\n", cursor)
+				writeTailError(w, fmt.Sprintf("trace tail cursor %d expired", cursor))
 				return
 			}
 			for _, e := range batch {
 				b, err := json.Marshal(e)
 				if err != nil {
-					continue
+					// An event the wire schema cannot carry takes its
+					// position's line and ends the stream, so a client
+					// resuming at its line count neither repeats nor
+					// skips a served event.
+					writeTailError(w, fmt.Sprintf("trace tail event %d: %v", cursor, err))
+					return
 				}
 				b = append(b, '\n')
 				if _, err := w.Write(b); err != nil {
@@ -205,4 +213,51 @@ func (t *TraceTailer) Handler() http.Handler {
 			}
 		}
 	})
+}
+
+// wireEvent is the JSON representation of an Event on the tail.
+// Pointer fields distinguish "absent" from zero values (pid 0 and
+// step 0 are both meaningful), so each line carries exactly the
+// fields its kind defines.
+type wireEvent struct {
+	Kind      string  `json:"kind"`
+	Step      *uint64 `json:"step,omitempty"`
+	PID       *int    `json:"pid,omitempty"`
+	OK        *bool   `json:"ok,omitempty"`
+	Attempts  *uint64 `json:"attempts,omitempty"`
+	Job       *int    `json:"job,omitempty"`
+	Label     *string `json:"label,omitempty"`
+	ElapsedNS *int64  `json:"elapsed_ns,omitempty"`
+}
+
+// MarshalJSON renders the event in the tail's wire schema, emitting
+// only the fields its kind defines (see the Kind constants).
+func (e Event) MarshalJSON() ([]byte, error) {
+	w := wireEvent{Kind: e.Kind.String()}
+	switch e.Kind {
+	case KindSched, KindBegin, KindCrash:
+		w.Step, w.PID = &e.Step, &e.PID
+	case KindCAS:
+		w.Step, w.PID, w.OK = &e.Step, &e.PID, &e.OK
+	case KindRetry, KindComplete:
+		w.Step, w.PID, w.Attempts = &e.Step, &e.PID, &e.Attempts
+	case KindJobStart:
+		w.Job = &e.Job
+	case KindJobEnd:
+		w.Job, w.ElapsedNS = &e.Job, &e.ElapsedNS
+	default:
+		return nil, fmt.Errorf("obs: marshal unknown event kind %d", e.Kind)
+	}
+	if e.Label != "" && (e.Kind == KindJobStart || e.Kind == KindJobEnd) {
+		w.Label = &e.Label
+	}
+	return json.Marshal(w)
+}
+
+// writeTailError ends a tail stream with an in-band error line.
+func writeTailError(w io.Writer, msg string) {
+	b, _ := json.Marshal(struct {
+		Error string `json:"error"`
+	}{msg})
+	w.Write(append(b, '\n'))
 }

@@ -13,7 +13,8 @@ import (
 	"time"
 )
 
-func tailGet(t *testing.T, srv *httptest.Server, cursor string) (*http.Response, []Event) {
+// tailGet reads a whole tail stream and returns its lines.
+func tailGet(t *testing.T, srv *httptest.Server, cursor string) (*http.Response, []string) {
 	t.Helper()
 	url := srv.URL
 	if cursor != "" {
@@ -27,21 +28,47 @@ func tailGet(t *testing.T, srv *httptest.Server, cursor string) (*http.Response,
 	if resp.StatusCode != http.StatusOK {
 		return resp, nil
 	}
-	var events []Event
+	var lines []string
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var e Event
-		if err := json.Unmarshal([]byte(line), &e); err != nil {
-			t.Fatalf("tail line %q: %v", line, err)
-		}
-		events = append(events, e)
+		lines = append(lines, sc.Text())
 	}
-	return resp, events
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return resp, lines
 }
+
+// schedLines returns the lines the tail serves for sched events at
+// steps from..to, with pid(step) as the pid: json.Marshal of each.
+func schedLines(t *testing.T, from, to int, pid func(step int) int) []string {
+	t.Helper()
+	var lines []string
+	for i := from; i <= to; i++ {
+		b, err := json.Marshal(Event{Kind: KindSched, Step: uint64(i), PID: pid(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines = append(lines, string(b))
+	}
+	return lines
+}
+
+// checkLines fails unless got is want, line for line.
+func checkLines(t *testing.T, what string, got, want []string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d lines, want %d:\n%s", what, len(got), len(want), strings.Join(got, "\n"))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: line %d is %s, want %s", what, i, got[i], want[i])
+		}
+	}
+}
+
+func samePID(step int) int { return step }
+func pidZero(int) int      { return 0 }
 
 func TestTraceTailerCursorResume(t *testing.T) {
 	reg := NewRegistry()
@@ -55,30 +82,18 @@ func TestTraceTailerCursorResume(t *testing.T) {
 	tail.Close()
 
 	// First read from the start: all 10 events, no duplicates.
-	resp, events := tailGet(t, srv, "")
+	resp, lines := tailGet(t, srv, "")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
 	if got := resp.Header.Get("X-Trace-Cursor"); got != "0" {
 		t.Errorf("X-Trace-Cursor = %q, want 0", got)
 	}
-	if len(events) != 10 {
-		t.Fatalf("got %d events, want 10", len(events))
-	}
-	for i, e := range events {
-		if e.Step != uint64(i+1) {
-			t.Fatalf("event %d has step %d, want %d", i, e.Step, i+1)
-		}
-	}
+	checkLines(t, "from the start", lines, schedLines(t, 1, 10, samePID))
 
 	// Resume mid-stream: exactly the suffix, no gap and no overlap.
 	_, rest := tailGet(t, srv, "6")
-	if len(rest) != 4 {
-		t.Fatalf("resume at 6: got %d events, want 4", len(rest))
-	}
-	if rest[0].Step != 7 || rest[3].Step != 10 {
-		t.Fatalf("resume at 6: steps %d..%d, want 7..10", rest[0].Step, rest[3].Step)
-	}
+	checkLines(t, "resume at 6", rest, schedLines(t, 7, 10, samePID))
 
 	// Resuming at the end of a closed trace yields an empty 200.
 	resp, none := tailGet(t, srv, "10")
@@ -112,17 +127,14 @@ func TestTraceTailerBadAndExpiredCursors(t *testing.T) {
 	}
 	// With no cursor the stream starts at the oldest retained event —
 	// the ring evicted 1..6.
-	resp, events := tailGet(t, srv, "")
+	resp, lines := tailGet(t, srv, "")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
 	if got := resp.Header.Get("X-Trace-Cursor"); got != "6" {
 		t.Errorf("X-Trace-Cursor = %q, want 6", got)
 	}
-	if len(events) != 4 || events[0].Step != 7 {
-		t.Fatalf("got %d events starting at step %d, want 4 starting at 7",
-			len(events), events[0].Step)
-	}
+	checkLines(t, "no cursor", lines, schedLines(t, 7, 10, pidZero))
 }
 
 func TestTraceTailerLastEventIDHeader(t *testing.T) {
@@ -142,9 +154,9 @@ func TestTraceTailerLastEventIDHeader(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	body, _ := io.ReadAll(resp.Body)
-	lines := strings.Count(string(body), "\n")
-	if lines != 2 {
-		t.Fatalf("Last-Event-ID resume: %d lines, want 2:\n%s", lines, body)
+	want := strings.Join(schedLines(t, 4, 5, pidZero), "\n") + "\n"
+	if string(body) != want {
+		t.Fatalf("Last-Event-ID resume:\n%s\nwant\n%s", body, want)
 	}
 }
 
@@ -175,27 +187,16 @@ func TestTraceTailerLiveStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var steps []uint64
+	var lines []string
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
-		var e Event
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			t.Fatalf("line %q: %v", sc.Text(), err)
-		}
-		steps = append(steps, e.Step)
+		lines = append(lines, sc.Text())
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
-	if len(steps) != total {
-		t.Fatalf("streamed %d events, want %d", len(steps), total)
-	}
-	for i, s := range steps {
-		if s != uint64(i+1) {
-			t.Fatalf("position %d: step %d (gap or duplicate)", i, s)
-		}
-	}
+	checkLines(t, "live stream", lines, schedLines(t, 1, total, func(i int) int { return i % 8 }))
 }
 
 // TestTraceTailerMidStreamGap forces a connected-but-stalled client
@@ -277,8 +278,8 @@ func TestServeDebugMountsTraceTail(t *testing.T) {
 		t.Errorf("Content-Type = %q", ct)
 	}
 	body, _ := io.ReadAll(resp.Body)
-	if !strings.Contains(string(body), `"kind":"sched"`) {
-		t.Fatalf("tail body missing event:\n%s", body)
+	if want := "{\"kind\":\"sched\",\"step\":1,\"pid\":0}\n"; string(body) != want {
+		t.Fatalf("tail body:\n%s\nwant\n%s", body, want)
 	}
 
 	// Without WithTraceTail the route must not exist.
@@ -326,4 +327,26 @@ func TestTraceTailerConcurrentRecordClose(t *testing.T) {
 	if seq := tail.Seq(); seq != 4000 {
 		t.Fatalf("seq = %d, want 4000 (post-close record must be dropped)", seq)
 	}
+}
+
+// TestTraceTailerUnknownKindTakesOneLine is a regression test: the
+// handler used to skip an event it could not marshal without moving
+// its cursor, so the next event was served twice. The unmarshalable
+// event must take its position's line, an in-band error naming the
+// position, and end the stream; a client resuming past it gets the
+// next event once.
+func TestTraceTailerUnknownKindTakesOneLine(t *testing.T) {
+	tail := NewTraceTailer(8, NewRegistry())
+	srv := httptest.NewServer(tail.Handler())
+	defer srv.Close()
+	tail.Record(Event{Kind: 200})
+	tail.Record(Event{Kind: KindSched, Step: 1, PID: 0})
+	tail.Close()
+
+	_, lines := tailGet(t, srv, "")
+	checkLines(t, "from the start", lines, []string{
+		`{"error":"trace tail event 0: json: error calling MarshalJSON for type obs.Event: obs: marshal unknown event kind 200"}`,
+	})
+	_, rest := tailGet(t, srv, "1")
+	checkLines(t, "resume at 1", rest, schedLines(t, 1, 1, pidZero))
 }

@@ -93,7 +93,7 @@ type Job struct {
 	// is exactly an *obs.Metrics is counted on the simulator's fast
 	// path instead, with the same totals. Inside a sweep the recorder
 	// is shared across workers, so it must be safe for concurrent use
-	// (obs.TraceRecorder and obs.Metrics are).
+	// (obs.BinaryTraceWriter and obs.Metrics are).
 	Recorder obs.Recorder `json:"-"`
 }
 

@@ -1,6 +1,7 @@
 package pwf
 
 import (
+	"fmt"
 	"io"
 
 	"pwf/internal/obs"
@@ -24,15 +25,10 @@ type (
 	// Registry names wait-free counters, histograms, and gauges, and
 	// snapshots them to JSON or expvar.
 	Registry = obs.Registry
-	// TraceRecorder writes events as NDJSON, one per line (trace
-	// format v1).
-	TraceRecorder = obs.TraceRecorder
-	// TraceWriter is the common interface of TraceRecorder and the
-	// binary (v2) trace writer: a Recorder with a final Flush.
-	TraceWriter = obs.TraceWriter
-	// TraceFormat names a trace file format ("ndjson" or "bin").
-	TraceFormat = obs.TraceFormat
-	// TraceCompression selects per-frame compression of binary traces.
+	// TraceWriter records events to a trace file in binary format v2:
+	// a Recorder with a final Flush.
+	TraceWriter = obs.BinaryTraceWriter
+	// TraceCompression selects per-frame compression of traces.
 	TraceCompression = obs.Compression
 	// TraceTailer retains the newest events of a live run in a bounded
 	// ring and streams them over HTTP with cursor resume.
@@ -61,11 +57,9 @@ const (
 	EventJobEnd   = obs.KindJobEnd
 )
 
-// Trace formats and compressions, re-exported; these are the values of
-// the CLIs' -trace-format and -trace-compress flags.
+// Trace compressions, re-exported; these are the values of the CLIs'
+// -trace-compress flag.
 const (
-	TraceFormatNDJSON = obs.TraceNDJSON
-	TraceFormatBinary = obs.TraceBinary
 	TraceCompressNone = obs.CompressNone
 	TraceCompressGzip = obs.CompressGzip
 )
@@ -79,9 +73,6 @@ var (
 	ErrNotBinaryTrace = obs.ErrNotBinaryTrace
 )
 
-// ParseTraceFormat parses a -trace-format flag value ("ndjson", "bin").
-func ParseTraceFormat(s string) (TraceFormat, error) { return obs.ParseTraceFormat(s) }
-
 // ParseTraceCompression parses a -trace-compress flag value ("none",
 // "gzip").
 func ParseTraceCompression(s string) (TraceCompression, error) { return obs.ParseCompression(s) }
@@ -91,17 +82,15 @@ func ParseTraceCompression(s string) (TraceCompression, error) { return obs.Pars
 // the CLIs snapshot it for -metrics.
 func DefaultRegistry() *Registry { return obs.Default }
 
-// NewTraceRecorder returns a Recorder writing NDJSON events to w;
-// call Flush when the run is over. Parse traces back with
-// ReadTraceEvents.
-func NewTraceRecorder(w io.Writer) *TraceRecorder { return obs.NewTraceRecorder(w) }
-
-// NewTraceWriter returns the trace writer for a (format, compression)
-// pair — the NDJSON recorder or the v2 binary writer. Compression
-// requires the binary format. Parse either format back with
-// ReadTraceEvents.
-func NewTraceWriter(w io.Writer, format TraceFormat, comp TraceCompression) (TraceWriter, error) {
-	return obs.NewTraceWriter(w, format, comp)
+// NewTraceWriter returns a Recorder writing a binary (v2) trace to w
+// with the given per-frame compression; call Flush when the run is
+// over, and parse the trace back with ReadTraceEvents. An unknown
+// compression is an error, and nothing is written to w.
+func NewTraceWriter(w io.Writer, comp TraceCompression) (*TraceWriter, error) {
+	if comp != TraceCompressNone && comp != TraceCompressGzip {
+		return nil, fmt.Errorf("pwf: unknown trace compression %d", comp)
+	}
+	return obs.NewBinaryTraceWriter(w, obs.BinaryTraceOptions{Compression: comp}), nil
 }
 
 // NewTraceTailer returns a live-trace ring buffer retaining the newest
@@ -131,10 +120,10 @@ func NewMetricsRecorder(reg *Registry) *MetricsRecorder {
 // dropped and nil is returned when none remain.
 func MultiRecorder(rs ...Recorder) Recorder { return obs.Multi(rs...) }
 
-// ReadTraceEvents parses a trace in either format back into events,
-// preserving order: it sniffs the v2 binary magic and falls back to
-// NDJSON, so replay tooling is agnostic to how a trace was recorded.
-func ReadTraceEvents(r io.Reader) ([]Event, error) { return obs.ReadTrace(r) }
+// ReadTraceEvents parses a binary (v2) trace back into events,
+// preserving order. Input without the v2 magic is ErrNotBinaryTrace,
+// another version ErrTraceVersion.
+func ReadTraceEvents(r io.Reader) ([]Event, error) { return obs.ReadBinaryEvents(r) }
 
 // ServeDebug starts an HTTP listener on addr exposing /metrics (the
 // registry snapshot), /debug/vars (expvar), /debug/pprof, and — with

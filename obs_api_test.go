@@ -11,7 +11,11 @@ func TestRunWithTrace(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := pwf.NewRunConfig(pwf.SCUWorkload(0, 1), 4)
 	cfg.Steps = 10000
-	cfg.Recorder = pwf.NewTraceRecorder(&buf)
+	tw, err := pwf.NewTraceWriter(&buf, pwf.TraceCompressNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Recorder = tw
 	lat, err := pwf.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -21,7 +25,7 @@ func TestRunWithTrace(t *testing.T) {
 	}
 	events, err := pwf.ReadTraceEvents(&buf)
 	if err != nil {
-		t.Fatalf("trace is not valid NDJSON: %v", err)
+		t.Fatalf("trace does not decode: %v", err)
 	}
 	var completes uint64
 	for _, e := range events {
@@ -37,68 +41,54 @@ func TestRunWithTrace(t *testing.T) {
 	}
 }
 
-// TestRunWithTraceFormat runs the same seed once per trace format and
-// requires the decoded event streams to be identical: the format
-// changes the bytes on disk, never the recorded history.
+// TestRunWithTraceFormat runs the same seed once per trace
+// compression and requires the decoded event streams to be identical:
+// compression changes the bytes on disk, never the recorded history.
 func TestRunWithTraceFormat(t *testing.T) {
-	type variant struct {
-		format pwf.TraceFormat
-		comp   pwf.TraceCompression
-	}
-	variants := []variant{
-		{pwf.TraceFormatNDJSON, pwf.TraceCompressNone},
-		{pwf.TraceFormatBinary, pwf.TraceCompressNone},
-		{pwf.TraceFormatBinary, pwf.TraceCompressGzip},
-	}
 	var first []pwf.Event
-	for _, v := range variants {
+	for _, comp := range []pwf.TraceCompression{pwf.TraceCompressNone, pwf.TraceCompressGzip} {
 		var buf bytes.Buffer
-		tw, err := pwf.NewTraceWriter(&buf, v.format, v.comp)
+		tw, err := pwf.NewTraceWriter(&buf, comp)
 		if err != nil {
-			t.Fatalf("%s/%s: %v", v.format, v.comp, err)
+			t.Fatalf("%s: %v", comp, err)
 		}
 		cfg := pwf.NewRunConfig(pwf.SCUWorkload(0, 1), 4)
 		cfg.Steps = 10000
 		cfg.Recorder = tw
 		if _, err := pwf.Run(cfg); err != nil {
-			t.Fatalf("%s/%s: %v", v.format, v.comp, err)
+			t.Fatalf("%s: %v", comp, err)
 		}
 		events, err := pwf.ReadTraceEvents(&buf)
 		if err != nil {
-			t.Fatalf("%s/%s: decode: %v", v.format, v.comp, err)
+			t.Fatalf("%s: decode: %v", comp, err)
 		}
 		if first == nil {
 			first = events
 			continue
 		}
 		if len(events) != len(first) {
-			t.Fatalf("%s/%s: %d events, ndjson run had %d", v.format, v.comp, len(events), len(first))
+			t.Fatalf("%s: %d events, uncompressed run had %d", comp, len(events), len(first))
 		}
 		for i := range events {
 			if events[i] != first[i] {
-				t.Fatalf("%s/%s: event %d: %+v, ndjson run had %+v",
-					v.format, v.comp, i, events[i], first[i])
+				t.Fatalf("%s: event %d: %+v, uncompressed run had %+v", comp, i, events[i], first[i])
 			}
 		}
 	}
 }
 
 // TestWithTraceFormatRejectsBadCombo checks the fail-fast path:
-// NewTraceWriter refuses invalid format/compression pairs instead of
-// returning a writer that silently records nothing.
+// NewTraceWriter refuses an unknown compression instead of returning
+// a writer whose file no reader accepts.
 func TestWithTraceFormatRejectsBadCombo(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := pwf.NewTraceWriter(&buf, pwf.TraceFormatNDJSON, pwf.TraceCompressGzip); err == nil {
-		t.Fatal("NewTraceWriter accepted compressed NDJSON")
-	}
-	if _, err := pwf.NewTraceWriter(&buf, "xml", pwf.TraceCompressNone); err == nil {
-		t.Fatal("NewTraceWriter accepted an unknown format")
+	if _, err := pwf.NewTraceWriter(&buf, pwf.TraceCompression(7)); err == nil {
+		t.Fatal("NewTraceWriter accepted an unknown compression")
 	}
 	if buf.Len() != 0 {
-		// The NDJSON recorder is never constructed on the error path,
-		// but the binary writer writes its header eagerly; nothing
-		// should reach the buffer for rejected combinations.
-		t.Errorf("rejected runs wrote %d bytes", buf.Len())
+		// The binary writer writes its header eagerly; nothing should
+		// reach the buffer for a rejected compression.
+		t.Errorf("rejected writer wrote %d bytes", buf.Len())
 	}
 }
 
@@ -110,7 +100,7 @@ func TestRunSweepBinaryTrace(t *testing.T) {
 		{Workload: pwf.SCUWorkload(0, 1), N: 2, Steps: 5000},
 		{Workload: pwf.FetchIncWorkload(), N: 2, Steps: 5000},
 	}
-	tw, err := pwf.NewTraceWriter(&buf, pwf.TraceFormatBinary, pwf.TraceCompressGzip)
+	tw, err := pwf.NewTraceWriter(&buf, pwf.TraceCompressGzip)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,9 +149,11 @@ func TestRunSweepWithTrace(t *testing.T) {
 		{Workload: pwf.SCUWorkload(0, 1), N: 2, Steps: 5000},
 		{Workload: pwf.FetchIncWorkload(), N: 2, Steps: 5000},
 	}
-	_, err := pwf.RunSweep(pwf.SweepConfig{Jobs: jobs, Seed: 1,
-		Recorder: pwf.NewTraceRecorder(&buf)})
+	tw, err := pwf.NewTraceWriter(&buf, pwf.TraceCompressNone)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pwf.RunSweep(pwf.SweepConfig{Jobs: jobs, Seed: 1, Recorder: tw}); err != nil {
 		t.Fatal(err)
 	}
 	events, err := pwf.ReadTraceEvents(&buf)

@@ -99,8 +99,9 @@ type RunConfig struct {
 	// Scheduler selects the scheduler model.
 	Scheduler SchedulerSpec
 	// Recorder, when non-nil, receives the run's step-level telemetry
-	// events (package obs semantics): for example a NewTraceWriter or
-	// NewMetricsRecorder, or several of them through MultiRecorder.
+	// events (package obs semantics): for example the binary trace
+	// writer from NewTraceWriter, NewMetricsRecorder, or several of
+	// them through MultiRecorder.
 	Recorder Recorder
 	// Cache memoizes exact-chain constructions; nil selects the
 	// process-wide default cache.
