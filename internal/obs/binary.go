@@ -324,7 +324,8 @@ func registerTraceMetrics(reg *Registry) (frames, events, raw, written, dropped 
 
 // NewBinaryTraceWriter returns a Recorder writing a v2 binary trace
 // to w. The header is written immediately; any write error is sticky
-// and reported by Flush.
+// and reported by Flush. An unknown Compression is a sticky error set
+// before anything is written, so no reader ever sees its header.
 func NewBinaryTraceWriter(w io.Writer, opts BinaryTraceOptions) *BinaryTraceWriter {
 	t := &BinaryTraceWriter{
 		bw:      bufio.NewWriterSize(w, 1<<16),
@@ -333,8 +334,13 @@ func NewBinaryTraceWriter(w io.Writer, opts BinaryTraceOptions) *BinaryTraceWrit
 		flushAt: frameBytes,
 	}
 	t.mFrames, t.mEvents, t.mRaw, t.mWritten, t.mDropped = registerTraceMetrics(opts.Registry)
-	if opts.Compression == CompressGzip {
+	switch opts.Compression {
+	case CompressNone:
+	case CompressGzip:
 		t.gz, _ = gzip.NewWriterLevel(&t.gzBuf, gzip.BestSpeed)
+	default:
+		t.err = fmt.Errorf("obs: unknown trace compression %d", byte(opts.Compression))
+		return t
 	}
 	hdr := [traceHeaderLen]byte{traceMagic[0], traceMagic[1], traceMagic[2], traceMagic[3],
 		traceVersion, byte(opts.Compression)}

@@ -300,6 +300,34 @@ func TestBinaryTraceWriterStickyError(t *testing.T) {
 	}
 }
 
+// An unknown compression value is refused before any byte is
+// written: the header it would write is one ReadBinaryEvents rejects.
+// The error sticks, so every Flush reports it and every event counts
+// as dropped.
+func TestBinaryTraceWriterRejectsUnknownCompression(t *testing.T) {
+	reg := NewRegistry()
+	var buf bytes.Buffer
+	w := NewBinaryTraceWriter(&buf, BinaryTraceOptions{Compression: 7, Registry: reg})
+	for _, e := range sampleEvents() {
+		w.Record(e)
+	}
+	for i := 0; i < 2; i++ {
+		if err := w.Flush(); err == nil {
+			t.Fatalf("flush %d with Compression 7 returned nil", i)
+		}
+	}
+	if buf.Len() != 0 {
+		t.Errorf("wrote %d bytes with an unknown compression, want none: % x", buf.Len(), buf.Bytes())
+	}
+	snap := reg.Snapshot()
+	if got := snap.Counters["trace_bytes_written"]; got != 0 {
+		t.Errorf("trace_bytes_written = %d, want 0", got)
+	}
+	if got := snap.Counters["trace_events_dropped"]; got != uint64(len(sampleEvents())) {
+		t.Errorf("trace_events_dropped = %d, want %d", got, len(sampleEvents()))
+	}
+}
+
 type failWriter struct{}
 
 func (failWriter) Write(p []byte) (int, error) { return 0, errors.New("disk full") }

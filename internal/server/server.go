@@ -60,6 +60,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pwf/internal/api"
@@ -141,23 +142,39 @@ const (
 	statusFailed  sweepStatus = "failed"
 )
 
-// sweepState holds one accepted sweep: its grid, its encoded result
-// lines (indexed by job), and a watermark/broadcast pair streams wait
-// on. lines fill in completion order but are only ever exposed as the
-// contiguous prefix below watermark, so streams observe results in
-// input order — the order the canonical NDJSON format promises.
+// sweepState holds what the status and results endpoints read of one
+// accepted sweep: its job count, its result lines packed in input
+// order, and a watermark/broadcast pair streams wait on. The grid is
+// not kept: it travels to the executor with the queued sweep and is
+// released once the engine has run it.
+//
+// out holds lines[:watermark] back to back and ends[i] is the end of
+// line i in out. Appends only write past len(out) and finish replaces
+// out with an exact-length copy, so a slice of out taken under mu stays
+// valid, unchanged, after mu is released. Lines that complete before
+// the watermark reaches them (family batching reorders execution) wait
+// in staged until it does; a finished sweep has no staged slice.
 type sweepState struct {
 	id   string
-	grid api.Grid
+	jobs int
 
 	mu         sync.Mutex
 	status     sweepStatus
-	lines      [][]byte // canonical NDJSON line per job index
-	watermark  int      // lines[:watermark] are present and streamable
+	out        []byte   // canonical NDJSON lines [0, watermark), in input order
+	ends       []int    // ends[i] is the end offset of line i in out
+	staged     [][]byte // lines completed past the watermark, by job index; nil unless running
+	watermark  int      // lines [0, watermark) are packed and streamable
 	done       int      // completed jobs (any order)
 	failure    *api.Error
 	finishedAt time.Time     // when status became done/failed; zero before
 	wake       chan struct{} // closed and replaced on every change
+}
+
+// queuedSweep is a sweep waiting for the executor, with the grid it
+// runs.
+type queuedSweep struct {
+	st   *sweepState
+	grid api.Grid
 }
 
 // snapshot returns the fields status responses need, consistently.
@@ -165,6 +182,52 @@ func (st *sweepState) snapshot() (status sweepStatus, done int, failure *api.Err
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return st.status, st.done, st.failure
+}
+
+// broadcastLocked wakes every stream waiting on st. st.mu must be held.
+func (st *sweepState) broadcastLocked() {
+	close(st.wake)
+	st.wake = make(chan struct{})
+}
+
+// publish records job i's line and packs every line the watermark
+// now reaches. It returns the number of bytes packed.
+func (st *sweepState) publish(i int, line []byte) int {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.staged[i] = line
+	st.done++
+	before := len(st.out)
+	for st.watermark < st.jobs && st.staged[st.watermark] != nil {
+		st.out = append(st.out, st.staged[st.watermark]...)
+		st.ends = append(st.ends, len(st.out))
+		st.staged[st.watermark] = nil
+		st.watermark++
+	}
+	st.broadcastLocked()
+	return len(st.out) - before
+}
+
+// finishLocked moves st to a final status: it drops the staged lines
+// and trims out and ends to their exact lengths. st.mu must be held.
+func (st *sweepState) finishLocked(status sweepStatus, failure *api.Error) {
+	st.status = status
+	st.failure = failure
+	st.finishedAt = time.Now()
+	st.staged = nil
+	st.out = exact(st.out)
+	st.ends = exact(st.ends)
+	st.broadcastLocked()
+}
+
+// exact returns s in a backing array of exactly len(s) elements.
+func exact[T any](s []T) []T {
+	if cap(s) == len(s) {
+		return s
+	}
+	c := make([]T, len(s))
+	copy(c, s)
+	return c
 }
 
 // Server executes sweeps submitted over HTTP. It implements
@@ -183,9 +246,13 @@ type Server struct {
 	mu         sync.Mutex
 	sweeps     map[string]*sweepState
 	gone       map[string]struct{} // ids evicted by this process: 410, not 404
-	queue      chan *sweepState
+	queue      chan queuedSweep
 	queuedJobs int // admitted but unfinished jobs, bounded by MaxQueuedJobs
 	nextID     uint64
+
+	// retained is the byte count of the packed result lines of every
+	// stored sweep: the server_retained_bytes gauge.
+	retained atomic.Int64
 
 	// gate mirrors Config.gate; read only by the executor.
 	gate chan struct{}
@@ -242,7 +309,7 @@ func New(cfg Config) *Server {
 		// Admission bounds total queued jobs at MaxQueuedJobs and every
 		// sweep has >= 1 job, so the queue can never hold more sweeps
 		// than that: sends below never block.
-		queue: make(chan *sweepState, cfg.MaxQueuedJobs),
+		queue: make(chan queuedSweep, cfg.MaxQueuedJobs),
 
 		mSweepsAccepted:   reg.Counter("server_sweeps_accepted"),
 		mSweepsRestored:   reg.Counter("server_sweeps_restored"),
@@ -261,6 +328,7 @@ func New(cfg Config) *Server {
 		defer s.mu.Unlock()
 		return uint64(s.queuedJobs)
 	})
+	reg.Gauge("server_retained_bytes", func() uint64 { return uint64(s.retained.Load()) })
 	cache.Publish(reg, "chain_cache")
 
 	s.mux = http.NewServeMux()
@@ -348,15 +416,14 @@ func (s *Server) restoreFromDir() {
 		}
 		st := &sweepState{
 			id:     id,
-			grid:   meta.Grid,
+			jobs:   len(meta.Grid.Jobs),
 			status: statusQueued,
-			lines:  make([][]byte, len(meta.Grid.Jobs)),
 			wake:   make(chan struct{}),
 		}
 		s.sweeps[id] = st
-		s.queuedJobs += len(meta.Grid.Jobs)
+		s.queuedJobs += st.jobs
 		s.mSweepsRestored.Inc()
-		s.queue <- st
+		s.queue <- queuedSweep{st, meta.Grid}
 	}
 }
 
@@ -405,12 +472,14 @@ func (s *Server) evictExpired(now time.Time) {
 		st.mu.Lock()
 		expired := (st.status == statusDone || st.status == statusFailed) &&
 			!st.finishedAt.IsZero() && st.finishedAt.Before(cutoff)
+		packed := len(st.out)
 		st.mu.Unlock()
 		if !expired {
 			continue
 		}
 		delete(s.sweeps, id)
 		s.gone[id] = struct{}{}
+		s.retained.Add(-int64(packed))
 		s.mSweepsEvicted.Inc()
 		if s.cfg.CheckpointDir != "" {
 			_ = os.Remove(s.ckptPath(id))
@@ -492,9 +561,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	st := &sweepState{
-		grid:   grid,
+		jobs:   len(grid.Jobs),
 		status: statusQueued,
-		lines:  make([][]byte, len(grid.Jobs)),
 		wake:   make(chan struct{}),
 	}
 	s.mu.Lock()
@@ -541,7 +609,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	s.mSweepsAccepted.Inc()
 	s.mJobsCoalesced.Add(uint64(len(grid.Jobs) - sweep.Families(grid.SweepJobs())))
-	s.queue <- st
+	s.queue <- queuedSweep{st, grid}
 
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusAccepted)
@@ -585,20 +653,21 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	if failure != nil {
 		fmt.Fprintf(w, "{\"v\":%d,\"id\":%q,\"status\":%q,\"done\":%d,\"total\":%d,\"error\":%q}\n",
-			api.Version, st.id, status, done, len(st.grid.Jobs), failure.Message)
+			api.Version, st.id, status, done, st.jobs, failure.Message)
 		return
 	}
 	fmt.Fprintf(w, "{\"v\":%d,\"id\":%q,\"status\":%q,\"done\":%d,\"total\":%d}\n",
-		api.Version, st.id, status, done, len(st.grid.Jobs))
+		api.Version, st.id, status, done, st.jobs)
 }
 
 // handleResults streams the sweep's canonical NDJSON result lines in
-// input order, flushing per line, blocking for results not yet
-// computed. A cursor (the number of lines the client already holds,
-// from the ?cursor= query parameter or the Last-Event-ID header)
-// resumes mid-stream with no duplicates and no gaps. If the sweep
-// failed, the stream ends with one api.Error line after the last
-// complete result.
+// input order, blocking for results not yet computed. Each wake-up
+// writes every line the watermark passed since the previous one as a
+// single chunk, then flushes once. A cursor (the number of lines the
+// client already holds, from the ?cursor= query parameter or the
+// Last-Event-ID header) resumes mid-stream with no duplicates and no
+// gaps. If the sweep failed, the stream ends with one api.Error line
+// after the last complete result.
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	st := s.lookup(w, r)
 	if st == nil {
@@ -611,10 +680,10 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	sent := 0
 	if cursorStr != "" {
 		n, err := strconv.Atoi(cursorStr)
-		if err != nil || n < 0 || n > len(st.grid.Jobs) {
+		if err != nil || n < 0 || n > st.jobs {
 			writeError(w, http.StatusBadRequest, api.Error{
 				V: api.Version, Code: api.CodeInvalidGrid,
-				Message: fmt.Sprintf("cursor %q out of [0, %d]", cursorStr, len(st.grid.Jobs)),
+				Message: fmt.Sprintf("cursor %q out of [0, %d]", cursorStr, st.jobs),
 			})
 			return
 		}
@@ -634,20 +703,24 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 
 	for {
 		st.mu.Lock()
-		var batch [][]byte
+		var chunk []byte
 		if st.watermark > sent {
-			batch = st.lines[sent:st.watermark]
+			from := 0
+			if sent > 0 {
+				from = st.ends[sent-1]
+			}
+			chunk = st.out[from:st.ends[st.watermark-1]]
+			sent = st.watermark
 		}
 		status, failure := st.status, st.failure
 		wake := st.wake
 		st.mu.Unlock()
 
-		for _, line := range batch {
-			if _, err := w.Write(line); err != nil {
+		if len(chunk) > 0 {
+			if _, err := w.Write(chunk); err != nil {
 				s.mStreamsDropped.Inc()
 				return
 			}
-			sent++
 			if flusher != nil {
 				flusher.Flush()
 			}
@@ -676,23 +749,23 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 func (s *Server) executor() {
 	defer s.wg.Done()
 	for {
-		var st *sweepState
+		var q queuedSweep
 		select {
 		case <-s.ctx.Done():
 			s.failQueued()
 			return
-		case st = <-s.queue:
+		case q = <-s.queue:
 		}
 		if s.gate != nil {
 			select {
 			case <-s.gate:
 			case <-s.ctx.Done():
-				s.fail(st, api.Error{V: api.Version, Code: api.CodeInternal, Message: "server shutting down"})
+				s.fail(q.st, api.Error{V: api.Version, Code: api.CodeInternal, Message: "server shutting down"})
 				s.failQueued()
 				return
 			}
 		}
-		s.execute(st)
+		s.execute(q.st, q.grid)
 	}
 }
 
@@ -707,8 +780,8 @@ func (s *Server) logf(format string, args ...any) {
 func (s *Server) failQueued() {
 	for {
 		select {
-		case st := <-s.queue:
-			s.fail(st, api.Error{V: api.Version, Code: api.CodeInternal, Message: "server shutting down"})
+		case q := <-s.queue:
+			s.fail(q.st, api.Error{V: api.Version, Code: api.CodeInternal, Message: "server shutting down"})
 		default:
 			return
 		}
@@ -719,34 +792,32 @@ func (s *Server) failQueued() {
 // unfinished jobs to the admission budget.
 func (s *Server) fail(st *sweepState, e api.Error) {
 	st.mu.Lock()
-	st.status = statusFailed
-	st.failure = &e
-	st.finishedAt = time.Now()
-	remaining := len(st.grid.Jobs) - st.done
-	close(st.wake)
-	st.wake = make(chan struct{})
+	remaining := st.jobs - st.done
+	st.finishLocked(statusFailed, &e)
 	st.mu.Unlock()
 	s.mu.Lock()
 	s.queuedJobs -= remaining
 	s.mu.Unlock()
 }
 
-// execute runs one sweep on the deterministic engine, publishing each
-// result line as its job completes. With CheckpointDir set, the sweep
-// runs against its crash-safe checkpoint: points a previous process
-// already completed replay through OnResult — repopulating the line
-// store in input order, so cursors issued before the restart stay
-// valid — and new completions are committed before they are streamed.
-func (s *Server) execute(st *sweepState) {
+// execute runs one sweep of grid on the deterministic engine,
+// publishing each result line as its job completes. With CheckpointDir
+// set, the sweep runs against its crash-safe checkpoint: points a
+// previous process already completed replay through OnResult —
+// repopulating the line store in input order, so cursors issued before
+// the restart stay valid — and new completions are committed before
+// they are streamed.
+func (s *Server) execute(st *sweepState, grid api.Grid) {
 	st.mu.Lock()
 	st.status = statusRunning
-	close(st.wake)
-	st.wake = make(chan struct{})
+	st.staged = make([][]byte, st.jobs)
+	st.ends = make([]int, 0, st.jobs)
+	st.broadcastLocked()
 	st.mu.Unlock()
 
 	cfg := sweep.Config{
-		Jobs:          st.grid.SweepJobs(),
-		Seed:          st.grid.Seed,
+		Jobs:          grid.SweepJobs(),
+		Seed:          grid.Seed,
 		Workers:       s.cfg.Workers,
 		Cache:         s.cache,
 		BatchFamilies: true,
@@ -761,16 +832,7 @@ func (s *Server) execute(st *sweepState) {
 			if mErr != nil {
 				return
 			}
-			line = append(line, '\n')
-			st.mu.Lock()
-			st.lines[r.Index] = line
-			st.done++
-			for st.watermark < len(st.lines) && st.lines[st.watermark] != nil {
-				st.watermark++
-			}
-			close(st.wake)
-			st.wake = make(chan struct{})
-			st.mu.Unlock()
+			s.retained.Add(int64(st.publish(r.Index, append(line, '\n'))))
 			s.mu.Lock()
 			s.queuedJobs--
 			s.mu.Unlock()
@@ -800,9 +862,6 @@ func (s *Server) execute(st *sweepState) {
 		return
 	}
 	st.mu.Lock()
-	st.status = statusDone
-	st.finishedAt = time.Now()
-	close(st.wake)
-	st.wake = make(chan struct{})
+	st.finishLocked(statusDone, nil)
 	st.mu.Unlock()
 }

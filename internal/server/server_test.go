@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -492,21 +493,15 @@ func TestAdversaryCrashJobRejected(t *testing.T) {
 }
 
 // The observability surface: /healthz answers, /metrics exposes queue
-// depth, batching counters, per-job latency histogram, and the chain
-// cache's hit/miss gauges.
+// depth, batching counters, per-job latency histogram, the chain
+// cache's hit/miss gauges, and the retained-bytes gauge, which counts
+// exactly the result bytes the stored sweeps can still stream.
 func TestMetricsSurface(t *testing.T) {
 	reg := obs.NewRegistry()
-	_, ts := startServer(t, Config{Registry: reg})
+	s, ts := startServer(t, Config{Registry: reg})
 	g := testGrid()
 	id, _ := submit(t, ts, g)
-	resp, err := http.Get(ts.URL + "/v1/sweeps/" + id + "/results")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := io.ReadAll(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	streamed := len(readStream(t, ts, id, 0))
 
 	hz, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
@@ -549,6 +544,132 @@ func TestMetricsSurface(t *testing.T) {
 	}
 	if h.Count != uint64(len(g.Jobs)) {
 		t.Errorf("latency histogram count = %d, want %d", h.Count, len(g.Jobs))
+	}
+
+	for seed := uint64(8); seed < 10; seed++ {
+		g.Seed = seed
+		id, _ := submit(t, ts, g)
+		streamed += len(readStream(t, ts, id, 0))
+	}
+	if got := reg.Snapshot().Gauges["server_retained_bytes"]; got != uint64(streamed) {
+		t.Errorf("server_retained_bytes = %d after 3 sweeps, want the %d bytes streamed", got, streamed)
+	}
+	s.evictExpired(time.Now().Add(2 * defaultRetention))
+	if got := reg.Snapshot().Gauges["server_retained_bytes"]; got != 0 {
+		t.Errorf("server_retained_bytes = %d after every sweep was evicted, want 0", got)
+	}
+}
+
+// readStream reads sweep id's result stream from cursor to its end.
+func readStream(t *testing.T, ts *httptest.Server, id string, cursor int) []byte {
+	t.Helper()
+	resp, err := http.Get(fmt.Sprintf("%s/v1/sweeps/%s/results?cursor=%d", ts.URL, id, cursor))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("results of %s at cursor %d: status %d", id, cursor, resp.StatusCode)
+	}
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// interleavedGrid alternates three job families, so family batching
+// runs the jobs out of input order and most results complete before
+// the watermark reaches them.
+func interleavedGrid() api.Grid {
+	shapes := []api.Job{
+		{Workload: api.Workload{Kind: sweep.FetchInc}, N: 2, Steps: 3000},
+		{Workload: api.Workload{Kind: sweep.SCU, S: 1}, N: 3, Steps: 3000},
+		{Workload: api.Workload{Kind: sweep.SCU, S: 1}, N: 3, Steps: 3000,
+			Sched: api.SchedulerSpec{Kind: sweep.SchedSticky, Rho: 0.5}},
+	}
+	g := api.Grid{V: api.Version, Seed: 13}
+	for i := 0; i < 9; i++ {
+		j := shapes[i%len(shapes)]
+		j.Label = fmt.Sprintf("j%d", i)
+		g.Jobs = append(g.Jobs, j)
+	}
+	return g
+}
+
+// The packed line store serves every cursor of a sweep whose results
+// arrive out of input order: streams opened before the sweep runs and
+// streams opened after it finished each return exactly the tail of a
+// local run from their cursor. A finished sweep keeps one exact-length
+// buffer and its offsets, and no staged lines.
+func TestPackedStoreServesEveryCursor(t *testing.T) {
+	g := interleavedGrid()
+	want := localLines(t, g)
+	wantLines := bytes.SplitAfter(want, []byte("\n"))[:len(g.Jobs)]
+	tail := func(k int) []byte { return bytes.Join(wantLines[k:], nil) }
+
+	// The server's execution order, reproduced locally, is not input
+	// order; otherwise nothing would ever be staged.
+	var order []int
+	if _, err := sweep.Run(sweep.Config{Jobs: g.SweepJobs(), Seed: g.Seed, Workers: 1,
+		BatchFamilies: true, ReplicaBatch: replicaBatchWidth,
+		OnResult: func(r sweep.Result) { order = append(order, r.Index) }}); err != nil {
+		t.Fatal(err)
+	}
+	if sort.IntsAreSorted(order) {
+		t.Fatalf("results complete in input order %v; the grid must interleave families", order)
+	}
+
+	reg := obs.NewRegistry()
+	gate := make(chan struct{})
+	s, ts := startServer(t, Config{Workers: 1, Registry: reg, gate: gate})
+	id, _ := submit(t, ts, g)
+	var running []*http.Response
+	for k := 0; k <= len(g.Jobs); k++ {
+		resp, err := http.Get(fmt.Sprintf("%s/v1/sweeps/%s/results?cursor=%d", ts.URL, id, k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		running = append(running, resp)
+	}
+	if got := reg.Snapshot().Counters["server_streams_opened"]; got != uint64(len(running)) {
+		t.Fatalf("%d streams opened before the sweep ran, want %d", got, len(running))
+	}
+	close(gate)
+	for k, resp := range running {
+		got, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, tail(k)) {
+			t.Errorf("running sweep, cursor %d:\n got: %s\nwant: %s", k, got, tail(k))
+		}
+	}
+	for k := 0; k <= len(g.Jobs); k++ {
+		if got := readStream(t, ts, id, k); !bytes.Equal(got, tail(k)) {
+			t.Errorf("finished sweep, cursor %d:\n got: %s\nwant: %s", k, got, tail(k))
+		}
+	}
+
+	s.mu.Lock()
+	st := s.sweeps[id]
+	s.mu.Unlock()
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.status != statusDone || st.watermark != len(g.Jobs) {
+		t.Fatalf("sweep %s: status %s, watermark %d", id, st.status, st.watermark)
+	}
+	if st.staged != nil {
+		t.Errorf("finished sweep keeps %d staged slots", len(st.staged))
+	}
+	if cap(st.out) != len(st.out) || cap(st.ends) != len(st.ends) {
+		t.Errorf("finished sweep buffers not exact: out len %d cap %d, ends len %d cap %d",
+			len(st.out), cap(st.out), len(st.ends), cap(st.ends))
+	}
+	if len(st.ends) != len(g.Jobs) || !bytes.Equal(st.out, want) {
+		t.Errorf("finished sweep holds %d offsets over %d bytes, want %d over the local run's %d",
+			len(st.ends), len(st.out), len(g.Jobs), len(want))
 	}
 }
 
