@@ -17,7 +17,7 @@
 // the binary trace format v2, and -trace-compress adds per-frame
 // gzip; -metrics prints a JSON metrics snapshot — the chain-cache
 // hit/miss gauges — to stderr. The trace has the same format as
-// pwfsim's, so one reader (pwf.ReadTraceEvents) reads both.
+// pwfsweep's, so one reader (pwf.ReadTraceEvents) reads both.
 package main
 
 import (

@@ -1,43 +1,34 @@
-// Command pwfsweep runs the full paper grid — every workload ×
-// scheduler × process count, times a seed-replica count — as one
-// resumable, checkpointed run on the deterministic sweep engine. It is
-// the single command behind the reproduction's million-job
-// experiments: a multi-hour run killed at 99% resumes from its
-// checkpoint and produces output byte-identical to an uninterrupted
-// run, because every point draws its randomness from (master seed,
-// point index) alone and the checkpoint's header holds the grid.
+// Command pwfsweep is the simulator's command line: it runs a grid of
+// seeded simulations (workload × scheduler × process count × seed
+// replica) as one resumable, checkpointed run. Point i draws from
+// (master seed, i) alone, so the output is byte-identical across
+// worker counts and interruptions, and equal to pwfserve's stream.
 //
 // Usage:
 //
-//	pwfsweep -checkpoint grid.ckpt -out results.ndjson
+//	pwfsweep -checkpoint grid.ckpt -out results.ndjson           # the paper grid
 //	pwfsweep -checkpoint grid.ckpt -resume -out results.ndjson   # after a crash
-//	pwfsweep -algos scu,fetchinc -scheds uniform -n 4,8 -seeds 10 -steps 100000
+//	pwfsweep -algos scu -scheds sticky:0.9 -n 16 -seeds 1 -text  # one simulation
+//	pwfsweep -grid grid.json -trace run.pwft -metrics
 //
-// The default grid is the paper reproduction's: algorithms
-// scu,fetchinc,parallel,unbounded,stack,queue under schedulers
-// uniform, sticky:0.5, lottery at n in {2,4,8,16,32,64}, 100 seed
-// replicas each — 10800 points of one million steps. Flags scale any
-// axis up or down; -seeds 1000 on a wider -n list is the million-job
-// shape.
+// The grid comes from the axis flags, with -crash and -exact applied
+// to every point, or from -grid: a file holding the JSON body a client
+// POSTs to pwfserve, which can also set SCU(q, s), parallel(q), pool
+// sizes and wait factors. Either way it is validated before any point
+// runs. The default grid is the paper's: 10800 points of one million
+// steps. -checkpoint logs every completed point under a header holding
+// the grid (internal/checkpoint); -resume continues a log only if its
+// grid matches. SIGINT checkpoints and exits with status 3.
 //
-// Checkpointing: -checkpoint appends every completed point to an
-// fsync-batched log headed by the expanded grid and master seed
-// (format: internal/checkpoint). An existing checkpoint is only
-// touched with -resume, and only if its header matches the requested
-// grid exactly — a mismatched checkpoint is rejected loudly rather
-// than mixing results across grids. SIGINT checkpoints and exits
-// cleanly; SIGKILL at any byte leaves a loadable prefix. Progress
-// (-progress, default on when stderr is being watched) reports
-// done/total, rate, and an ETA computed from this session's rate,
-// counting restored points as already done.
-//
-// Output: one canonical api result line per point (schema v1, no
-// wall-clock fields), in input order, written to -out ("-" = stdout)
-// once the run completes. The bytes are identical to what pwfserve
-// streams and pwfsim -json emits for the same grid and seed.
+// Output is one canonical api result line per point in input order,
+// or with -text a latency/fairness report. A file -out is created as a
+// temporary file beside it before any point runs, and renamed into
+// place only on success. The observability flags (-trace, -metrics,
+// -debug-addr, -cpuprofile, -memprofile) are described in the README.
 package main
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -45,6 +36,9 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"syscall"
@@ -56,21 +50,19 @@ import (
 )
 
 func main() {
-	err := run(os.Args[1:], os.Stdout, os.Stderr)
-	if err == nil {
-		return
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "pwfsweep:", err)
+		if errors.Is(err, pwf.ErrSweepCanceled) {
+			os.Exit(3) // interrupted but checkpointed: wrappers can loop on resume
+		}
+		os.Exit(1)
 	}
-	fmt.Fprintln(os.Stderr, "pwfsweep:", err)
-	if errors.Is(err, pwf.ErrSweepCanceled) {
-		// Interrupted but checkpointed: distinct exit status so
-		// wrappers can loop on resume.
-		os.Exit(3)
-	}
-	os.Exit(1)
 }
 
-// defaultAlgos maps the -algos names onto their canonical paper
-// parameterizations.
+const algoNames = "scu, fetchinc, parallel, unbounded, stack, queue, rcu, list, hashset, lfuniversal, wfuniversal"
+
+// workloadByName maps each -algos name onto its kind's canonical
+// parameters, and only the parameters that kind reads.
 var workloadByName = map[string]pwf.Workload{
 	"scu":         pwf.SCUWorkload(0, 1),
 	"fetchinc":    pwf.FetchIncWorkload(),
@@ -79,33 +71,47 @@ var workloadByName = map[string]pwf.Workload{
 	"stack":       pwf.StackWorkload(),
 	"queue":       pwf.QueueWorkload(),
 	"rcu":         pwf.RCUWorkload(),
+	"list":        {Kind: "list"},
+	"hashset":     {Kind: "hashset"},
 	"lfuniversal": pwf.LFUniversalWorkload(),
+	"wfuniversal": {Kind: "wfuniversal"},
 }
+
+// gridFlags are the flags a -grid file replaces.
+var gridFlags = map[string]bool{"algos": true, "scheds": true, "n": true, "seeds": true,
+	"steps": true, "warmup": true, "seed": true, "crash": true, "exact": true}
 
 func run(args []string, out, errOut io.Writer) error {
 	fs := flag.NewFlagSet("pwfsweep", flag.ContinueOnError)
 	fs.SetOutput(errOut)
 	var (
-		algos      = fs.String("algos", "scu,fetchinc,parallel,unbounded,stack,queue", "comma-separated workloads: scu, fetchinc, parallel, unbounded, stack, queue, rcu, lfuniversal")
-		scheds     = fs.String("scheds", "uniform,sticky:0.5,lottery", "comma-separated schedulers (pwfsim -sched grammar)")
+		gridPath   = fs.String("grid", "", "read the grid from this JSON file (a pwfserve submission body) instead of the axis flags")
+		algos      = fs.String("algos", "scu,fetchinc,parallel,unbounded,stack,queue", "comma-separated workloads: "+algoNames)
+		scheds     = fs.String("scheds", "uniform,sticky:0.5,lottery", "comma-separated schedulers: uniform, roundrobin, sticky:<rho>, lottery[:tickets], weighted[:weights], phased:<w,..>@<steps>/.., adversary:<victim>")
 		ns         = fs.String("n", "2,4,8,16,32,64", "comma-separated process counts")
 		steps      = fs.Uint64("steps", 1_000_000, "measurement window per point, in system steps")
-		warmup     = fs.Float64("warmup", 0.1, "warmup fraction of the measurement window, in [0, 1)")
+		warmup     = fs.Float64("warmup", pwf.DefaultWarmupFraction, "warmup fraction of the measurement window, in [0, 1)")
 		seeds      = fs.Int("seeds", 100, "seed replicas per grid point")
 		seed       = fs.Uint64("seed", 1, "master rng seed (point i draws from stream (seed, i))")
+		crash      = fs.Int("crash", 0, "processes to crash before every point starts")
+		exact      = fs.Bool("exact", false, "also compute the exact-chain system latency where tractable")
 		workers    = fs.Int("workers", 0, "worker pool size (default GOMAXPROCS)")
 		width      = fs.Int("replica-batch", 16, "replica-batch width (1 = scalar execution)")
 		ckptPath   = fs.String("checkpoint", "", "append completed points to this crash-safe checkpoint file")
 		resume     = fs.Bool("resume", false, "continue an existing -checkpoint (its header must match this grid)")
 		flushEvery = fs.Int("flush-every", checkpoint.DefaultFlushEvery, "fsync the checkpoint every this many points (-1 = every point)")
-		outPath    = fs.String("out", "-", "write canonical NDJSON results here when the run completes (- = stdout)")
+		outPath    = fs.String("out", "-", "write the results here when the run completes (- = stdout)")
+		text       = fs.Bool("text", false, "write a latency/fairness report per point instead of NDJSON")
 		progress   = fs.Bool("progress", true, "report done/total, rate, and ETA to stderr")
+		traceFile  = fs.String("trace", "", "write step-level telemetry events to this file")
+		traceComp  = fs.String("trace-compress", "none", "trace compression: none or gzip")
+		metrics    = fs.Bool("metrics", false, "print a JSON metrics snapshot to stderr after the run")
+		debugAddr  = fs.String("debug-addr", "", "serve /metrics, /debug/vars, /debug/pprof and /debug/trace/tail on this address")
+		cpuProf    = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf    = fs.String("memprofile", "", "write a heap profile to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *seeds < 1 {
-		return fmt.Errorf("-seeds must be >= 1, got %d", *seeds)
 	}
 	if *workers < 0 {
 		return fmt.Errorf("-workers must be non-negative (0 = GOMAXPROCS), got %d", *workers)
@@ -114,26 +120,98 @@ func run(args []string, out, errOut io.Writer) error {
 		return errors.New("-resume needs -checkpoint")
 	}
 
-	jobs, err := buildJobs(*algos, *scheds, *ns, *steps, *warmup, *seeds)
+	var grid api.Grid
+	var err error
+	if *gridPath != "" {
+		var clash []string
+		fs.Visit(func(f *flag.Flag) {
+			if gridFlags[f.Name] {
+				clash = append(clash, "-"+f.Name)
+			}
+		})
+		if len(clash) > 0 {
+			return fmt.Errorf("-grid replaces %s; set it in the grid file", strings.Join(clash, ", "))
+		}
+		var f *os.File
+		if f, err = os.Open(*gridPath); err != nil {
+			return err
+		}
+		defer f.Close()
+		grid, err = api.DecodeGrid(f)
+	} else {
+		grid, err = buildGrid(*algos, *scheds, *ns, *seeds, *seed,
+			api.Job{Steps: *steps, WarmupFraction: *warmup, Crash: *crash, Exact: *exact})
+	}
 	if err != nil {
 		return err
 	}
+	comp, err := pwf.ParseTraceCompression(*traceComp)
+	if err != nil {
+		return err
+	}
+
+	// Open -out before the first point runs, as a temporary file that
+	// replaces the real one only once every result is written.
+	w := out
+	var tmp *os.File
+	if *outPath != "-" {
+		if tmp, err = os.CreateTemp(filepath.Dir(*outPath), "."+filepath.Base(*outPath)+".*"); err != nil {
+			return err
+		}
+		defer os.Remove(tmp.Name()) // fails harmlessly after the rename
+		defer tmp.Close()
+		if err := tmp.Chmod(0o644); err != nil {
+			return err
+		}
+		w = tmp
+	}
+
+	// Assemble the telemetry pipeline: a binary trace file, a live
+	// tail ring behind the debug server, an aggregating metrics
+	// recorder — all fanned out through MultiRecorder.
+	var recorders []pwf.Recorder
+	var trace *pwf.TraceWriter
+	if *traceFile != "" {
+		f, err := os.Create(*traceFile)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		if trace, err = pwf.NewTraceWriter(f, comp); err != nil {
+			return err
+		}
+		recorders = append(recorders, trace)
+	}
+	if *debugAddr != "" {
+		tail := pwf.NewTraceTailer(0, nil)
+		defer tail.Close()
+		recorders = append(recorders, tail)
+		bound, stop, err := pwf.ServeDebug(*debugAddr, nil, pwf.WithTraceTail(tail))
+		if err != nil {
+			return err
+		}
+		defer stop()
+		fmt.Fprintf(errOut, "debug server listening on %s\n", bound)
+	}
+	if *metrics {
+		recorders = append(recorders, pwf.NewMetricsRecorder(nil))
+	}
+
 	cfg := pwf.SweepConfig{
-		Jobs:          jobs,
-		Seed:          *seed,
+		Jobs:          grid.SweepJobs(),
+		Seed:          grid.Seed,
 		Workers:       *workers,
 		BatchFamilies: true,
 		ReplicaBatch:  *width,
+		Recorder:      pwf.MultiRecorder(recorders...),
 	}
 	if *width > 1 {
-		// Surface silent scalar fallbacks (once per distinct reason) so
-		// a user who asked for replica batching learns when it did
-		// nothing for part of the grid.
+		// Say once per distinct reason where replica batching did nothing.
 		cfg.OnBatchFallback = func(reason string) {
 			fmt.Fprintf(errOut, "pwfsweep: replica batching fell back to scalar: %s\n", reason)
 		}
 	}
-	total := len(jobs)
+	total := len(cfg.Jobs)
 
 	restored := 0
 	var cp *checkpoint.Log
@@ -162,11 +240,28 @@ func run(args []string, out, errOut io.Writer) error {
 	cfg.Context = ctx
 
 	if *progress {
-		cfg.Progress = newProgressPrinter(errOut, restored).update
+		cfg.Progress = progressPrinter(errOut, restored)
 	}
 
+	if *cpuProf != "" {
+		f, err := os.Create(*cpuProf)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return err
+		}
+		defer pprof.StopCPUProfile()
+	}
 	began := time.Now()
 	results, err := pwf.RunSweep(cfg)
+	if trace != nil {
+		// RunSweep's flush does not reach a recorder inside a MultiRecorder.
+		if ferr := trace.Flush(); ferr != nil && err == nil {
+			err = ferr
+		}
+	}
 	if err != nil {
 		if errors.Is(err, pwf.ErrSweepCanceled) && cp != nil {
 			if serr := cp.Sync(); serr != nil {
@@ -177,18 +272,45 @@ func run(args []string, out, errOut io.Writer) error {
 		}
 		return err
 	}
-
-	w := out
-	if *outPath != "-" {
-		f, err := os.Create(*outPath)
+	if *memProf != "" {
+		f, err := os.Create(*memProf)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		w = f
+		runtime.GC()
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			return err
+		}
 	}
-	for _, r := range results {
-		if err := api.WriteResultLine(w, api.ResultFromSweep(r)); err != nil {
+	if *metrics {
+		if err := pwf.DefaultRegistry().WriteJSON(errOut); err != nil {
+			return err
+		}
+	}
+
+	bw := bufio.NewWriter(w)
+	for i, r := range results {
+		if *text {
+			if i > 0 {
+				fmt.Fprintln(bw)
+			}
+			report(bw, r)
+		} else if err := api.WriteResultLine(bw, api.ResultFromSweep(r)); err != nil {
+			return err
+		}
+	}
+	// The buffer keeps the first write error, the report's included.
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	if tmp != nil {
+		// Sync first, so the rename never publishes a file whose bytes a
+		// crash could still lose.
+		if err := errors.Join(tmp.Sync(), tmp.Close()); err != nil {
+			return err
+		}
+		if err := os.Rename(tmp.Name(), *outPath); err != nil {
 			return err
 		}
 	}
@@ -197,93 +319,90 @@ func run(args []string, out, errOut io.Writer) error {
 	return nil
 }
 
-// buildJobs expands the grid axes into one job per (algo, sched, n,
-// seed replica), labeled for presentation. Seed replicas are explicit
-// jobs, not Job.Replicas, so each carries its replica index in its
-// label; the replica-batched core coalesces them anyway because they
-// share a shape.
-func buildJobs(algos, scheds, ns string, steps uint64, warmup float64, seeds int) ([]pwf.SweepJob, error) {
-	var workloads []pwf.Workload
-	var algoNames []string
-	for _, name := range strings.Split(algos, ",") {
-		name = strings.TrimSpace(name)
-		w, ok := workloadByName[name]
-		if !ok {
-			return nil, fmt.Errorf("unknown algorithm %q (have: scu, fetchinc, parallel, unbounded, stack, queue, rcu, lfuniversal)", name)
+// buildGrid expands the grid axes into one job per (algo, sched, n,
+// seed replica), each a copy of base labeled for presentation. Seed
+// replicas are explicit jobs, not Job.Replicas, so each carries its
+// replica index in its label; the replica-batched core coalesces them
+// anyway because they share a shape. The grid is validated as
+// DecodeGrid validates a grid file.
+func buildGrid(algos, scheds, ns string, seeds int, seed uint64, base api.Job) (api.Grid, error) {
+	grid := api.Grid{V: api.Version, Seed: seed}
+	schedNames := strings.Split(scheds, ",")
+	specs := make([]pwf.SchedulerSpec, len(schedNames))
+	for i, name := range schedNames {
+		var err error
+		schedNames[i] = strings.TrimSpace(name)
+		if specs[i], err = pwf.ParseScheduler(schedNames[i]); err != nil {
+			return grid, err
 		}
-		workloads = append(workloads, w)
-		algoNames = append(algoNames, name)
-	}
-	var specs []pwf.SchedulerSpec
-	var schedNames []string
-	for _, name := range strings.Split(scheds, ",") {
-		name = strings.TrimSpace(name)
-		spec, err := pwf.ParseScheduler(name)
-		if err != nil {
-			return nil, err
-		}
-		specs = append(specs, spec)
-		schedNames = append(schedNames, name)
 	}
 	var counts []int
 	for _, s := range strings.Split(ns, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad process count %q in -n", s)
+		if err != nil {
+			return grid, fmt.Errorf("bad process count %q in -n %q", s, ns)
 		}
 		counts = append(counts, n)
 	}
-
-	var jobs []pwf.SweepJob
-	for ai, w := range workloads {
+	for _, name := range strings.Split(algos, ",") {
+		name = strings.TrimSpace(name)
+		w, ok := workloadByName[name]
+		if !ok {
+			return grid, fmt.Errorf("unknown algorithm %q (have: %s)", name, algoNames)
+		}
 		for si, spec := range specs {
 			for _, n := range counts {
 				for k := 0; k < seeds; k++ {
-					jobs = append(jobs, pwf.SweepJob{
-						Workload:       w,
-						N:              n,
-						Sched:          spec,
-						Steps:          steps,
-						WarmupFraction: warmup,
-						Label: fmt.Sprintf("%s/%s/n%d/r%d",
-							algoNames[ai], schedNames[si], n, k),
-					})
+					j := base
+					j.Workload, j.N, j.Sched = w, n, spec
+					j.Label = fmt.Sprintf("%s/%s/n%d/r%d", name, schedNames[si], n, k)
+					grid.Jobs = append(grid.Jobs, j)
 				}
 			}
 		}
 	}
-	return jobs, nil
+	return grid, grid.Validate()
 }
 
-// progressPrinter renders throttled progress lines with a rate and
-// ETA computed from this session's completions only — restored points
-// count as done but not toward the rate, so a resumed run's ETA is
-// honest from its first line.
-type progressPrinter struct {
-	w        io.Writer
-	started  time.Time
-	restored int
-	last     time.Time
-}
-
-func newProgressPrinter(w io.Writer, restored int) *progressPrinter {
-	now := time.Now()
-	return &progressPrinter{w: w, started: now, restored: restored}
-}
-
-func (p *progressPrinter) update(done, total int) {
-	now := time.Now()
-	if done < total && now.Sub(p.last) < 2*time.Second {
-		return
+// report writes one point's latency/fairness report for -text.
+func report(out io.Writer, res pwf.SweepResult) {
+	job, lat := res.Job, res.Latencies
+	fmt.Fprintf(out, "algorithm=%s n=%d sched=%s steps=%d completions=%d\n",
+		job.Workload.Kind, job.N, job.Sched, job.Steps, lat.Completions)
+	fmt.Fprintf(out, "system latency (steps/op):      %.4f\n", lat.System)
+	if res.ExactOK {
+		fmt.Fprintf(out, "exact chain latency:            %.4f\n", res.Exact)
 	}
-	p.last = now
-	line := fmt.Sprintf("pwfsweep: %d/%d (%.1f%%)", done, total, 100*float64(done)/float64(total))
-	if fresh := done - p.restored; fresh > 0 && done < total {
-		rate := float64(fresh) / time.Since(p.started).Seconds()
-		if rate > 0 {
+	fmt.Fprintf(out, "mean individual latency:        %.4f\n", lat.Individual)
+	if lat.System > 0 {
+		fmt.Fprintf(out, "W_i / (n*W):                    %.4f\n",
+			lat.Individual/(float64(job.N)*lat.System))
+	}
+	fmt.Fprintf(out, "completion rate (ops/step):     %.6f\n", lat.CompletionRate)
+	fmt.Fprintf(out, "fairness index (Jain):          %.4f\n", lat.Fairness)
+	if len(res.Starved) > 0 {
+		fmt.Fprintf(out, "starved processes:              %v\n", res.Starved)
+	}
+}
+
+// progressPrinter returns a progress callback that renders throttled
+// lines with a rate and ETA computed from this session's completions
+// only — restored points count as done but not toward the rate, so a
+// resumed run's ETA is honest from its first line.
+func progressPrinter(w io.Writer, restored int) func(done, total int) {
+	started, last := time.Now(), time.Time{}
+	return func(done, total int) {
+		now := time.Now()
+		if done < total && now.Sub(last) < 2*time.Second {
+			return
+		}
+		last = now
+		line := fmt.Sprintf("pwfsweep: %d/%d (%.1f%%)", done, total, 100*float64(done)/float64(total))
+		if fresh := done - restored; fresh > 0 && done < total {
+			rate := float64(fresh) / time.Since(started).Seconds()
 			eta := time.Duration(float64(total-done)/rate) * time.Second
 			line += fmt.Sprintf(", %.1f points/s, ETA %s", rate, eta.Round(time.Second))
 		}
+		fmt.Fprintln(w, line)
 	}
-	fmt.Fprintln(p.w, line)
 }

@@ -9,28 +9,32 @@ import (
 	"strings"
 	"testing"
 
+	"pwf/internal/api"
 	"pwf/internal/obs"
 )
 
+// point is a one-point grid: one simulation of scu under uniform at
+// n = 2, the shape of most tests below.
+func point(extra ...string) []string {
+	args := []string{"-algos", "scu", "-scheds", "uniform", "-n", "2", "-seeds", "1",
+		"-progress=false"}
+	return append(args, extra...)
+}
+
 func TestRunAllAlgorithms(t *testing.T) {
-	for _, algo := range []string{
-		"scu", "parallel", "fetchinc", "unbounded", "stack", "queue",
-		"rcu", "list", "hashset", "lfuniversal", "wfuniversal",
-	} {
+	for _, algo := range strings.Split(algoNames, ", ") {
 		algo := algo
 		t.Run(algo, func(t *testing.T) {
 			t.Parallel()
-			var buf bytes.Buffer
-			args := []string{"-algo", algo, "-n", "4", "-steps", "20000"}
-			if algo == "parallel" {
-				args = append(args, "-q", "3")
-			}
-			if err := run(args, &buf, &buf); err != nil {
+			var out, errOut bytes.Buffer
+			args := []string{"-algos", algo, "-scheds", "uniform", "-n", "4", "-seeds", "1",
+				"-steps", "20000", "-text", "-progress=false"}
+			if err := run(args, &out, &errOut); err != nil {
 				t.Fatal(err)
 			}
-			out := buf.String()
-			if !strings.Contains(out, "completion rate") {
-				t.Errorf("missing report:\n%s", out)
+			if !strings.Contains(out.String(), "algorithm="+algo+" ") ||
+				!strings.Contains(out.String(), "completion rate") {
+				t.Errorf("missing report:\n%s", out.String())
 			}
 		})
 	}
@@ -41,46 +45,63 @@ func TestRunAllSchedulers(t *testing.T) {
 		s := s
 		t.Run(s, func(t *testing.T) {
 			t.Parallel()
-			var buf bytes.Buffer
-			if err := run([]string{"-sched", s, "-n", "4", "-steps", "20000"}, &buf, &buf); err != nil {
+			var out, errOut bytes.Buffer
+			args := []string{"-algos", "scu", "-scheds", s, "-n", "4", "-seeds", "1",
+				"-steps", "20000", "-text", "-progress=false"}
+			if err := run(args, &out, &errOut); err != nil {
 				t.Fatal(err)
+			}
+			if !strings.Contains(out.String(), "sched="+s+" ") {
+				t.Errorf("report does not name the scheduler:\n%s", out.String())
 			}
 		})
 	}
 }
 
 func TestRunWithCrashes(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"-n", "8", "-crash", "4", "-steps", "20000"}, &buf, &buf); err != nil {
+	var out, errOut bytes.Buffer
+	args := []string{"-algos", "scu", "-scheds", "roundrobin", "-n", "8", "-seeds", "1",
+		"-crash", "4", "-steps", "20000", "-progress=false"}
+	if err := run(args, &out, &errOut); err != nil {
 		t.Fatal(err)
+	}
+	results, err := api.ReadResults(&out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 1 || results[0].Job.Crash != 4 {
+		t.Fatalf("want one result with crash 4, got %+v", results)
+	}
+	// The crashed processes are the four highest ids.
+	if got := results[0].Starved; len(got) < 4 || got[len(got)-4] != 4 {
+		t.Errorf("starved processes %v, want 4..7 among them", got)
 	}
 }
 
 func TestRunSweepMultipleN(t *testing.T) {
-	var buf bytes.Buffer
-	err := run([]string{"-algo", "fetchinc", "-n", "2,4,8", "-steps", "20000"}, &buf, &buf)
-	if err != nil {
+	var out, errOut bytes.Buffer
+	args := []string{"-algos", "fetchinc", "-scheds", "uniform", "-n", "2,4,8", "-seeds", "1",
+		"-steps", "20000", "-text", "-progress=false"}
+	if err := run(args, &out, &errOut); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
 	for _, want := range []string{"n=2", "n=4", "n=8"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("sweep output missing %q:\n%s", want, out)
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("sweep output missing %q:\n%s", want, out.String())
 		}
 	}
 }
 
 func TestRunJSONEmitsOneObjectPerJob(t *testing.T) {
-	var buf bytes.Buffer
-	err := run([]string{
-		"-algo", "scu", "-n", "2,4", "-steps", "20000", "-exact", "-json",
-	}, &buf, &buf)
+	var out, errOut bytes.Buffer
+	err := run([]string{"-algos", "scu", "-scheds", "uniform", "-n", "2,4", "-seeds", "1",
+		"-steps", "20000", "-exact", "-progress=false"}, &out, &errOut)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
 	if len(lines) != 2 {
-		t.Fatalf("%d JSON lines, want 2:\n%s", len(lines), buf.String())
+		t.Fatalf("%d JSON lines, want 2:\n%s", len(lines), out.String())
 	}
 	for i, line := range lines {
 		// Canonical api lines: versioned, and free of wall-clock fields
@@ -121,33 +142,53 @@ func TestRunJSONEmitsOneObjectPerJob(t *testing.T) {
 }
 
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
-	out := func(workers string) string {
-		var buf bytes.Buffer
-		err := run([]string{
-			"-algo", "scu", "-n", "2,4,8", "-steps", "20000",
-			"-seed", "7", "-workers", workers,
-		}, &buf, &buf)
-		if err != nil {
-			t.Fatal(err)
+	for _, text := range []string{"-text=false", "-text"} {
+		out := func(workers string) string {
+			var out, errOut bytes.Buffer
+			err := run([]string{
+				"-algos", "scu,fetchinc", "-scheds", "uniform,lottery", "-n", "2,4,8",
+				"-seeds", "2", "-steps", "20000", "-seed", "7", "-workers", workers,
+				"-progress=false", text,
+			}, &out, &errOut)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out.String()
 		}
-		return buf.String()
-	}
-	if serial, parallel := out("1"), out("8"); serial != parallel {
-		t.Errorf("output differs between -workers 1 and 8:\n%s\n---\n%s",
-			serial, parallel)
+		if serial, parallel := out("1"), out("8"); serial != parallel {
+			t.Errorf("%s: output differs between -workers 1 and 8:\n%s\n---\n%s",
+				text, serial, parallel)
+		}
 	}
 }
 
 func TestRunWarmupFlag(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"-n", "4", "-steps", "20000", "-warmup", "0.25"}, &buf, &buf); err != nil {
+	var out, errOut bytes.Buffer
+	if err := run(point("-steps", "20000", "-warmup", "0.25"), &out, &errOut); err != nil {
 		t.Fatal(err)
 	}
-	for _, bad := range []string{"1", "1.5", "-0.1", "NaN"} {
-		if err := run([]string{"-n", "4", "-steps", "20000", "-warmup", bad}, &buf, &buf); err == nil {
-			t.Errorf("-warmup %s accepted", bad)
-		}
+	results, err := api.ReadResults(&out)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if got := results[0].Job.WarmupFraction; got != 0.25 {
+		t.Errorf("warmup_fraction %v, want 0.25", got)
+	}
+}
+
+// traceEvents decodes the binary trace at path.
+func traceEvents(t *testing.T, path string) []obs.Event {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	events, err := obs.ReadBinaryEvents(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return events
 }
 
 // -warmup F runs F·steps warmup steps before the -steps window; the
@@ -161,23 +202,13 @@ func TestRunWarmupStepsExact(t *testing.T) {
 		{20000, "0.25", 25000}, {100, "0", 100}, {40, "0.1", 44},
 	} {
 		path := filepath.Join(t.TempDir(), "trace.pwft")
-		var buf bytes.Buffer
-		args := []string{"-n", "2", "-steps", strconv.Itoa(c.steps),
-			"-warmup", c.warmup, "-trace", path}
-		if err := run(args, &buf, &buf); err != nil {
-			t.Fatal(err)
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		events, err := obs.ReadBinaryEvents(f)
-		f.Close()
-		if err != nil {
+		var out, errOut bytes.Buffer
+		args := point("-steps", strconv.Itoa(c.steps), "-warmup", c.warmup, "-trace", path)
+		if err := run(args, &out, &errOut); err != nil {
 			t.Fatal(err)
 		}
 		scheds := 0
-		for _, e := range events {
+		for _, e := range traceEvents(t, path) {
 			if e.Kind == obs.KindSched {
 				scheds++
 			}
@@ -189,72 +220,14 @@ func TestRunWarmupStepsExact(t *testing.T) {
 	}
 }
 
-func TestRunRejectsBadInputs(t *testing.T) {
-	cases := []struct {
-		name    string
-		args    []string
-		wantMsg string
-	}{
-		{"bad algo", []string{"-algo", "nope"}, ""},
-		{"bad sched", []string{"-sched", "nope"}, ""},
-		{"bad sticky rho", []string{"-sched", "sticky:abc"}, ""},
-		{"sticky rho out of range", []string{"-sched", "sticky:1.5"}, ""},
-		{"parallel without preamble", []string{"-algo", "parallel", "-q", "0"}, ""},
-		{"crash more than n", []string{"-sched", "roundrobin", "-crash", "9", "-n", "8"}, ""},
-		{"unknown flag", []string{"-bogusflag"}, ""},
-		{"zero n", []string{"-n", "0"}, "must be at least 1"},
-		{"negative n", []string{"-n", "-4"}, "must be at least 1"},
-		{"bad n in sweep list", []string{"-n", "2,0,8"}, "must be at least 1"},
-		{"unparseable n", []string{"-n", "2,x"}, "parse -n"},
-		{"negative q", []string{"-q", "-1"}, "-q must be non-negative"},
-		{"zero s", []string{"-algo", "scu", "-s", "0"}, "-s must be at least 1"},
-		{"negative crash", []string{"-crash", "-1"}, "-crash must be non-negative"},
-		{"negative workers", []string{"-workers", "-2"}, "-workers must be non-negative"},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			var buf bytes.Buffer
-			err := run(append(tc.args, "-steps", "100"), &buf, &buf)
-			if err == nil {
-				t.Fatalf("args %v: nil error", tc.args)
-			}
-			if tc.wantMsg != "" && !strings.Contains(err.Error(), tc.wantMsg) {
-				t.Errorf("args %v: error %q does not mention %q", tc.args, err, tc.wantMsg)
-			}
-		})
-	}
-}
-
-func TestRunRejectsZeroSteps(t *testing.T) {
-	var buf bytes.Buffer
-	err := run([]string{"-n", "2", "-steps", "0"}, &buf, &buf)
-	if err == nil {
-		t.Fatal("zero -steps accepted")
-	}
-	if !strings.Contains(err.Error(), "-steps must be at least 1") {
-		t.Errorf("error %q does not name -steps", err)
-	}
-}
-
 func TestRunTraceEmitsValidTrace(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.pwft")
-	var buf bytes.Buffer
-	args := []string{"-algo", "scu", "-n", "2", "-steps", "5000", "-trace", path}
-	if err := run(args, &buf, &buf); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	events, err := obs.ReadBinaryEvents(f)
-	if err != nil {
+	var out, errOut bytes.Buffer
+	if err := run(point("-steps", "5000", "-trace", path), &out, &errOut); err != nil {
 		t.Fatal(err)
 	}
 	var scheds, completes, jobStarts, jobEnds int
-	for _, e := range events {
+	for _, e := range traceEvents(t, path) {
 		switch e.Kind {
 		case obs.KindSched:
 			scheds++
@@ -289,10 +262,9 @@ func TestRunTraceFormats(t *testing.T) {
 	sizes := map[string]int64{}
 	for _, comp := range []string{"none", "gzip"} {
 		path := filepath.Join(dir, "trace-"+comp)
-		var buf bytes.Buffer
-		args := []string{"-algo", "scu", "-n", "2", "-steps", "5000", "-seed", "7",
-			"-trace", path, "-trace-compress", comp}
-		if err := run(args, &buf, &buf); err != nil {
+		var out, errOut bytes.Buffer
+		args := point("-steps", "5000", "-seed", "7", "-trace", path, "-trace-compress", comp)
+		if err := run(args, &out, &errOut); err != nil {
 			t.Fatalf("%s: %v", comp, err)
 		}
 		st, err := os.Stat(path)
@@ -300,15 +272,7 @@ func TestRunTraceFormats(t *testing.T) {
 			t.Fatal(err)
 		}
 		sizes[comp] = st.Size()
-		f, err := os.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		events, err := obs.ReadBinaryEvents(f)
-		f.Close()
-		if err != nil {
-			t.Fatalf("%s: decode: %v", comp, err)
-		}
+		events := traceEvents(t, path)
 		// job_end carries wall-clock time, the one nondeterministic
 		// field across otherwise identical runs.
 		for i := range events {
@@ -336,15 +300,14 @@ func TestRunTraceFormats(t *testing.T) {
 }
 
 func TestRunRejectsBadTraceFlags(t *testing.T) {
-	var buf bytes.Buffer
-	base := []string{"-algo", "scu", "-n", "2", "-steps", "100"}
+	var out, errOut bytes.Buffer
 	// The trace format flag is gone: there is one format.
 	retired := "-trace-" + "format"
-	err := run(append(base, retired, "xml"), &buf, &buf)
+	err := run(point("-steps", "100", retired, "xml"), &out, &errOut)
 	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+retired) {
 		t.Errorf("%s xml: error %v, want an undefined flag", retired, err)
 	}
-	if err := run(append(base, "-trace-compress", "zstd"), &buf, &buf); err == nil {
+	if err := run(point("-steps", "100", "-trace-compress", "zstd"), &out, &errOut); err == nil {
 		t.Error("unknown -trace-compress accepted")
 	}
 }
@@ -356,8 +319,7 @@ func TestRunDebugAddrTailsTrace(t *testing.T) {
 	// the wiring: -debug-addr alone (no -trace) must not fail, and the
 	// trace_tail metrics must register on the default registry.
 	var out, errOut bytes.Buffer
-	args := []string{"-algo", "scu", "-n", "2", "-steps", "2000",
-		"-debug-addr", "127.0.0.1:0", "-metrics"}
+	args := point("-steps", "2000", "-debug-addr", "127.0.0.1:0", "-metrics")
 	if err := run(args, &out, &errOut); err != nil {
 		t.Fatal(err)
 	}
@@ -368,9 +330,7 @@ func TestRunDebugAddrTailsTrace(t *testing.T) {
 
 func TestRunMetricsSnapshot(t *testing.T) {
 	var out, errOut bytes.Buffer
-	args := []string{"-algo", "scu", "-n", "2", "-steps", "5000",
-		"-exact", "-metrics"}
-	if err := run(args, &out, &errOut); err != nil {
+	if err := run(point("-steps", "5000", "-exact", "-metrics"), &out, &errOut); err != nil {
 		t.Fatal(err)
 	}
 	snap := errOut.String()
@@ -382,13 +342,15 @@ func TestRunMetricsSnapshot(t *testing.T) {
 			t.Errorf("metrics snapshot missing %q:\n%s", want, snap)
 		}
 	}
+	// The snapshot is the first JSON value on stderr; pwfsweep's
+	// closing status line follows it.
 	var parsed struct {
 		Counters   map[string]uint64          `json:"counters"`
 		Gauges     map[string]uint64          `json:"gauges"`
 		Histograms map[string]json.RawMessage `json:"histograms"`
 	}
-	if err := json.Unmarshal(errOut.Bytes(), &parsed); err != nil {
-		t.Fatalf("snapshot is not valid JSON: %v", err)
+	if err := json.NewDecoder(strings.NewReader(snap)).Decode(&parsed); err != nil {
+		t.Fatalf("snapshot is not valid JSON: %v\n%s", err, snap)
 	}
 	if parsed.Counters["sim_sched_steps"] == 0 {
 		t.Error("sim_sched_steps counter is zero")
@@ -397,9 +359,7 @@ func TestRunMetricsSnapshot(t *testing.T) {
 
 func TestRunDebugAddrServesMetrics(t *testing.T) {
 	var out, errOut bytes.Buffer
-	args := []string{"-algo", "scu", "-n", "2", "-steps", "2000",
-		"-debug-addr", "127.0.0.1:0"}
-	if err := run(args, &out, &errOut); err != nil {
+	if err := run(point("-steps", "2000", "-debug-addr", "127.0.0.1:0"), &out, &errOut); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(errOut.String(), "debug server listening on") {
@@ -411,10 +371,9 @@ func TestRunProfileFlags(t *testing.T) {
 	dir := t.TempDir()
 	cpu := filepath.Join(dir, "cpu.prof")
 	mem := filepath.Join(dir, "mem.prof")
-	var buf bytes.Buffer
-	args := []string{"-algo", "scu", "-n", "2", "-steps", "5000",
-		"-cpuprofile", cpu, "-memprofile", mem}
-	if err := run(args, &buf, &buf); err != nil {
+	var out, errOut bytes.Buffer
+	args := point("-steps", "5000", "-cpuprofile", cpu, "-memprofile", mem)
+	if err := run(args, &out, &errOut); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []string{cpu, mem} {

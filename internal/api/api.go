@@ -1,6 +1,6 @@
 // Package api defines the canonical, versioned JSON schema for sweep
-// jobs and results — one encoding shared by the pwfsim -json output,
-// the pwfserve wire format, and any persisted grids, so a grid
+// jobs and results — one encoding shared by pwfsweep's output and
+// -grid files, the pwfserve wire format, and checkpoints, so a grid
 // submitted over HTTP is byte-identically the grid a CLI runs
 // locally, and results reproduce across both for the same master
 // seed.
@@ -303,7 +303,7 @@ func WriteResultLine(w io.Writer, r Result) error {
 }
 
 // ReadResults parses an NDJSON result stream (as produced by
-// WriteResultLine, pwfsim -json, or the pwfserve results endpoint),
+// WriteResultLine, pwfsweep, or the pwfserve results endpoint),
 // preserving order and rejecting wrong-version lines. Blank lines are
 // skipped.
 func ReadResults(r io.Reader) ([]Result, error) {

@@ -13,8 +13,8 @@
 // where the grid is the canonical api encoding of the sweep's points
 // (replicas expanded, so grid job i is point i) and master seed. Every
 // following line is one canonical api.Result (schema v1, no
-// wall-clock fields), exactly the bytes pwfserve streams and pwfsim
-// -json emits for the same point. Records append in completion order;
+// wall-clock fields), exactly the bytes pwfserve streams and pwfsweep
+// writes for the same point. Records append in completion order;
 // point indices, not file order, key the restore.
 //
 // # Atomicity and crash safety

@@ -17,8 +17,8 @@ import (
 // WorkloadKind names a simulated algorithm family.
 type WorkloadKind string
 
-// The supported workload kinds, mirroring the algorithm catalogue of
-// cmd/pwfsim.
+// The supported workload kinds, one -algos name each in
+// cmd/pwfsweep.
 const (
 	SCU         WorkloadKind = "scu"         // Algorithm 2, SCU(q, s)
 	Parallel    WorkloadKind = "parallel"    // Algorithm 4, q-step parallel code
