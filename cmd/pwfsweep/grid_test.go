@@ -183,3 +183,71 @@ func TestRunFailureLeavesOutUntouched(t *testing.T) {
 		}
 	}
 }
+
+// An -out that is not a regular file is written in place: a device
+// stays a device, and a symlink stays a link whose target gets the
+// results.
+func TestRunOutWritesThroughNonRegularFiles(t *testing.T) {
+	var want, errOut bytes.Buffer
+	if err := run(point("-steps", "1000"), &want, &errOut); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := run(point("-steps", "1000", "-out", os.DevNull), io.Discard, &errOut); err != nil {
+		t.Fatalf("-out %s: %v", os.DevNull, err)
+	}
+	if fi, err := os.Lstat(os.DevNull); err != nil || fi.Mode()&os.ModeDevice == 0 {
+		t.Fatalf("%s is no longer a device after the run: %v, %v", os.DevNull, fi, err)
+	}
+
+	dir := t.TempDir()
+	target, link := filepath.Join(dir, "target.ndjson"), filepath.Join(dir, "link.ndjson")
+	if err := os.WriteFile(target, []byte("old\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Symlink(target, link); err != nil {
+		t.Skip("no symlinks here:", err)
+	}
+	if err := run(point("-steps", "1000", "-out", link), io.Discard, &errOut); err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Lstat(link); err != nil || fi.Mode()&os.ModeSymlink == 0 {
+		t.Errorf("-out %s replaced the symlink: %v, %v", link, fi, err)
+	}
+	if got, err := os.ReadFile(target); err != nil || !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("symlink target holds %q, %v; want %q", got, err, want.Bytes())
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 2 {
+		t.Errorf("the run left %d files in the directory, want 2", len(entries))
+	}
+}
+
+// A regular -out keeps its permissions, and a temporary file that a
+// killed run left beside it is replaced and then gone.
+func TestRunOutKeepsModeAndReplacesLeftover(t *testing.T) {
+	dir := t.TempDir()
+	outPath := filepath.Join(dir, "r.ndjson")
+	leftover := filepath.Join(dir, ".r.ndjson.partial")
+	if err := os.WriteFile(outPath, []byte("old\n"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(leftover, []byte("a killed run's partial results\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var want, errOut bytes.Buffer
+	if err := run(point("-steps", "1000"), &want, &errOut); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(point("-steps", "1000", "-out", outPath), io.Discard, &errOut); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(outPath); err != nil || !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("-out holds %q, %v; want %q", got, err, want.Bytes())
+	}
+	if fi, err := os.Stat(outPath); err != nil || fi.Mode().Perm() != 0o600 {
+		t.Errorf("-out mode is %v, %v; want -rw-------", fi.Mode().Perm(), err)
+	}
+	if _, err := os.Lstat(leftover); !os.IsNotExist(err) {
+		t.Errorf("the leftover temporary file is still there: %v", err)
+	}
+}

@@ -21,10 +21,11 @@
 // grid matches. SIGINT checkpoints and exits with status 3.
 //
 // Output is one canonical api result line per point in input order,
-// or with -text a latency/fairness report. A file -out is created as a
-// temporary file beside it before any point runs, and renamed into
-// place only on success. The observability flags (-trace, -metrics,
-// -debug-addr, -cpuprofile, -memprofile) are described in the README.
+// or with -text a latency/fairness report. -out is opened before any
+// point runs; a regular file is written beside it and renamed into
+// place only on success (see createOut). The observability flags
+// (-trace, -metrics, -debug-addr, -cpuprofile, -memprofile) are
+// described in the README.
 package main
 
 import (
@@ -50,13 +51,17 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		fmt.Fprintln(os.Stderr, "pwfsweep:", err)
-		if errors.Is(err, pwf.ErrSweepCanceled) {
-			os.Exit(3) // interrupted but checkpointed: wrappers can loop on resume
-		}
-		os.Exit(1)
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	if err == nil {
+		return
 	}
+	fmt.Fprintln(os.Stderr, "pwfsweep:", err)
+	if errors.Is(err, pwf.ErrSweepCanceled) {
+		// Interrupted but checkpointed: distinct exit status so
+		// wrappers can loop on resume.
+		os.Exit(3)
+	}
+	os.Exit(1)
 }
 
 const algoNames = "scu, fetchinc, parallel, unbounded, stack, queue, rcu, list, hashset, lfuniversal, wfuniversal"
@@ -150,20 +155,19 @@ func run(args []string, out, errOut io.Writer) error {
 		return err
 	}
 
-	// Open -out before the first point runs, as a temporary file that
-	// replaces the real one only once every result is written.
+	// Open -out before the first point runs, so a bad path fails at once.
 	w := out
-	var tmp *os.File
+	var outFile *os.File
+	partial := "" // the temporary file renamed onto -out, if there is one
 	if *outPath != "-" {
-		if tmp, err = os.CreateTemp(filepath.Dir(*outPath), "."+filepath.Base(*outPath)+".*"); err != nil {
+		if outFile, partial, err = createOut(*outPath); err != nil {
 			return err
 		}
-		defer os.Remove(tmp.Name()) // fails harmlessly after the rename
-		defer tmp.Close()
-		if err := tmp.Chmod(0o644); err != nil {
-			return err
+		defer outFile.Close()
+		if partial != "" {
+			defer os.Remove(partial) // fails harmlessly after the rename
 		}
-		w = tmp
+		w = outFile
 	}
 
 	// Assemble the telemetry pipeline: a binary trace file, a live
@@ -206,7 +210,9 @@ func run(args []string, out, errOut io.Writer) error {
 		Recorder:      pwf.MultiRecorder(recorders...),
 	}
 	if *width > 1 {
-		// Say once per distinct reason where replica batching did nothing.
+		// Surface silent scalar fallbacks (once per distinct reason) so
+		// a user who asked for replica batching learns when it did
+		// nothing for part of the grid.
 		cfg.OnBatchFallback = func(reason string) {
 			fmt.Fprintf(errOut, "pwfsweep: replica batching fell back to scalar: %s\n", reason)
 		}
@@ -240,7 +246,7 @@ func run(args []string, out, errOut io.Writer) error {
 	cfg.Context = ctx
 
 	if *progress {
-		cfg.Progress = progressPrinter(errOut, restored)
+		cfg.Progress = newProgressPrinter(errOut, restored).update
 	}
 
 	if *cpuProf != "" {
@@ -304,19 +310,57 @@ func run(args []string, out, errOut io.Writer) error {
 	if err := bw.Flush(); err != nil {
 		return err
 	}
-	if tmp != nil {
+	if partial != "" {
 		// Sync first, so the rename never publishes a file whose bytes a
 		// crash could still lose.
-		if err := errors.Join(tmp.Sync(), tmp.Close()); err != nil {
+		if err := errors.Join(outFile.Sync(), outFile.Close()); err != nil {
 			return err
 		}
-		if err := os.Rename(tmp.Name(), *outPath); err != nil {
+		if err := os.Rename(partial, *outPath); err != nil {
+			return err
+		}
+	} else if outFile != nil {
+		if err := outFile.Close(); err != nil {
 			return err
 		}
 	}
 	fmt.Fprintf(errOut, "pwfsweep: %d points done in %s (%d restored from checkpoint)\n",
 		total, time.Since(began).Round(time.Millisecond), restored)
 	return nil
+}
+
+// createOut opens -out for writing. A new or regular file is written
+// as .<name>.partial beside it, which the caller renames onto path once
+// every result is written: a failed run leaves path as it was, and what
+// a killed run leaves is replaced by the next run. The temporary file
+// takes an existing file's permissions. Anything else (a symlink, a
+// device such as /dev/null, a FIFO) is written in place, with partial
+// empty, since a rename would replace the link or the node itself.
+func createOut(path string) (f *os.File, partial string, err error) {
+	fi, err := os.Lstat(path)
+	exists := err == nil
+	if exists && !fi.Mode().IsRegular() {
+		f, err = os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o666)
+		return f, "", err
+	}
+	if !exists && !errors.Is(err, os.ErrNotExist) {
+		return nil, "", err
+	}
+	partial = filepath.Join(filepath.Dir(path), "."+filepath.Base(path)+".partial")
+	if err := os.Remove(partial); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return nil, "", err
+	}
+	if f, err = os.OpenFile(partial, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o666); err != nil {
+		return nil, "", err
+	}
+	if exists {
+		if err := f.Chmod(fi.Mode().Perm()); err != nil {
+			f.Close()
+			os.Remove(partial)
+			return nil, "", err
+		}
+	}
+	return f, partial, nil
 }
 
 // buildGrid expands the grid axes into one job per (algo, sched, n,
@@ -385,24 +429,35 @@ func report(out io.Writer, res pwf.SweepResult) {
 	}
 }
 
-// progressPrinter returns a progress callback that renders throttled
-// lines with a rate and ETA computed from this session's completions
-// only — restored points count as done but not toward the rate, so a
-// resumed run's ETA is honest from its first line.
-func progressPrinter(w io.Writer, restored int) func(done, total int) {
-	started, last := time.Now(), time.Time{}
-	return func(done, total int) {
-		now := time.Now()
-		if done < total && now.Sub(last) < 2*time.Second {
-			return
-		}
-		last = now
-		line := fmt.Sprintf("pwfsweep: %d/%d (%.1f%%)", done, total, 100*float64(done)/float64(total))
-		if fresh := done - restored; fresh > 0 && done < total {
-			rate := float64(fresh) / time.Since(started).Seconds()
+// progressPrinter renders throttled progress lines with a rate and
+// ETA computed from this session's completions only — restored points
+// count as done but not toward the rate, so a resumed run's ETA is
+// honest from its first line.
+type progressPrinter struct {
+	w        io.Writer
+	started  time.Time
+	restored int
+	last     time.Time
+}
+
+func newProgressPrinter(w io.Writer, restored int) *progressPrinter {
+	now := time.Now()
+	return &progressPrinter{w: w, started: now, restored: restored}
+}
+
+func (p *progressPrinter) update(done, total int) {
+	now := time.Now()
+	if done < total && now.Sub(p.last) < 2*time.Second {
+		return
+	}
+	p.last = now
+	line := fmt.Sprintf("pwfsweep: %d/%d (%.1f%%)", done, total, 100*float64(done)/float64(total))
+	if fresh := done - p.restored; fresh > 0 && done < total {
+		rate := float64(fresh) / time.Since(p.started).Seconds()
+		if rate > 0 {
 			eta := time.Duration(float64(total-done)/rate) * time.Second
 			line += fmt.Sprintf(", %.1f points/s, ETA %s", rate, eta.Round(time.Second))
 		}
-		fmt.Fprintln(w, line)
 	}
+	fmt.Fprintln(p.w, line)
 }
