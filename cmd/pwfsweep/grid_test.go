@@ -91,6 +91,26 @@ func TestRunGridExcludesGridFlags(t *testing.T) {
 	}
 }
 
+// A grid file whose workload parameters are out of range fails before
+// any point runs or any checkpoint header binds it.
+func TestRunGridRejectsOutOfRangeWorkloads(t *testing.T) {
+	for _, tc := range []struct{ workload, want string }{
+		{`{"kind":"scu","q":-1,"s":1}`, "got Q=-1 S=1"},
+		{`{"kind":"scu"}`, "got Q=0 S=0"},
+	} {
+		grid := writeGrid(t, `{"v":1,"seed":1,"jobs":[{"workload":`+tc.workload+`,"n":2,"steps":100}]}`)
+		ckpt := filepath.Join(t.TempDir(), "grid.ckpt")
+		var out, errOut bytes.Buffer
+		err := run([]string{"-grid", grid, "-checkpoint", ckpt, "-progress=false"}, &out, &errOut)
+		if err == nil || !strings.Contains(err.Error(), "job 0") || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want an error naming job 0 and %q", tc.workload, err, tc.want)
+		}
+		if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
+			t.Errorf("%s: checkpoint written for a rejected grid (%v)", tc.workload, err)
+		}
+	}
+}
+
 // A -grid checkpoint is bound to its grid exactly like a flag-built
 // one: a run stopped partway resumes to the uninterrupted bytes, and
 // the same checkpoint refuses another grid.

@@ -111,7 +111,7 @@ func run(args []string, out, errOut io.Writer) error {
 		traceFile  = fs.String("trace", "", "write step-level telemetry events to this file")
 		traceComp  = fs.String("trace-compress", "none", "trace compression: none or gzip")
 		metrics    = fs.Bool("metrics", false, "print a JSON metrics snapshot to stderr after the run")
-		debugAddr  = fs.String("debug-addr", "", "serve /metrics, /debug/vars, /debug/pprof and /debug/trace/tail on this address")
+		debugAddr  = fs.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
 		cpuProf    = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf    = fs.String("memprofile", "", "write a heap profile to this file")
 	)
@@ -170,27 +170,25 @@ func run(args []string, out, errOut io.Writer) error {
 		w = outFile
 	}
 
-	// Assemble the telemetry pipeline: a binary trace file, a live
-	// tail ring behind the debug server, an aggregating metrics
-	// recorder — all fanned out through MultiRecorder.
+	// Assemble the telemetry pipeline: a binary trace file and an
+	// aggregating metrics recorder, fanned out through MultiRecorder.
+	// The debug server only reads the registry, so watching a sweep
+	// leaves it on the path it runs on unwatched.
 	var recorders []pwf.Recorder
-	var trace *pwf.TraceWriter
 	if *traceFile != "" {
 		f, err := os.Create(*traceFile)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		if trace, err = pwf.NewTraceWriter(f, comp); err != nil {
+		trace, err := pwf.NewTraceWriter(f, comp)
+		if err != nil {
 			return err
 		}
 		recorders = append(recorders, trace)
 	}
 	if *debugAddr != "" {
-		tail := pwf.NewTraceTailer(0, nil)
-		defer tail.Close()
-		recorders = append(recorders, tail)
-		bound, stop, err := pwf.ServeDebug(*debugAddr, nil, pwf.WithTraceTail(tail))
+		bound, stop, err := pwf.ServeDebug(*debugAddr, nil)
 		if err != nil {
 			return err
 		}
@@ -262,12 +260,6 @@ func run(args []string, out, errOut io.Writer) error {
 	}
 	began := time.Now()
 	results, err := pwf.RunSweep(cfg)
-	if trace != nil {
-		// RunSweep's flush does not reach a recorder inside a MultiRecorder.
-		if ferr := trace.Flush(); ferr != nil && err == nil {
-			err = ferr
-		}
-	}
 	if err != nil {
 		if errors.Is(err, pwf.ErrSweepCanceled) && cp != nil {
 			if serr := cp.Sync(); serr != nil {

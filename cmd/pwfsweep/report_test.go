@@ -312,19 +312,39 @@ func TestRunRejectsBadTraceFlags(t *testing.T) {
 	}
 }
 
-func TestRunDebugAddrTailsTrace(t *testing.T) {
-	// The debug server tails the live trace; by the time run returns
-	// the tailer is closed, so we cannot hit the endpoint here — that
-	// path is covered by the obs package's HTTP tests. This test pins
-	// the wiring: -debug-addr alone (no -trace) must not fail, and the
-	// trace_tail metrics must register on the default registry.
-	var out, errOut bytes.Buffer
-	args := point("-steps", "2000", "-debug-addr", "127.0.0.1:0", "-metrics")
-	if err := run(args, &out, &errOut); err != nil {
+// TestRunDebugAddrKeepsBatching checks that watching a sweep does not
+// change how it runs: with -debug-addr and -metrics a batchable grid
+// stays on the replica-batched path, every point is counted there, and
+// the results are the bytes of the same run unwatched.
+func TestRunDebugAddrKeepsBatching(t *testing.T) {
+	grid := []string{"-algos", "scu,fetchinc", "-scheds", "uniform", "-n", "4", "-seeds", "4",
+		"-steps", "2000", "-progress=false"}
+	const points = 8
+	var plain, plainErr bytes.Buffer
+	if err := run(grid, &plain, &plainErr); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(errOut.String(), "trace_tail_evicted") {
-		t.Errorf("metrics snapshot missing trace_tail_evicted:\n%s", errOut.String())
+
+	before := obs.Default.Counter("sweep_batch_jobs").Load()
+	var out, errOut bytes.Buffer
+	watched := append(append([]string{}, grid...), "-debug-addr", "127.0.0.1:0", "-metrics")
+	if err := run(watched, &out, &errOut); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(errOut.String(), "fell back to scalar") {
+		t.Errorf("watched sweep left the batched path:\n%s", errOut.String())
+	}
+	if !bytes.Equal(out.Bytes(), plain.Bytes()) {
+		t.Errorf("watched results differ from unwatched:\n%s\nvs\n%s", out.Bytes(), plain.Bytes())
+	}
+	// The snapshot follows the debug server's address line on stderr.
+	_, snap, _ := strings.Cut(errOut.String(), "\n")
+	var parsed obs.Snapshot
+	if err := json.NewDecoder(strings.NewReader(snap)).Decode(&parsed); err != nil {
+		t.Fatalf("metrics snapshot: %v\n%s", err, errOut.String())
+	}
+	if got := parsed.Counters["sweep_batch_jobs"] - before; got != points {
+		t.Errorf("sweep_batch_jobs grew by %d, want %d (every point batched)", got, points)
 	}
 }
 

@@ -54,9 +54,9 @@ func ExampleRun() {
 }
 
 // Reading a trace back. A trace file is binary (format v2);
-// ReadTraceEvents decodes it into events, and each event prints as
-// the JSON line the live tail (/debug/trace/tail) serves. The PIDs of
-// the sched events, in order, are the run's schedule.
+// ReadTraceEvents decodes it into events, and json.Marshal prints each
+// event as one JSON line holding the fields its kind defines. The PIDs
+// of the sched events, in order, are the run's schedule.
 func ExampleReadTraceEvents() {
 	var file bytes.Buffer // an *os.File in practice
 	tw, err := pwf.NewTraceWriter(&file, pwf.TraceCompressGzip)

@@ -233,7 +233,6 @@ const (
 	CodeNotFound = "not_found"
 	// CodeGone: the sweep existed but its results were evicted by the
 	// retention window; resuming a cursor on it cannot succeed.
-	// Matches the trace-tail 410 contract.
 	CodeGone = "gone"
 	// CodeUnsupportedVersion: the envelope's "v" is not the version
 	// this build speaks.

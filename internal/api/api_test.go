@@ -81,6 +81,9 @@ func TestDecodeGridStrictness(t *testing.T) {
 		{"no jobs", `{"v":1,"seed":1,"jobs":[]}`, "no jobs"},
 		{"trailing data", `{"v":1,"seed":1,"jobs":[{"workload":{"kind":"scu"},"n":2,"steps":100,"warmup_fraction":0}]} {"more":1}`, "trailing data"},
 		{"invalid job", `{"v":1,"seed":1,"jobs":[{"workload":{"kind":"scu"},"n":0,"steps":100,"warmup_fraction":0}]}`, "n >= 1"},
+		{"scu negative q", `{"v":1,"seed":1,"jobs":[{"workload":{"kind":"scu","q":-1,"s":1},"n":2,"steps":100,"warmup_fraction":0}]}`, "S >= 1, got Q=-1 S=1"},
+		{"scu without s", `{"v":1,"seed":1,"jobs":[{"workload":{"kind":"scu"},"n":2,"steps":100,"warmup_fraction":0}]}`, "S >= 1, got Q=0 S=0"},
+		{"negative wait factor", `{"v":1,"seed":1,"jobs":[{"workload":{"kind":"unbounded","wait_factor":-1},"n":2,"steps":100,"warmup_fraction":0}]}`, "negative wait factor"},
 		{"bad sched string", `{"v":1,"seed":1,"jobs":[{"workload":{"kind":"scu"},"n":2,"sched":"sticky:9","steps":100,"warmup_fraction":0}]}`, "out of [0, 1)"},
 		{"not json", `nope`, "decode grid"},
 	} {

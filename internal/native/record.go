@@ -110,15 +110,6 @@ func (s *Schedule) StepShares() []float64 {
 	return out
 }
 
-// StepCounts returns each worker's recorded step count.
-func (s *Schedule) StepCounts() []int {
-	counts := make([]int, s.workers)
-	for _, w := range s.order {
-		counts[w]++
-	}
-	return counts
-}
-
 // TransitionCounts returns the matrix T with T[i][j] counting steps by
 // worker j immediately following a step by worker i.
 func (s *Schedule) TransitionCounts() [][]uint64 {

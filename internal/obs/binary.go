@@ -18,8 +18,8 @@ import (
 // bytes per event, optionally compressed frame-by-frame, so tracing
 // stays cheap at the paper-scale n=4096 × 10^8-step regime while
 // preserving the byte-exact replay guarantee (see
-// TestBinaryTraceReplayRoundTrip). JSON is only the wire encoding of
-// the live tail (tail.go).
+// TestBinaryTraceReplayRoundTrip). JSON is only how a decoded event
+// prints (Event.MarshalJSON).
 //
 // # File layout
 //

@@ -219,8 +219,8 @@ func TestParseCompression(t *testing.T) {
 
 // TestBinaryTraceCompression pins the size win the format exists for:
 // on a realistic event stream the binary trace must be at least 5×
-// smaller than the same events as JSON lines (the tail's wire form,
-// and once the NDJSON trace format), with and without gzip.
+// smaller than the same events as JSON lines (Event.MarshalJSON, once
+// the NDJSON trace format), with and without gzip.
 func TestBinaryTraceCompression(t *testing.T) {
 	var events []Event
 	step := uint64(0)
@@ -434,9 +434,8 @@ func BenchmarkTrace(b *testing.B) {
 const traceBenchEvents = 10000
 
 // TestBinaryTraceJSONEquivalence checks that a binary trace decodes
-// to events whose JSON lines, the tail's wire form, are byte for byte
-// the lines of the events recorded: printing a decoded trace shows
-// what a live tail of the run showed.
+// to events whose JSON lines are byte for byte the lines of the
+// events recorded: printing a decoded trace shows the run's events.
 func TestBinaryTraceJSONEquivalence(t *testing.T) {
 	events := sampleEvents()
 	fromBin, err := ReadBinaryEvents(bytes.NewReader(encodeBinary(t, events, BinaryTraceOptions{})))
@@ -448,8 +447,7 @@ func TestBinaryTraceJSONEquivalence(t *testing.T) {
 	}
 }
 
-// jsonLines renders events as JSON lines, one per event, as the tail
-// serves them.
+// jsonLines renders events as JSON lines, one per event.
 func jsonLines(t *testing.T, events []Event) []byte {
 	t.Helper()
 	var buf bytes.Buffer

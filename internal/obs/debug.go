@@ -8,36 +8,18 @@ import (
 	"time"
 )
 
-// DebugOption extends ServeDebug's surface.
-type DebugOption func(*debugConfig)
-
-type debugConfig struct {
-	tail *TraceTailer
-}
-
-// WithTraceTail mounts t's live-trace stream at /debug/trace/tail:
-// NDJSON events with cursor resume (see TraceTailer.Handler).
-func WithTraceTail(t *TraceTailer) DebugOption {
-	return func(c *debugConfig) { c.tail = t }
-}
-
 // ServeDebug starts an HTTP listener on addr exposing the standard
 // debug surface for long-running sweeps:
 //
 //	/metrics            the registry snapshot as JSON
 //	/debug/vars         expvar (includes the registry, published as "pwf")
 //	/debug/pprof/       runtime profiles (CPU, heap, goroutine, ...)
-//	/debug/trace/tail   live trace tail (only with WithTraceTail)
 //
 // It returns the bound address (useful with ":0") and a stop function
 // that closes the listener. Errors from the serving goroutine after a
 // successful start are ignored, as is conventional for debug
 // endpoints.
-func ServeDebug(addr string, reg *Registry, opts ...DebugOption) (bound string, stop func() error, err error) {
-	var cfg debugConfig
-	for _, opt := range opts {
-		opt(&cfg)
-	}
+func ServeDebug(addr string, reg *Registry) (bound string, stop func() error, err error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", nil, err
@@ -45,9 +27,6 @@ func ServeDebug(addr string, reg *Registry, opts ...DebugOption) (bound string, 
 	reg.PublishExpvar("pwf")
 
 	mux := http.NewServeMux()
-	if cfg.tail != nil {
-		mux.Handle("/debug/trace/tail", cfg.tail.Handler())
-	}
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		_ = reg.WriteJSON(w)

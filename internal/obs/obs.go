@@ -26,15 +26,18 @@
 //   - Export: BinaryTraceWriter writes the trace file, compact
 //     varint-packed frames with optional per-frame gzip (format v2,
 //     see binary.go), and ReadBinaryEvents parses it back for
-//     byte-exact replay. Metrics aggregates events into a Registry, or
+//     byte-exact replay; Event.MarshalJSON prints a decoded event as
+//     one JSON line. Metrics aggregates events into a Registry, or
 //     merges the per-job Tallies the simulator counts for it on its
-//     fast path; TraceTailer streams the newest events of a live run
-//     as JSON lines (Event.MarshalJSON), and ServeDebug exposes
-//     expvar, pprof, /metrics and /debug/trace/tail over HTTP for long
-//     sweeps.
+//     fast path, and ServeDebug exposes expvar, pprof and /metrics
+//     over HTTP for long sweeps.
 package obs
 
-import "fmt"
+import (
+	"encoding/json"
+	"errors"
+	"fmt"
+)
 
 // Kind identifies the type of a telemetry event.
 type Kind uint8
@@ -78,8 +81,8 @@ var kindNames = map[Kind]string{
 	KindJobEnd:   "job_end",
 }
 
-// String implements fmt.Stringer; it returns the name the tail's
-// JSON lines carry.
+// String implements fmt.Stringer; it returns the name an event's JSON
+// line carries.
 func (k Kind) String() string {
 	if s, ok := kindNames[k]; ok {
 		return s
@@ -111,6 +114,45 @@ type Event struct {
 	ElapsedNS int64
 }
 
+// wireEvent is the JSON representation of an Event. Pointer fields
+// distinguish "absent" from zero values (pid 0 and step 0 are both
+// meaningful), so each line carries exactly the fields its kind
+// defines.
+type wireEvent struct {
+	Kind      string  `json:"kind"`
+	Step      *uint64 `json:"step,omitempty"`
+	PID       *int    `json:"pid,omitempty"`
+	OK        *bool   `json:"ok,omitempty"`
+	Attempts  *uint64 `json:"attempts,omitempty"`
+	Job       *int    `json:"job,omitempty"`
+	Label     *string `json:"label,omitempty"`
+	ElapsedNS *int64  `json:"elapsed_ns,omitempty"`
+}
+
+// MarshalJSON renders the event as one JSON object, emitting only the
+// fields its kind defines (see the Kind constants).
+func (e Event) MarshalJSON() ([]byte, error) {
+	w := wireEvent{Kind: e.Kind.String()}
+	switch e.Kind {
+	case KindSched, KindBegin, KindCrash:
+		w.Step, w.PID = &e.Step, &e.PID
+	case KindCAS:
+		w.Step, w.PID, w.OK = &e.Step, &e.PID, &e.OK
+	case KindRetry, KindComplete:
+		w.Step, w.PID, w.Attempts = &e.Step, &e.PID, &e.Attempts
+	case KindJobStart:
+		w.Job = &e.Job
+	case KindJobEnd:
+		w.Job, w.ElapsedNS = &e.Job, &e.ElapsedNS
+	default:
+		return nil, fmt.Errorf("obs: marshal unknown event kind %d", e.Kind)
+	}
+	if e.Label != "" && (e.Kind == KindJobStart || e.Kind == KindJobEnd) {
+		w.Label = &e.Label
+	}
+	return json.Marshal(w)
+}
+
 // Recorder observes telemetry events. Implementations used with the
 // sweep engine must be safe for concurrent use: events from different
 // jobs arrive on different worker goroutines.
@@ -138,9 +180,23 @@ func (m multi) Record(e Event) {
 	}
 }
 
+// Flush flushes every member that buffers (a trace writer does) and
+// joins their errors, so a run that flushes its recorder reaches the
+// members of a fan-out too.
+func (m multi) Flush() error {
+	var errs []error
+	for _, r := range m {
+		if f, ok := r.(interface{ Flush() error }); ok {
+			errs = append(errs, f.Flush())
+		}
+	}
+	return errors.Join(errs...)
+}
+
 // Multi combines recorders into one; nil and Nop entries are dropped.
 // It returns nil when nothing remains (the disabled state), the sole
-// survivor when one remains, and a fan-out recorder otherwise.
+// survivor when one remains, and otherwise a fan-out recorder whose
+// Flush flushes each member that has one.
 func Multi(rs ...Recorder) Recorder {
 	var out multi
 	for _, r := range rs {

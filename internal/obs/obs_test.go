@@ -50,8 +50,8 @@ func TestKindStringRoundTrip(t *testing.T) {
 }
 
 // TestEventJSONRoundTrip pins the JSON line of every kind, byte for
-// byte: the tail serves these lines, and each carries exactly the
-// fields its kind defines, whatever else the Event holds. Decoding a
+// byte: a decoded trace prints as these lines, and each carries
+// exactly the fields its kind defines, whatever else the Event holds. Decoding a
 // line back into those fields gives the event again.
 func TestEventJSONRoundTrip(t *testing.T) {
 	for _, c := range []struct {

@@ -31,7 +31,6 @@ type Queue struct {
 	violations int
 	enqueues   uint64
 	dequeues   uint64
-	emptyDeqs  uint64
 	err        error
 
 	initialized bool
@@ -97,10 +96,9 @@ func (q *Queue) Violations() int { return q.violations }
 // Length returns the queue length according to the shadow.
 func (q *Queue) Length() int { return len(q.shadow) }
 
-// Enqueues, Dequeues and EmptyDequeues return operation counts.
-func (q *Queue) Enqueues() uint64      { return q.enqueues }
-func (q *Queue) Dequeues() uint64      { return q.dequeues }
-func (q *Queue) EmptyDequeues() uint64 { return q.emptyDeqs }
+// Enqueues and Dequeues return operation counts.
+func (q *Queue) Enqueues() uint64 { return q.enqueues }
+func (q *Queue) Dequeues() uint64 { return q.dequeues }
 
 // allocate returns a free slot from pid's pool, applying the same
 // precise-GC rule as Stack.allocate: a slot is reusable only when it
@@ -320,7 +318,6 @@ func (p *QueueProc) Step(mem *shmem.Memory) bool {
 		if p.head == p.tail {
 			if p.next == 0 {
 				// Empty dequeue completes.
-				p.q.emptyDeqs++
 				p.dequeued = append(p.dequeued, 0)
 				p.head, p.tail = 0, 0 // drop references for precise GC
 				p.phase = queueEnqWriteValue

@@ -39,7 +39,6 @@ type Stack struct {
 	violations int
 	pushes     uint64
 	pops       uint64
-	emptyPops  uint64
 	err        error
 }
 
@@ -124,10 +123,9 @@ func (st *Stack) Violations() int { return st.violations }
 // Depth returns the current stack depth according to the shadow.
 func (st *Stack) Depth() int { return len(st.shadow) }
 
-// Pushes, Pops and EmptyPops return operation counts.
-func (st *Stack) Pushes() uint64    { return st.pushes }
-func (st *Stack) Pops() uint64      { return st.pops }
-func (st *Stack) EmptyPops() uint64 { return st.emptyPops }
+// Pushes and Pops return operation counts.
+func (st *Stack) Pushes() uint64 { return st.pushes }
+func (st *Stack) Pops() uint64   { return st.pops }
 
 // onPush records a successful push linearization.
 func (st *Stack) onPush(ref int64) {
@@ -269,7 +267,6 @@ func (p *StackProc) Step(mem *shmem.Memory) bool {
 		p.top = mem.Read(p.st.base)
 		if p.top == 0 {
 			// Empty pop: the operation completes with "empty".
-			p.st.emptyPops++
 			p.popped = append(p.popped, 0)
 			p.phase = stackPushWriteValue
 			return true

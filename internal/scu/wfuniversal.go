@@ -50,7 +50,6 @@ type WFUniversal struct {
 	shadowSeq   []int64 // applied seq per process (shadow)
 	currentRef  int64
 	ops         uint64
-	installs    uint64
 	violations  int
 	err         error
 	initialized bool
@@ -123,9 +122,6 @@ func (u *WFUniversal) Violations() int { return u.violations }
 // Ops returns the number of operations applied (across all batches).
 func (u *WFUniversal) Ops() uint64 { return u.ops }
 
-// Installs returns the number of successful root CASes.
-func (u *WFUniversal) Installs() uint64 { return u.installs }
-
 // State returns the shadow sequential state.
 func (u *WFUniversal) State() int64 { return u.state }
 
@@ -185,7 +181,6 @@ func (u *WFUniversal) onInstall(oldRef, newRef int64, newState int64, batch []ap
 	u.live[refSlot(oldRef)] = false
 	u.live[refSlot(newRef)] = true
 	u.currentRef = newRef
-	u.installs++
 }
 
 // wfPhase is the per-process program counter.

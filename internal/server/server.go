@@ -33,8 +33,7 @@
 // Config.Retention (default 1 hour); evictions are visible in
 // /metrics as server_sweeps_evicted. Requests for an evicted id get
 // 410 Gone (code "gone") rather than 404, so a client resuming a
-// result stream by cursor can tell "expired" from "never existed" —
-// the same contract trace tailing uses for truncated logs. The
+// result stream by cursor can tell "expired" from "never existed". The
 // distinction is best-effort across restarts: a fresh process only
 // remembers evictions it performed itself.
 //

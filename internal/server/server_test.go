@@ -492,6 +492,30 @@ func TestAdversaryCrashJobRejected(t *testing.T) {
 	}
 }
 
+// A workload whose parameters are out of range is refused at
+// submission, before any checkpoint binds it, rather than admitted and
+// failed when its first point is built.
+func TestOutOfRangeWorkloadRejected(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := startServer(t, Config{CheckpointDir: dir})
+	for _, w := range []string{`{"kind":"scu","q":-1,"s":1}`, `{"kind":"scu"}`} {
+		body := `{"v":1,"seed":1,"jobs":[{"workload":` + w + `,"n":2,"steps":100,"warmup_fraction":0}]}`
+		resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", w, resp.StatusCode)
+		}
+		if e := decodeError(t, resp); e.Code != api.CodeInvalidGrid {
+			t.Errorf("%s: code %q, want %q", w, e.Code, api.CodeInvalidGrid)
+		}
+	}
+	if files, _ := os.ReadDir(dir); len(files) != 0 {
+		t.Errorf("rejected grids left %d files in the checkpoint dir", len(files))
+	}
+}
+
 // The observability surface: /healthz answers, /metrics exposes queue
 // depth, batching counters, per-job latency histogram, the chain
 // cache's hit/miss gauges, and the retained-bytes gauge, which counts

@@ -34,15 +34,15 @@ const (
 )
 
 // Workload is a declarative description of the simulated algorithm of
-// one job. The zero value of each parameter selects the documented
-// default, so Workload values can be written as literals, compared,
-// and serialized.
+// one job, written as a literal, compared and serialized. A zero
+// WaitFactor or PoolSize selects the documented default; Q and S have
+// none, and Validate checks their ranges.
 type Workload struct {
 	Kind WorkloadKind `json:"kind"`
-	// Q is the preamble length (SCU) or the steps per operation
-	// (Parallel).
+	// Q is the preamble length (SCU, >= 0) or the steps per operation
+	// (Parallel, >= 1).
 	Q int `json:"q,omitempty"`
-	// S is the scan length (SCU).
+	// S is the scan length (SCU, >= 1).
 	S int `json:"s,omitempty"`
 	// WaitFactor scales the losers' wait loop of Algorithm 1
 	// (Unbounded); 0 selects the paper's n².
@@ -67,6 +67,12 @@ func (w Workload) Validate(n int) error {
 	}
 	if w.Kind == Parallel && w.Q < 1 {
 		return errors.New("sweep: parallel code needs Q >= 1")
+	}
+	if w.Kind == SCU && (w.Q < 0 || w.S < 1) {
+		return fmt.Errorf("sweep: SCU needs Q >= 0 and S >= 1, got Q=%d S=%d", w.Q, w.S)
+	}
+	if w.WaitFactor < 0 {
+		return fmt.Errorf("sweep: negative wait factor %d", w.WaitFactor)
 	}
 	if w.PoolSize < 0 {
 		return fmt.Errorf("sweep: negative pool size %d", w.PoolSize)

@@ -44,7 +44,6 @@ func TestMetricNamesDocumented(t *testing.T) {
 	}
 	server.New(server.Config{Registry: reg, Cache: sweep.NewChainCache()}).Close()
 	obs.NewBinaryTraceWriter(io.Discard, obs.BinaryTraceOptions{Registry: reg})
-	obs.NewTraceTailer(0, reg)
 	sweep.NewChainCache().Publish(reg, "chain_cache")
 	new(obs.OpStats).Register(reg, "native_stack_w4")
 

@@ -30,11 +30,6 @@ type (
 	TraceWriter = obs.BinaryTraceWriter
 	// TraceCompression selects per-frame compression of traces.
 	TraceCompression = obs.Compression
-	// TraceTailer retains the newest events of a live run in a bounded
-	// ring and streams them over HTTP with cursor resume.
-	TraceTailer = obs.TraceTailer
-	// DebugOption extends ServeDebug (see WithTraceTail).
-	DebugOption = obs.DebugOption
 	// MetricsRecorder aggregates simulator steps into registry metrics
 	// (sim_* counters and the CAS-attempts histogram). Used as the
 	// whole recorder it is counted on the simulator's fast path,
@@ -93,20 +88,6 @@ func NewTraceWriter(w io.Writer, comp TraceCompression) (*TraceWriter, error) {
 	return obs.NewBinaryTraceWriter(w, obs.BinaryTraceOptions{Compression: comp}), nil
 }
 
-// NewTraceTailer returns a live-trace ring buffer retaining the newest
-// capacity events (<= 0 selects the default 8192); fan it alongside a
-// trace writer with MultiRecorder and mount it on the debug server via
-// ServeDebug(addr, reg, WithTraceTail(t)). Call Close when the run is
-// over so tailing clients terminate.
-func NewTraceTailer(capacity int, reg *Registry) *TraceTailer {
-	return obs.NewTraceTailer(capacity, reg)
-}
-
-// WithTraceTail mounts t's stream at /debug/trace/tail on ServeDebug's
-// mux: NDJSON events with no-dup/no-gap cursor resume (cursor query
-// parameter or Last-Event-ID header).
-func WithTraceTail(t *TraceTailer) DebugOption { return obs.WithTraceTail(t) }
-
 // NewMetricsRecorder returns a Recorder aggregating simulator events
 // into reg (nil selects DefaultRegistry).
 func NewMetricsRecorder(reg *Registry) *MetricsRecorder {
@@ -117,7 +98,8 @@ func NewMetricsRecorder(reg *Registry) *MetricsRecorder {
 }
 
 // MultiRecorder fans events out to several recorders; nil entries are
-// dropped and nil is returned when none remain.
+// dropped and nil is returned when none remain. Flushing the result
+// (as Run and RunSweep do) flushes every member that has a Flush.
 func MultiRecorder(rs ...Recorder) Recorder { return obs.Multi(rs...) }
 
 // ReadTraceEvents parses a binary (v2) trace back into events,
@@ -126,14 +108,13 @@ func MultiRecorder(rs ...Recorder) Recorder { return obs.Multi(rs...) }
 func ReadTraceEvents(r io.Reader) ([]Event, error) { return obs.ReadBinaryEvents(r) }
 
 // ServeDebug starts an HTTP listener on addr exposing /metrics (the
-// registry snapshot), /debug/vars (expvar), /debug/pprof, and — with
-// WithTraceTail — /debug/trace/tail. It returns the bound address and
-// a stop function.
-func ServeDebug(addr string, reg *Registry, opts ...DebugOption) (bound string, stop func() error, err error) {
+// registry snapshot), /debug/vars (expvar) and /debug/pprof. It
+// returns the bound address and a stop function.
+func ServeDebug(addr string, reg *Registry) (bound string, stop func() error, err error) {
 	if reg == nil {
 		reg = obs.Default
 	}
-	return obs.ServeDebug(addr, reg, opts...)
+	return obs.ServeDebug(addr, reg)
 }
 
 // ChainCache memoizes exact-chain analyses; see SweepConfig.Cache.

@@ -170,3 +170,33 @@ func TestRunSweepWithTrace(t *testing.T) {
 		t.Errorf("%d job_end events, want %d", jobEnds, len(jobs))
 	}
 }
+
+// TestRunFlushesMultiRecorder checks that Run's flush reaches a trace
+// writer fanned out beside a metrics recorder: the trace decodes with
+// every scheduling decision of warmup and measurement.
+func TestRunFlushesMultiRecorder(t *testing.T) {
+	var buf bytes.Buffer
+	tw, err := pwf.NewTraceWriter(&buf, pwf.TraceCompressNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := pwf.NewRunConfig(pwf.SCUWorkload(0, 1), 2)
+	cfg.Steps = 100
+	cfg.Recorder = pwf.MultiRecorder(tw, pwf.NewMetricsRecorder(nil))
+	if _, err := pwf.Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	events, err := pwf.ReadTraceEvents(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := 0
+	for _, e := range events {
+		if e.Kind == pwf.EventSched {
+			sched++
+		}
+	}
+	if sched != 110 {
+		t.Errorf("trace holds %d sched events, want 110 (100 steps and 10%% warmup)", sched)
+	}
+}
