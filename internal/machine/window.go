@@ -3,25 +3,36 @@ package machine
 import (
 	"fmt"
 	"math"
-
-	"pwf/internal/stats"
 )
 
-// indCell is the per-process metric state, packed into exactly one
-// cache line (40-byte Summary + three words) so recording a completion
-// touches a single line instead of one per field array. lastComp
-// doubles as the primed flag: steps are 1-based at completion time,
-// so lastComp == 0 means no completion has been recorded in the
-// current metrics window.
+// gapMean is the running mean of inter-completion gaps: the mean half
+// of Welford's update, the only part any estimator reads. Its mean is
+// bit-identical to a Welford summary's over the same gaps.
+type gapMean struct {
+	n    int
+	mean float64
+}
+
+// add incorporates one gap.
+func (g *gapMean) add(x float64) {
+	g.n++
+	g.mean += (x - g.mean) / float64(g.n)
+}
+
+// indCell is the per-process metric state, packed into 40 bytes (the
+// gap mean + three words) so recording a completion touches one cell
+// instead of one entry per field array. lastComp doubles as the primed
+// flag: steps are 1-based at completion time, so lastComp == 0 means
+// no completion has been recorded in the current metrics window.
 type indCell struct {
-	gaps        stats.Summary
+	gaps        gapMean
 	lastComp    uint64
 	maxGap      uint64
 	completions uint64
 }
 
 // Window is one replica's latency metrics: the system and individual
-// inter-completion gap summaries, the completion counts, and the
+// inter-completion gap means, the completion counts, and the
 // window start that ResetMetrics moves past the warmup. Sim embeds
 // one; BatchSim holds one per replica (see BatchSim.Replica). A window
 // never counts steps itself: it reads its simulator's step clock, so
@@ -29,7 +40,7 @@ type indCell struct {
 type Window struct {
 	clock *uint64 // the owning simulator's step count
 
-	sysGaps     stats.Summary
+	sysGaps     gapMean
 	lastSysComp uint64 // 0: no completion yet in this window
 	totalComp   uint64
 
@@ -49,13 +60,13 @@ func (w *Window) record(pid int, now uint64) {
 	w.totalComp++
 
 	if w.lastSysComp != 0 {
-		w.sysGaps.Add(float64(now - w.lastSysComp))
+		w.sysGaps.add(float64(now - w.lastSysComp))
 	}
 	w.lastSysComp = now
 
 	if c.lastComp != 0 {
 		gap := now - c.lastComp
-		c.gaps.Add(float64(gap))
+		c.gaps.add(float64(gap))
 		if gap > c.maxGap {
 			c.maxGap = gap
 		}
@@ -68,10 +79,10 @@ func (w *Window) record(pid int, now uint64) {
 // only the post-reset window, approximating the stationary regime.
 // Completion counts are cumulative and survive the reset.
 func (w *Window) ResetMetrics() {
-	w.sysGaps = stats.Summary{}
+	w.sysGaps = gapMean{}
 	w.lastSysComp = 0
 	for i := range w.ind {
-		w.ind[i].gaps = stats.Summary{}
+		w.ind[i].gaps = gapMean{}
 		w.ind[i].lastComp = 0
 		w.ind[i].maxGap = 0
 	}
@@ -96,10 +107,10 @@ func (w *Window) TotalCompletions() uint64 { return w.totalComp }
 // consecutive completions (gap estimator), an error if fewer than two
 // completions were observed in the metrics window.
 func (w *Window) SystemLatency() (float64, error) {
-	if w.sysGaps.N() == 0 {
+	if w.sysGaps.n == 0 {
 		return 0, ErrNoCompletions
 	}
-	return w.sysGaps.Mean(), nil
+	return w.sysGaps.mean, nil
 }
 
 // SystemLatencyRatio returns steps/completions over the metrics
@@ -118,10 +129,10 @@ func (w *Window) IndividualLatency(pid int) (float64, error) {
 	if pid < 0 || pid >= len(w.ind) {
 		return 0, fmt.Errorf("machine: pid %d out of range", pid)
 	}
-	if w.ind[pid].gaps.N() == 0 {
+	if w.ind[pid].gaps.n == 0 {
 		return 0, fmt.Errorf("%w: process %d", ErrNoCompletions, pid)
 	}
-	return w.ind[pid].gaps.Mean(), nil
+	return w.ind[pid].gaps.mean, nil
 }
 
 // MeanIndividualLatency averages the individual latency across all
@@ -131,10 +142,10 @@ func (w *Window) MeanIndividualLatency() (float64, error) {
 	var sum float64
 	count := 0
 	for pid := range w.ind {
-		if w.ind[pid].gaps.N() == 0 {
+		if w.ind[pid].gaps.n == 0 {
 			continue
 		}
-		sum += w.ind[pid].gaps.Mean()
+		sum += w.ind[pid].gaps.mean
 		count++
 	}
 	if count == 0 {

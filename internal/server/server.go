@@ -29,13 +29,14 @@
 // pure execution optimizations that provably cannot change result
 // bytes.
 //
-// The result store is bounded: finished sweeps are evicted after
-// Config.Retention (default 1 hour); evictions are visible in
-// /metrics as server_sweeps_evicted. Requests for an evicted id get
-// 410 Gone (code "gone") rather than 404, so a client resuming a
-// result stream by cursor can tell "expired" from "never existed". The
-// distinction is best-effort across restarts: a fresh process only
-// remembers evictions it performed itself.
+// The result store is compact and bounded: a finished sweep keeps its
+// result lines deflated, and a stream that reads them inflates a copy.
+// Finished sweeps are evicted after Config.Retention (default 1 hour);
+// evictions are visible in /metrics as server_sweeps_evicted. Requests
+// for an evicted id get 410 Gone (code "gone") rather than 404, so a
+// client resuming a result stream by cursor can tell "expired" from
+// "never existed". The distinction is best-effort across restarts: a
+// fresh process only remembers evictions it performed itself.
 //
 // With Config.CheckpointDir set, accepted sweeps survive restarts:
 // every submission is persisted as one crash-safe checkpoint (<id>.ckpt,
@@ -48,9 +49,12 @@
 package server
 
 import (
+	"bytes"
+	"compress/flate"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -147,25 +151,28 @@ const (
 // not kept: it travels to the executor with the queued sweep and is
 // released once the engine has run it.
 //
-// out holds lines[:watermark] back to back and ends[i] is the end of
-// line i in out. Appends only write past len(out) and finish replaces
-// out with an exact-length copy, so a slice of out taken under mu stays
-// valid, unchanged, after mu is released. Lines that complete before
-// the watermark reaches them (family batching reorders execution) wait
-// in staged until it does; a finished sweep has no staged slice.
+// While the sweep runs, out holds lines[:watermark] back to back and
+// ends[i] is the end of line i in out. Appends only write past len(out),
+// so a slice of out taken under mu stays valid, unchanged, after mu is
+// released. Lines that complete before the watermark reaches them
+// (family batching reorders execution) wait in staged until it does.
+// Once the sweep has finished, the executor deflates out into z and
+// drops out; ends keeps indexing the inflated bytes. A finished sweep
+// has no staged slice.
 type sweepState struct {
 	id   string
 	jobs int
 
 	mu         sync.Mutex
 	status     sweepStatus
-	out        []byte   // canonical NDJSON lines [0, watermark), in input order
-	ends       []int    // ends[i] is the end offset of line i in out
+	out        []byte   // canonical NDJSON lines [0, watermark), in input order; nil once deflated
+	z          []byte   // out deflated, once the sweep has finished; nil before
+	ends       []int    // ends[i] is the end offset of line i in out, or in z inflated
 	staged     [][]byte // lines completed past the watermark, by job index; nil unless running
 	watermark  int      // lines [0, watermark) are packed and streamable
 	done       int      // completed jobs (any order)
 	failure    *api.Error
-	finishedAt time.Time     // when status became done/failed; zero before
+	finishedAt time.Time     // when a finished sweep's lines were deflated; zero before
 	wake       chan struct{} // closed and replaced on every change
 }
 
@@ -207,28 +214,6 @@ func (st *sweepState) publish(i int, line []byte) int {
 	return len(st.out) - before
 }
 
-// finishLocked moves st to a final status: it drops the staged lines
-// and trims out and ends to their exact lengths. st.mu must be held.
-func (st *sweepState) finishLocked(status sweepStatus, failure *api.Error) {
-	st.status = status
-	st.failure = failure
-	st.finishedAt = time.Now()
-	st.staged = nil
-	st.out = exact(st.out)
-	st.ends = exact(st.ends)
-	st.broadcastLocked()
-}
-
-// exact returns s in a backing array of exactly len(s) elements.
-func exact[T any](s []T) []T {
-	if cap(s) == len(s) {
-		return s
-	}
-	c := make([]T, len(s))
-	copy(c, s)
-	return c
-}
-
 // Server executes sweeps submitted over HTTP. It implements
 // http.Handler; Close stops the executor and aborts the running sweep
 // at its next job boundary.
@@ -249,12 +234,17 @@ type Server struct {
 	queuedJobs int // admitted but unfinished jobs, bounded by MaxQueuedJobs
 	nextID     uint64
 
-	// retained is the byte count of the packed result lines of every
-	// stored sweep: the server_retained_bytes gauge.
+	// retained is the byte count the store holds for every stored
+	// sweep, packed while it runs and deflated once it finishes: the
+	// server_retained_bytes gauge.
 	retained atomic.Int64
 
 	// gate mirrors Config.gate; read only by the executor.
 	gate chan struct{}
+	// zw and zbuf deflate finished sweeps; owned by the executor, which
+	// reuses them for every sweep. zw is created on first use.
+	zw   *flate.Writer
+	zbuf bytes.Buffer
 
 	mSweepsAccepted   *obs.Counter
 	mSweepsRestored   *obs.Counter
@@ -469,16 +459,15 @@ func (s *Server) evictExpired(now time.Time) {
 	defer s.mu.Unlock()
 	for id, st := range s.sweeps {
 		st.mu.Lock()
-		expired := (st.status == statusDone || st.status == statusFailed) &&
-			!st.finishedAt.IsZero() && st.finishedAt.Before(cutoff)
-		packed := len(st.out)
+		expired := !st.finishedAt.IsZero() && st.finishedAt.Before(cutoff)
+		held := len(st.out) + len(st.z)
 		st.mu.Unlock()
 		if !expired {
 			continue
 		}
 		delete(s.sweeps, id)
 		s.gone[id] = struct{}{}
-		s.retained.Add(-int64(packed))
+		s.retained.Add(-int64(held))
 		s.mSweepsEvicted.Inc()
 		if s.cfg.CheckpointDir != "" {
 			_ = os.Remove(s.ckptPath(id))
@@ -662,10 +651,11 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 // handleResults streams the sweep's canonical NDJSON result lines in
 // input order, blocking for results not yet computed. Each wake-up
 // writes every line the watermark passed since the previous one as a
-// single chunk, then flushes once. A cursor (the number of lines the
-// client already holds, from the ?cursor= query parameter or the
-// Last-Event-ID header) resumes mid-stream with no duplicates and no
-// gaps. If the sweep failed, the stream ends with one api.Error line
+// single chunk, then flushes once; once the sweep's lines are
+// deflated, the chunk is inflated outside the lock. A cursor (the
+// number of lines the client already holds, from the ?cursor= query
+// parameter or the Last-Event-ID header) resumes mid-stream with no
+// duplicates and no gaps. If the sweep failed, the stream ends with one api.Error line
 // after the last complete result.
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	st := s.lookup(w, r)
@@ -702,19 +692,30 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 
 	for {
 		st.mu.Lock()
-		var chunk []byte
+		var chunk, z []byte
+		from, to := 0, 0
 		if st.watermark > sent {
-			from := 0
 			if sent > 0 {
 				from = st.ends[sent-1]
 			}
-			chunk = st.out[from:st.ends[st.watermark-1]]
+			to = st.ends[st.watermark-1]
+			z = st.z
+			if z == nil {
+				chunk = st.out[from:to]
+			}
 			sent = st.watermark
 		}
 		status, failure := st.status, st.failure
 		wake := st.wake
 		st.mu.Unlock()
 
+		if z != nil {
+			var err error
+			if chunk, err = inflate(z, from, to); err != nil {
+				failure = &api.Error{V: api.Version, Code: api.CodeInternal,
+					Message: fmt.Sprintf("inflate results: %v", err)}
+			}
+		}
 		if len(chunk) > 0 {
 			if _, err := w.Write(chunk); err != nil {
 				s.mStreamsDropped.Inc()
@@ -739,6 +740,17 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+}
+
+// inflate returns bytes [from, to) of the lines deflated in z.
+func inflate(z []byte, from, to int) ([]byte, error) {
+	r := flate.NewReader(bytes.NewReader(z))
+	defer r.Close()
+	b := make([]byte, to)
+	if _, err := io.ReadFull(r, b); err != nil {
+		return nil, err
+	}
+	return b[from:], nil
 }
 
 // executor drains the queue one sweep at a time. Within a sweep, jobs
@@ -792,11 +804,54 @@ func (s *Server) failQueued() {
 func (s *Server) fail(st *sweepState, e api.Error) {
 	st.mu.Lock()
 	remaining := st.jobs - st.done
-	st.finishLocked(statusFailed, &e)
 	st.mu.Unlock()
 	s.mu.Lock()
 	s.queuedJobs -= remaining
 	s.mu.Unlock()
+	s.finish(st, statusFailed, &e)
+}
+
+// finish moves st to a final status and wakes its streams, so they end
+// and their clients can move on; it then deflates the packed lines and
+// swaps the deflated copy in for them. Only the executor calls it: the
+// sweep publishes no more lines, so out is read outside st.mu, and a
+// slice of out a stream took before the swap stays valid. finishedAt is
+// set at the swap, so eviction never races it.
+func (s *Server) finish(st *sweepState, status sweepStatus, failure *api.Error) {
+	st.mu.Lock()
+	st.status = status
+	st.failure = failure
+	st.staged = nil
+	st.broadcastLocked()
+	raw := st.out
+	st.mu.Unlock()
+
+	var z []byte
+	if len(raw) > 0 {
+		z = s.deflate(raw)
+	}
+	st.mu.Lock()
+	st.out, st.z = nil, z
+	st.finishedAt = time.Now()
+	st.mu.Unlock()
+	s.retained.Add(int64(len(z) - len(raw)))
+}
+
+// deflate returns raw compressed at flate.BestSpeed, in an exact-length
+// buffer.
+func (s *Server) deflate(raw []byte) []byte {
+	s.zbuf.Reset()
+	if s.zw == nil {
+		// NewWriter fails only on an invalid level.
+		s.zw, _ = flate.NewWriter(&s.zbuf, flate.BestSpeed)
+	} else {
+		s.zw.Reset(&s.zbuf)
+	}
+	// A flate.Writer fails only when its destination does, and writes
+	// to a bytes.Buffer cannot fail.
+	_, _ = s.zw.Write(raw)
+	_ = s.zw.Close()
+	return bytes.Clone(s.zbuf.Bytes())
 }
 
 // execute runs one sweep of grid on the deterministic engine,
@@ -860,7 +915,5 @@ func (s *Server) execute(st *sweepState, grid api.Grid) {
 		s.fail(st, api.Error{V: api.Version, Code: api.CodeInternal, Message: err.Error()})
 		return
 	}
-	st.mu.Lock()
-	st.finishLocked(statusDone, nil)
-	st.mu.Unlock()
+	s.finish(st, statusDone, nil)
 }

@@ -13,6 +13,7 @@ import (
 	"os"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -519,7 +520,8 @@ func TestOutOfRangeWorkloadRejected(t *testing.T) {
 // The observability surface: /healthz answers, /metrics exposes queue
 // depth, batching counters, per-job latency histogram, the chain
 // cache's hit/miss gauges, and the retained-bytes gauge, which counts
-// exactly the result bytes the stored sweeps can still stream.
+// exactly the bytes the stored sweeps hold: deflated, once finished,
+// so fewer than they stream.
 func TestMetricsSurface(t *testing.T) {
 	reg := obs.NewRegistry()
 	s, ts := startServer(t, Config{Registry: reg})
@@ -570,17 +572,54 @@ func TestMetricsSurface(t *testing.T) {
 		t.Errorf("latency histogram count = %d, want %d", h.Count, len(g.Jobs))
 	}
 
+	ids := []string{id}
 	for seed := uint64(8); seed < 10; seed++ {
 		g.Seed = seed
 		id, _ := submit(t, ts, g)
+		ids = append(ids, id)
 		streamed += len(readStream(t, ts, id, 0))
 	}
-	if got := reg.Snapshot().Gauges["server_retained_bytes"]; got != uint64(streamed) {
-		t.Errorf("server_retained_bytes = %d after 3 sweeps, want the %d bytes streamed", got, streamed)
+	held := 0
+	for _, id := range ids {
+		st := finishedState(t, s, id)
+		st.mu.Lock()
+		held += len(st.out) + len(st.z)
+		st.mu.Unlock()
+	}
+	if got := reg.Snapshot().Gauges["server_retained_bytes"]; got != uint64(held) {
+		t.Errorf("server_retained_bytes = %d after 3 sweeps, want the %d bytes their states hold", got, held)
+	}
+	if held >= streamed {
+		t.Errorf("3 finished sweeps hold %d bytes, want fewer than the %d bytes streamed", held, streamed)
 	}
 	s.evictExpired(time.Now().Add(2 * defaultRetention))
 	if got := reg.Snapshot().Gauges["server_retained_bytes"]; got != 0 {
 		t.Errorf("server_retained_bytes = %d after every sweep was evicted, want 0", got)
+	}
+}
+
+// finishedState waits until sweep id has finished and its lines are
+// deflated, and returns its state.
+func finishedState(t *testing.T, s *Server, id string) *sweepState {
+	t.Helper()
+	s.mu.Lock()
+	st := s.sweeps[id]
+	s.mu.Unlock()
+	if st == nil {
+		t.Fatalf("no sweep %s", id)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		st.mu.Lock()
+		finished := !st.finishedAt.IsZero()
+		st.mu.Unlock()
+		if finished {
+			return st
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("sweep %s never finished", id)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -624,8 +663,8 @@ func interleavedGrid() api.Grid {
 // The packed line store serves every cursor of a sweep whose results
 // arrive out of input order: streams opened before the sweep runs and
 // streams opened after it finished each return exactly the tail of a
-// local run from their cursor. A finished sweep keeps one exact-length
-// buffer and its offsets, and no staged lines.
+// local run from their cursor. A finished sweep keeps its lines
+// deflated, with their offsets, and no raw buffer or staged lines.
 func TestPackedStoreServesEveryCursor(t *testing.T) {
 	g := interleavedGrid()
 	want := localLines(t, g)
@@ -676,9 +715,7 @@ func TestPackedStoreServesEveryCursor(t *testing.T) {
 		}
 	}
 
-	s.mu.Lock()
-	st := s.sweeps[id]
-	s.mu.Unlock()
+	st := finishedState(t, s, id)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.status != statusDone || st.watermark != len(g.Jobs) {
@@ -687,13 +724,104 @@ func TestPackedStoreServesEveryCursor(t *testing.T) {
 	if st.staged != nil {
 		t.Errorf("finished sweep keeps %d staged slots", len(st.staged))
 	}
-	if cap(st.out) != len(st.out) || cap(st.ends) != len(st.ends) {
-		t.Errorf("finished sweep buffers not exact: out len %d cap %d, ends len %d cap %d",
-			len(st.out), cap(st.out), len(st.ends), cap(st.ends))
+	if st.out != nil {
+		t.Errorf("finished sweep keeps a raw buffer of %d bytes", len(st.out))
 	}
-	if len(st.ends) != len(g.Jobs) || !bytes.Equal(st.out, want) {
-		t.Errorf("finished sweep holds %d offsets over %d bytes, want %d over the local run's %d",
-			len(st.ends), len(st.out), len(g.Jobs), len(want))
+	if len(st.ends) != len(g.Jobs) {
+		t.Fatalf("finished sweep holds %d offsets, want %d", len(st.ends), len(g.Jobs))
+	}
+	got, err := inflate(st.z, 0, st.ends[len(st.ends)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("finished sweep inflates to %d bytes that differ from the local run's %d", len(got), len(want))
+	}
+}
+
+// slowWriter is a ResponseWriter whose first Write blocks until
+// release is closed: a stream client that reads slowly.
+type slowWriter struct {
+	header  http.Header
+	first   chan struct{} // closed when the first Write starts
+	release chan struct{}
+	writes  int
+	body    bytes.Buffer
+}
+
+func (w *slowWriter) Header() http.Header { return w.header }
+func (w *slowWriter) WriteHeader(int)     {}
+func (w *slowWriter) Flush()              {}
+
+func (w *slowWriter) Write(b []byte) (int, error) {
+	if w.writes++; w.writes == 1 {
+		close(w.first)
+		<-w.release
+	}
+	return w.body.Write(b)
+}
+
+// A stream opened before its sweep runs, whose client reads slowly,
+// spans the sweep's compaction: it takes its first chunk from the raw
+// buffer, stalls in that write until the sweep has finished and
+// deflated its lines, then takes the rest from the deflated copy. It
+// gets every line once, byte-identical to a local run. The grid's last
+// job is the heaviest and runs last, so the first chunk cannot already
+// hold every line. Meanwhile streams at every cursor are opened back to
+// back until the compaction is done, so under -race the swap overlaps
+// readers on the raw and on the deflated path.
+func TestSlowStreamSpansCompaction(t *testing.T) {
+	g := interleavedGrid()
+	g.Jobs = append(g.Jobs, api.Job{Workload: api.Workload{Kind: sweep.SCU, S: 1}, N: 9, Steps: 300_000, Label: "heavy"})
+	want := localLines(t, g)
+	wantLines := bytes.SplitAfter(want, []byte("\n"))[:len(g.Jobs)]
+
+	gate := make(chan struct{})
+	s, ts := startServer(t, Config{Workers: 1, gate: gate})
+	id, _ := submit(t, ts, g)
+	results := func(k int) *http.Request {
+		return httptest.NewRequest(http.MethodGet, fmt.Sprintf("/v1/sweeps/%s/results?cursor=%d", id, k), nil)
+	}
+	w := &slowWriter{header: http.Header{}, first: make(chan struct{}), release: make(chan struct{})}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		s.ServeHTTP(w, results(0))
+	}()
+	compacted := make(chan struct{})
+	var readers sync.WaitGroup
+	for k := 0; k <= len(g.Jobs); k++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-compacted:
+					return
+				default:
+				}
+				rec := httptest.NewRecorder()
+				s.ServeHTTP(rec, results(k))
+				if tail := bytes.Join(wantLines[k:], nil); !bytes.Equal(rec.Body.Bytes(), tail) {
+					t.Errorf("cursor %d across the compaction:\n got: %s\nwant: %s", k, rec.Body.Bytes(), tail)
+					return
+				}
+			}
+		}()
+	}
+	close(gate)
+
+	<-w.first
+	finishedState(t, s, id)
+	close(compacted)
+	readers.Wait()
+	close(w.release)
+	<-served
+	if w.writes < 2 {
+		t.Errorf("stream wrote %d chunks, want its first before the compaction and more after", w.writes)
+	}
+	if !bytes.Equal(w.body.Bytes(), want) {
+		t.Errorf("slow stream across the compaction:\n got: %s\nwant: %s", w.body.Bytes(), want)
 	}
 }
 
@@ -965,6 +1093,38 @@ func TestCheckpointDirPersistsSweepsAcrossRestart(t *testing.T) {
 	id2, _ := submit(t, ts2, g)
 	if id2 == id {
 		t.Errorf("restarted server reissued id %q", id)
+	}
+}
+
+// A sweep restored from CheckpointDir finishes through the executor
+// like any other: after the restart it holds its lines deflated, and
+// every cursor still streams exactly the local run's tail.
+func TestRestoredSweepServesEveryCursorDeflated(t *testing.T) {
+	dir := t.TempDir()
+	g := interleavedGrid()
+	want := localLines(t, g)
+	wantLines := bytes.SplitAfter(want, []byte("\n"))[:len(g.Jobs)]
+
+	s1, ts1 := startServer(t, Config{CheckpointDir: dir})
+	id, _ := submit(t, ts1, g)
+	if got := readStream(t, ts1, id, 0); !bytes.Equal(got, want) {
+		t.Fatalf("pre-restart stream differs from local run:\n%s\nwant:\n%s", got, want)
+	}
+	ts1.Close()
+	s1.Close()
+
+	s2, ts2 := startServer(t, Config{CheckpointDir: dir})
+	st := finishedState(t, s2, id)
+	st.mu.Lock()
+	status, raw, z := st.status, st.out, st.z
+	st.mu.Unlock()
+	if status != statusDone || raw != nil || z == nil {
+		t.Fatalf("restored sweep: status %s, %d raw bytes, %d deflated; want done, deflated only", status, len(raw), len(z))
+	}
+	for k := 0; k <= len(g.Jobs); k++ {
+		if got, tail := readStream(t, ts2, id, k), bytes.Join(wantLines[k:], nil); !bytes.Equal(got, tail) {
+			t.Errorf("restored sweep, cursor %d:\n got: %s\nwant: %s", k, got, tail)
+		}
 	}
 }
 
