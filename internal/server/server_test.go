@@ -739,26 +739,21 @@ func TestPackedStoreServesEveryCursor(t *testing.T) {
 	}
 }
 
-// slowWriter is a ResponseWriter whose first Write blocks until
-// release is closed: a stream client that reads slowly.
+// slowWriter is a recorder whose first Write blocks until release is
+// closed: a stream client that reads slowly.
 type slowWriter struct {
-	header  http.Header
+	*httptest.ResponseRecorder
 	first   chan struct{} // closed when the first Write starts
 	release chan struct{}
 	writes  int
-	body    bytes.Buffer
 }
-
-func (w *slowWriter) Header() http.Header { return w.header }
-func (w *slowWriter) WriteHeader(int)     {}
-func (w *slowWriter) Flush()              {}
 
 func (w *slowWriter) Write(b []byte) (int, error) {
 	if w.writes++; w.writes == 1 {
 		close(w.first)
 		<-w.release
 	}
-	return w.body.Write(b)
+	return w.ResponseRecorder.Write(b)
 }
 
 // A stream opened before its sweep runs, whose client reads slowly,
@@ -782,7 +777,7 @@ func TestSlowStreamSpansCompaction(t *testing.T) {
 	results := func(k int) *http.Request {
 		return httptest.NewRequest(http.MethodGet, fmt.Sprintf("/v1/sweeps/%s/results?cursor=%d", id, k), nil)
 	}
-	w := &slowWriter{header: http.Header{}, first: make(chan struct{}), release: make(chan struct{})}
+	w := &slowWriter{ResponseRecorder: httptest.NewRecorder(), first: make(chan struct{}), release: make(chan struct{})}
 	served := make(chan struct{})
 	go func() {
 		defer close(served)
@@ -820,8 +815,8 @@ func TestSlowStreamSpansCompaction(t *testing.T) {
 	if w.writes < 2 {
 		t.Errorf("stream wrote %d chunks, want its first before the compaction and more after", w.writes)
 	}
-	if !bytes.Equal(w.body.Bytes(), want) {
-		t.Errorf("slow stream across the compaction:\n got: %s\nwant: %s", w.body.Bytes(), want)
+	if !bytes.Equal(w.Body.Bytes(), want) {
+		t.Errorf("slow stream across the compaction:\n got: %s\nwant: %s", w.Body.Bytes(), want)
 	}
 }
 
