@@ -39,8 +39,8 @@ readonly SPREAD=3
 # obs.Metrics. The machine rows
 # time one simulator step with no recorder, counted into an
 # obs.Metrics, and feeding the same Metrics events. The chain rows
-# build and solve the two 2,145-state exact chains of SCU(0, 1) and
-# parallel(3) at n = 64, one build and solve per pass.
+# build and solve the exact chains of SCU(0, 1) and parallel(3) at
+# n = 64, 2,144 and 2,145 states, one build and solve per pass.
 readonly BENCHES=(
 	"internal/sched ^BenchmarkSchedDraw$/./(dense|alias|fenwick|batch16)/ 200000x"
 	"internal/sweep ^BenchmarkSweepSteps$/./(n=1024|stack|queue|rcu|unbounded|lfuniversal|metrics)$ 1x"

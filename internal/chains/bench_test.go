@@ -4,7 +4,7 @@ import "testing"
 
 // BenchmarkExactChain builds and solves the two largest exact chains
 // of the grid-observed benchmark workload: SCU(0, 1) and parallel(3)
-// at n = 64, 2,145 states each. CI's paired benchmark gate
+// at n = 64, with 2,144 and 2,145 states. CI's paired benchmark gate
 // (.github/benchgate.sh) compares both rows against the base commit.
 func BenchmarkExactChain(b *testing.B) {
 	for _, bc := range []struct {

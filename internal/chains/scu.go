@@ -26,8 +26,7 @@ type SCUSystemState struct {
 func (s SCUSystemState) String() string { return fmt.Sprintf("(%d,%d)", s.A, s.B) }
 
 // maxSCUSystemN caps the system-chain size: states grow as ~n²/2, and
-// the direct solve fills in toward dense rows, which takes about 3 s
-// at the cap.
+// the direct solve takes about 0.2 s at the cap.
 const maxSCUSystemN = 128
 
 // SCUSystem builds the system chain of Section 6.1.1 for n processes

@@ -151,6 +151,25 @@ func TestSCUSystemLatencyGrowsAsSqrtN(t *testing.T) {
 	}
 }
 
+// TestSCUSystemN128PinnedBits pins the direct solve at the cap, where
+// the dense oracle of internal/markov would need about 560 MB. It
+// agrees with the iteration's W in TestSparseLargeNPinnedBits to seven
+// significant digits.
+func TestSCUSystemN128PinnedBits(t *testing.T) {
+	const want = 0x4034af8b30e1db01 // 20.685717635288714
+	a, _, err := SCUSystem(128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := a.SystemLatency()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := math.Float64bits(w); got != want {
+		t.Fatalf("W = %v (bits %#x), want %v (bits %#x)", w, got, math.Float64frombits(want), uint64(want))
+	}
+}
+
 func TestSCUIndividualValidation(t *testing.T) {
 	if _, _, err := SCUIndividual(0); !errors.Is(err, ErrBadN) {
 		t.Errorf("n=0: %v", err)

@@ -7,11 +7,12 @@ import (
 )
 
 // Iterative stationary analysis of the SCU(0,1) system chain for
-// large n. The direct solve of StationarySolve fills in toward dense
-// rows, so its time grows steeply with the ~n²/2 states (about 0.1 s
-// at n = 64, 3 s at n = 128); the system chain has at most three
-// successors per state, so a fixed-point iteration over its compressed
-// rows reaches n in the hundreds.
+// large n. The direct solve of StationarySolve stops at maxSCUSystemN
+// (about 15 ms at n = 64, 0.2 s at n = 128, 3 s at n = 256 with the
+// cap lifted); the system chain has at most three successors per
+// state, so a fixed-point iteration over its compressed rows reaches n
+// in the hundreds. E4 and E11 take their exact values from the
+// iteration from n = 128 on, and tests pin them.
 //
 // The chain is periodic (period 2), so plain power iteration
 // oscillates; the iteration therefore uses the *lazy* chain

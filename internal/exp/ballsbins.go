@@ -59,9 +59,9 @@ func BallsBinsPhases(cfg Config) (*Table, error) {
 			boundSum += b
 		}
 
-		// Exact latency by the lazy iteration: the direct solve takes
-		// seconds from n=128 on, and the pinned E11 values come from
-		// the iteration.
+		// Exact latency by the lazy iteration: the direct solve is
+		// capped at n=128, and the pinned E11 values come from the
+		// iteration.
 		w, err := chains.SCUSystemLatencyLarge(n)
 		if err != nil {
 			return nil, err

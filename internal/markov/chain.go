@@ -269,8 +269,9 @@ func (c *Chain) StationarySolve() ([]float64, error) {
 	}
 	n := c.N()
 	// A = Pᵀ − I with the last row replaced by the normalization
-	// constraint Σ π_i = 1. Row i of A is column i of P, so it spans
-	// state i and its predecessors.
+	// constraint Σ π_i = 1, all ones: one column and a tail of ones.
+	// Row i of A is column i of P, so it spans state i and its
+	// predecessors.
 	pt := c.transpose()
 	a := make([]envRow, n)
 	for i := 0; i < n-1; i++ {
@@ -285,11 +286,7 @@ func (c *Chain) StationarySolve() ([]float64, error) {
 		}
 		a[i].v[i-lo] -= 1
 	}
-	ones := make([]float64, n)
-	for j := range ones {
-		ones[j] = 1
-	}
-	a[n-1] = envRow{lo: 0, v: ones}
+	a[n-1] = envRow{lo: 0, v: []float64{1}, c: 1}
 	b := make([]float64, n)
 	b[n-1] = 1
 	pi, err := solveEnvelope(a, b)

@@ -202,7 +202,7 @@ func TestSolveDenseValidation(t *testing.T) {
 
 func TestSolveEnvelope(t *testing.T) {
 	// 2x + y = 5, x - y = 1 → x = 2, y = 1.
-	x, err := solveEnvelope([]envRow{{0, []float64{2, 1}}, {0, []float64{1, -1}}}, []float64{5, 1})
+	x, err := solveEnvelope([]envRow{{0, []float64{2, 1}, 0}, {0, []float64{1, -1}, 0}}, []float64{5, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,9 +213,9 @@ func TestSolveEnvelope(t *testing.T) {
 
 func TestSolveEnvelopeSingular(t *testing.T) {
 	for name, a := range map[string][]envRow{
-		"dependent rows": {{0, []float64{1, 1}}, {0, []float64{2, 2}}},
-		"empty row":      {{0, []float64{1, 1}}, {1, nil}},
-		"empty column":   {{1, []float64{1}}, {1, []float64{2}}},
+		"dependent rows": {{0, []float64{1, 1}, 0}, {0, []float64{2, 2}, 0}},
+		"empty row":      {{0, []float64{1, 1}, 0}, {1, nil, 0}},
+		"empty column":   {{1, []float64{1}, 0}, {1, []float64{2}, 0}},
 	} {
 		if _, err := solveEnvelope(a, []float64{1, 2}); !errors.Is(err, ErrSingular) {
 			t.Errorf("%s: %v", name, err)
@@ -227,13 +227,13 @@ func TestSolveEnvelopeValidation(t *testing.T) {
 	if _, err := solveEnvelope(nil, nil); err == nil {
 		t.Error("empty: nil error")
 	}
-	if _, err := solveEnvelope([]envRow{{0, []float64{1}}}, []float64{1, 2}); err == nil {
+	if _, err := solveEnvelope([]envRow{{0, []float64{1}, 0}}, []float64{1, 2}); err == nil {
 		t.Error("rhs mismatch: nil error")
 	}
-	if _, err := solveEnvelope([]envRow{{0, []float64{1, 2}}}, []float64{1}); err == nil {
+	if _, err := solveEnvelope([]envRow{{0, []float64{1, 2}, 0}}, []float64{1}); err == nil {
 		t.Error("row wider than the system: nil error")
 	}
-	if _, err := solveEnvelope([]envRow{{-1, []float64{1}}}, []float64{1}); err == nil {
+	if _, err := solveEnvelope([]envRow{{-1, []float64{1}, 0}}, []float64{1}); err == nil {
 		t.Error("row before column 0: nil error")
 	}
 }
@@ -282,5 +282,128 @@ func TestSolveEnvelopeMatchesDenseBits(t *testing.T) {
 	}
 	if wide < 200 {
 		t.Fatalf("only %d of 300 random systems were solvable", wide)
+	}
+}
+
+// denseOf writes envelope rows out as a dense n×n matrix, tails in full.
+func denseOf(rows []envRow, n int) [][]float64 {
+	d := make([][]float64, len(rows))
+	for i, r := range rows {
+		d[i] = make([]float64, n)
+		for j := range d[i] {
+			d[i][j] = r.at(j)
+		}
+	}
+	return d
+}
+
+// solveBoth solves the system by both eliminations and reports a
+// difference in the outcome or in the bits of the solution.
+func solveBoth(rows []envRow, b []float64) (solved bool, err error) {
+	n := len(rows)
+	want, wantErr := solveDense(denseOf(rows, n), append([]float64(nil), b...))
+	got, gotErr := solveEnvelope(rows, append([]float64(nil), b...))
+	if (gotErr == nil) != (wantErr == nil) {
+		return false, fmt.Errorf("envelope error %v, dense error %v", gotErr, wantErr)
+	}
+	if gotErr != nil {
+		return false, nil
+	}
+	if i := sameBits(got, want); i >= 0 {
+		return false, fmt.Errorf("x[%d] = %v, dense %v", i, got[i], want[i])
+	}
+	return true, nil
+}
+
+// TestSolveEnvelopeConstantTailMatchesDenseBits gives random sparse
+// systems one to three rows with a constant tail, as the normalization
+// row of a stationary solve has, and compares the bits with the dense
+// solve of the same rows written out in full. Entries and tails drawn
+// on a coarse grid make ties in the pivot search and tails that cancel.
+func TestSolveEnvelopeConstantTailMatchesDenseBits(t *testing.T) {
+	for name, tc := range map[string]struct {
+		rows []envRow
+		err  error
+	}{
+		// Row 0 cancels row 1's tail at column 0; row 1 then pivots
+		// with its trailing zero trimmed and leaves row 2's tail.
+		"tail cancels to zero": {rows: []envRow{
+			{0, []float64{2}, 1},
+			{0, []float64{1, 1, 0.5}, 0.5},
+			{1, []float64{0.25, 1}, 0.25},
+			{3, []float64{1}, 0},
+			{4, []float64{1}, 0},
+		}},
+		// Row 2 keeps its one-column envelope through the update at
+		// column 0 and wins column 1 from its tail.
+		"one-column envelope": {rows: []envRow{
+			{0, []float64{2}, 0},
+			{1, []float64{1, 3}, 0},
+			{0, []float64{1}, 2},
+			{3, []float64{1}, 0},
+		}},
+		"singular": {rows: []envRow{
+			{0, []float64{1}, 1},
+			{1, []float64{1}, 0},
+			{0, []float64{2, 2}, 2},
+		}, err: ErrSingular},
+	} {
+		b := []float64{1, 2, 3, 4, 5}[:len(tc.rows)]
+		if tc.err != nil {
+			if _, err := solveEnvelope(tc.rows, b); !errors.Is(err, tc.err) {
+				t.Errorf("%s: %v, want %v", name, err, tc.err)
+			}
+			continue
+		}
+		if ok, err := solveBoth(tc.rows, b); !ok {
+			t.Errorf("%s: not solved: %v", name, err)
+		}
+	}
+	// A tail on a row with no envelope would never enter the active
+	// set.
+	if _, err := solveEnvelope([]envRow{{0, []float64{1}, 0}, {1, nil, 1}}, []float64{1, 2}); err == nil || errors.Is(err, ErrSingular) {
+		t.Errorf("tail without an envelope: %v", err)
+	}
+
+	src := rng.New(2016)
+	solved := 0
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + src.Intn(40)
+		rows := make([]envRow, n)
+		for i := range rows {
+			row := make([]float64, n)
+			row[i] = float64(1+src.Intn(8)) / 8
+			for k := src.Intn(4); k > 0; k-- {
+				row[src.Intn(n)] = float64(src.Intn(17)-8) / 8
+			}
+			rows[i] = envelopeOf([][]float64{row})[0]
+		}
+		scale := []float64{1.0 / 16, 1, 2, 3}[src.Intn(4)]
+		for k := 1 + src.Intn(3); k > 0; k-- {
+			lo := src.Intn(n)
+			v := make([]float64, 1+src.Intn(min(4, n-lo)))
+			for j := range v {
+				v[j] = float64(src.Intn(17)-8) / 8
+			}
+			c := scale * float64(1+src.Intn(8)) / 8
+			if src.Intn(2) == 0 {
+				c = -c
+			}
+			rows[src.Intn(n)] = envRow{lo: lo, v: v, c: c}
+		}
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = src.Float64()
+		}
+		ok, err := solveBoth(rows, b)
+		if err != nil {
+			t.Fatalf("trial %d (n=%d): %v", trial, n, err)
+		}
+		if ok {
+			solved++
+		}
+	}
+	if solved < 200 {
+		t.Fatalf("only %d of 300 random systems were solvable", solved)
 	}
 }
