@@ -20,9 +20,12 @@ import (
 //
 // Determinism contract: replica r of a BatchSim evolves exactly as a
 // scalar Sim over the same processes, scheduler seed, and pre-run
-// crashes — the same schedule, the same completions at the same
-// steps, and bit-identical latency statistics (both record into the
-// same Window code). Batched execution is a pure layout optimization.
+// crashes — the same schedule, the same register values up to the
+// relabelling of pool slots (a group may number its node slots
+// differently, see scu's batchpool.go), the same completions at the
+// same steps, and bit-identical latency statistics (both record into
+// the same Window code). Batched execution is a pure layout
+// optimization.
 
 // BatchGroup is a workload's struct-of-arrays process group: the
 // state of K replicas × N processes, steppable with one call per

@@ -17,10 +17,10 @@ import (
 //
 // Determinism contract: replica r of a batch group, fed the schedule
 // of replica r, transitions through exactly the states of the scalar
-// process group (NewSCUGroup / NewParallelGroup / NewFetchIncGroup)
-// on a fresh shmem.Memory: same phases, same register values, same
-// completion steps, and per step the Outcome the scalar memory's
-// operation counters show.
+// process group (NewSCUGroup, NewStack, ...) on a fresh shmem.Memory:
+// same phases, same register values up to the relabelling of pool
+// slots (batchpool.go), same completion steps, and per step the
+// Outcome the scalar memory's operation counters show.
 
 // batchShape validates the common (k, n) constructor arguments.
 func batchShape(k, n int) error {

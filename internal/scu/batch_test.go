@@ -3,6 +3,7 @@ package scu
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"pwf/internal/machine"
@@ -379,13 +380,14 @@ func compareReplica(t *testing.T, bs *machine.BatchSim, s *machine.Sim, r int) {
 
 // TestStepPathsZeroAllocs pins the steady-state allocation contract
 // of every workload with a batched form: after a warmup that lets the
-// shadow-structure capacities stabilize, the replica-batched StepBatch
-// loop allocates no more than its scalar counterparts do — zero for
-// every workload whose scalar loop is allocation-free. The pointer-
-// based forms recycle pool slots, never heap nodes; the residual
-// scalar allocations are pre-existing verification bookkeeping (the
-// queue's sliding shadow FIFO, the universal construction's response
-// log), which the batched forms must not exceed per replica.
+// pools and the shadow-structure capacities stabilize, the
+// replica-batched StepBatch loop allocates nothing, whatever its
+// scalar counterpart does. The pointer-based forms recycle pool slots,
+// never heap nodes, and the batched queue's shadow FIFO reuses its
+// buffer; the scalar loops still allocate for their verification
+// bookkeeping (the queue's sliding shadow FIFO, the universal
+// construction's response log), and must stay allocation-free where
+// they are today.
 func TestStepPathsZeroAllocs(t *testing.T) {
 	const (
 		n = 9
@@ -439,14 +441,62 @@ func TestStepPathsZeroAllocs(t *testing.T) {
 				}
 			})
 
-			if scalarAllocs == 0 && batchAllocs != 0 {
-				t.Errorf("batched Run allocated %v/run, scalar 0", batchAllocs)
-			}
-			if batchAllocs > float64(k)*scalarAllocs {
-				t.Errorf("batched Run allocated %v/run for %d replicas, scalar %v/run each",
+			if batchAllocs != 0 {
+				t.Errorf("batched Run allocated %v/run for %d replicas, want 0 (scalar %v/run each)",
 					batchAllocs, k, scalarAllocs)
 			}
 		})
+	}
+}
+
+// TestBatchPoolsFollowUse pins the memory of the row-grown pools: a
+// 16-wide group at n = 1024 with the default 64-slot pools allocates
+// the pool rows its processes reach, not the 1024 × 64 slots per
+// replica that reserving every pool up front costs (35, 35 and 12 MB
+// for the stack, the queue and RCU). The bound covers construction,
+// the drawer, the simulator and 20,000 uniform steps per replica.
+func TestBatchPoolsFollowUse(t *testing.T) {
+	const (
+		k, n, pool = 16, 1024, 64
+		steps      = 20000
+		bound      = 8 << 20
+	)
+	seeds := make([]uint64, k)
+	for r := range seeds {
+		seeds[r] = uint64(r + 1)
+	}
+	for _, tc := range []struct {
+		name  string
+		build func() (machine.BatchGroup, error)
+	}{
+		{"stack", func() (machine.BatchGroup, error) { return NewStackBatch(k, n, pool) }},
+		{"queue", func() (machine.BatchGroup, error) { return NewQueueBatch(k, n, pool) }},
+		{"rcu", func() (machine.BatchGroup, error) { return NewRCUBatch(k, n, rcuReaders(n), pool) }},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		group, err := tc.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		drawer, err := sched.NewUniformBatch(n, seeds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bs, err := machine.NewBatchSim(group, drawer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := bs.Run(steps); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+			t.Errorf("%s: allocated %.1f MB, want under %d MB", tc.name, float64(got)/(1<<20), bound>>20)
+		}
+		if err := group.(machine.BatchChecker).CheckReplica(0); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
 	}
 }
 

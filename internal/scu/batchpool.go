@@ -6,7 +6,11 @@ package scu
 // process's local references at each allocation; the batched forms
 // replace that scan with a per-slot reference count maintained
 // incrementally, so allocation is O(poolSize) with no per-process
-// walk and the hot metadata stays in one contiguous array per replica.
+// walk. Each replica's pool numbers owner o's k-th slot
+// base + k·owners + o and holds only the rows of one slot per owner
+// that some allocation scan has reached: processes use the first few
+// slots of their pools, so reserving owners × poolSize slots per
+// replica up front would mostly be memory nothing touches.
 //
 // Equivalence argument (relied on by the byte-identity tests): the
 // scalar free condition is !live[slot] && !heldByAny(slot), where
@@ -14,20 +18,22 @@ package scu
 // slot. The batched forms route every assignment of a ref-holding
 // local (top, next, head, tail, ver) through setRef, which decrements
 // the old referent's count and increments the new one, and count the
-// in-flight allocation itself (the scalar p.slot field) with an
-// explicit inc at allocation and dec at release. Counts are therefore
+// in-flight allocation itself (the scalar p.slot field) with an inc
+// at allocation and an explicit dec at release. Counts are therefore
 // balanced, and held > 0 exactly when some local references the slot
 // — a process holding the same slot through two locals counts it
-// twice, which is harmless because the scalar test is boolean.
-// allocBatch scans the pool in the same lo..lo+poolSize-1 order as
-// the scalar allocate and bumps the same tag, so under an identical
-// schedule it picks the identical slot and mints the identical
-// tagged ref.
+// twice, which is harmless because the scalar test is boolean. alloc
+// scans owner o's slots in the scalar order k = 0, 1, …, and a row it
+// appends holds never-used slots, free in the scalar pool too, so it
+// picks the scalar's (owner, k) and tag. Only the slot number differs
+// from the scalar owner·poolSize + k, by a bijection, so a ref is the
+// scalar ref relabelled: refs are only compared with each other or
+// with null and never reach a result, so every step's Outcome is the
+// scalar's.
 
 // nodeMeta is the Go-side (non-simulated) per-slot bookkeeping: the
 // ABA tag, the local-reference count, and the reachable-from-the-
-// structure liveness bit. 16 bytes, so a replica's pool metadata packs
-// four slots per cache line.
+// structure liveness bit, in 16 bytes.
 type nodeMeta struct {
 	tag  int64
 	held int32
@@ -42,34 +48,61 @@ type nodeCell struct {
 	next  int64
 }
 
-// batchRef packs a slot and its current tag into a register value,
-// exactly like the scalar ref: slot+1 keeps 0 as the null reference.
-func batchRef(meta []nodeMeta, slot int) int64 {
-	return meta[slot].tag<<20 | int64(slot+1)
+// poolSlot is a slot's bookkeeping beside its simulated registers.
+type poolSlot[R any] struct {
+	nodeMeta
+	regs R
 }
+
+// batchPool is one replica's pool of size slots for each of owners
+// owners after base fixed slots, grown by rows.
+type batchPool[R any] struct {
+	base, owners, size int
+	slots              []poolSlot[R] // [base + k·owners + owner]
+}
+
+func newBatchPools[R any](k, base, owners, size int) []batchPool[R] {
+	pools := make([]batchPool[R], k)
+	for r := range pools {
+		pools[r] = batchPool[R]{base, owners, size, make([]poolSlot[R], base)}
+	}
+	return pools
+}
+
+// ref packs a slot and its current tag into a register value, like
+// the scalar ref: slot+1 keeps 0 as the null reference.
+func (p *batchPool[R]) ref(slot int32) int64 {
+	return p.slots[slot].tag<<20 | int64(slot+1)
+}
+
+// at returns the slot a non-null ref points to.
+func (p *batchPool[R]) at(ref int64) *poolSlot[R] { return &p.slots[refSlot(ref)] }
 
 // setRef assigns *field = ref, maintaining the per-slot reference
 // counts for both the old and the new referent.
-func setRef(meta []nodeMeta, field *int64, ref int64) {
+func (p *batchPool[R]) setRef(field *int64, ref int64) {
 	if old := *field; old != 0 {
-		meta[refSlot(old)].held--
+		p.at(old).held--
 	}
 	if ref != 0 {
-		meta[refSlot(ref)].held++
+		p.at(ref).held++
 	}
 	*field = ref
 }
 
-// allocBatch returns the first free slot in [lo, lo+poolSize), or -1
-// when the pool is exhausted, applying the scalar precise-GC rule
-// (!live && unreferenced) in the scalar scan order and bumping the
-// slot's tag on success. The caller accounts the returned slot as held
-// and records the pool-exhaustion error.
-func allocBatch(meta []nodeMeta, lo, poolSize int) int32 {
-	for k := 0; k < poolSize; k++ {
-		slot := lo + k
-		if !meta[slot].live && meta[slot].held == 0 {
-			meta[slot].tag++
+// alloc returns owner's first free slot (!live && unreferenced) in
+// the scalar scan order, appending a zeroed row when the scan first
+// reaches it, bumps the slot's tag and counts it as held by the
+// allocating process; it returns -1, for the caller to record the
+// pool-exhaustion error, when all size slots are in use.
+func (p *batchPool[R]) alloc(owner int) int32 {
+	for slot, end := p.base+owner, p.base+p.size*p.owners; slot < end; slot += p.owners {
+		if slot >= len(p.slots) {
+			p.slots = append(p.slots, make([]poolSlot[R], p.owners)...)
+		}
+		if s := &p.slots[slot]; !s.live && s.held == 0 {
+			s.tag++
+			s.held++
 			return int32(slot)
 		}
 	}

@@ -22,20 +22,19 @@ type queueBatchCell struct {
 
 // QueueBatch is K replicas of the Michael–Scott queue workload in
 // struct-of-arrays form: dense K-vectors for the head and tail
-// registers, replica-major node registers and pool metadata, and one
-// cell per (replica, process). Each replica's pool carries the extra
-// initial-dummy slot (index n*poolSize), installed at construction
-// exactly as the scalar Init does with Poke.
+// registers, one row-grown node pool per replica, and one cell per
+// (replica, process). Each replica's pool carries the initial dummy
+// in slot 0, before its first row, installed at construction exactly
+// as the scalar Init does with Poke.
 type QueueBatch struct {
-	k, n, poolSize, slots int
+	k, n int
 
-	heads []int64          // [r]
-	tails []int64          // [r]
-	nodes []nodeCell       // [r*slots + slot]
-	meta  []nodeMeta       // [r*slots + slot]
-	cells []queueBatchCell // [r*n + pid]
+	heads []int64               // [r]
+	tails []int64               // [r]
+	pools []batchPool[nodeCell] // [r]
+	cells []queueBatchCell      // [r*n + pid]
 
-	shadows    [][]int64 // [r]: shadow FIFO of refs
+	shadows    []refFIFO // [r]: shadow FIFO of refs
 	violations []int     // [r]
 	errs       []error   // [r]
 }
@@ -55,26 +54,19 @@ func NewQueueBatch(k, n, poolSize int) (*QueueBatch, error) {
 	if poolSize < 1 {
 		return nil, fmt.Errorf("%w: poolSize=%d", ErrBadParams, poolSize)
 	}
-	slots := n*poolSize + 1 // +1: initial dummy
 	g := &QueueBatch{
-		k: k, n: n, poolSize: poolSize, slots: slots,
+		k: k, n: n,
 		heads:      make([]int64, k),
 		tails:      make([]int64, k),
-		nodes:      make([]nodeCell, k*slots),
-		meta:       make([]nodeMeta, k*slots),
+		pools:      newBatchPools[nodeCell](k, 1, n, poolSize), // slot 0: the dummy
 		cells:      make([]queueBatchCell, k*n),
-		shadows:    make([][]int64, k),
+		shadows:    make([]refFIFO, k),
 		violations: make([]int, k),
 		errs:       make([]error, k),
 	}
-	dummy := n * poolSize
-	for r := 0; r < k; r++ {
-		meta := g.meta[r*slots : (r+1)*slots]
-		meta[dummy].tag = 1
-		meta[dummy].live = true
-		ref := batchRef(meta, dummy)
-		g.heads[r] = ref
-		g.tails[r] = ref
+	for r := range g.pools {
+		g.pools[r].slots[0].nodeMeta = nodeMeta{tag: 1, live: true}
+		g.heads[r], g.tails[r] = g.pools[r].ref(0), g.pools[r].ref(0)
 	}
 	for i := range g.cells {
 		g.cells[i].slot = -1
@@ -109,37 +101,34 @@ func (g *QueueBatch) StepBatch(pids []int32, out []machine.Outcome) {
 	for r := range pids {
 		pid := int(pids[r])
 		c := &g.cells[r*g.n+pid]
-		meta := g.meta[r*g.slots : (r+1)*g.slots]
-		nodes := g.nodes[r*g.slots : (r+1)*g.slots]
+		p := &g.pools[r]
 		var o machine.Outcome
 
 		switch queuePhase(c.pc) {
 		case queueEnqWriteValue:
 			if c.slot < 0 {
-				c.slot = allocBatch(meta, pid*g.poolSize, g.poolSize)
-				if c.slot < 0 {
+				if c.slot = p.alloc(pid); c.slot < 0 {
 					if g.errs[r] == nil {
 						g.errs[r] = fmt.Errorf("scu: queue node pool of process %d exhausted", pid)
 					}
 					c.pc = int8(queueStuck)
 					break
 				}
-				meta[c.slot].held++
 			}
 			c.seq++
-			nodes[c.slot].value = proposal(pid, c.seq)
+			p.slots[c.slot].regs.value = proposal(pid, c.seq)
 			c.pc = int8(queueEnqWriteNext)
 
 		case queueEnqWriteNext:
-			nodes[c.slot].next = 0
+			p.slots[c.slot].regs.next = 0
 			c.pc = int8(queueEnqReadTail)
 
 		case queueEnqReadTail:
-			setRef(meta, &c.tail, g.tails[r])
+			p.setRef(&c.tail, g.tails[r])
 			c.pc = int8(queueEnqReadTailNext)
 
 		case queueEnqReadTailNext:
-			setRef(meta, &c.next, nodes[refSlot(c.tail)].next)
+			p.setRef(&c.next, p.at(c.tail).regs.next)
 			if c.next != 0 {
 				c.pc = int8(queueEnqSwingStale)
 			} else {
@@ -156,12 +145,12 @@ func (g *QueueBatch) StepBatch(pids []int32, out []machine.Outcome) {
 			c.pc = int8(queueEnqReadTail)
 
 		case queueEnqCASNext:
-			ref := batchRef(meta, int(c.slot))
-			if target := &nodes[refSlot(c.tail)].next; *target == 0 {
+			ref := p.ref(c.slot)
+			if target := &p.at(c.tail).regs.next; *target == 0 {
 				*target = ref
 				// Linearization point of the enqueue.
-				g.shadows[r] = append(g.shadows[r], ref)
-				meta[c.slot].live = true
+				g.shadows[r].push(ref)
+				p.slots[c.slot].live = true
 				o = machine.CAS
 				c.pc = int8(queueEnqSwingTail)
 			} else {
@@ -172,31 +161,31 @@ func (g *QueueBatch) StepBatch(pids []int32, out []machine.Outcome) {
 		case queueEnqSwingTail:
 			o = machine.CAS | machine.CASFailed | machine.Completed
 			if g.tails[r] == c.tail {
-				g.tails[r] = batchRef(meta, int(c.slot))
+				g.tails[r] = p.ref(c.slot)
 				o = machine.CAS | machine.Completed
 			}
-			meta[c.slot].held--
+			p.slots[c.slot].held--
 			c.slot = -1
-			setRef(meta, &c.head, 0)
-			setRef(meta, &c.tail, 0)
-			setRef(meta, &c.next, 0)
+			p.setRef(&c.head, 0)
+			p.setRef(&c.tail, 0)
+			p.setRef(&c.next, 0)
 			c.pc = int8(queueDeqReadHead)
 
 		case queueDeqReadHead:
-			setRef(meta, &c.head, g.heads[r])
+			p.setRef(&c.head, g.heads[r])
 			c.pc = int8(queueDeqReadTail)
 
 		case queueDeqReadTail:
-			setRef(meta, &c.tail, g.tails[r])
+			p.setRef(&c.tail, g.tails[r])
 			c.pc = int8(queueDeqReadHeadNext)
 
 		case queueDeqReadHeadNext:
-			setRef(meta, &c.next, nodes[refSlot(c.head)].next)
+			p.setRef(&c.next, p.at(c.head).regs.next)
 			if c.head == c.tail {
 				if c.next == 0 {
 					// Empty dequeue completes.
-					setRef(meta, &c.head, 0)
-					setRef(meta, &c.tail, 0)
+					p.setRef(&c.head, 0)
+					p.setRef(&c.tail, 0)
 					c.pc = int8(queueEnqWriteValue)
 					o = machine.Completed
 				} else {
@@ -215,7 +204,7 @@ func (g *QueueBatch) StepBatch(pids []int32, out []machine.Outcome) {
 			c.pc = int8(queueDeqReadHead)
 
 		case queueDeqReadValue:
-			_ = nodes[refSlot(c.next)].value
+			_ = p.at(c.next).regs.value
 			c.pc = int8(queueDeqCASHead)
 
 		case queueDeqCASHead:
@@ -223,16 +212,13 @@ func (g *QueueBatch) StepBatch(pids []int32, out []machine.Outcome) {
 				g.heads[r] = c.next
 				// Linearization point of the dequeue: the node holding
 				// the value is next; the retired dummy head is freed.
-				sh := g.shadows[r]
-				if len(sh) == 0 || sh[0] != c.next {
+				if !g.shadows[r].popIf(c.next) {
 					g.violations[r]++
-				} else {
-					g.shadows[r] = sh[1:]
 				}
-				meta[refSlot(c.head)].live = false
-				setRef(meta, &c.head, 0)
-				setRef(meta, &c.tail, 0)
-				setRef(meta, &c.next, 0)
+				p.at(c.head).live = false
+				p.setRef(&c.head, 0)
+				p.setRef(&c.tail, 0)
+				p.setRef(&c.next, 0)
 				c.pc = int8(queueEnqWriteValue)
 				o = machine.CAS | machine.Completed
 			} else {
@@ -248,4 +234,28 @@ func (g *QueueBatch) StepBatch(pids []int32, out []machine.Outcome) {
 		}
 		out[r] = o
 	}
+}
+
+// refFIFO is the batched queue's shadow FIFO, buf[head:] in enqueue
+// order. push moves it back over the dequeued prefix instead of
+// growing buf when that prefix is half of buf, so it stops allocating.
+type refFIFO struct {
+	buf  []int64
+	head int
+}
+
+func (f *refFIFO) push(ref int64) {
+	if len(f.buf) == cap(f.buf) && 2*f.head >= len(f.buf) {
+		f.buf, f.head = f.buf[:copy(f.buf, f.buf[f.head:])], 0
+	}
+	f.buf = append(f.buf, ref)
+}
+
+// popIf removes the front ref if it is ref, and reports whether it was.
+func (f *refFIFO) popIf(ref int64) bool {
+	if f.head == len(f.buf) || f.buf[f.head] != ref {
+		return false
+	}
+	f.head++
+	return true
 }

@@ -6,6 +6,13 @@ import (
 	"pwf/internal/machine"
 )
 
+// rcuSlot is one snapshot slot of the batched RCU: its snapshot
+// register, and the shadow entry of its last publication (the ref and
+// the snapshot value published).
+type rcuSlot struct {
+	snap, expectRef, expectVal int64
+}
+
 // rcuBatchCell is the per-(replica, process) state of the batched RCU
 // workload: the scalar RCUProc's locals in 24 bytes.
 type rcuBatchCell struct {
@@ -17,8 +24,8 @@ type rcuBatchCell struct {
 }
 
 // RCUBatch is K replicas of the RCU workload in struct-of-arrays
-// form: a dense K-vector of version registers, replica-major snapshot
-// registers and pool metadata, and one cell per (replica, process).
+// form: a dense K-vector of version registers, one row-grown snapshot
+// pool per replica, and one cell per (replica, process).
 //
 // The scalar RCU's shadow is a map from published version ref to
 // snapshot value, with a slot's previous entry deleted when the slot
@@ -26,19 +33,16 @@ type rcuBatchCell struct {
 // reader holding an old ref pins the slot (so it cannot be
 // reallocated or republished), and once no reader holds it the entry
 // is dead until the delete at reallocation. The batch form therefore
-// replaces the map with two per-slot arrays (expectRef, expectVal),
-// cleared at allocation — same observable validation outcomes, no map
-// overhead in the hot loop.
+// replaces the map with two per-slot fields (rcuSlot's expectRef and
+// expectVal), cleared at allocation — same observable validation
+// outcomes, no map overhead in the hot loop.
 type RCUBatch struct {
-	k, n, poolSize, readers, slots int
+	k, n, readers int
 
-	versions []int64        // [r]: the version register of replica r
-	snaps    []int64        // [r*slots + slot]: snapshot registers
-	meta     []nodeMeta     // [r*slots + slot]
-	cells    []rcuBatchCell // [r*n + pid]
+	versions []int64              // [r]: the version register of replica r
+	pools    []batchPool[rcuSlot] // [r]
+	cells    []rcuBatchCell       // [r*n + pid]
 
-	expectRef  []int64 // [r*slots + slot]: last published ref of the slot
-	expectVal  []int64 // [r*slots + slot]: its snapshot value
 	currentRef []int64 // [r]
 	violations []int   // [r]
 	errs       []error // [r]
@@ -63,15 +67,11 @@ func NewRCUBatch(k, n, readers, poolSize int) (*RCUBatch, error) {
 		return nil, fmt.Errorf("%w: readers=%d of n=%d (need 0 <= readers < n)",
 			ErrBadParams, readers, n)
 	}
-	slots := (n - readers) * poolSize
 	g := &RCUBatch{
-		k: k, n: n, poolSize: poolSize, readers: readers, slots: slots,
+		k: k, n: n, readers: readers,
 		versions:   make([]int64, k),
-		snaps:      make([]int64, k*slots),
-		meta:       make([]nodeMeta, k*slots),
+		pools:      newBatchPools[rcuSlot](k, 0, n-readers, poolSize),
 		cells:      make([]rcuBatchCell, k*n),
-		expectRef:  make([]int64, k*slots),
-		expectVal:  make([]int64, k*slots),
 		currentRef: make([]int64, k),
 		violations: make([]int, k),
 		errs:       make([]error, k),
@@ -116,12 +116,12 @@ func (g *RCUBatch) StepBatch(pids []int32, out []machine.Outcome) {
 	for r := range pids {
 		pid := int(pids[r])
 		c := &g.cells[r*g.n+pid]
-		meta := g.meta[r*g.slots : (r+1)*g.slots]
+		p := &g.pools[r]
 		var o machine.Outcome
 
 		switch rcuPhase(c.pc) {
 		case rcuReadVersion:
-			setRef(meta, &c.ver, g.versions[r])
+			p.setRef(&c.ver, g.versions[r])
 			if c.ver == 0 {
 				// Nothing published yet: the read completes empty.
 				o = machine.Completed
@@ -130,56 +130,54 @@ func (g *RCUBatch) StepBatch(pids []int32, out []machine.Outcome) {
 			}
 
 		case rcuReadSnapshot:
-			slot := refSlot(c.ver)
-			snap := g.snaps[r*g.slots+slot]
+			s := &p.at(c.ver).regs
 			// Validate against the per-slot shadow: a zero expectRef
 			// (never published since allocation) mismatches any held
 			// ref, mirroring the scalar map's !ok case.
-			if g.expectRef[r*g.slots+slot] != c.ver || g.expectVal[r*g.slots+slot] != snap {
+			if s.expectRef != c.ver || s.expectVal != s.snap {
 				g.violations[r]++
 			}
-			setRef(meta, &c.ver, 0)
+			p.setRef(&c.ver, 0)
 			c.pc = int8(rcuReadVersion)
 			o = machine.Completed
 
 		case rcuWriteSnapshot:
 			if c.slot < 0 {
 				updater := pid - g.readers
-				c.slot = allocBatch(meta, updater*g.poolSize, g.poolSize)
-				if c.slot < 0 {
+				if c.slot = p.alloc(updater); c.slot < 0 {
 					if g.errs[r] == nil {
 						g.errs[r] = fmt.Errorf("scu: rcu snapshot pool of updater %d exhausted", updater)
 					}
 					c.pc = int8(rcuStuck)
 					break
 				}
-				meta[c.slot].held++
 				// Retire the slot's previous incarnation from the shadow.
-				g.expectRef[r*g.slots+int(c.slot)] = 0
+				p.slots[c.slot].regs.expectRef = 0
 			}
 			c.seq++
-			g.snaps[r*g.slots+int(c.slot)] = proposal(pid, c.seq)
+			p.slots[c.slot].regs.snap = proposal(pid, c.seq)
 			c.pc = int8(rcuWriterReadVersion)
 
 		case rcuWriterReadVersion:
-			setRef(meta, &c.ver, g.versions[r])
+			p.setRef(&c.ver, g.versions[r])
 			c.pc = int8(rcuPublish)
 
 		case rcuPublish:
-			ref := batchRef(meta, int(c.slot))
+			ref := p.ref(c.slot)
 			if g.versions[r] == c.ver {
 				g.versions[r] = ref
 				// Linearization: publish the new snapshot.
 				if old := g.currentRef[r]; old != 0 {
-					meta[refSlot(old)].live = false
+					p.at(old).live = false
 				}
 				g.currentRef[r] = ref
-				meta[c.slot].live = true
-				g.expectRef[r*g.slots+int(c.slot)] = ref
-				g.expectVal[r*g.slots+int(c.slot)] = proposal(pid, c.seq)
-				meta[c.slot].held--
+				s := &p.slots[c.slot]
+				s.live = true
+				s.held--
+				s.regs.expectRef = ref
+				s.regs.expectVal = proposal(pid, c.seq)
 				c.slot = -1
-				setRef(meta, &c.ver, 0)
+				p.setRef(&c.ver, 0)
 				c.pc = int8(rcuWriteSnapshot)
 				o = machine.CAS | machine.Completed
 			} else {

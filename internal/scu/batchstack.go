@@ -20,20 +20,19 @@ type stackBatchCell struct {
 
 // StackBatch is K replicas of the Treiber stack workload in
 // struct-of-arrays form: per-replica top registers in a dense K-vector,
-// node registers and pool metadata in replica-major contiguous blocks,
-// and one 32-byte cell per (replica, process). The precise-GC
-// allocation scan uses the refcounted pool of batchpool.go instead of
-// the scalar O(n) heldByAny walk; everything else transitions exactly
-// like StackProc.Step, including the quirks the allocator depends on
-// (a completed empty pop leaves the stale next reference in place, and
-// a pop holds its top reference through the value read).
+// one row-grown node pool per replica, and one 32-byte cell per
+// (replica, process). The precise-GC allocation scan uses the
+// refcounted pool of batchpool.go instead of the scalar O(n)
+// heldByAny walk; everything else transitions exactly like
+// StackProc.Step, including the quirks the allocator depends on (a
+// completed empty pop leaves the stale next reference in place, and a
+// pop holds its top reference through the value read).
 type StackBatch struct {
-	k, n, poolSize, slots int
+	k, n int
 
-	tops  []int64          // [r]: the top register of replica r
-	nodes []nodeCell       // [r*slots + slot]: value/next registers
-	meta  []nodeMeta       // [r*slots + slot]: tag/held/live
-	cells []stackBatchCell // [r*n + pid]
+	tops  []int64               // [r]: the top register of replica r
+	pools []batchPool[nodeCell] // [r]
+	cells []stackBatchCell      // [r*n + pid]
 
 	shadows    [][]int64 // [r]: shadow stack, bottom to top
 	violations []int     // [r]
@@ -55,12 +54,10 @@ func NewStackBatch(k, n, poolSize int) (*StackBatch, error) {
 	if poolSize < 1 {
 		return nil, fmt.Errorf("%w: poolSize=%d", ErrBadParams, poolSize)
 	}
-	slots := n * poolSize
 	g := &StackBatch{
-		k: k, n: n, poolSize: poolSize, slots: slots,
+		k: k, n: n,
 		tops:       make([]int64, k),
-		nodes:      make([]nodeCell, k*slots),
-		meta:       make([]nodeMeta, k*slots),
+		pools:      newBatchPools[nodeCell](k, 0, n, poolSize),
 		cells:      make([]stackBatchCell, k*n),
 		shadows:    make([][]int64, k),
 		violations: make([]int, k),
@@ -99,45 +96,42 @@ func (g *StackBatch) StepBatch(pids []int32, out []machine.Outcome) {
 	for r := range pids {
 		pid := int(pids[r])
 		c := &g.cells[r*g.n+pid]
-		meta := g.meta[r*g.slots : (r+1)*g.slots]
-		nodes := g.nodes[r*g.slots : (r+1)*g.slots]
+		p := &g.pools[r]
 		var o machine.Outcome
 
 		switch stackPhase(c.pc) {
 		case stackPushWriteValue:
 			if c.slot < 0 {
-				c.slot = allocBatch(meta, pid*g.poolSize, g.poolSize)
-				if c.slot < 0 {
+				if c.slot = p.alloc(pid); c.slot < 0 {
 					if g.errs[r] == nil {
 						g.errs[r] = fmt.Errorf("scu: stack node pool of process %d exhausted", pid)
 					}
 					c.pc = int8(stackStuck)
 					break
 				}
-				meta[c.slot].held++
 			}
 			c.seq++
-			nodes[c.slot].value = proposal(pid, c.seq)
+			p.slots[c.slot].regs.value = proposal(pid, c.seq)
 			c.pc = int8(stackPushReadTop)
 
 		case stackPushReadTop:
-			setRef(meta, &c.top, g.tops[r])
+			p.setRef(&c.top, g.tops[r])
 			c.pc = int8(stackPushWriteNext)
 
 		case stackPushWriteNext:
-			nodes[c.slot].next = c.top
+			p.slots[c.slot].regs.next = c.top
 			c.pc = int8(stackPushCAS)
 
 		case stackPushCAS:
-			ref := batchRef(meta, int(c.slot))
+			ref := p.ref(c.slot)
 			if g.tops[r] == c.top {
 				g.tops[r] = ref
 				// Linearization: push onto the shadow, mark live.
 				g.shadows[r] = append(g.shadows[r], ref)
-				meta[c.slot].live = true
-				meta[c.slot].held--
+				p.slots[c.slot].live = true
+				p.slots[c.slot].held--
 				c.slot = -1
-				setRef(meta, &c.top, 0)
+				p.setRef(&c.top, 0)
 				c.pc = int8(stackPopReadTop)
 				o = machine.CAS | machine.Completed
 			} else {
@@ -146,7 +140,7 @@ func (g *StackBatch) StepBatch(pids []int32, out []machine.Outcome) {
 			}
 
 		case stackPopReadTop:
-			setRef(meta, &c.top, g.tops[r])
+			p.setRef(&c.top, g.tops[r])
 			if c.top == 0 {
 				// Empty pop completes; like the scalar, the stale next
 				// reference is kept (it pins its slot until overwritten).
@@ -157,7 +151,7 @@ func (g *StackBatch) StepBatch(pids []int32, out []machine.Outcome) {
 			}
 
 		case stackPopReadNext:
-			setRef(meta, &c.next, nodes[refSlot(c.top)].next)
+			p.setRef(&c.next, p.at(c.top).regs.next)
 			c.pc = int8(stackPopCAS)
 
 		case stackPopCAS:
@@ -170,7 +164,7 @@ func (g *StackBatch) StepBatch(pids []int32, out []machine.Outcome) {
 				} else {
 					g.shadows[r] = sh[:len(sh)-1]
 				}
-				meta[refSlot(c.top)].live = false
+				p.at(c.top).live = false
 				o = machine.CAS
 				c.pc = int8(stackPopReadValue)
 			} else {
@@ -179,9 +173,9 @@ func (g *StackBatch) StepBatch(pids []int32, out []machine.Outcome) {
 			}
 
 		case stackPopReadValue:
-			_ = nodes[refSlot(c.top)].value
-			setRef(meta, &c.top, 0)
-			setRef(meta, &c.next, 0)
+			_ = p.at(c.top).regs.value
+			p.setRef(&c.top, 0)
+			p.setRef(&c.next, 0)
 			c.pc = int8(stackPushWriteValue)
 			o = machine.Completed
 

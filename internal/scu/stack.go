@@ -71,7 +71,10 @@ func StackLayout(n, poolSize int) int { return 1 + 2*n*poolSize }
 // slot+1 keeps 0 as the null reference.
 func (st *Stack) ref(slot int) int64 { return st.tags[slot]<<20 | int64(slot+1) }
 
-func refSlot(ref int64) int { return int(ref&0xfffff) - 1 }
+// MaxPoolSlots is the most slots a ref can number: slot+1 fills its low 20 bits.
+const MaxPoolSlots = 1<<20 - 1
+
+func refSlot(ref int64) int { return int(ref&MaxPoolSlots) - 1 }
 
 func (st *Stack) valueReg(slot int) int { return st.base + 1 + 2*slot }
 func (st *Stack) nextReg(slot int) int  { return st.base + 2 + 2*slot }

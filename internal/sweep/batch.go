@@ -56,12 +56,11 @@ func buildBatchGroup(w Workload, k, n int) (machine.BatchGroup, error) {
 	case Unbounded:
 		return scu.NewUnboundedBatch(k, n, w.WaitFactor)
 	case Stack:
-		return scu.NewStackBatch(k, n, w.pool(64))
+		return scu.NewStackBatch(k, n, w.poolSize())
 	case Queue:
-		return scu.NewQueueBatch(k, n, w.pool(64))
+		return scu.NewQueueBatch(k, n, w.poolSize())
 	case RCU:
-		readers := n - 1 - (n-1)/4 // read-mostly: ~3/4 readers, as Workload.build
-		return scu.NewRCUBatch(k, n, readers, w.pool(64))
+		return scu.NewRCUBatch(k, n, rcuReaders(n), w.poolSize())
 	case LFUniversal:
 		return scu.NewLFUniversalBatch(scu.CounterObject{}, k, n,
 			func(pid int, seq int64) int64 { return 1 })

@@ -145,26 +145,38 @@ func TestBatchFallbackObservability(t *testing.T) {
 
 // TestBatchErrorPathMatchesScalar pins the failure side of the
 // byte-identity contract: a workload whose invariant check fails — a
-// queue whose two-node pools exhaust — must surface the identical
-// wrapped error from the batched path as from the scalar path, rather
-// than succeeding quietly or failing with a different message.
+// stack, queue or RCU whose node pools exhaust — must surface the
+// identical wrapped error from the batched path as from the scalar
+// path, rather than succeeding quietly or failing with a different
+// message. The batched pools grow a row at a time, so the larger pools
+// pin a process growing its pool through every row to the last one and
+// then exhausting it.
 func TestBatchErrorPathMatchesScalar(t *testing.T) {
-	jobs := []Job{{
-		Workload: Workload{Kind: Queue, PoolSize: 2},
-		N:        7,
-		Steps:    3000,
-		Replicas: 4,
-	}}
-	_, serr := Run(Config{Jobs: jobs, Seed: 77, Workers: 1})
-	if serr == nil {
-		t.Fatal("scalar run with a 2-node queue pool succeeded; want pool exhaustion")
-	}
-	_, berr := Run(Config{Jobs: jobs, Seed: 77, Workers: 1, ReplicaBatch: 4})
-	if berr == nil {
-		t.Fatal("batched run with a 2-node queue pool succeeded; want pool exhaustion")
-	}
-	if serr.Error() != berr.Error() {
-		t.Errorf("batched error %q, scalar error %q", berr, serr)
+	for _, tc := range []struct {
+		w Workload
+		n int
+	}{
+		{Workload{Kind: Queue, PoolSize: 2}, 7},
+		{Workload{Kind: Stack, PoolSize: 2}, 7},
+		{Workload{Kind: RCU, PoolSize: 2}, 7},
+		{Workload{Kind: Stack, PoolSize: 3}, 16},
+		{Workload{Kind: Queue, PoolSize: 4}, 16},
+		{Workload{Kind: RCU, PoolSize: 4}, 16},
+	} {
+		jobs := []Job{{Workload: tc.w, N: tc.n, Steps: 3000, Replicas: 4}}
+		_, serr := Run(Config{Jobs: jobs, Seed: 77, Workers: 1})
+		if serr == nil {
+			t.Errorf("scalar run of %s n=%d with %d-node pools succeeded; want pool exhaustion", tc.w.Kind, tc.n, tc.w.PoolSize)
+			continue
+		}
+		_, berr := Run(Config{Jobs: jobs, Seed: 77, Workers: 1, ReplicaBatch: 4})
+		if berr == nil {
+			t.Errorf("batched run of %s n=%d with %d-node pools succeeded; want pool exhaustion", tc.w.Kind, tc.n, tc.w.PoolSize)
+			continue
+		}
+		if serr.Error() != berr.Error() {
+			t.Errorf("batched error %q, scalar error %q", berr, serr)
+		}
 	}
 }
 

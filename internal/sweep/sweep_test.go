@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"strings"
@@ -199,6 +200,48 @@ func TestSweepValidation(t *testing.T) {
 	}
 	if _, err := Run(Config{Seed: 1}); err == nil {
 		t.Error("empty sweep ran")
+	}
+}
+
+// TestValidateRejectsPoolsRefsCannotNumber pins the largest node pool
+// each data-structure kind accepts: a ref keeps slot+1 in 20 bits, so
+// a pool numbering more than scu.MaxPoolSlots slots would alias slots
+// through the tag. Before Validate checked it, a stack at n = 4 with
+// pool_size 400000 and 4 replicas of 100,000 steps at seed 1 ran with
+// scalar W 6.9075 and batched W 6.9682.
+func TestValidateRejectsPoolsRefsCannotNumber(t *testing.T) {
+	for _, tc := range []struct {
+		w       Workload
+		n, pool int // the largest pool_size that fits, 0 for the default
+	}{
+		{Workload{Kind: Stack}, 4, 262143},       // 4·pool
+		{Workload{Kind: Queue}, 4, 262143},       // 4·pool + 1
+		{Workload{Kind: RCU}, 9, 349525},         // 3 updaters·pool
+		{Workload{Kind: List}, 4, 262143},        // 4·pool + 2
+		{Workload{Kind: HashSet}, 4, 262143},     // 4·pool + 2 per bucket
+		{Workload{Kind: WFUniversal}, 4, 262143}, // 4·pool + 1
+		{Workload{Kind: Stack}, 16383, 0},        // 16383·64
+		{Workload{Kind: HashSet}, 32767, 0},      // 32767·32 + 2
+		{Workload{Kind: WFUniversal}, 131071, 0}, // 131071·8 + 1
+	} {
+		fits, over := tc.w, tc.w
+		fits.PoolSize = tc.pool
+		over.PoolSize = tc.pool + 1
+		overN := tc.n
+		if tc.pool == 0 {
+			over.PoolSize = 0
+			overN++
+		}
+		if err := fits.Validate(tc.n); err != nil {
+			t.Errorf("%s n=%d pool_size %d rejected: %v", fits.Kind, tc.n, fits.PoolSize, err)
+		}
+		if err := over.Validate(overN); !errors.Is(err, ErrPoolTooLarge) {
+			t.Errorf("%s n=%d pool_size %d: err %v, want ErrPoolTooLarge", over.Kind, overN, over.PoolSize, err)
+		}
+	}
+	job := Job{Workload: Workload{Kind: Stack, PoolSize: 400000}, N: 4, Steps: 100, Replicas: 4}
+	if _, err := Run(Config{Jobs: []Job{job}, Seed: 1, ReplicaBatch: 4}); !errors.Is(err, ErrPoolTooLarge) {
+		t.Errorf("stack n=4 pool_size 400000 ran: err %v, want ErrPoolTooLarge", err)
 	}
 }
 

@@ -49,7 +49,7 @@ type Workload struct {
 	WaitFactor int64 `json:"wait_factor,omitempty"`
 	// PoolSize is the per-process node pool of the data-structure
 	// workloads (Stack, Queue, RCU, List, HashSet, WFUniversal);
-	// 0 selects 64 (8 for WFUniversal).
+	// 0 selects 64 (32 for HashSet, 8 for WFUniversal).
 	PoolSize int `json:"pool_size,omitempty"`
 }
 
@@ -77,16 +77,53 @@ func (w Workload) Validate(n int) error {
 	if w.PoolSize < 0 {
 		return fmt.Errorf("sweep: negative pool size %d", w.PoolSize)
 	}
+	if owners, extra := w.poolOwners(n); owners > 0 && w.poolSize() > (scu.MaxPoolSlots-extra)/owners {
+		return fmt.Errorf("%w: %s at n=%d needs %d pools of %d slots and %d more, over the %d a ref numbers",
+			ErrPoolTooLarge, w.Kind, n, owners, w.poolSize(), extra, scu.MaxPoolSlots)
+	}
 	return nil
 }
 
-// pool returns the configured pool size or the default.
-func (w Workload) pool(def int) int {
-	if w.PoolSize > 0 {
+// ErrPoolTooLarge marks a data-structure workload with more node
+// slots than a ref can number: slot numbers past scu.MaxPoolSlots
+// would spill into the ref's tag and alias other slots.
+var ErrPoolTooLarge = errors.New("sweep: node pool too large for its refs")
+
+// poolSize returns the configured pool size or the kind's default.
+func (w Workload) poolSize() int {
+	switch {
+	case w.PoolSize > 0:
 		return w.PoolSize
+	case w.Kind == HashSet:
+		return 32
+	case w.Kind == WFUniversal:
+		return 8
 	}
-	return def
+	return 64
 }
+
+// poolOwners returns how the kind's constructor numbers its node
+// slots: owners pools of poolSize slots, plus extra shared slots (the
+// queue's initial dummy, the list's two sentinels, the wait-free
+// universal object's initial node; a hash set numbers each bucket's
+// list apart). owners is 0 for the kinds without node pools.
+func (w Workload) poolOwners(n int) (owners, extra int) {
+	switch w.Kind {
+	case Stack:
+		return n, 0
+	case Queue, WFUniversal:
+		return n, 1
+	case List, HashSet:
+		return n, 2
+	case RCU:
+		return n - rcuReaders(n), 0
+	}
+	return 0, 0
+}
+
+// rcuReaders is the RCU workload's read-mostly split: about 3/4 of
+// the n processes only read.
+func rcuReaders(n int) int { return n - 1 - (n-1)/4 }
 
 // built is an assembled workload: the simulated memory, the process
 // group, and an optional post-run invariant check (data-structure
@@ -129,7 +166,7 @@ func (w Workload) build(n int) (built, error) {
 		procs, err := scu.NewUnboundedGroup(n, 0, w.WaitFactor)
 		return built{mem: mem, procs: procs}, err
 	case Stack:
-		pool := w.pool(64)
+		pool := w.poolSize()
 		st, err := scu.NewStack(n, pool, 0)
 		if err != nil {
 			return built{}, err
@@ -141,7 +178,7 @@ func (w Workload) build(n int) (built, error) {
 		procs, err := st.Processes()
 		return built{mem: mem, procs: procs, check: st.Check}, err
 	case Queue:
-		pool := w.pool(64)
+		pool := w.poolSize()
 		qu, err := scu.NewQueue(n, pool, 0)
 		if err != nil {
 			return built{}, err
@@ -154,8 +191,8 @@ func (w Workload) build(n int) (built, error) {
 		procs, err := qu.Processes()
 		return built{mem: mem, procs: procs, check: qu.Check}, err
 	case RCU:
-		pool := w.pool(64)
-		readers := n - 1 - (n-1)/4 // read-mostly: ~3/4 readers
+		pool := w.poolSize()
+		readers := rcuReaders(n)
 		r, err := scu.NewRCU(n, readers, pool, 0)
 		if err != nil {
 			return built{}, err
@@ -168,7 +205,7 @@ func (w Workload) build(n int) (built, error) {
 		return built{mem: mem, procs: procs, check: r.Check}, err
 	case List:
 		const keyspace = 32
-		pool := w.pool(64)
+		pool := w.poolSize()
 		l, err := scu.NewList(n, pool, 0)
 		if err != nil {
 			return built{}, err
@@ -185,7 +222,7 @@ func (w Workload) build(n int) (built, error) {
 			buckets  = 8
 			keyspace = 64
 		)
-		pool := w.pool(32)
+		pool := w.poolSize()
 		h, err := scu.NewHashSet(n, buckets, pool, 0)
 		if err != nil {
 			return built{}, err
@@ -209,7 +246,7 @@ func (w Workload) build(n int) (built, error) {
 		procs, err := u.Processes(func(pid int, seq int64) int64 { return 1 })
 		return built{mem: mem, procs: procs, check: u.Check}, err
 	case WFUniversal:
-		pool := w.pool(8)
+		pool := w.poolSize()
 		u, err := scu.NewWFUniversal(scu.CounterObject{}, n, pool, 0)
 		if err != nil {
 			return built{}, err
