@@ -10,7 +10,10 @@
 // The canonical encoding of a value is the compact (single-line)
 // encoding produced by Go's encoding/json for the types here: object
 // keys appear in struct-field order, no insignificant whitespace,
-// wall-clock fields are absent by construction. Two runs of the same
+// wall-clock fields are absent by construction. This package writes
+// it with its own append-style encoder (encode.go), which reproduces
+// those bytes without reflection; encoding/json decodes, and is the
+// oracle the tests hold the encoder to. Two runs of the same
 // grid under the same master seed yield byte-identical canonical
 // result lines regardless of transport (local RunSweep vs. HTTP
 // stream), worker count, or batching.
@@ -260,15 +263,19 @@ type Error struct {
 func (e Error) Error() string { return fmt.Sprintf("%s: %s", e.Code, e.Message) }
 
 // MarshalGrid renders the canonical single-line encoding of a grid.
-func MarshalGrid(g Grid) ([]byte, error) { return json.Marshal(g) }
+func MarshalGrid(g Grid) ([]byte, error) { return marshal(&g, "") }
 
 // MarshalResult renders the canonical single-line encoding of a
 // result.
-func MarshalResult(r Result) ([]byte, error) { return json.Marshal(r) }
+func MarshalResult(r Result) ([]byte, error) { return marshal(&r, "") }
+
+// MarshalResultLine renders one canonical NDJSON result line: the
+// encoding plus a newline, in one exact-length slice.
+func MarshalResultLine(r Result) ([]byte, error) { return marshal(&r, "\n") }
 
 // MarshalError renders the canonical single-line encoding of a
 // structured error.
-func MarshalError(e Error) ([]byte, error) { return json.Marshal(e) }
+func MarshalError(e Error) ([]byte, error) { return marshal(&e, "") }
 
 // DecodeGrid strictly decodes one grid submission from r: unknown
 // fields, trailing data, wrong versions, and invalid jobs are all
@@ -292,11 +299,10 @@ func DecodeGrid(r io.Reader) (Grid, error) {
 // WriteResultLine writes one canonical NDJSON result line (the
 // encoding plus a newline).
 func WriteResultLine(w io.Writer, r Result) error {
-	b, err := MarshalResult(r)
+	b, err := MarshalResultLine(r)
 	if err != nil {
 		return err
 	}
-	b = append(b, '\n')
 	_, err = w.Write(b)
 	return err
 }

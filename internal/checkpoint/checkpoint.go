@@ -378,11 +378,10 @@ func (l *Log) Restore(i int) (sweep.Result, bool) {
 // appended, with an fsync every flushEvery commits. A failed append is
 // truncated away before Commit returns (see the package comment).
 func (l *Log) Commit(r sweep.Result) error {
-	line, err := api.MarshalResult(api.ResultFromSweep(r))
+	line, err := api.MarshalResultLine(api.ResultFromSweep(r))
 	if err != nil {
 		return fmt.Errorf("checkpoint: encode point %d: %w", r.Index, err)
 	}
-	line = append(line, '\n')
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.failed != nil {

@@ -240,17 +240,20 @@ func (g *FetchIncBatch) K() int { return g.k }
 func (g *FetchIncBatch) N() int { return g.n }
 
 // StepBatch implements machine.BatchGroup with the CASGet loop of
-// FetchInc.Step on raw registers; every step is a CAS.
+// FetchInc.Step on raw registers; every step is a CAS. Like
+// stepScanValidate it is branch-free: the CAS succeeds when the
+// estimate equals the counter, and either way the estimate ends as the
+// counter after the step (incremented on success, re-read on failure).
 func (g *FetchIncBatch) StepBatch(pids []int32, out []machine.Outcome) {
+	ctr, v, n := g.ctr, g.v, g.n
 	for r := range pids {
-		i := r*g.n + int(pids[r])
-		if g.ctr[r] == g.v[i] {
-			g.ctr[r]++
-			g.v[i]++
-			out[r] = machine.CAS | machine.Completed
-		} else {
-			g.v[i] = g.ctr[r]
-			out[r] = machine.CAS | machine.CASFailed
-		}
+		i := r*n + int(pids[r])
+		c := ctr[r]
+		d := c ^ v[i]
+		ok := ^((d | -d) >> 63) & 1 // 1 iff the estimate is current
+		c += ok
+		ctr[r] = c
+		v[i] = c
+		out[r] = machine.CAS | machine.Outcome(ok)*machine.Completed | machine.Outcome(ok^1)*machine.CASFailed
 	}
 }

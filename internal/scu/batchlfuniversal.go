@@ -7,26 +7,21 @@ import (
 )
 
 // lfuBatchCell is the per-(replica, process) state of the batched
-// lock-free universal construction.
+// lock-free universal construction: the snapshot of the last read and
+// pc, 0 before the read and 1 before the CAS.
 type lfuBatchCell struct {
 	snapshot int64
-	seq      int64
-	pc       int8
-	_        [7]byte
+	pc       int64
 }
 
 // LFUniversalBatch is K replicas of the lock-free universal
-// construction in struct-of-arrays form: one versioned state register
-// per replica in a dense K-vector, a per-replica sequential shadow
-// state, and one cell per (replica, process). The inner loop keeps the
-// scalar's read/CAS switch: the sequential Object is applied through
-// an interface call on every CAS attempt, so there is nothing to mask
-// away arithmetically — the win here is the amortized dispatch and
-// the dense register vector.
+// construction in struct-of-arrays form, specialised to the counter
+// object and unit operations the sweep's lfuniversal workload runs
+// (the scalar LFUniversal keeps the general Object): one versioned
+// state register per replica in a dense K-vector, a per-replica
+// sequential shadow state, and one cell per (replica, process).
 type LFUniversalBatch struct {
 	k, n int
-	obj  Object
-	ops  func(pid int, seq int64) int64
 
 	regs  []int64        // [r]: the versioned state register
 	state []int64        // [r]: shadow sequential state
@@ -40,30 +35,20 @@ var (
 	_ machine.BatchChecker = (*LFUniversalBatch)(nil)
 )
 
-// NewLFUniversalBatch builds k replicas of n processes applying the
-// shared operation stream ops to the universal object obj.
-func NewLFUniversalBatch(obj Object, k, n int, ops func(pid int, seq int64) int64) (*LFUniversalBatch, error) {
+// NewLFUniversalBatch builds k replicas of n processes each applying
+// fetch-and-add(1) to a CounterObject: the batched form of
+// NewLFUniversal(CounterObject{}, n, 0) with an op stream of ones.
+func NewLFUniversalBatch(k, n int) (*LFUniversalBatch, error) {
 	if err := batchShape(k, n); err != nil {
 		return nil, err
 	}
-	if obj == nil {
-		return nil, fmt.Errorf("%w: nil object", ErrBadParams)
-	}
-	if ops == nil {
-		return nil, fmt.Errorf("%w: nil op stream", ErrBadParams)
-	}
-	g := &LFUniversalBatch{
-		k: k, n: n, obj: obj, ops: ops,
+	return &LFUniversalBatch{
+		k: k, n: n,
 		regs:       make([]int64, k),
 		state:      make([]int64, k),
 		cells:      make([]lfuBatchCell, k*n),
 		violations: make([]int, k),
-	}
-	for i := range g.cells {
-		g.cells[i].pc = int8(lfRead)
-		g.cells[i].seq = 1
-	}
-	return g, nil
+	}, nil
 }
 
 // K implements machine.BatchGroup.
@@ -87,37 +72,31 @@ func (g *LFUniversalBatch) CheckReplica(r int) error {
 }
 
 // StepBatch implements machine.BatchGroup with the exact transition
-// logic of LFUniversalProc.Step on raw registers.
+// logic of LFUniversalProc.Step on raw registers, for the counter
+// object and unit ops, in the branch-free form of stepScanValidate: a
+// read step snapshots the register, and a CAS step installs the
+// snapshot's successor (version and state both one up) when the
+// register still equals the snapshot. A commit replays the op on the
+// shadow: the response is the state read, so it is a violation unless
+// the shadow equals it and the register's 32-bit state is the shadow's
+// successor.
 func (g *LFUniversalBatch) StepBatch(pids []int32, out []machine.Outcome) {
+	cells, regs, state, n := g.cells, g.regs, g.state, g.n
 	for r := range pids {
-		pid := int(pids[r])
-		c := &g.cells[r*g.n+pid]
-		var o machine.Outcome
-
-		switch lfPhase(c.pc) {
-		case lfRead:
-			c.snapshot = g.regs[r]
-			c.pc = int8(lfCAS)
-		case lfCAS:
-			op := g.ops(pid, c.seq)
-			newState, resp := g.obj.Apply(decodeState(c.snapshot), op)
-			next := encodeVersioned(decodeVersion(c.snapshot)+1, newState)
-			o = machine.CAS | machine.CASFailed
-			if g.regs[r] == c.snapshot {
-				g.regs[r] = next
-				// Linearization: replay on the shadow and validate.
-				wantState, wantResp := g.obj.Apply(g.state[r], op)
-				if wantState != decodeState(next) || wantResp != resp {
-					g.violations[r]++
-				}
-				g.state[r] = wantState
-				c.seq++
-				o = machine.CAS | machine.Completed
-			}
-			c.pc = int8(lfRead)
-		default:
-			c.pc = int8(lfRead)
-		}
-		out[r] = o
+		c := &cells[r*n+int(pids[r])]
+		reg, snap, pc := regs[r], c.snapshot, c.pc
+		vm := -pc // all-ones on a CAS step
+		d := reg ^ snap
+		okm := ^((d | -d) >> 63) & vm // all-ones iff the CAS succeeds
+		next := encodeVersioned(decodeVersion(snap)+1, decodeState(snap)+1)
+		regs[r] = reg ^ ((reg ^ next) & okm)
+		st := state[r]
+		bad := (st ^ decodeState(snap)) | ((st + 1) ^ decodeState(next))
+		g.violations[r] += int((bad|-bad)>>63&okm) & 1
+		state[r] = st + okm&1
+		c.snapshot = snap ^ ((snap ^ reg) &^ vm)
+		c.pc = 1 - pc
+		ok := okm & 1
+		out[r] = machine.Outcome(ok | pc<<1 | (pc^ok)<<2)
 	}
 }

@@ -98,7 +98,7 @@ func (p *batchPool[R]) setRef(field *int64, ref int64) {
 func (p *batchPool[R]) alloc(owner int) int32 {
 	for slot, end := p.base+owner, p.base+p.size*p.owners; slot < end; slot += p.owners {
 		if slot >= len(p.slots) {
-			p.slots = append(p.slots, make([]poolSlot[R], p.owners)...)
+			p.grow()
 		}
 		if s := &p.slots[slot]; !s.live && s.held == 0 {
 			s.tag++
@@ -107,4 +107,19 @@ func (p *batchPool[R]) alloc(owner int) int32 {
 		}
 	}
 	return -1
+}
+
+// grow appends one zeroed row. The capacity doubles in whole rows, up
+// to the size rows a pool holds, so a growing pool is copied once per
+// doubling rather than at every row, as append's 1.25× growth of a
+// large slice would copy it.
+func (p *batchPool[R]) grow() {
+	n := len(p.slots) + p.owners
+	if n > cap(p.slots) {
+		rows := min(max(2*(len(p.slots)-p.base)/p.owners, 1), p.size)
+		grown := make([]poolSlot[R], len(p.slots), p.base+rows*p.owners)
+		copy(grown, p.slots)
+		p.slots = grown
+	}
+	p.slots = p.slots[:n]
 }

@@ -236,9 +236,10 @@ func (g *QueueBatch) StepBatch(pids []int32, out []machine.Outcome) {
 	}
 }
 
-// refFIFO is the batched queue's shadow FIFO, buf[head:] in enqueue
-// order. push moves it back over the dequeued prefix instead of
-// growing buf when that prefix is half of buf, so it stops allocating.
+// refFIFO is the queue's shadow FIFO (scalar and batched), buf[head:]
+// in enqueue order. push moves it back over the dequeued prefix
+// instead of growing buf when that prefix is half of buf, so it stops
+// allocating.
 type refFIFO struct {
 	buf  []int64
 	head int
@@ -250,6 +251,8 @@ func (f *refFIFO) push(ref int64) {
 	}
 	f.buf = append(f.buf, ref)
 }
+
+func (f *refFIFO) len() int { return len(f.buf) - f.head }
 
 // popIf removes the front ref if it is ref, and reports whether it was.
 func (f *refFIFO) popIf(ref int64) bool {

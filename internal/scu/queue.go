@@ -27,7 +27,7 @@ type Queue struct {
 	tags  []int64
 	procs []*QueueProc
 
-	shadow     []int64 // refs in FIFO order
+	shadow     refFIFO // refs in FIFO order
 	violations int
 	enqueues   uint64
 	dequeues   uint64
@@ -94,7 +94,7 @@ func (q *Queue) Check() error { return queueCheck(q.violations, q.err) }
 func (q *Queue) Violations() int { return q.violations }
 
 // Length returns the queue length according to the shadow.
-func (q *Queue) Length() int { return len(q.shadow) }
+func (q *Queue) Length() int { return q.shadow.len() }
 
 // Enqueues and Dequeues return operation counts.
 func (q *Queue) Enqueues() uint64 { return q.enqueues }
@@ -132,7 +132,7 @@ func (q *Queue) heldByAny(slot int) bool {
 }
 
 func (q *Queue) onEnqueue(ref int64) {
-	q.shadow = append(q.shadow, ref)
+	q.shadow.push(ref)
 	q.live[refSlot(ref)] = true
 	q.enqueues++
 }
@@ -141,10 +141,8 @@ func (q *Queue) onEnqueue(ref int64) {
 // node now holding the dequeued value is newHead; the retired dummy
 // oldHead becomes reclaimable.
 func (q *Queue) onDequeue(oldHead, newHead int64) {
-	if len(q.shadow) == 0 || q.shadow[0] != newHead {
+	if !q.shadow.popIf(newHead) {
 		q.violations++
-	} else {
-		q.shadow = q.shadow[1:]
 	}
 	q.live[refSlot(oldHead)] = false
 	q.dequeues++

@@ -882,11 +882,11 @@ func (s *Server) execute(st *sweepState, grid api.Grid) {
 		},
 		Context: s.ctx,
 		OnResult: func(r sweep.Result) {
-			line, mErr := api.MarshalResult(api.ResultFromSweep(r))
+			line, mErr := api.MarshalResultLine(api.ResultFromSweep(r))
 			if mErr != nil {
 				return
 			}
-			s.retained.Add(int64(st.publish(r.Index, append(line, '\n'))))
+			s.retained.Add(int64(st.publish(r.Index, line)))
 			s.mu.Lock()
 			s.queuedJobs--
 			s.mu.Unlock()

@@ -500,7 +500,7 @@ func TestOutOfRangeWorkloadRejected(t *testing.T) {
 	dir := t.TempDir()
 	_, ts := startServer(t, Config{CheckpointDir: dir})
 	for _, w := range []string{`{"kind":"scu","q":-1,"s":1}`, `{"kind":"scu"}`,
-		`{"kind":"stack","pool_size":600000}`} {
+		`{"kind":"stack","pool_size":600000}`, `{"kind":"wfuniversal","pool_size":1}`} {
 		body := `{"v":1,"seed":1,"jobs":[{"workload":` + w + `,"n":2,"steps":100,"warmup_fraction":0}]}`
 		resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
 		if err != nil {

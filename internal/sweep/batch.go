@@ -62,8 +62,7 @@ func buildBatchGroup(w Workload, k, n int) (machine.BatchGroup, error) {
 	case RCU:
 		return scu.NewRCUBatch(k, n, rcuReaders(n), w.poolSize())
 	case LFUniversal:
-		return scu.NewLFUniversalBatch(scu.CounterObject{}, k, n,
-			func(pid int, seq int64) int64 { return 1 })
+		return scu.NewLFUniversalBatch(k, n)
 	default:
 		return nil, fmt.Errorf("%w: workload %q", errNoBatchForm, w.Kind)
 	}

@@ -173,6 +173,7 @@ func TestSweepValidation(t *testing.T) {
 		{Workload: Workload{Kind: SCU, S: 1}, N: 0, Steps: 1000},
 		{Workload: Workload{Kind: SCU, S: 1}, N: 4},
 		{Workload: Workload{Kind: Parallel}, N: 4, Steps: 1000},
+		{Workload: Workload{Kind: WFUniversal, PoolSize: 1}, N: 4, Steps: 1000},
 		func() Job { j := base; j.WarmupFraction = 1; return j }(),
 		func() Job { j := base; j.WarmupFraction = -0.1; return j }(),
 		func() Job { j := base; j.WarmupFraction = math.NaN(); return j }(),

@@ -77,6 +77,9 @@ func (w Workload) Validate(n int) error {
 	if w.PoolSize < 0 {
 		return fmt.Errorf("sweep: negative pool size %d", w.PoolSize)
 	}
+	if w.Kind == WFUniversal && w.PoolSize == 1 {
+		return errors.New("sweep: wfuniversal needs pool size >= 2, got 1")
+	}
 	if owners, extra := w.poolOwners(n); owners > 0 && w.poolSize() > (scu.MaxPoolSlots-extra)/owners {
 		return fmt.Errorf("%w: %s at n=%d needs %d pools of %d slots and %d more, over the %d a ref numbers",
 			ErrPoolTooLarge, w.Kind, n, owners, w.poolSize(), extra, scu.MaxPoolSlots)
