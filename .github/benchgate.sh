@@ -46,7 +46,10 @@ readonly MEMBOUND=0.25
 # time one simulator step with no recorder, counted into an
 # obs.Metrics, and feeding the same Metrics events. The chain rows
 # build and solve the exact chains of SCU(0, 1) and parallel(3) at
-# n = 64, 2,144 and 2,145 states, one build and solve per pass.
+# n = 64, 2,144 and 2,145 states, one build and solve per pass. The
+# api rows encode a 16-job grid and a result line, and decode a 16-job
+# and a 228-job grid, each with this package's code and with
+# encoding/json; their B/op are gated too.
 readonly BENCHES=(
 	"internal/sched ^BenchmarkSchedDraw$/./(dense|alias|fenwick|batch16)/ 200000x"
 	"internal/sweep ^BenchmarkSweepSteps$/./(n=1024|stack|queue|rcu|unbounded|lfuniversal|metrics)$ 1x -benchmem"
@@ -54,6 +57,7 @@ readonly BENCHES=(
 	"internal/obs ^BenchmarkTrace$/./encode$ 100000x"
 	"internal/obs ^BenchmarkTrace$/./decode$ 3x"
 	"internal/chains ^BenchmarkExactChain$ 1x"
+	"internal/api ^Benchmark(Marshal|DecodeGrid)$ 300x -benchmem"
 )
 
 if [ $# -ne 1 ]; then

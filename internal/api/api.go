@@ -12,28 +12,32 @@
 // keys appear in struct-field order, no insignificant whitespace,
 // wall-clock fields are absent by construction. This package writes
 // it with its own append-style encoder (encode.go), which reproduces
-// those bytes without reflection; encoding/json decodes, and is the
-// oracle the tests hold the encoder to. Two runs of the same
-// grid under the same master seed yield byte-identical canonical
-// result lines regardless of transport (local RunSweep vs. HTTP
-// stream), worker count, or batching.
+// those bytes without reflection, and reads grids with its own
+// one-pass decoder (decode.go). encoding/json is the oracle the tests
+// hold both to, and still decodes result lines (ReadResults). Two
+// runs of the same grid under the same master seed yield
+// byte-identical canonical result lines regardless of transport
+// (local RunSweep vs. HTTP stream), worker count, or batching.
 //
 // # Versioning and compatibility policy
 //
 // Every top-level envelope (Grid, Result, Error) carries a schema
 // version field "v". This package speaks exactly Version: decoding
 // rejects other versions, and strict decoding (DecodeGrid) also
-// rejects unknown fields, so typos in hand-written grids fail loudly
-// at admission instead of silently running defaults. Additive,
-// backward-compatible evolution (new optional fields) bumps Version;
-// decoders stay pinned to the version they were built with. The one
-// deliberate liberality: a SchedulerSpec decodes from either its
-// object form or the shared CLI grammar string ("sticky:0.9" —
-// see sweep.ParseScheduler), both normalizing to the same spec.
+// rejects unknown, case-variant and duplicate keys at every level and
+// trailing data, so typos in hand-written grids fail loudly at
+// admission instead of silently running defaults; a null value leaves
+// a field at its zero value. Additive, backward-compatible evolution
+// (new optional fields) bumps Version; decoders stay pinned to the
+// version they were built with. The one deliberate liberality: a
+// SchedulerSpec decodes from either its object form or the shared CLI
+// grammar string ("sticky:0.9" — see sweep.ParseScheduler), both
+// normalizing to the same spec.
 package api
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -277,18 +281,23 @@ func MarshalResultLine(r Result) ([]byte, error) { return marshal(&r, "\n") }
 // structured error.
 func MarshalError(e Error) ([]byte, error) { return marshal(&e, "") }
 
-// DecodeGrid strictly decodes one grid submission from r: unknown
-// fields, trailing data, wrong versions, and invalid jobs are all
-// errors.
+// DecodeGrid strictly decodes one grid submission from r, which it
+// reads to the end: unknown, case-variant and duplicate keys, trailing
+// data, wrong versions, and invalid jobs are all errors. A read error
+// is wrapped, so errors.As finds it.
 func DecodeGrid(r io.Reader) (Grid, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var g Grid
-	if err := dec.Decode(&g); err != nil {
+	// A reader that knows its length, as *bytes.Reader does, is read
+	// into one allocation.
+	var buf bytes.Buffer
+	if l, ok := r.(interface{ Len() int }); ok {
+		buf.Grow(l.Len() + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(r); err != nil {
 		return Grid{}, fmt.Errorf("api: decode grid: %w", err)
 	}
-	if dec.More() {
-		return Grid{}, errors.New("api: trailing data after grid")
+	g, err := decodeGrid(buf.Bytes())
+	if err != nil {
+		return Grid{}, fmt.Errorf("api: decode grid: %w", err)
 	}
 	if err := g.Validate(); err != nil {
 		return Grid{}, err

@@ -86,6 +86,11 @@ func TestDecodeGridStrictness(t *testing.T) {
 		{"negative wait factor", `{"v":1,"seed":1,"jobs":[{"workload":{"kind":"unbounded","wait_factor":-1},"n":2,"steps":100,"warmup_fraction":0}]}`, "negative wait factor"},
 		{"bad sched string", `{"v":1,"seed":1,"jobs":[{"workload":{"kind":"scu"},"n":2,"sched":"sticky:9","steps":100,"warmup_fraction":0}]}`, "out of [0, 1)"},
 		{"not json", `nope`, "decode grid"},
+		{"unknown scheduler field", `{"v":1,"seed":1,"jobs":[{"workload":{"kind":"scu","s":1},"n":2,"sched":{"kind":"sticky","rho":0.5,"rh0":0.9},"steps":100,"warmup_fraction":0}]}`, "unknown field"},
+		{"trailing bracket", `{"v":1,"seed":1,"jobs":[{"workload":{"kind":"scu","s":1},"n":2,"steps":100,"warmup_fraction":0}]}]`, "trailing data"},
+		{"trailing brace", `{"v":1,"seed":1,"jobs":[{"workload":{"kind":"scu","s":1},"n":2,"steps":100,"warmup_fraction":0}]}}`, "trailing data"},
+		{"duplicate key", `{"v":1,"seed":1,"jobs":[{"workload":{"kind":"scu","s":1},"n":2,"n":3,"steps":100,"warmup_fraction":0}]}`, "duplicate field"},
+		{"case-variant key", `{"v":1,"seed":1,"jobs":[{"workload":{"kind":"scu","s":1},"N":4,"steps":100,"warmup_fraction":0}]}`, "unknown field"},
 	} {
 		_, err := DecodeGrid(strings.NewReader(tc.in))
 		if err == nil {

@@ -382,9 +382,7 @@ func compareReplica(t *testing.T, bs *machine.BatchSim, s *machine.Sim, r int) {
 // replica-batched StepBatch loop and the scalar Process loop allocate
 // nothing. The pointer-based forms recycle pool slots, never heap
 // nodes, and the queue's shadow FIFO (refFIFO, in both forms) reuses
-// its buffer. The scalar universal construction's response log still
-// grows by doubling, rarely enough to average under one allocation per
-// 200-step run.
+// its buffer.
 func TestStepPathsZeroAllocs(t *testing.T) {
 	const (
 		n = 9

@@ -106,10 +106,10 @@ type LFUniversalProc struct {
 	pid int
 	ops func(pid int, seq int64) int64
 
-	phase     lfPhase
-	snapshot  int64
-	seq       int64
-	responses []int64
+	phase    lfPhase
+	snapshot int64
+	seq      int64
+	resp     int64 // response of the last committed operation
 }
 
 var _ machine.Process = (*LFUniversalProc)(nil)
@@ -139,14 +139,6 @@ func (u *LFUniversal) Processes(ops func(pid int, seq int64) int64) ([]machine.P
 	return procs, nil
 }
 
-// Responses returns the responses of this process's committed
-// operations, in order.
-func (p *LFUniversalProc) Responses() []int64 {
-	out := make([]int64, len(p.responses))
-	copy(out, p.responses)
-	return out
-}
-
 // Step implements machine.Process.
 func (p *LFUniversalProc) Step(mem *shmem.Memory) bool {
 	switch p.phase {
@@ -160,7 +152,7 @@ func (p *LFUniversalProc) Step(mem *shmem.Memory) bool {
 		next := encodeVersioned(decodeVersion(p.snapshot)+1, newState)
 		if mem.CAS(p.u.base, p.snapshot, next) {
 			p.u.onCommit(op, decodeState(next), resp)
-			p.responses = append(p.responses, resp)
+			p.resp = resp
 			p.seq++
 			p.phase = lfRead
 			return true

@@ -16,6 +16,40 @@ func incOps(pid int, seq int64) int64 { return 1 }
 // variedOps mixes op values so responses differ across processes.
 func variedOps(pid int, seq int64) int64 { return int64(pid + 1) }
 
+// responseLog wraps a universal-construction process and logs the
+// response of each operation it completes; the process itself keeps
+// only the last one.
+type responseLog struct {
+	machine.Process
+	last  *int64
+	resps []int64
+}
+
+func (l *responseLog) Step(mem *shmem.Memory) bool {
+	done := l.Process.Step(mem)
+	if done {
+		l.resps = append(l.resps, *l.last)
+	}
+	return done
+}
+
+// logResponses replaces each of procs, all LFUniversalProc or
+// WFUniversalProc, with a responseLog around it, and returns the logs.
+func logResponses(procs []machine.Process) []*responseLog {
+	logs := make([]*responseLog, len(procs))
+	for i, p := range procs {
+		l := &responseLog{Process: p}
+		switch p := p.(type) {
+		case *LFUniversalProc:
+			l.last = &p.resp
+		case *WFUniversalProc:
+			l.last = &p.resp
+		}
+		logs[i], procs[i] = l, l
+	}
+	return logs
+}
+
 func TestObjectSemantics(t *testing.T) {
 	var c CounterObject
 	s, r := c.Apply(5, 3)
@@ -74,18 +108,22 @@ func TestLFUniversalSolo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	log := logResponses([]machine.Process{p})[0]
 	for op := 0; op < 10; op++ {
-		if p.Step(mem) { // read
+		if log.Step(mem) { // read
 			t.Fatal("completed on read step")
 		}
-		if !p.Step(mem) { // CAS
+		if !log.Step(mem) { // CAS
 			t.Fatal("solo CAS failed")
 		}
 	}
 	if u.State() != 10 || u.Ops() != 10 || u.Violations() != 0 {
 		t.Fatalf("state=%d ops=%d violations=%d", u.State(), u.Ops(), u.Violations())
 	}
-	resps := p.Responses()
+	resps := log.resps
+	if len(resps) != 10 {
+		t.Fatalf("%d responses, want 10", len(resps))
+	}
 	for i, r := range resps {
 		if r != int64(i) {
 			t.Fatalf("response %d = %d, want %d", i, r, i)
@@ -177,19 +215,23 @@ func TestWFUniversalSolo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	log := logResponses([]machine.Process{p})[0]
 	completions := 0
 	for step := 0; completions < 10; step++ {
 		if step > 10000 {
 			t.Fatal("solo WF universal stuck")
 		}
-		if p.Step(mem) {
+		if log.Step(mem) {
 			completions++
 		}
 	}
 	if u.State() != 10 || u.Violations() != 0 {
 		t.Fatalf("state=%d violations=%d", u.State(), u.Violations())
 	}
-	resps := p.Responses()
+	resps := log.resps
+	if len(resps) != 10 {
+		t.Fatalf("%d responses, want 10", len(resps))
+	}
 	for i, r := range resps {
 		if r != int64(i) {
 			t.Fatalf("response %d = %d, want %d", i, r, i)
@@ -246,17 +288,17 @@ func TestWFUniversalResponsesAreSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	logs := logResponses(procs)
 	sim := uniformSim(t, mem, procs, 64)
 	if err := sim.Run(100000); err != nil {
 		t.Fatal(err)
 	}
 	seen := make(map[int64]bool)
-	for _, mp := range procs {
-		p, ok := mp.(*WFUniversalProc)
-		if !ok {
+	for _, log := range logs {
+		if _, ok := log.Process.(*WFUniversalProc); !ok {
 			t.Fatal("not a WFUniversalProc")
 		}
-		for _, r := range p.Responses() {
+		for _, r := range log.resps {
 			if seen[r] {
 				t.Fatalf("response %d delivered twice", r)
 			}
@@ -314,6 +356,11 @@ func TestWFUniversalWaitFreeUnderAdversary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	victim, ok := procs[0].(*WFUniversalProc)
+	if !ok {
+		t.Fatal("not a WFUniversalProc")
+	}
+	victimLog := logResponses(procs[:1])[0]
 	weights := []float64{0.01, 1, 1, 1}
 	w, err := sched.NewWeighted(weights, rng.New(66))
 	if err != nil {
@@ -329,11 +376,7 @@ func TestWFUniversalWaitFreeUnderAdversary(t *testing.T) {
 	if u.Violations() != 0 {
 		t.Fatalf("violations: %d", u.Violations())
 	}
-	victim, ok := procs[0].(*WFUniversalProc)
-	if !ok {
-		t.Fatal("not a WFUniversalProc")
-	}
-	if len(victim.Responses()) == 0 {
+	if len(victimLog.resps) == 0 {
 		t.Fatal("starved victim despite wait-free construction")
 	}
 	if max := victim.MaxOwnSteps(); max > 20*n {
@@ -359,5 +402,46 @@ func TestWFUniversalMaxObject(t *testing.T) {
 	}
 	if u.Ops() == 0 {
 		t.Fatal("no ops applied")
+	}
+}
+
+// The scalar universal constructions keep no per-operation state: a
+// long run after a warmup allocates nothing, however many operations
+// complete in it.
+func TestUniversalLongRunZeroAllocs(t *testing.T) {
+	const n, steps = 8, 2_000_000
+	lf, err := NewLFUniversal(CounterObject{}, n, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lfProcs, err := lf.Processes(incOps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wf, wfMem := newWF(t, CounterObject{}, n, 8)
+	wfProcs, err := wf.Processes(incOps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		sim  *machine.Sim
+	}{
+		{"lfuniversal", uniformSim(t, newMemory(t, LFUniversalLayout), lfProcs, 68)},
+		{"wfuniversal", uniformSim(t, wfMem, wfProcs, 69)},
+	} {
+		if err := tc.sim.Run(5000); err != nil {
+			t.Fatal(err)
+		}
+		before := tc.sim.TotalCompletions()
+		allocs := testing.AllocsPerRun(1, func() {
+			if err := tc.sim.Run(steps); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %d steps (%d operations) allocated %v times, want 0",
+				tc.name, steps, tc.sim.TotalCompletions()-before, allocs)
+		}
 	}
 }

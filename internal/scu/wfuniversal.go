@@ -228,9 +228,9 @@ type WFUniversalProc struct {
 	newResp    []int64
 	batch      []appliedOp
 
-	responses []int64
-	ownSteps  uint64 // steps spent on the current operation
-	maxSteps  uint64 // worst own-steps for any completed operation
+	resp     int64  // response of the last completed operation
+	ownSteps uint64 // steps spent on the current operation
+	maxSteps uint64 // worst own-steps for any completed operation
 }
 
 var _ machine.Process = (*WFUniversalProc)(nil)
@@ -272,13 +272,6 @@ func (u *WFUniversal) Processes(ops func(pid int, seq int64) int64) ([]machine.P
 	return procs, nil
 }
 
-// Responses returns this process's operation responses in order.
-func (p *WFUniversalProc) Responses() []int64 {
-	out := make([]int64, len(p.responses))
-	copy(out, p.responses)
-	return out
-}
-
 // MaxOwnSteps returns the largest number of the process's own steps
 // any single completed operation took — the empirical wait-freedom
 // bound (O(n) regardless of schedule).
@@ -294,7 +287,7 @@ func (p *WFUniversalProc) holds(slot int) bool {
 
 // complete finishes the current operation with the given response.
 func (p *WFUniversalProc) complete(resp int64) {
-	p.responses = append(p.responses, resp)
+	p.resp = resp
 	if p.ownSteps > p.maxSteps {
 		p.maxSteps = p.ownSteps
 	}
